@@ -1,0 +1,59 @@
+"""First-order radio energy model and per-node battery accounting.
+
+Transmit cost grows quadratically with distance through the amplifier term;
+receive cost depends only on packet size.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class EnergyModelParams:
+    """Radio constants: electronics cost per bit, amplifier cost per bit per m^2."""
+
+    e_elec: float = 5e-6
+    eps_amp: float = 1e-9
+
+    def __post_init__(self):
+        if self.e_elec <= 0 or self.eps_amp <= 0:
+            raise ValueError("energy model constants must be strictly positive")
+
+
+def tx_energy(k_bits: float, d_meters: float, p: EnergyModelParams) -> float:
+    """Energy to transmit k bits over distance d: k * (e_elec + eps_amp * d^2)."""
+    return k_bits * (p.e_elec + p.eps_amp * d_meters * d_meters)
+
+
+def rx_energy(k_bits: float, p: EnergyModelParams) -> float:
+    """Energy to receive k bits: k * e_elec."""
+    return k_bits * p.e_elec
+
+
+@dataclass
+class Battery:
+    residual: float
+    initial: float
+
+    def debit(self, amount: float) -> tuple[float, bool]:
+        """Drain up to `amount` joules, flooring at zero.
+
+        Returns (drained, died): `drained` is the energy actually removed
+        (may be less than `amount` on an underfunded battery), `died` is true
+        iff this debit is the one that brought the residual to zero.
+        """
+        if amount < 0:
+            raise ValueError("debit amount must be nonnegative")
+        was_positive = self.residual > 0
+        # min() returns self.residual itself when underfunded, so the floor
+        # at zero is exact in floating point.
+        drained = min(amount, self.residual)
+        self.residual -= drained
+        died = was_positive and self.residual == 0.0 and amount > 0
+        return drained, died
+
+    def forfeit(self) -> float:
+        """Zero the battery (node dies without transmitting); returns the loss."""
+        remaining = self.residual
+        self.residual = 0.0
+        return remaining

@@ -1,0 +1,450 @@
+"""Deterministic discrete-event simulation.
+
+One Simulation instance owns all node state and processes events in
+(time, insertion sequence) order, so identical scenarios replay identically.
+The run ends as soon as every emitted packet is accounted for (delivered or
+lost), or at the horizon as a safety stop.
+
+Timing model: a hop takes exactly the serialization time of the frame at the
+link's length-dependent rate; propagation is zero.  A node serializes its
+outbound transmissions (half duplex on send) but can always receive.
+"""
+from __future__ import annotations
+
+import heapq
+import math
+from dataclasses import dataclass, field
+
+from . import geams, gpsr
+from .energy import Battery, EnergyModelParams, rx_energy, tx_energy
+from .link import link_rate, serialization_delay
+from .metrics import LOSS_REASONS, MetricsReport, PacketOutcome, delay_and_loss, \
+    dead_node_count, energy_stats, regional_energy
+from .neighbors import Beacon, NeighborTable
+from .scenario import ScenarioConfig
+from .topology import Position, Topology, distance, generate_topology
+
+BEACON_TICK = "beacon_tick"
+IMAGE_EMISSION = "image_emission"
+TRANSMISSION_COMPLETE = "transmission_complete"
+PACKET_ARRIVAL = "packet_arrival"
+
+
+@dataclass
+class DataPacket:
+    source: int
+    stream_id: int
+    seq: int
+    payload_bits: int
+    created_at: float
+    ttl: int
+    hop_count: int = 0
+    excluded: set[int] = field(default_factory=set)
+    prev_hop: int | None = None
+    perimeter: gpsr.PerimeterState | None = None
+    path: list[int] = field(default_factory=list)
+
+
+@dataclass
+class NodeRuntime:
+    id: int
+    position: Position
+    battery: Battery
+    death_exempt: bool
+    queue_capacity: int
+    table: NeighborTable
+    alive: bool = True
+    queue: list = field(default_factory=list)
+    transmitting: bool = False
+    source_states: dict[int, geams.SourceState] = field(default_factory=dict)
+    announced_void: bool = False
+
+
+class EnergyLedger:
+    """Every joule leaving a battery is recorded here, by cause, so the sum of
+    entries must equal the total battery drawdown at any instant."""
+
+    CATEGORIES = ("data_tx", "data_rx", "beacon_tx", "beacon_rx",
+                  "void_tx", "void_rx", "death_forfeit")
+
+    def __init__(self):
+        self.totals = {c: 0.0 for c in self.CATEGORIES}
+
+    def add(self, category: str, amount: float) -> None:
+        self.totals[category] += amount
+
+    @property
+    def total(self) -> float:
+        return sum(self.totals.values())
+
+
+class Simulation:
+    def __init__(self, cfg: ScenarioConfig, topology: Topology | None = None,
+                 record_paths: bool = False):
+        self.cfg = cfg
+        self.params = EnergyModelParams(cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
+        if topology is None:
+            topology = generate_topology(cfg.seed, cfg.n_sensors, cfg.field_spec())
+        self.topology = topology
+        self.record_paths = record_paths
+
+        f = topology.field
+        self.nodes: dict[int, NodeRuntime] = {}
+        for node_id, pos in topology.nodes:
+            gateway = node_id in (topology.sink_id, topology.source_id)
+            initial = cfg.gateway_energy_j if gateway else cfg.initial_energy_j
+            self.nodes[node_id] = NodeRuntime(
+                id=node_id,
+                position=pos,
+                battery=Battery(residual=initial, initial=initial),
+                death_exempt=gateway,
+                queue_capacity=cfg.queue_capacity,
+                table=NeighborTable(my_position=pos, sink_position=f.sink_position),
+            )
+        self.sink_id = topology.sink_id
+        self.source_id = topology.source_id
+        # static radio adjacency; liveness is handled at delivery time
+        self.range_neighbors: dict[int, list[int]] = {
+            u: sorted(
+                v for v, pv in topology.nodes
+                if v != u and distance(self.nodes[u].position, pv) <= f.radio_range
+            )
+            for u, _ in topology.nodes
+        }
+
+        self.ttl0 = cfg.effective_ttl(len(topology))
+        self.now = 0.0
+        self._heap: list = []
+        self._seq = 0
+        self.emitted = 0
+        self.delivered: list[PacketOutcome] = []
+        self.lost: list[PacketOutcome] = []
+        self.paths: dict[int, list[int]] = {}
+        self.ledger = EnergyLedger()
+        self.emissions_done = False
+        self.max_queue_len = 0
+
+    # -- event plumbing -----------------------------------------------------
+
+    def _schedule(self, time: float, kind: str, payload=None) -> None:
+        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        self._seq += 1
+
+    def _traffic_complete(self) -> bool:
+        return self.emissions_done and \
+            len(self.delivered) + len(self.lost) == self.emitted
+
+    def run(self) -> MetricsReport:
+        self._schedule(0.0, BEACON_TICK)
+        self._schedule(0.0, IMAGE_EMISSION, 0)
+        while self._heap:
+            time, _, kind, payload = heapq.heappop(self._heap)
+            if time > self.cfg.horizon_s:
+                break
+            self.now = time
+            if kind == BEACON_TICK:
+                self._do_beacons(time)
+            elif kind == IMAGE_EMISSION:
+                self._do_emission(time, payload)
+            elif kind == TRANSMISSION_COMPLETE:
+                self._do_tx_complete(time, *payload)
+            elif kind == PACKET_ARRIVAL:
+                self._do_arrival(time, *payload)
+            if self._traffic_complete():
+                break
+        return self.report()
+
+    # -- outcome recording --------------------------------------------------
+
+    def _record_delivered(self, pk: DataPacket, delay: float) -> None:
+        self.delivered.append(PacketOutcome(pk.seq, "delivered", delay, pk.hop_count))
+        if self.record_paths:
+            self.paths[pk.seq] = list(pk.path)
+
+    def _record_lost(self, pk: DataPacket, reason: str) -> None:
+        assert reason in LOSS_REASONS, reason
+        self.lost.append(PacketOutcome(pk.seq, reason, None, pk.hop_count))
+        if self.record_paths:
+            self.paths[pk.seq] = list(pk.path)
+
+    def _kill(self, node: NodeRuntime) -> None:
+        if node.death_exempt:
+            return
+        node.alive = False
+        for pk in node.queue:
+            self._record_lost(pk, "sender_died")
+        node.queue.clear()
+
+    def _drop_and_die(self, node: NodeRuntime, pk: DataPacket) -> None:
+        """Node cannot afford a pending transmission: forfeit the remaining
+        charge rather than transmit partially, and lose the packet."""
+        self._record_lost(pk, "sender_died")
+        self.ledger.add("death_forfeit", node.battery.forfeit())
+        self._kill(node)
+
+    # -- beacons ------------------------------------------------------------
+
+    def _has_sinkward(self, node: NodeRuntime) -> bool:
+        return bool(geams.build_best_neighbor_set(
+            node.table, self.now, self.cfg.neighbor_expiry_s,
+            self.cfg.data_packet_bits, self.params))
+
+    def _broadcast(self, node: NodeRuntime, bits: int, tx_cat: str, rx_cat: str,
+                   on_receive) -> None:
+        """Common beacon / void-announcement broadcast: sender pays one
+        worst-case (full radio range) transmission, every live in-range node
+        pays one reception and runs on_receive."""
+        cfg = self.cfg
+        if cfg.beacon_energy:
+            cost = tx_energy(bits, self.topology.field.radio_range, self.params)
+            drained, died = node.battery.debit(cost)
+            self.ledger.add(tx_cat, drained)
+            if drained < cost or died:
+                self._kill(node)
+                if drained < cost:
+                    return  # underfunded broadcast never goes on air
+        for other_id in self.range_neighbors[node.id]:
+            other = self.nodes[other_id]
+            if not other.alive:
+                continue
+            if cfg.beacon_energy:
+                drained, died = other.battery.debit(rx_energy(bits, self.params))
+                self.ledger.add(rx_cat, drained)
+            else:
+                died = False
+            on_receive(other)
+            if died:
+                self._kill(other)
+
+    def _do_beacons(self, time: float) -> None:
+        cfg = self.cfg
+        for node_id in sorted(self.nodes):
+            node = self.nodes[node_id]
+            if not node.alive:
+                continue
+            has_sinkward = self._has_sinkward(node)
+            if has_sinkward:
+                node.announced_void = False
+            beacon = Beacon(
+                sender=node.id,
+                position=node.position,
+                residual_energy=node.battery.residual,
+                has_sinkward=has_sinkward,
+                time=time,
+            )
+            self._broadcast(node, cfg.beacon_bits, "beacon_tx", "beacon_rx",
+                            lambda other, b=beacon: other.table.handle_beacon(b))
+        nxt = time + cfg.beacon_interval_s
+        if nxt <= cfg.horizon_s and not self._traffic_complete():
+            self._schedule(nxt, BEACON_TICK)
+
+    # -- traffic ------------------------------------------------------------
+
+    def _do_emission(self, time: float, image_idx: int) -> None:
+        cfg = self.cfg
+        source = self.nodes[self.source_id]
+        n_packets = math.ceil(cfg.image_bits / cfg.packet_bits)
+        remaining = cfg.image_bits
+        for _ in range(n_packets):
+            bits = min(cfg.packet_bits, remaining)
+            remaining -= bits
+            pk = DataPacket(
+                source=self.source_id,
+                stream_id=image_idx,
+                seq=self.emitted,
+                payload_bits=bits,
+                created_at=time,
+                ttl=self.ttl0,
+                path=[self.source_id],
+            )
+            self.emitted += 1
+            if len(source.queue) >= source.queue_capacity:
+                self._record_lost(pk, "buffer_overflow")
+            else:
+                source.queue.append(pk)
+                self.max_queue_len = max(self.max_queue_len, len(source.queue))
+        if image_idx + 1 < cfg.image_count:
+            self._schedule(time + cfg.image_interval_s, IMAGE_EMISSION, image_idx + 1)
+        else:
+            self.emissions_done = True
+        self._try_start(source, time)
+
+    def _try_start(self, node: NodeRuntime, time: float) -> None:
+        cfg = self.cfg
+        while node.alive and not node.transmitting and node.queue:
+            pk = node.queue.pop(0)
+            next_hop, drop_reason = self._route(node, pk)
+            if next_hop is None:
+                self._record_lost(pk, drop_reason)
+                continue
+            d = distance(node.position, self.nodes[next_hop].position)
+            bits = pk.payload_bits + cfg.header_bits
+            cost = tx_energy(bits, d, self.params)
+            if not node.death_exempt and node.battery.residual < cost:
+                self._drop_and_die(node, pk)
+                return
+            if cfg.protocol == "geams":
+                # Account for the relay cost this forward imposes on the
+                # neighbor before its next beacon refreshes the record,
+                # otherwise every score stays stale for a whole beacon
+                # interval and the burst hammers a single neighbor.  The
+                # estimate is the electronics-only relay cost (its receive
+                # plus its transmit, amplifier term unknown); the next beacon
+                # overwrites it with ground truth.
+                rec = node.table.records.get(next_hop)
+                if rec is not None:
+                    rec.residual_energy -= self._pending_load_estimate(bits)
+            node.transmitting = True
+            delay = serialization_delay(bits, link_rate(d, cfg.base_rate_bps))
+            self._schedule(time + delay, TRANSMISSION_COMPLETE,
+                           (node.id, next_hop, pk, d, bits))
+            return
+
+    def _do_tx_complete(self, time: float, sender_id: int, receiver_id: int,
+                        pk: DataPacket, d: float, bits: int) -> None:
+        sender = self.nodes[sender_id]
+        sender.transmitting = False
+        if not sender.alive:
+            self._record_lost(pk, "sender_died")
+            return
+        cost = tx_energy(bits, d, self.params)
+        drained, died = sender.battery.debit(cost)
+        self.ledger.add("data_tx", drained)
+        if drained < cost:
+            # a mid-transmission debit (beacon traffic) starved the battery
+            self._record_lost(pk, "sender_died")
+            self._kill(sender)
+            return
+        self._schedule(time, PACKET_ARRIVAL, (sender_id, receiver_id, pk, bits))
+        if died:
+            self._kill(sender)
+        else:
+            self._try_start(sender, time)
+
+    def _do_arrival(self, time: float, sender_id: int, receiver_id: int,
+                    pk: DataPacket, bits: int) -> None:
+        receiver = self.nodes[receiver_id]
+        if not receiver.alive:
+            self._record_lost(pk, "next_hop_died")
+            return
+        drained, died = receiver.battery.debit(rx_energy(bits, self.params))
+        self.ledger.add("data_rx", drained)
+        pk.hop_count += 1
+        pk.ttl -= 1
+        pk.prev_hop = sender_id
+        pk.path.append(receiver_id)
+        if died:
+            self._kill(receiver)
+            self._record_lost(pk, "next_hop_died")
+            return
+        if receiver_id == self.sink_id:
+            self._record_delivered(pk, time - pk.created_at)
+            return
+        if pk.ttl <= 0:
+            self._record_lost(pk, "ttl_expired")
+            return
+        if len(receiver.queue) >= receiver.queue_capacity:
+            self._record_lost(pk, "buffer_overflow")
+            return
+        receiver.queue.append(pk)
+        self.max_queue_len = max(self.max_queue_len, len(receiver.queue))
+        self._try_start(receiver, time)
+
+    def _pending_load_estimate(self, bits: int) -> float:
+        """Relay cost a forwarded frame will impose on the chosen neighbor:
+        its receive plus the electronics part of its own transmit (the
+        amplifier term depends on a hop we cannot know)."""
+        return 2.0 * self.params.e_elec * bits
+
+    # -- routing ------------------------------------------------------------
+
+    def _route(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
+        if self.cfg.protocol == "geams":
+            return self._route_geams(node, pk)
+        return self._route_gpsr(node, pk)
+
+    def _route_geams(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
+        cfg = self.cfg
+        entries = geams.build_best_neighbor_set(
+            node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits, self.params)
+        if entries:
+            state = node.source_states.get(pk.source)
+            if state is not None:
+                state = geams.refresh_state(state, entries)
+            next_hop, new_state = geams.select_next_hop(state, entries, pk.hop_count)
+            node.source_states[pk.source] = new_state
+            return next_hop, None
+        # walking back: announce the void once, then delegate sink-ward-most
+        if not node.announced_void:
+            node.announced_void = True
+            self._broadcast(node, cfg.void_announcement_bits, "void_tx", "void_rx",
+                            lambda other: other.table.mark_void(node.id))
+            if not node.alive:
+                return None, "sender_died"
+        pk.excluded.add(node.id)
+        candidate = geams.walking_back_candidate(
+            node.table, pk.excluded, self.now, cfg.neighbor_expiry_s)
+        if candidate is None:
+            return None, "void_unresolvable"
+        return candidate, None
+
+    def _route_gpsr(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
+        cfg = self.cfg
+        table = node.table
+        state = pk.perimeter
+        if state is not None and table.my_sink_distance < distance(
+                state.entry_point, table.sink_position):
+            pk.perimeter = state = None  # past the void: resume greedy
+        if state is None:
+            choice = gpsr.greedy_next_hop(table, self.now, cfg.neighbor_expiry_s)
+            if choice is not None:
+                return choice, None
+            planar = gpsr.planar_neighbors(table, self.now, cfg.neighbor_expiry_s)
+            first = gpsr.perimeter_first_hop(node.position, table.sink_position, planar)
+            if first is None:
+                return None, "perimeter_exhausted"
+            pk.perimeter = gpsr.PerimeterState(
+                entry_point=node.position, first_edge=(node.id, first))
+            return first, None
+        planar = gpsr.planar_neighbors(table, self.now, cfg.neighbor_expiry_s)
+        prev_pos = self.nodes[pk.prev_hop].position
+        nxt = gpsr.perimeter_next_hop(node.position, prev_pos, planar)
+        if nxt is None:
+            return None, "perimeter_exhausted"
+        if (node.id, nxt) == state.first_edge:
+            return None, "perimeter_exhausted"  # walked the whole face
+        return nxt, None
+
+    # -- reporting ----------------------------------------------------------
+
+    def energy_drawdown(self) -> tuple[float, float]:
+        """(sum of initial-minus-residual over all nodes, ledger total);
+        the two must agree up to float rounding."""
+        drawn = sum(n.battery.initial - n.battery.residual for n in self.nodes.values())
+        return drawn, self.ledger.total
+
+    def report(self) -> MetricsReport:
+        sensor_ids = self.topology.sensor_ids
+        residuals = {i: n.battery.residual for i, n in self.nodes.items()}
+        mean_e, var_e = energy_stats([residuals[i] for i in sensor_ids])
+        log = sorted(self.delivered + self.lost, key=lambda p: p.seq)
+        delay_mean, delay_var, lost = delay_and_loss(log)
+        return MetricsReport(
+            dead_nodes=dead_node_count(residuals, sensor_ids),
+            mean_energy=mean_e,
+            energy_variance=var_e,
+            regional_mean_energy=regional_energy(
+                [(self.nodes[i].position, residuals[i]) for i in sensor_ids],
+                self.topology.field),
+            delay_mean=delay_mean,
+            delay_variance=delay_var,
+            delivered=len(self.delivered),
+            lost=lost,
+            per_packet_log=log,
+        )
+
+
+def run_scenario(cfg: ScenarioConfig, topology: Topology | None = None,
+                 record_paths: bool = False) -> MetricsReport:
+    """Run one scenario to completion and return its report."""
+    return Simulation(cfg, topology, record_paths=record_paths).run()

@@ -1,0 +1,138 @@
+"""GEAMS next-hop selection.
+
+Smart greedy forwarding spreads consecutive packets of a stream across the
+sink-ward neighbors ranked by an energy-aware score, steered by per-source
+state (a reference hop count plus the rank whose score sits nearest the set
+average).  When no sink-ward neighbor exists the node switches to walking-back
+forwarding: it flags itself unusable and hands the packet to the neighbor
+least far from the sink.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+from .energy import EnergyModelParams, rx_energy, tx_energy
+from .neighbors import NeighborRecord, NeighborTable
+
+# (neighbor id, score) pairs, descending by score, ties by ascending id
+BestNeighborSet = list[tuple[int, float]]
+
+
+class EmptyNeighborSetError(ValueError):
+    """Raised when an operation requires at least one sink-ward neighbor."""
+
+
+@dataclass(frozen=True)
+class SourceState:
+    """Per-source forwarding memory.
+
+    ref_hop_count: running reference hop count for packets of this source.
+    balance_index: 1-based rank in the best-neighbor set whose score is
+        nearest the set average, recomputed when the set changes.
+    neighbor_ids: the set ordering balance_index was computed against.
+    """
+
+    ref_hop_count: int
+    balance_index: int
+    neighbor_ids: tuple[int, ...] = ()
+
+
+def score(n: NeighborRecord, k_bits: float, p: EnergyModelParams) -> float:
+    """Neighbor fitness in joules: its remaining energy minus the cost of
+    pushing one standard data packet through it (our transmit + its receive)."""
+    return n.residual_energy - tx_energy(k_bits, n.distance_to_me, p) - rx_energy(k_bits, p)
+
+
+def build_best_neighbor_set(
+    t: NeighborTable, now: float, expiry_s: float, k_bits: float, p: EnergyModelParams
+) -> BestNeighborSet:
+    """Live, non-void-flagged neighbors strictly closer to the sink than we
+    are, sorted by descending score with ties broken by ascending id."""
+    mine = t.my_sink_distance
+    candidates = [
+        (r.id, score(r, k_bits, p))
+        for r in t.live_records(now, expiry_s)
+        if not r.void_flagged and r.distance_to_sink < mine
+    ]
+    candidates.sort(key=lambda item: (-item[1], item[0]))
+    return candidates
+
+
+def average_score_index(s: BestNeighborSet) -> int:
+    """1-based rank of the entry whose score is nearest the mean score;
+    equidistant candidates resolve to the better (smaller) rank."""
+    if not s:
+        raise EmptyNeighborSetError("average_score_index needs a nonempty set")
+    mean = sum(v for _, v in s) / len(s)
+    best_rank, best_gap = 1, abs(s[0][1] - mean)
+    for rank, (_, v) in enumerate(s[1:], start=2):
+        gap = abs(v - mean)
+        if gap < best_gap:
+            best_rank, best_gap = rank, gap
+    return best_rank
+
+
+def refresh_state(state: SourceState, s: BestNeighborSet) -> SourceState:
+    """Recompute the balance rank if the set membership or order changed since
+    it was last computed; the reference hop count persists."""
+    ids = tuple(node_id for node_id, _ in s)
+    if state.neighbor_ids == ids:
+        return state
+    return replace(state, balance_index=average_score_index(s), neighbor_ids=ids)
+
+
+def select_next_hop(
+    state: SourceState | None, s: BestNeighborSet, hop_count: int
+) -> tuple[int, SourceState]:
+    """Smart greedy choice among the sorted sink-ward neighbors.
+
+    First packet from a source goes to the top-ranked neighbor and seeds the
+    state.  Later packets pick rank (balance_index + ref_hop_count - hop_count),
+    clamping out-of-range picks to the best or worst rank while shifting the
+    reference hop count so the balance point tracks the traffic.
+    """
+    if not s:
+        raise EmptyNeighborSetError("select_next_hop needs a nonempty set")
+    m = len(s)
+    ids = tuple(node_id for node_id, _ in s)
+    if state is None:
+        new_state = SourceState(
+            ref_hop_count=hop_count,
+            balance_index=average_score_index(s),
+            neighbor_ids=ids,
+        )
+        return s[0][0], new_state
+    ref = state.ref_hop_count
+    index = state.balance_index + (ref - hop_count)
+    if index <= 0:
+        ref = ref - index + 1
+        index = 1
+    elif index > m:
+        ref = ref - index + m
+        index = m
+    new_state = SourceState(
+        ref_hop_count=ref, balance_index=state.balance_index, neighbor_ids=ids
+    )
+    return s[index - 1][0], new_state
+
+
+def detect_void(
+    t: NeighborTable, now: float, expiry_s: float, k_bits: float, p: EnergyModelParams
+) -> bool:
+    """True when no usable sink-ward neighbor exists (walking-back trigger)."""
+    return not build_best_neighbor_set(t, now, expiry_s, k_bits, p)
+
+
+def walking_back_candidate(
+    t: NeighborTable, excluded: set[int], now: float, expiry_s: float
+) -> int | None:
+    """Neighbor to delegate a stuck packet to: the live, unflagged, not yet
+    visited neighbor least far from the sink; None when the void is
+    unresolvable from here."""
+    best: NeighborRecord | None = None
+    for r in t.live_records(now, expiry_s):
+        if r.id in excluded or r.void_flagged:
+            continue
+        if best is None or (r.distance_to_sink, r.id) < (best.distance_to_sink, best.id):
+            best = r
+    return None if best is None else best.id

@@ -1,0 +1,103 @@
+"""GPSR baseline: greedy forwarding with perimeter-mode recovery.
+
+Perimeter mode walks the Gabriel-planarized radio graph with the right-hand
+rule (next edge counterclockwise from the incoming edge), resuming greedy as
+soon as the packet reaches a node strictly closer to the sink than where it
+entered perimeter mode, and dropping when the traversal would retrace the
+first perimeter edge.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .neighbors import NeighborRecord, NeighborTable
+from .topology import Position
+
+TWO_PI = 2.0 * math.pi
+
+
+@dataclass
+class PerimeterState:
+    """Carried in the packet while in perimeter mode."""
+
+    entry_point: Position
+    first_edge: tuple[int, int]
+
+
+def greedy_next_hop(t: NeighborTable, now: float, expiry_s: float) -> int | None:
+    """Live neighbor nearest the sink, if strictly closer than we are;
+    None signals a local minimum (perimeter trigger).  Ties by ascending id."""
+    mine = t.my_sink_distance
+    best: NeighborRecord | None = None
+    for r in t.live_records(now, expiry_s):
+        if r.distance_to_sink >= mine:
+            continue
+        if best is None or (r.distance_to_sink, r.id) < (best.distance_to_sink, best.id):
+            best = r
+    return None if best is None else best.id
+
+
+def planar_neighbors(t: NeighborTable, now: float, expiry_s: float) -> list[NeighborRecord]:
+    """Gabriel-graph neighbors computed from the local table: the link to v
+    survives iff no other live neighbor sits inside or on the circle with
+    diameter (me, v).  Any witness for an in-range link is itself in range,
+    so the local test agrees with the global planarization."""
+    live = t.live_records(now, expiry_s)
+    me = t.my_position
+    kept = []
+    for r in live:
+        mx, my = (me.x + r.position.x) / 2.0, (me.y + r.position.y) / 2.0
+        r2 = ((me.x - r.position.x) ** 2 + (me.y - r.position.y) ** 2) / 4.0
+        if all(
+            (w.position.x - mx) ** 2 + (w.position.y - my) ** 2 > r2
+            for w in live
+            if w.id != r.id
+        ):
+            kept.append(r)
+    return kept
+
+
+def _bearing(frm: Position, to: Position) -> float:
+    return math.atan2(to.y - frm.y, to.x - frm.x)
+
+
+def _next_ccw(
+    me: Position, ref_angle: float, candidates: list[NeighborRecord], zero_wraps: bool
+) -> int:
+    """Candidate whose bearing is the first counterclockwise from ref_angle.
+
+    With zero_wraps, a candidate lying exactly along the reference direction
+    (typically the node the packet came from) counts as a full turn, so it is
+    chosen only as a last resort.
+    """
+    best_id = None
+    best_key = None
+    for r in candidates:
+        delta = (_bearing(me, r.position) - ref_angle) % TWO_PI
+        if zero_wraps and delta == 0.0:
+            delta = TWO_PI
+        key = (delta, r.id)
+        if best_key is None or key < best_key:
+            best_key, best_id = key, r.id
+    return best_id
+
+
+def perimeter_first_hop(
+    me: Position, sink: Position, planar: list[NeighborRecord]
+) -> int | None:
+    """Edge to start the perimeter walk on: first counterclockwise from the
+    straight line toward the sink."""
+    if not planar:
+        return None
+    return _next_ccw(me, _bearing(me, sink), planar, zero_wraps=False)
+
+
+def perimeter_next_hop(
+    me: Position, prev: Position, planar: list[NeighborRecord]
+) -> int | None:
+    """Right-hand rule step: next planar edge counterclockwise from the edge
+    the packet arrived on.  A degree-one node sends the packet back."""
+    if not planar:
+        return None
+    return _next_ccw(me, _bearing(me, prev), planar, zero_wraps=True)

@@ -1,0 +1,28 @@
+"""Link capacity and serialization timing.
+
+The link rate shrinks with the square root of link length; propagation delay
+is treated as zero, so a hop takes exactly its serialization time.
+"""
+from __future__ import annotations
+
+import math
+
+BASE_RATE_BPS = 250_000.0
+
+
+class DegenerateLinkError(ValueError):
+    """Raised for link lengths below the 1 m minimum separation."""
+
+
+def link_rate(length_m: float, base_rate_bps: float = BASE_RATE_BPS) -> float:
+    """Bits per second over a link of the given length: base_rate / sqrt(length)."""
+    if length_m < 1.0:
+        raise DegenerateLinkError(f"link length {length_m} m is below the 1 m minimum")
+    return base_rate_bps / math.sqrt(length_m)
+
+
+def serialization_delay(k_bits: float, rate_bps: float) -> float:
+    """Seconds to clock k bits onto a link of the given rate."""
+    if rate_bps <= 0:
+        raise ValueError("rate must be positive")
+    return k_bits / rate_bps

@@ -1,0 +1,158 @@
+"""Run measurements: node deaths, energy distribution (global and by 40 m
+x-regions), delivered-packet delay statistics, and loss counts by reason.
+
+Every report field is recomputable from the per-packet log and the final node
+states, which the test suite exploits as an independent cross-check.
+"""
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass, field
+
+from .topology import FieldSpec, Position
+
+LOSS_REASONS = (
+    "buffer_overflow",
+    "ttl_expired",
+    "next_hop_died",
+    "void_unresolvable",
+    "perimeter_exhausted",
+    "sender_died",
+)
+
+REGION_WIDTH_M = 40.0
+REGION_ANCHOR_X = 10.0
+
+
+@dataclass(frozen=True)
+class PacketOutcome:
+    seq: int
+    outcome: str  # "delivered" or a loss reason
+    delay: float | None  # end-to-end seconds, delivered packets only
+    hops: int
+
+
+@dataclass
+class MetricsReport:
+    dead_nodes: int
+    mean_energy: float
+    energy_variance: float
+    regional_mean_energy: list[tuple[float, float, float]]  # (x_lo, x_hi, mean joules)
+    delay_mean: float | None
+    delay_variance: float | None
+    delivered: int
+    lost: dict[str, int]
+    per_packet_log: list[PacketOutcome] = field(default_factory=list)
+
+    @property
+    def lost_total(self) -> int:
+        return sum(self.lost.values())
+
+
+def dead_node_count(residuals: dict[int, float], sensor_ids: list[int]) -> int:
+    """Sensors whose battery hit zero; the sink and source gateways never count."""
+    return sum(1 for i in sensor_ids if residuals[i] == 0.0)
+
+
+def energy_stats(values: list[float]) -> tuple[float, float]:
+    """Population mean and population variance of sensor residual energies."""
+    if not values:
+        return 0.0, 0.0
+    mean = sum(values) / len(values)
+    var = sum((v - mean) ** 2 for v in values) / len(values)
+    return mean, var
+
+
+def regional_energy(
+    sensors: list[tuple[Position, float]], f: FieldSpec
+) -> list[tuple[float, float, float]]:
+    """Mean residual energy per 40 m x-interval anchored at x=10.
+
+    Sensors left of the anchor join the first bin, sensors beyond the last
+    edge join the last bin; empty bins are omitted.
+    """
+    edges = []
+    lo = REGION_ANCHOR_X
+    while lo + REGION_WIDTH_M <= f.width - REGION_ANCHOR_X:
+        edges.append((lo, lo + REGION_WIDTH_M))
+        lo += REGION_WIDTH_M
+    if not edges:
+        edges = [(0.0, f.width)]
+    sums = [0.0] * len(edges)
+    counts = [0] * len(edges)
+    for pos, residual in sensors:
+        idx = int((pos.x - REGION_ANCHOR_X) // REGION_WIDTH_M)
+        idx = min(max(idx, 0), len(edges) - 1)
+        sums[idx] += residual
+        counts[idx] += 1
+    return [
+        (edges[i][0], edges[i][1], sums[i] / counts[i])
+        for i in range(len(edges))
+        if counts[i]
+    ]
+
+
+def delay_and_loss(
+    log: list[PacketOutcome],
+) -> tuple[float | None, float | None, dict[str, int]]:
+    """Delay mean/variance over delivered packets (absent when none were
+    delivered) and loss counts bucketed by reason."""
+    delays = [p.delay for p in log if p.outcome == "delivered"]
+    lost = {reason: 0 for reason in LOSS_REASONS}
+    for p in log:
+        if p.outcome != "delivered":
+            lost[p.outcome] += 1
+    if not delays:
+        return None, None, lost
+    mean, var = energy_stats(delays)  # same population statistics
+    return mean, var, lost
+
+
+SUMMARY_COLUMNS = (
+    ["protocol", "seed", "n", "dead", "mean_e", "var_e", "delay_mean", "delay_var",
+     "delivered", "lost_total"]
+    + [f"lost_{r}" for r in LOSS_REASONS]
+)
+
+REGIONAL_COLUMNS = ["protocol", "seed", "n", "region_lo", "region_hi", "mean_e"]
+
+PACKET_COLUMNS = ["protocol", "seed", "n", "seq", "outcome", "delay", "hops"]
+
+
+def _fmt(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def summary_row(report: MetricsReport, protocol: str, seed: int, n: int) -> list[str]:
+    row = [
+        protocol, seed, n,
+        report.dead_nodes, report.mean_energy, report.energy_variance,
+        report.delay_mean, report.delay_variance,
+        report.delivered, report.lost_total,
+    ] + [report.lost[r] for r in LOSS_REASONS]
+    return [_fmt(v) for v in row]
+
+
+def regional_rows(report: MetricsReport, protocol: str, seed: int, n: int) -> list[list[str]]:
+    return [
+        [_fmt(v) for v in (protocol, seed, n, lo, hi, mean)]
+        for lo, hi, mean in report.regional_mean_energy
+    ]
+
+
+def packet_rows(report: MetricsReport, protocol: str, seed: int, n: int) -> list[list[str]]:
+    return [
+        [_fmt(v) for v in (protocol, seed, n, p.seq, p.outcome, p.delay, p.hops)]
+        for p in report.per_packet_log
+    ]
+
+
+def write_csv(path, header: list[str], rows: list[list[str]]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

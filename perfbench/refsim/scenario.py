@@ -1,0 +1,119 @@
+"""Scenario configuration: defaults, JSON loading, validation.
+
+Unknown keys are hard errors so a typo never silently falls back to a default.
+"""
+from __future__ import annotations
+
+import dataclasses
+import json
+from dataclasses import dataclass
+
+from .topology import FieldSpec, Position
+
+PROTOCOLS = ("geams", "gpsr")
+
+
+class ScenarioError(ValueError):
+    """Invalid or unparseable scenario configuration."""
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    # experiment cell
+    protocol: str = "geams"
+    n_sensors: int = 100
+    seed: int = 1
+    # field geometry
+    field_width: float = 500.0
+    field_height: float = 200.0
+    sink_x: float = 490.0
+    sink_y: float = 90.0
+    source_x: float = 10.0
+    source_y: float = 90.0
+    radio_range: float = 80.0
+    min_separation: float = 1.0
+    # energy model
+    e_elec_j_per_bit: float = 5e-6
+    eps_amp_j_per_bit_m2: float = 1e-9
+    initial_energy_j: float = 3.0
+    gateway_energy_j: float = 1e6  # sink/source battery; exempt from death
+    beacon_energy: bool = True
+    # traffic
+    image_count: int = 30
+    image_interval_s: float = 1.0
+    image_bits: int = 10_000
+    packet_bits: int = 1_000
+    header_bits: int = 64
+    # control plane
+    beacon_interval_s: float = 1.0
+    beacon_bits: int = 128
+    void_announcement_bits: int = 128
+    neighbor_expiry_intervals: float = 2.5
+    # engine
+    base_rate_bps: float = 250_000.0
+    queue_capacity: int = 10
+    ttl: int | None = None  # None: 2 x total node count
+    horizon_s: float = 120.0
+
+    def __post_init__(self):
+        if self.protocol not in PROTOCOLS:
+            raise ScenarioError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
+        if self.n_sensors < 0:
+            raise ScenarioError("n_sensors must be nonnegative")
+        if self.queue_capacity < 1:
+            raise ScenarioError("queue_capacity must be at least 1")
+        if self.packet_bits < 1 or self.image_bits < 1:
+            raise ScenarioError("packet_bits and image_bits must be positive")
+        if self.ttl is not None and self.ttl < 1:
+            raise ScenarioError("ttl must be positive when given")
+
+    def field_spec(self) -> FieldSpec:
+        return FieldSpec(
+            width=self.field_width,
+            height=self.field_height,
+            sink_position=Position(self.sink_x, self.sink_y),
+            source_position=Position(self.source_x, self.source_y),
+            radio_range=self.radio_range,
+            min_separation=self.min_separation,
+        )
+
+    def effective_ttl(self, total_nodes: int) -> int:
+        return self.ttl if self.ttl is not None else 2 * total_nodes
+
+    @property
+    def neighbor_expiry_s(self) -> float:
+        return self.neighbor_expiry_intervals * self.beacon_interval_s
+
+    @property
+    def data_packet_bits(self) -> int:
+        """Standard on-air size of a data packet (payload plus header)."""
+        return self.packet_bits + self.header_bits
+
+    def replace(self, **overrides) -> "ScenarioConfig":
+        return dataclasses.replace(self, **overrides)
+
+
+_FIELD_NAMES = {f.name for f in dataclasses.fields(ScenarioConfig)}
+
+
+def config_from_dict(d: dict) -> ScenarioConfig:
+    unknown = sorted(set(d) - _FIELD_NAMES)
+    if unknown:
+        raise ScenarioError(f"unknown scenario keys: {', '.join(unknown)}")
+    try:
+        return ScenarioConfig(**d)
+    except TypeError as exc:
+        raise ScenarioError(str(exc)) from None
+
+
+def load_scenario(path) -> ScenarioConfig:
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except FileNotFoundError:
+        raise ScenarioError(f"scenario file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{path}: top level must be a JSON object")
+    return config_from_dict(raw)

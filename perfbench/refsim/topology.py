@@ -1,0 +1,203 @@
+"""Random node deployments on a rectangular sensing field, plus the geometric
+queries both routing protocols rely on (radio neighborhood, Gabriel planarization).
+
+Topologies are immutable after construction and fully determined by
+(seed, n_sensors, field), so they can be shared read-only between runs.
+"""
+from __future__ import annotations
+
+import csv
+import math
+import random
+from dataclasses import dataclass, field as dc_field
+
+SINK_ID = 0
+SOURCE_ID = 1
+
+# rejection-sampling cap per sensor before giving up on placement
+MAX_PLACEMENT_ATTEMPTS = 10_000
+
+
+class PlacementError(RuntimeError):
+    """Raised when rejection sampling cannot place a node (field too crowded)."""
+
+
+class UnknownNodeError(KeyError):
+    """Raised when a node id is not part of the topology."""
+
+
+@dataclass(frozen=True)
+class Position:
+    x: float
+    y: float
+
+
+def distance(a: Position, b: Position) -> float:
+    """Euclidean distance in meters."""
+    return math.hypot(a.x - b.x, a.y - b.y)
+
+
+@dataclass(frozen=True)
+class FieldSpec:
+    width: float = 500.0
+    height: float = 200.0
+    sink_position: Position = Position(490.0, 90.0)
+    source_position: Position = Position(10.0, 90.0)
+    radio_range: float = 80.0
+    min_separation: float = 1.0
+
+    def __post_init__(self):
+        if self.radio_range <= 0:
+            raise ValueError("radio_range must be positive")
+        if self.min_separation <= 0:
+            raise ValueError("min_separation must be positive")
+        for p in (self.sink_position, self.source_position):
+            if not (0 <= p.x <= self.width and 0 <= p.y <= self.height):
+                raise ValueError(f"designated node at ({p.x}, {p.y}) lies outside the field")
+
+
+@dataclass(frozen=True)
+class Topology:
+    """A static deployment: node 0 is the sink, node 1 the source, the rest sensors."""
+
+    nodes: tuple[tuple[int, Position], ...]
+    field: FieldSpec
+    seed: int
+    _positions: dict[int, Position] = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_positions", dict(self.nodes))
+
+    @property
+    def sink_id(self) -> int:
+        return SINK_ID
+
+    @property
+    def source_id(self) -> int:
+        return SOURCE_ID
+
+    @property
+    def sensor_ids(self) -> list[int]:
+        return [i for i, _ in self.nodes if i not in (SINK_ID, SOURCE_ID)]
+
+    def position(self, node_id: int) -> Position:
+        try:
+            return self._positions[node_id]
+        except KeyError:
+            raise UnknownNodeError(node_id) from None
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+
+def generate_topology(seed: int, n_sensors: int, field: FieldSpec | None = None) -> Topology:
+    """Place n_sensors sensors uniformly at random, keeping every pairwise
+    distance >= field.min_separation (sink and source included).
+
+    Raises PlacementError if any sensor cannot be placed within
+    MAX_PLACEMENT_ATTEMPTS rejection-sampling attempts.
+    """
+    if n_sensors < 0:
+        raise ValueError("n_sensors must be nonnegative")
+    if field is None:
+        field = FieldSpec()
+    rng = random.Random(seed)
+    placed: list[tuple[int, Position]] = [
+        (SINK_ID, field.sink_position),
+        (SOURCE_ID, field.source_position),
+    ]
+    for i in range(n_sensors):
+        node_id = 2 + i
+        for _ in range(MAX_PLACEMENT_ATTEMPTS):
+            cand = Position(rng.uniform(0.0, field.width), rng.uniform(0.0, field.height))
+            if all(distance(cand, p) >= field.min_separation for _, p in placed):
+                placed.append((node_id, cand))
+                break
+        else:
+            raise PlacementError(
+                f"could not place sensor {node_id} after {MAX_PLACEMENT_ATTEMPTS} attempts"
+            )
+    return Topology(nodes=tuple(placed), field=field, seed=seed)
+
+
+def radio_neighbors(t: Topology, node_id: int) -> set[int]:
+    """Ids of all nodes within radio range of node_id (boundary inclusive)."""
+    me = t.position(node_id)
+    r = t.field.radio_range
+    return {
+        other
+        for other, p in t.nodes
+        if other != node_id and distance(me, p) <= r
+    }
+
+
+def radio_edges(t: Topology) -> set[tuple[int, int]]:
+    """All radio-range links as (u, v) pairs with u < v."""
+    edges = set()
+    r = t.field.radio_range
+    nodes = t.nodes
+    for i in range(len(nodes)):
+        u, pu = nodes[i]
+        for j in range(i + 1, len(nodes)):
+            v, pv = nodes[j]
+            if distance(pu, pv) <= r:
+                edges.add((min(u, v), max(u, v)))
+    return edges
+
+
+def gabriel_planarize(t: Topology) -> set[tuple[int, int]]:
+    """Gabriel subgraph of the radio graph: edge (u, v) survives iff no third
+    node lies inside or on the circle with diameter uv.  Boundary nodes remove
+    the edge, which keeps the result deterministic for degenerate placements.
+    """
+    kept = set()
+    for u, v in radio_edges(t):
+        pu, pv = t.position(u), t.position(v)
+        mx, my = (pu.x + pv.x) / 2.0, (pu.y + pv.y) / 2.0
+        r2 = ((pu.x - pv.x) ** 2 + (pu.y - pv.y) ** 2) / 4.0
+        if all(
+            (p.x - mx) ** 2 + (p.y - my) ** 2 > r2
+            for w, p in t.nodes
+            if w != u and w != v
+        ):
+            kept.add((u, v))
+    return kept
+
+
+def save_topology_csv(t: Topology, path) -> None:
+    """Write `node_id,x,y` rows (header included); node 0 = sink, 1 = source."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node_id", "x", "y"])
+        for node_id, p in t.nodes:
+            writer.writerow([node_id, repr(p.x), repr(p.y)])
+
+
+def load_topology_csv(path, field: FieldSpec | None = None, seed: int = 0) -> Topology:
+    """Read a topology written by save_topology_csv.  Ids 0 and 1 must be
+    present and are taken as sink and source; the FieldSpec's designated
+    positions are overridden to match the file.
+    """
+    if field is None:
+        field = FieldSpec()
+    nodes: list[tuple[int, Position]] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["node_id", "x", "y"]:
+            raise ValueError(f"{path}: expected header 'node_id,x,y', got {header!r}")
+        for row in reader:
+            nodes.append((int(row[0]), Position(float(row[1]), float(row[2]))))
+    ids = [i for i, _ in nodes]
+    if SINK_ID not in ids or SOURCE_ID not in ids:
+        raise ValueError(f"{path}: topology must contain nodes {SINK_ID} (sink) and {SOURCE_ID} (source)")
+    positions = dict(nodes)
+    field = FieldSpec(
+        width=field.width,
+        height=field.height,
+        sink_position=positions[SINK_ID],
+        source_position=positions[SOURCE_ID],
+        radio_range=field.radio_range,
+        min_separation=field.min_separation,
+    )
+    return Topology(nodes=tuple(nodes), field=field, seed=seed)
