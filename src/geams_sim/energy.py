@@ -30,7 +30,7 @@ def rx_energy(k_bits: float, p: EnergyModelParams) -> float:
     return k_bits * p.e_elec
 
 
-@dataclass
+@dataclass(slots=True)
 class Battery:
     residual: float
     initial: float
@@ -44,12 +44,12 @@ class Battery:
         """
         if amount < 0:
             raise ValueError("debit amount must be nonnegative")
-        was_positive = self.residual > 0
-        # min() returns self.residual itself when underfunded, so the floor
-        # at zero is exact in floating point.
-        drained = min(amount, self.residual)
-        self.residual -= drained
-        died = was_positive and self.residual == 0.0 and amount > 0
+        residual = self.residual
+        # drains the residual itself when underfunded, so the floor at zero
+        # is exact in floating point
+        drained = residual if residual < amount else amount
+        self.residual = residual - drained
+        died = residual > 0 and self.residual == 0.0 and amount > 0
         return drained, died
 
     def forfeit(self) -> float:

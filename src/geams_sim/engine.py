@@ -22,7 +22,8 @@ from .metrics import LOSS_REASONS, MetricsReport, PacketOutcome, delay_and_loss,
     dead_node_count, energy_stats, regional_energy
 from .neighbors import Beacon, NeighborTable
 from .scenario import ScenarioConfig
-from .topology import Position, Topology, distance, generate_topology
+from .topology import Position, Topology, distance, generate_topology, \
+    range_neighbor_lists
 
 BEACON_TICK = "beacon_tick"
 IMAGE_EMISSION = "image_emission"
@@ -45,7 +46,7 @@ class DataPacket:
     path: list[int] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeRuntime:
     id: int
     position: Position
@@ -103,13 +104,11 @@ class Simulation:
             )
         self.sink_id = topology.sink_id
         self.source_id = topology.source_id
-        # static radio adjacency; liveness is handled at delivery time
-        self.range_neighbors: dict[int, list[int]] = {
-            u: sorted(
-                v for v, pv in topology.nodes
-                if v != u and distance(self.nodes[u].position, pv) <= f.radio_range
-            )
-            for u, _ in topology.nodes
+        # static radio adjacency, ascending by id; liveness is handled at
+        # delivery time
+        self.range_neighbors: dict[int, list[NodeRuntime]] = {
+            u: [self.nodes[v] for v in vs]
+            for u, vs in range_neighbor_lists(topology).items()
         }
 
         self.ttl0 = cfg.effective_ttl(len(topology))
@@ -185,15 +184,13 @@ class Simulation:
     # -- beacons ------------------------------------------------------------
 
     def _has_sinkward(self, node: NodeRuntime) -> bool:
-        return bool(geams.build_best_neighbor_set(
-            node.table, self.now, self.cfg.neighbor_expiry_s,
-            self.cfg.data_packet_bits, self.params))
+        return geams.has_sinkward_neighbor(node.table, self.now, self.cfg.neighbor_expiry_s)
 
     def _broadcast(self, node: NodeRuntime, bits: int, tx_cat: str, rx_cat: str,
-                   on_receive) -> None:
+                   on_receive, message) -> None:
         """Common beacon / void-announcement broadcast: sender pays one
         worst-case (full radio range) transmission, every live in-range node
-        pays one reception and runs on_receive."""
+        pays one reception and runs on_receive(its table, message)."""
         cfg = self.cfg
         if cfg.beacon_energy:
             cost = tx_energy(bits, self.topology.field.radio_range, self.params)
@@ -203,26 +200,30 @@ class Simulation:
                 self._kill(node)
                 if drained < cost:
                     return  # underfunded broadcast never goes on air
-        for other_id in self.range_neighbors[node.id]:
-            other = self.nodes[other_id]
+        rx_cost = rx_energy(bits, self.params)
+        charge_rx = cfg.beacon_energy
+        ledger_add = self.ledger.add
+        for other in self.range_neighbors[node.id]:
             if not other.alive:
                 continue
-            if cfg.beacon_energy:
-                drained, died = other.battery.debit(rx_energy(bits, self.params))
-                self.ledger.add(rx_cat, drained)
+            if charge_rx:
+                drained, died = other.battery.debit(rx_cost)
+                ledger_add(rx_cat, drained)
             else:
                 died = False
-            on_receive(other)
+            on_receive(other.table, message)
             if died:
                 self._kill(other)
 
     def _do_beacons(self, time: float) -> None:
         cfg = self.cfg
+        # only GEAMS reads void flags, so GPSR beacons skip the check
+        geams_run = cfg.protocol == "geams"
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
             if not node.alive:
                 continue
-            has_sinkward = self._has_sinkward(node)
+            has_sinkward = self._has_sinkward(node) if geams_run else True
             if has_sinkward:
                 node.announced_void = False
             beacon = Beacon(
@@ -233,7 +234,7 @@ class Simulation:
                 time=time,
             )
             self._broadcast(node, cfg.beacon_bits, "beacon_tx", "beacon_rx",
-                            lambda other, b=beacon: other.table.handle_beacon(b))
+                            NeighborTable.handle_beacon, beacon)
         nxt = time + cfg.beacon_interval_s
         if nxt <= cfg.horizon_s and not self._traffic_complete():
             self._schedule(nxt, BEACON_TICK)
@@ -378,7 +379,7 @@ class Simulation:
         if not node.announced_void:
             node.announced_void = True
             self._broadcast(node, cfg.void_announcement_bits, "void_tx", "void_rx",
-                            lambda other: other.table.mark_void(node.id))
+                            NeighborTable.mark_void, node.id)
             if not node.alive:
                 return None, "sender_died"
         pk.excluded.add(node.id)

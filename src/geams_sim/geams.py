@@ -116,11 +116,16 @@ def select_next_hop(
     return s[index - 1][0], new_state
 
 
-def detect_void(
-    t: NeighborTable, now: float, expiry_s: float, k_bits: float, p: EnergyModelParams
-) -> bool:
-    """True when no usable sink-ward neighbor exists (walking-back trigger)."""
-    return not build_best_neighbor_set(t, now, expiry_s, k_bits, p)
+def has_sinkward_neighbor(t: NeighborTable, now: float, expiry_s: float) -> bool:
+    """True when build_best_neighbor_set would be nonempty: some live,
+    non-void-flagged neighbor is strictly closer to the sink than we are.
+    False is the walking-back trigger."""
+    mine = t.my_sink_distance
+    return any(
+        r.distance_to_sink < mine and not r.void_flagged
+        and now - r.last_beacon_time <= expiry_s and r.residual_energy > 0
+        for r in t.records.values()
+    )
 
 
 def walking_back_candidate(

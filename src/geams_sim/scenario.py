@@ -66,6 +66,8 @@ class ScenarioConfig:
             raise ScenarioError("packet_bits and image_bits must be positive")
         if self.ttl is not None and self.ttl < 1:
             raise ScenarioError("ttl must be positive when given")
+        if not self.beacon_interval_s > 0:  # NaN fails too; zero never reaches the horizon
+            raise ScenarioError("beacon_interval_s must be positive")
 
     def field_spec(self) -> FieldSpec:
         return FieldSpec(

@@ -47,9 +47,9 @@ class FieldSpec:
     min_separation: float = 1.0
 
     def __post_init__(self):
-        if self.radio_range <= 0:
+        if not self.radio_range > 0:  # NaN fails too
             raise ValueError("radio_range must be positive")
-        if self.min_separation <= 0:
+        if not self.min_separation > 0:
             raise ValueError("min_separation must be positive")
         for p in (self.sink_position, self.source_position):
             if not (0 <= p.x <= self.width and 0 <= p.y <= self.height):
@@ -90,6 +90,43 @@ class Topology:
         return len(self.nodes)
 
 
+class CellGrid:
+    """Points bucketed into square cells of side `radius` (the cell-list
+    method): every point within `radius` of a query point lies in the 3x3
+    block of cells around it, so a range query scans that block, not every
+    point.  Cells are a hair wider than `radius` so that float rounding in a
+    cell index cannot put two points within `radius` two cells apart; this
+    holds while coordinates stay under about a million cell widths.
+    Points with a non-finite coordinate are kept in no cell: they are within
+    `radius` of nothing."""
+
+    def __init__(self, radius: float):
+        self._size = radius * (1.0 + 1e-9)
+        self._cells: dict[tuple[int, int], list[tuple[int, Position]]] = {}
+
+    def _cell(self, p: Position) -> tuple[int, int] | None:
+        if not (math.isfinite(p.x) and math.isfinite(p.y)):
+            return None
+        return math.floor(p.x / self._size), math.floor(p.y / self._size)
+
+    def add(self, node_id: int, p: Position) -> None:
+        cell = self._cell(p)
+        if cell is not None:
+            self._cells.setdefault(cell, []).append((node_id, p))
+
+    def near(self, p: Position):
+        """(id, position) of every point in the 3x3 block around p, a
+        superset of the points within `radius` of p."""
+        cell = self._cell(p)
+        if cell is None:
+            return
+        cx, cy = cell
+        cells = self._cells
+        for x in (cx - 1, cx, cx + 1):
+            for y in (cy - 1, cy, cy + 1):
+                yield from cells.get((x, y), ())
+
+
 def generate_topology(seed: int, n_sensors: int, field: FieldSpec | None = None) -> Topology:
     """Place n_sensors sensors uniformly at random, keeping every pairwise
     distance >= field.min_separation (sink and source included).
@@ -106,12 +143,17 @@ def generate_topology(seed: int, n_sensors: int, field: FieldSpec | None = None)
         (SINK_ID, field.sink_position),
         (SOURCE_ID, field.source_position),
     ]
+    sep = field.min_separation
+    grid = CellGrid(sep)
+    for node_id, p in placed:
+        grid.add(node_id, p)
     for i in range(n_sensors):
         node_id = 2 + i
         for _ in range(MAX_PLACEMENT_ATTEMPTS):
             cand = Position(rng.uniform(0.0, field.width), rng.uniform(0.0, field.height))
-            if all(distance(cand, p) >= field.min_separation for _, p in placed):
+            if all(distance(cand, p) >= sep for _, p in grid.near(cand)):
                 placed.append((node_id, cand))
+                grid.add(node_id, cand)
                 break
         else:
             raise PlacementError(
@@ -128,6 +170,19 @@ def radio_neighbors(t: Topology, node_id: int) -> set[int]:
         other
         for other, p in t.nodes
         if other != node_id and distance(me, p) <= r
+    }
+
+
+def range_neighbor_lists(t: Topology) -> dict[int, list[int]]:
+    """Every node's radio neighbors (boundary inclusive), ascending by id:
+    radio_neighbors for all nodes at once, from a grid of radio-range cells."""
+    r = t.field.radio_range
+    grid = CellGrid(r)
+    for node_id, p in t.nodes:
+        grid.add(node_id, p)
+    return {
+        u: sorted(v for v, pv in grid.near(pu) if v != u and distance(pu, pv) <= r)
+        for u, pu in t.nodes
     }
 
 

@@ -9,7 +9,7 @@ from geams_sim.geams import (
     SourceState,
     average_score_index,
     build_best_neighbor_set,
-    detect_void,
+    has_sinkward_neighbor,
     refresh_state,
     score,
     select_next_hop,
@@ -68,7 +68,7 @@ def test_best_neighbor_set_empty_when_all_farther():
         record(3, Position(80, 120), me, sink, 1.0),
     ])
     assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P) == []
-    assert detect_void(t, 0.0, 2.5, K_BITS, P)
+    assert not has_sinkward_neighbor(t, 0.0, 2.5)
 
 
 def test_best_neighbor_set_orders_by_score_then_id():
@@ -198,15 +198,52 @@ def test_order_invariant_under_energy_shift(halves, shift_halves):
     assert order == order_shifted
 
 
-def test_detect_void_false_with_closer_neighbor():
+def test_has_sinkward_true_with_closer_neighbor():
     me, sink = Position(100, 90), Position(490, 90)
     t = table(me, sink, [record(2, Position(160, 90), me, sink, 1.0)])
-    assert not detect_void(t, 0.0, 2.5, K_BITS, P)
+    assert has_sinkward_neighbor(t, 0.0, 2.5)
 
 
-def test_detect_void_empty_table():
+def test_has_sinkward_false_on_empty_table():
     t = NeighborTable(my_position=Position(100, 90), sink_position=Position(490, 90))
-    assert detect_void(t, 0.0, 2.5, K_BITS, P)
+    assert not has_sinkward_neighbor(t, 0.0, 2.5)
+
+
+@pytest.mark.parametrize("closer", [
+    dict(void=True),           # flagged
+    dict(beacon_time=-2.6),    # expired: 2.6 s old against a 2.5 s expiry
+    dict(energy=0.0),          # dead
+], ids=["void_flagged", "expired", "zero_energy"])
+def test_has_sinkward_ignores_unusable_closer_neighbor(closer):
+    me, sink = Position(100, 90), Position(490, 90)
+    kw = dict(energy=1.0) | closer
+    t = table(me, sink, [
+        record(2, Position(60, 90), me, sink, 1.0),   # usable but farther
+        record(3, Position(160, 90), me, sink, **kw),
+    ])
+    assert not has_sinkward_neighbor(t, 0.0, 2.5)
+    assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P) == []
+
+
+def test_has_sinkward_expiry_boundary_is_inclusive():
+    me, sink = Position(100, 90), Position(490, 90)
+    t = table(me, sink, [record(2, Position(160, 90), me, sink, 1.0, beacon_time=0.5)])
+    assert has_sinkward_neighbor(t, 3.0, 2.5)
+    assert not has_sinkward_neighbor(t, 3.0000001, 2.5)
+
+
+@given(st.lists(
+    st.tuples(st.integers(0, 200), st.booleans(), st.sampled_from([0.0, 0.5, 1.0]),
+              st.sampled_from([0.0, -2.5, -3.0])),
+    max_size=6))
+def test_has_sinkward_agrees_with_best_neighbor_set(specs):
+    me, sink = Position(100, 90), Position(490, 90)
+    t = table(me, sink, [
+        record(i + 2, Position(x, 90), me, sink, energy, void=void, beacon_time=bt)
+        for i, (x, void, energy, bt) in enumerate(specs)
+    ])
+    assert has_sinkward_neighbor(t, 0.0, 2.5) == \
+        bool(build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P))
 
 
 def test_walking_back_picks_least_far():

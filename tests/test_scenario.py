@@ -84,3 +84,10 @@ def test_load_scenario_rejects_non_object(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ScenarioError, match="object"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("interval", [0, -1.0, float("nan")])
+def test_rejects_non_positive_beacon_interval(interval):
+    # a zero interval re-schedules beacon ticks at t = 0 forever
+    with pytest.raises(ScenarioError, match="beacon_interval_s"):
+        config_from_dict({"beacon_interval_s": interval})

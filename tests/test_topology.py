@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geams_sim.topology import (
+    MAX_PLACEMENT_ATTEMPTS,
     FieldSpec,
     PlacementError,
     Position,
@@ -15,6 +17,7 @@ from geams_sim.topology import (
     load_topology_csv,
     radio_edges,
     radio_neighbors,
+    range_neighbor_lists,
     save_topology_csv,
 )
 
@@ -89,6 +92,10 @@ def test_field_validation():
     with pytest.raises(ValueError):
         FieldSpec(min_separation=0)
     with pytest.raises(ValueError):
+        FieldSpec(radio_range=math.nan)
+    with pytest.raises(ValueError):
+        FieldSpec(min_separation=math.nan)
+    with pytest.raises(ValueError):
         FieldSpec(sink_position=Position(600, 90))
 
 
@@ -98,6 +105,49 @@ def test_placement_error_when_field_too_crowded():
                   source_position=Position(5, 5), radio_range=80, min_separation=5)
     with pytest.raises(PlacementError):
         generate_topology(1, 1, f)
+
+
+def _brute_force_placement(seed, n_sensors, field):
+    """generate_topology with an all-pairs separation check: the reference
+    the cell-grid placement must reproduce draw for draw."""
+    rng = random.Random(seed)
+    placed = [(0, field.sink_position), (1, field.source_position)]
+    for node_id in range(2, 2 + n_sensors):
+        for _ in range(MAX_PLACEMENT_ATTEMPTS):
+            cand = Position(rng.uniform(0.0, field.width), rng.uniform(0.0, field.height))
+            if all(distance(cand, p) >= field.min_separation for _, p in placed):
+                placed.append((node_id, cand))
+                break
+        else:
+            raise PlacementError(f"could not place sensor {node_id} after "
+                                 f"{MAX_PLACEMENT_ATTEMPTS} attempts")
+    return tuple(placed)
+
+
+CROWDED = FieldSpec(width=20, height=20, sink_position=Position(19, 10),
+                    source_position=Position(1, 10), radio_range=5, min_separation=1)
+
+
+@pytest.mark.parametrize("seed,n,field", [
+    (1, 300, FieldSpec()),
+    (2, 300, FieldSpec()),
+    (3, 150, CROWDED),
+    (4, 150, CROWDED),
+    (5, 60, FieldSpec(width=30, height=30, sink_position=Position(30, 0),
+                      source_position=Position(0, 30), min_separation=2.5)),
+], ids=["default-1", "default-2", "crowded-3", "crowded-4", "crowded-sep2.5"])
+def test_grid_placement_matches_brute_force(seed, n, field):
+    assert generate_topology(seed, n, field).nodes == _brute_force_placement(seed, n, field)
+
+
+def test_grid_placement_fails_where_brute_force_fails():
+    f = FieldSpec(width=4, height=4, sink_position=Position(4, 2),
+                  source_position=Position(0, 2), min_separation=1)
+    with pytest.raises(PlacementError) as grid:
+        generate_topology(1, 40, f)
+    with pytest.raises(PlacementError) as brute:
+        _brute_force_placement(1, 40, f)
+    assert str(grid.value) == str(brute.value)  # the same sensor fails
 
 
 def _two_node_topology(d: float) -> Topology:
@@ -125,6 +175,45 @@ def test_radio_neighbors_match_brute_force():
             if v != u and distance(pu, pv) <= t.field.radio_range
         }
         assert radio_neighbors(t, u) == expected
+
+
+R = 80.0
+# coordinates on cell boundaries, at +-R from them, and off the 500 x 200 field
+_COORD = st.one_of(
+    st.integers(-3, 8).map(lambda k: k * R),
+    st.integers(-6, 16).map(lambda k: k * R / 2),
+    st.floats(-2 * R, 500 + 2 * R),
+)
+# offsets that put a second point exactly R away (3-4-5 and axis triangles)
+_EXACT_R = st.sampled_from([(R, 0.0), (0.0, -R), (0.6 * R, 0.8 * R), (-0.8 * R, 0.6 * R)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40),
+    partners=st.lists(st.tuples(st.integers(0, 39), _EXACT_R), max_size=10),
+)
+def test_range_lists_match_radio_neighbors(points, partners):
+    for i, (dx, dy) in partners:
+        x, y = points[i % len(points)]
+        points.append((x + dx, y + dy))
+    f = FieldSpec(radio_range=R)
+    t = Topology(nodes=tuple((i, Position(x, y)) for i, (x, y) in enumerate(points)),
+                 field=f, seed=0)
+    lists = range_neighbor_lists(t)
+    assert set(lists) == {i for i, _ in t.nodes}
+    for u, _ in t.nodes:
+        assert lists[u] == sorted(radio_neighbors(t, u))
+
+
+def test_range_lists_skip_non_finite_positions():
+    f = FieldSpec()
+    t = Topology(nodes=((0, f.sink_position), (1, f.source_position),
+                        (2, Position(math.nan, 90)), (3, Position(math.inf, 90)),
+                        (4, Position(60, 90))), field=f, seed=0)
+    lists = range_neighbor_lists(t)
+    assert lists == {u: sorted(radio_neighbors(t, u)) for u, _ in t.nodes}
+    assert lists[2] == lists[3] == []
 
 
 def test_radio_symmetry():
