@@ -60,7 +60,9 @@ def _cmd_run(args) -> int:
 
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    key = (cfg.protocol, cfg.seed, cfg.n_sensors)
+    # a loaded topology brings its own sensor count
+    n = len(sim.topology.sensor_ids)
+    key = (cfg.protocol, cfg.seed, n)
     write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS,
               [summary_row(report, *key)])
     write_csv(os.path.join(out_dir, "regional.csv"), REGIONAL_COLUMNS,
@@ -71,7 +73,7 @@ def _cmd_run(args) -> int:
 
     emitted = report.delivered + report.lost_total
     ratio = report.delivered / emitted if emitted else 0.0
-    print(f"protocol={cfg.protocol} n={cfg.n_sensors} seed={cfg.seed}")
+    print(f"protocol={cfg.protocol} n={n} seed={cfg.seed}")
     print(f"dead nodes:      {report.dead_nodes}")
     print(f"delivery ratio:  {report.delivered}/{emitted} ({ratio:.1%})")
     delay = "n/a" if report.delay_mean is None else f"{report.delay_mean:.4f} s"

@@ -121,7 +121,6 @@ class Simulation:
         self.paths: dict[int, list[int]] = {}
         self.ledger = EnergyLedger()
         self.emissions_done = False
-        self.max_queue_len = 0
 
     # -- event plumbing -----------------------------------------------------
 
@@ -263,7 +262,6 @@ class Simulation:
                 self._record_lost(pk, "buffer_overflow")
             else:
                 source.queue.append(pk)
-                self.max_queue_len = max(self.max_queue_len, len(source.queue))
         if image_idx + 1 < cfg.image_count:
             self._schedule(time + cfg.image_interval_s, IMAGE_EMISSION, image_idx + 1)
         else:
@@ -278,7 +276,10 @@ class Simulation:
             if next_hop is None:
                 self._record_lost(pk, drop_reason)
                 continue
-            d = distance(node.position, self.nodes[next_hop].position)
+            # every route picks a neighbor from the table, whose record holds
+            # the hop length
+            rec = node.table.records[next_hop]
+            d = rec.distance_to_me
             bits = pk.payload_bits + cfg.header_bits
             cost = tx_energy(bits, d, self.params)
             if not node.death_exempt and node.battery.residual < cost:
@@ -292,23 +293,21 @@ class Simulation:
                 # estimate is the electronics-only relay cost (its receive
                 # plus its transmit, amplifier term unknown); the next beacon
                 # overwrites it with ground truth.
-                rec = node.table.records.get(next_hop)
-                if rec is not None:
-                    rec.residual_energy -= self._pending_load_estimate(bits)
+                rec.residual_energy -= self._pending_load_estimate(bits)
             node.transmitting = True
             delay = serialization_delay(bits, link_rate(d, cfg.base_rate_bps))
             self._schedule(time + delay, TRANSMISSION_COMPLETE,
-                           (node.id, next_hop, pk, d, bits))
+                           (node.id, next_hop, pk, cost, bits))
             return
 
     def _do_tx_complete(self, time: float, sender_id: int, receiver_id: int,
-                        pk: DataPacket, d: float, bits: int) -> None:
+                        pk: DataPacket, cost: float, bits: int) -> None:
+        """`cost` is the transmit energy `_try_start` priced the frame at."""
         sender = self.nodes[sender_id]
         sender.transmitting = False
         if not sender.alive:
             self._record_lost(pk, "sender_died")
             return
-        cost = tx_energy(bits, d, self.params)
         drained, died = sender.battery.debit(cost)
         self.ledger.add("data_tx", drained)
         if drained < cost:
@@ -348,7 +347,6 @@ class Simulation:
             self._record_lost(pk, "buffer_overflow")
             return
         receiver.queue.append(pk)
-        self.max_queue_len = max(self.max_queue_len, len(receiver.queue))
         self._try_start(receiver, time)
 
     def _pending_load_estimate(self, bits: int) -> float:

@@ -10,6 +10,7 @@ least far from the sink.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .energy import EnergyModelParams, rx_energy, tx_energy
 from .neighbors import NeighborRecord, NeighborTable
@@ -47,14 +48,23 @@ def build_best_neighbor_set(
     t: NeighborTable, now: float, expiry_s: float, k_bits: float, p: EnergyModelParams
 ) -> BestNeighborSet:
     """Live, non-void-flagged neighbors strictly closer to the sink than we
-    are, sorted by descending score with ties broken by ascending id."""
-    mine = t.my_sink_distance
+    are, sorted by descending score with ties broken by ascending id.
+
+    The liveness test is live_records' and the score is score()'s, inlined
+    with the same float operations in the same order.
+    """
+    e_elec, eps_amp = p.e_elec, p.eps_amp
+    rx = rx_energy(k_bits, p)
     candidates = [
-        (r.id, score(r, k_bits, p))
-        for r in t.live_records(now, expiry_s)
-        if not r.void_flagged and r.distance_to_sink < mine
+        (r.id, (r.residual_energy
+                - k_bits * (e_elec + eps_amp * r.distance_to_me * r.distance_to_me)) - rx)
+        for r in t.sinkward_records()
+        if not r.void_flagged and now - r.last_beacon_time <= expiry_s
+        and r.residual_energy > 0
     ]
-    candidates.sort(key=lambda item: (-item[1], item[0]))
+    # the input is in ascending id order and the sort is stable, so equal
+    # scores stay in ascending id order
+    candidates.sort(key=itemgetter(1), reverse=True)
     return candidates
 
 
@@ -75,7 +85,7 @@ def average_score_index(s: BestNeighborSet) -> int:
 def refresh_state(state: SourceState, s: BestNeighborSet) -> SourceState:
     """Recompute the balance rank if the set membership or order changed since
     it was last computed; the reference hop count persists."""
-    ids = tuple(node_id for node_id, _ in s)
+    ids = tuple([node_id for node_id, _ in s])
     if state.neighbor_ids == ids:
         return state
     return replace(state, balance_index=average_score_index(s), neighbor_ids=ids)
@@ -89,12 +99,13 @@ def select_next_hop(
     First packet from a source goes to the top-ranked neighbor and seeds the
     state.  Later packets pick rank (balance_index + ref_hop_count - hop_count),
     clamping out-of-range picks to the best or worst rank while shifting the
-    reference hop count so the balance point tracks the traffic.
+    reference hop count so the balance point tracks the traffic.  A state
+    that would come out unchanged is returned as it was given.
     """
     if not s:
         raise EmptyNeighborSetError("select_next_hop needs a nonempty set")
     m = len(s)
-    ids = tuple(node_id for node_id, _ in s)
+    ids = tuple([node_id for node_id, _ in s])
     if state is None:
         new_state = SourceState(
             ref_hop_count=hop_count,
@@ -110,6 +121,8 @@ def select_next_hop(
     elif index > m:
         ref = ref - index + m
         index = m
+    if ref == state.ref_hop_count and ids == state.neighbor_ids:
+        return s[index - 1][0], state
     new_state = SourceState(
         ref_hop_count=ref, balance_index=state.balance_index, neighbor_ids=ids
     )
@@ -119,12 +132,12 @@ def select_next_hop(
 def has_sinkward_neighbor(t: NeighborTable, now: float, expiry_s: float) -> bool:
     """True when build_best_neighbor_set would be nonempty: some live,
     non-void-flagged neighbor is strictly closer to the sink than we are.
-    False is the walking-back trigger."""
-    mine = t.my_sink_distance
+    False is the walking-back trigger.  The liveness test is live_records',
+    inlined."""
     return any(
-        r.distance_to_sink < mine and not r.void_flagged
-        and now - r.last_beacon_time <= expiry_s and r.residual_energy > 0
-        for r in t.records.values()
+        not r.void_flagged and now - r.last_beacon_time <= expiry_s
+        and r.residual_energy > 0
+        for r in t.sinkward_records()
     )
 
 

@@ -9,6 +9,7 @@ first perimeter edge.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .neighbors import NeighborRecord, NeighborTable
@@ -28,22 +29,32 @@ class PerimeterState:
 def greedy_next_hop(t: NeighborTable, now: float, expiry_s: float) -> int | None:
     """Live neighbor nearest the sink, if strictly closer than we are;
     None signals a local minimum (perimeter trigger).  Ties by ascending id."""
-    mine = t.my_sink_distance
     best: NeighborRecord | None = None
-    for r in t.live_records(now, expiry_s):
-        if r.distance_to_sink >= mine:
-            continue
-        if best is None or (r.distance_to_sink, r.id) < (best.distance_to_sink, best.id):
+    # live_records' liveness test, inlined; ascending id order: on equal
+    # distances the first record seen wins
+    for r in t.sinkward_records():
+        if now - r.last_beacon_time <= expiry_s and r.residual_energy > 0 and (
+                best is None or r.distance_to_sink < best.distance_to_sink):
             best = r
     return None if best is None else best.id
 
 
-def planar_neighbors(t: NeighborTable, now: float, expiry_s: float) -> list[NeighborRecord]:
+def planar_neighbors(
+    t: NeighborTable, now: float, expiry_s: float
+) -> tuple[NeighborRecord, ...]:
     """Gabriel-graph neighbors computed from the local table: the link to v
     survives iff no other live neighbor sits inside or on the circle with
     diameter (me, v).  Any witness for an in-range link is itself in range,
-    so the local test agrees with the global planarization."""
+    so the local test agrees with the global planarization.
+
+    Positions are static, so the result depends only on which neighbors are
+    live; it is cached on the table per set of live ids, and shared between
+    calls as a tuple."""
     live = t.live_records(now, expiry_s)
+    key = tuple([r.id for r in live])
+    cached = t.planar_cache
+    if cached is not None and cached[0] == key:
+        return cached[1]
     me = t.my_position
     kept = []
     for r in live:
@@ -55,6 +66,8 @@ def planar_neighbors(t: NeighborTable, now: float, expiry_s: float) -> list[Neig
             if w.id != r.id
         ):
             kept.append(r)
+    kept = tuple(kept)
+    t.planar_cache = (key, kept)
     return kept
 
 
@@ -63,7 +76,7 @@ def _bearing(frm: Position, to: Position) -> float:
 
 
 def _next_ccw(
-    me: Position, ref_angle: float, candidates: list[NeighborRecord], zero_wraps: bool
+    me: Position, ref_angle: float, candidates: Sequence[NeighborRecord], zero_wraps: bool
 ) -> int:
     """Candidate whose bearing is the first counterclockwise from ref_angle.
 
@@ -84,7 +97,7 @@ def _next_ccw(
 
 
 def perimeter_first_hop(
-    me: Position, sink: Position, planar: list[NeighborRecord]
+    me: Position, sink: Position, planar: Sequence[NeighborRecord]
 ) -> int | None:
     """Edge to start the perimeter walk on: first counterclockwise from the
     straight line toward the sink."""
@@ -94,7 +107,7 @@ def perimeter_first_hop(
 
 
 def perimeter_next_hop(
-    me: Position, prev: Position, planar: list[NeighborRecord]
+    me: Position, prev: Position, planar: Sequence[NeighborRecord]
 ) -> int | None:
     """Right-hand rule step: next planar edge counterclockwise from the edge
     the packet arrived on.  A degree-one node sends the packet back."""

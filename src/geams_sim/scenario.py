@@ -68,6 +68,12 @@ class ScenarioConfig:
             raise ScenarioError("ttl must be positive when given")
         if not self.beacon_interval_s > 0:  # NaN fails too; zero never reaches the horizon
             raise ScenarioError("beacon_interval_s must be positive")
+        for name in ("initial_energy_j", "gateway_energy_j"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ScenarioError(f"{name} must be nonnegative")
+        for name in ("header_bits", "beacon_bits", "void_announcement_bits"):
+            if getattr(self, name) < 0:
+                raise ScenarioError(f"{name} must be nonnegative")
 
     def field_spec(self) -> FieldSpec:
         return FieldSpec(

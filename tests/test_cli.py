@@ -82,6 +82,18 @@ def test_topology_roundtrip_reproduces_run(tmp_path):
     assert (out_a / "regional.csv").read_bytes() == (out_b / "regional.csv").read_bytes()
 
 
+def test_run_topology_in_reports_its_own_sensor_count(tmp_path, capsys):
+    topo = tmp_path / "topo.csv"
+    args = ["run", "--scenario", two_node_scenario(tmp_path, n_sensors=20)]
+    assert main(args + ["--topology-out", str(topo), "--out-dir", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "b"
+    # no --nodes: the scenario default of 100 sensors must not leak into n
+    assert main(["run", "--topology-in", str(topo), "--out-dir", str(out)]) == 0
+    assert "n=20 " in capsys.readouterr().out
+    assert read_rows(out / "summary.csv")[1][:3] == ["geams", "1", "20"]
+
+
 def test_default_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("GEAMS_SIM_OUT", str(tmp_path / "envout"))
     rc = main(["run", "--scenario", two_node_scenario(tmp_path)])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,16 +30,21 @@ def record(node_id, pos, me, sink, energy, void=False, beacon_time=0.0):
         distance_to_me=distance(me, pos),
         distance_to_sink=distance(pos, sink),
         residual_energy=energy,
-        link_rate=1.0,
         void_flagged=void,
         last_beacon_time=beacon_time,
     )
 
 
+def add(t, r):
+    # a table's records are only ever added, never replaced (see NeighborTable)
+    assert r.id not in t.records
+    t.records[r.id] = r
+
+
 def table(me, sink, records):
     t = NeighborTable(my_position=me, sink_position=sink)
     for r in records:
-        t.records[r.id] = r
+        add(t, r)
     return t
 
 
@@ -263,3 +269,61 @@ def test_walking_back_respects_exclusions_and_flags():
     ])
     assert walking_back_candidate(t, set(), 0.0, 2.5) == 2
     assert walking_back_candidate(t, {2}, 0.0, 2.5) is None
+
+
+def reference_best_set(t, now, expiry_s, k_bits, p):
+    """build_best_neighbor_set by brute force: score() over live_records."""
+    s = [(r.id, score(r, k_bits, p)) for r in t.live_records(now, expiry_s)
+         if not r.void_flagged and r.distance_to_sink < t.my_sink_distance]
+    s.sort(key=lambda item: (-item[1], item[0]))
+    return s
+
+
+# offsets from ME on a coarse grid: mirrored dy give equal link lengths and so
+# equal scores at equal energy
+_RECORD = st.tuples(
+    st.sampled_from([-40, -20, 0, 20, 40]),         # dx
+    st.sampled_from([-30, -15, 15, 30]),            # dy
+    st.sampled_from([0.0, 0.5, 1.0]),               # residual energy
+    st.booleans(),                                  # void flagged
+    st.sampled_from([0.0, -1.0, -2.5, -2.6]),       # beacon time (expiry 2.5)
+)
+
+
+@given(
+    specs=st.lists(_RECORD, min_size=0, max_size=12),
+    ids=st.permutations(range(2, 14)),
+    split=st.integers(0, 12),
+)
+def test_best_neighbor_set_agrees_with_brute_force(specs, ids, split):
+    me, sink = Position(100, 90), Position(490, 90)
+    recs = [record(node_id, Position(100 + dx, 90 + dy), me, sink, energy,
+                   void=void, beacon_time=bt)
+            for node_id, (dx, dy, energy, void, bt) in zip(ids, specs)]
+    t = NeighborTable(my_position=me, sink_position=sink)
+    # senders arrive in two batches, out of id order, with a call between
+    for batch in (recs[:split], recs[split:]):
+        for r in batch:
+            add(t, r)
+        assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P) == \
+            reference_best_set(t, 0.0, 2.5, K_BITS, P)
+
+
+@given(steps=st.lists(st.tuples(
+    st.lists(st.integers(2, 8), min_size=1, max_size=5, unique=True),
+    st.integers(0, 12)), min_size=1, max_size=12))
+def test_select_sequence_same_with_or_without_reused_state(steps):
+    """The engine's refresh-then-select loop makes the same choices whether
+    select_next_hop hands back the state it was given or every step works on
+    a fresh copy."""
+    reused = copied = None
+    for node_ids, hop in steps:
+        s = [(node_id, float(10 - rank)) for rank, node_id in enumerate(node_ids)]
+        if reused is not None:
+            reused = refresh_state(reused, s)
+            copied = refresh_state(replace(copied), s)
+        choice_a, reused = select_next_hop(reused, s, hop)
+        choice_b, copied = select_next_hop(
+            None if copied is None else replace(copied), s, hop)
+        assert choice_a == choice_b
+        assert reused == copied

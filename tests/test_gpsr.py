@@ -1,5 +1,7 @@
 import math
 
+from hypothesis import given, strategies as st
+
 from geams_sim.engine import Simulation
 from geams_sim.gpsr import (
     greedy_next_hop,
@@ -7,7 +9,7 @@ from geams_sim.gpsr import (
     perimeter_next_hop,
     planar_neighbors,
 )
-from geams_sim.neighbors import NeighborRecord, NeighborTable
+from geams_sim.neighbors import Beacon, NeighborRecord, NeighborTable
 from geams_sim.scenario import ScenarioConfig
 from geams_sim.topology import Position, distance
 
@@ -19,16 +21,21 @@ def record(node_id, pos, me, sink, energy=1.0, beacon_time=0.0):
         distance_to_me=distance(me, pos),
         distance_to_sink=distance(pos, sink),
         residual_energy=energy,
-        link_rate=1.0,
         void_flagged=False,
         last_beacon_time=beacon_time,
     )
 
 
+def add(t, r):
+    # a table's records are only ever added, never replaced (see NeighborTable)
+    assert r.id not in t.records
+    t.records[r.id] = r
+
+
 def table(me, sink, records):
     t = NeighborTable(my_position=me, sink_position=sink)
     for r in records:
-        t.records[r.id] = r
+        add(t, r)
     return t
 
 
@@ -173,3 +180,77 @@ def test_gpsr_drops_when_sink_unreachable(topo_builder):
     report = Simulation(cfg, topo).run()
     assert report.delivered == 0
     assert report.lost["perimeter_exhausted"] == 300
+
+
+def reference_greedy(t, now, expiry_s):
+    """greedy_next_hop by brute force over live_records."""
+    closer = [r for r in t.live_records(now, expiry_s)
+              if r.distance_to_sink < t.my_sink_distance]
+    return min(closer, key=lambda r: (r.distance_to_sink, r.id)).id if closer else None
+
+
+def reference_planar(t, now, expiry_s):
+    """Gabriel neighbours of a table by brute force, with no cache."""
+    live = t.live_records(now, expiry_s)
+    me = t.my_position
+    kept = []
+    for r in live:
+        # squared lengths: exact for the integer positions used here
+        mx, my = (me.x + r.position.x) / 2.0, (me.y + r.position.y) / 2.0
+        r2 = ((me.x - r.position.x) ** 2 + (me.y - r.position.y) ** 2) / 4.0
+        if all((w.position.x - mx) ** 2 + (w.position.y - my) ** 2 > r2
+               for w in live if w is not r):
+            kept.append(r)
+    return tuple(kept)
+
+
+# mirrored dy around the sink's y line give equal distances to the sink
+@given(
+    specs=st.lists(st.tuples(
+        st.sampled_from([-40, -20, 0, 20, 40]),      # dx from me
+        st.sampled_from([-30, -15, 0, 15, 30]),      # dy from me
+        st.sampled_from([0.0, 1.0]),                 # residual energy
+        st.sampled_from([0.0, -2.5, -2.6])),         # beacon time (expiry 2.5)
+        max_size=12),
+    ids=st.permutations(range(2, 14)),
+)
+def test_greedy_agrees_with_brute_force(specs, ids):
+    me = Position(370, 90)
+    t = NeighborTable(my_position=me, sink_position=SINK)
+    for node_id, (dx, dy, energy, bt) in zip(ids, specs):
+        add(t, record(node_id, Position(370 + dx, 90 + dy), me, SINK,
+                      energy=energy, beacon_time=bt))
+        assert greedy_next_hop(t, 0.0, 2.5) == reference_greedy(t, 0.0, 2.5)
+
+
+@given(
+    offsets=st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+                     .filter(lambda o: o != (0, 0)),
+                     min_size=1, max_size=10, unique=True),
+    gone=st.integers(0, 9),
+)
+def test_planar_cache_follows_liveness(offsets, gone):
+    """Cached Gabriel neighbours equal a fresh computation after a neighbour
+    expires and again after it beacons back."""
+    me, expiry = Position(200, 90), 2.5
+    t = NeighborTable(my_position=me, sink_position=SINK)
+    senders = {node_id: Position(200 + dx, 90 + dy)
+               for node_id, (dx, dy) in enumerate(offsets, start=2)}
+    gone = 2 + gone % len(senders)
+
+    def beacon_round(time, skip=None):
+        for node_id, pos in senders.items():
+            if node_id != skip:
+                t.handle_beacon(Beacon(sender=node_id, position=pos, residual_energy=1.0,
+                                       has_sinkward=True, time=time))
+
+    beacon_round(0.0)
+    first = planar_neighbors(t, 0.0, expiry)
+    assert first == reference_planar(t, 0.0, expiry)
+    assert planar_neighbors(t, 0.0, expiry) is first  # same live set: cached
+    beacon_round(3.0, skip=gone)                         # `gone` expires
+    assert gone not in [r.id for r in t.live_records(3.0, expiry)]
+    assert planar_neighbors(t, 3.0, expiry) == reference_planar(t, 3.0, expiry)
+    beacon_round(4.0)                                    # and beacons back
+    assert planar_neighbors(t, 4.0, expiry) == reference_planar(t, 4.0, expiry)
+    assert planar_neighbors(t, 4.0, expiry) == first

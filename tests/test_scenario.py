@@ -91,3 +91,23 @@ def test_rejects_non_positive_beacon_interval(interval):
     # a zero interval re-schedules beacon ticks at t = 0 forever
     with pytest.raises(ScenarioError, match="beacon_interval_s"):
         config_from_dict({"beacon_interval_s": interval})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("initial_energy_j", -1.0),
+    ("initial_energy_j", float("nan")),
+    ("gateway_energy_j", -1.0),
+    ("gateway_energy_j", float("nan")),
+    ("header_bits", -5),
+    ("beacon_bits", -1),
+    ("void_announcement_bits", -1),
+])
+def test_rejects_negative_energy_and_sizes(key, value):
+    with pytest.raises(ScenarioError, match=key):
+        config_from_dict({key: value})
+
+
+def test_accepts_zero_energy_and_sizes():
+    cfg = config_from_dict({"initial_energy_j": 0.0, "header_bits": 0,
+                            "beacon_bits": 0, "void_announcement_bits": 0})
+    assert (cfg.initial_energy_j, cfg.header_bits) == (0.0, 0)
