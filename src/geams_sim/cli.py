@@ -12,9 +12,7 @@ import os
 import sys
 
 from .engine import Simulation
-from .experiment import DEFAULT_NODE_COUNTS, ExperimentPlan, run_experiment
-from .metrics import (PACKET_COLUMNS, REGIONAL_COLUMNS, SUMMARY_COLUMNS,
-                      packet_rows, regional_rows, summary_row, write_csv)
+from .experiment import DEFAULT_NODE_COUNTS, ExperimentPlan, run_experiment, write_reports
 from .scenario import PROTOCOLS, ScenarioConfig, ScenarioError, load_scenario
 from .topology import PlacementError, load_topology_csv, save_topology_csv
 
@@ -39,11 +37,11 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 def _base_config(args) -> ScenarioConfig:
     cfg = load_scenario(args.scenario) if args.scenario else ScenarioConfig()
     overrides = {}
-    if getattr(args, "protocol", None):
+    if args.protocol:
         overrides["protocol"] = args.protocol
-    if getattr(args, "nodes", None) is not None and not isinstance(args.nodes, list):
+    if args.nodes is not None:
         overrides["n_sensors"] = args.nodes
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     return cfg.replace(**overrides) if overrides else cfg
 
@@ -52,7 +50,7 @@ def _cmd_run(args) -> int:
     cfg = _base_config(args)
     topology = None
     if args.topology_in:
-        topology = load_topology_csv(args.topology_in, cfg.field_spec(), seed=cfg.seed)
+        topology = load_topology_csv(args.topology_in, cfg.field_spec())
     sim = Simulation(cfg, topology)
     if args.topology_out:
         save_topology_csv(sim.topology, args.topology_out)
@@ -62,14 +60,7 @@ def _cmd_run(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     # a loaded topology brings its own sensor count
     n = len(sim.topology.sensor_ids)
-    key = (cfg.protocol, cfg.seed, n)
-    write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS,
-              [summary_row(report, *key)])
-    write_csv(os.path.join(out_dir, "regional.csv"), REGIONAL_COLUMNS,
-              regional_rows(report, *key))
-    if args.packets:
-        write_csv(os.path.join(out_dir, "packets.csv"), PACKET_COLUMNS,
-                  packet_rows(report, *key))
+    write_reports(out_dir, [((cfg.protocol, cfg.seed, n), report)], args.packets)
 
     emitted = report.delivered + report.lost_total
     ratio = report.delivered / emitted if emitted else 0.0

@@ -25,16 +25,10 @@ from .scenario import ScenarioConfig
 from .topology import Position, Topology, distance, generate_topology, \
     range_neighbor_lists
 
-BEACON_TICK = "beacon_tick"
-IMAGE_EMISSION = "image_emission"
-TRANSMISSION_COMPLETE = "transmission_complete"
-PACKET_ARRIVAL = "packet_arrival"
-
 
 @dataclass
 class DataPacket:
     source: int
-    stream_id: int
     seq: int
     payload_bits: int
     created_at: float
@@ -116,52 +110,46 @@ class Simulation:
         self._heap: list = []
         self._seq = 0
         self.emitted = 0
-        self.delivered: list[PacketOutcome] = []
-        self.lost: list[PacketOutcome] = []
+        # one entry per packet that reached the sink or was lost
+        self.outcomes: list[PacketOutcome] = []
         self.paths: dict[int, list[int]] = {}
         self.ledger = EnergyLedger()
         self.emissions_done = False
 
     # -- event plumbing -----------------------------------------------------
 
-    def _schedule(self, time: float, kind: str, payload=None) -> None:
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+    def _schedule(self, time: float, handler, *args) -> None:
+        """Call handler(time, *args) at `time`, after every event already
+        scheduled for that instant."""
+        heapq.heappush(self._heap, (time, self._seq, handler, args))
         self._seq += 1
 
     def _traffic_complete(self) -> bool:
-        return self.emissions_done and \
-            len(self.delivered) + len(self.lost) == self.emitted
+        return self.emissions_done and len(self.outcomes) == self.emitted
 
     def run(self) -> MetricsReport:
-        self._schedule(0.0, BEACON_TICK)
-        self._schedule(0.0, IMAGE_EMISSION, 0)
-        while self._heap:
-            time, _, kind, payload = heapq.heappop(self._heap)
+        self._schedule(0.0, self._do_beacons)
+        self._schedule(0.0, self._do_emission, 0)
+        heap = self._heap
+        while heap:
+            time, _, handler, args = heapq.heappop(heap)
             if time > self.cfg.horizon_s:
                 break
             self.now = time
-            if kind == BEACON_TICK:
-                self._do_beacons(time)
-            elif kind == IMAGE_EMISSION:
-                self._do_emission(time, payload)
-            elif kind == TRANSMISSION_COMPLETE:
-                self._do_tx_complete(time, *payload)
-            elif kind == PACKET_ARRIVAL:
-                self._do_arrival(time, *payload)
+            handler(time, *args)
             if self._traffic_complete():
                 break
+        # the pending handlers are bound methods, which refer back to self:
+        # drop them so a finished run is freed without waiting for a gc pass
+        heap.clear()
         return self.report()
 
     # -- outcome recording --------------------------------------------------
 
-    def _record_delivered(self, pk: DataPacket, delay: float) -> None:
-        self.delivered.append(PacketOutcome(pk.seq, "delivered", delay, pk.hop_count))
-        if self.record_paths:
-            self.paths[pk.seq] = list(pk.path)
-
-    def _record_lost(self, pk: DataPacket, reason: str) -> None:
-        assert reason in LOSS_REASONS, reason
-        self.lost.append(PacketOutcome(pk.seq, reason, None, pk.hop_count))
+    def _record(self, pk: DataPacket, outcome: str, delay: float | None = None) -> None:
+        """`outcome` is "delivered" (with its end-to-end delay) or a loss reason."""
+        assert outcome == "delivered" or outcome in LOSS_REASONS, outcome
+        self.outcomes.append(PacketOutcome(pk.seq, outcome, delay, pk.hop_count))
         if self.record_paths:
             self.paths[pk.seq] = list(pk.path)
 
@@ -170,13 +158,13 @@ class Simulation:
             return
         node.alive = False
         for pk in node.queue:
-            self._record_lost(pk, "sender_died")
+            self._record(pk, "sender_died")
         node.queue.clear()
 
     def _drop_and_die(self, node: NodeRuntime, pk: DataPacket) -> None:
         """Node cannot afford a pending transmission: forfeit the remaining
         charge rather than transmit partially, and lose the packet."""
-        self._record_lost(pk, "sender_died")
+        self._record(pk, "sender_died")
         self.ledger.add("death_forfeit", node.battery.forfeit())
         self._kill(node)
 
@@ -236,7 +224,7 @@ class Simulation:
                             NeighborTable.handle_beacon, beacon)
         nxt = time + cfg.beacon_interval_s
         if nxt <= cfg.horizon_s and not self._traffic_complete():
-            self._schedule(nxt, BEACON_TICK)
+            self._schedule(nxt, self._do_beacons)
 
     # -- traffic ------------------------------------------------------------
 
@@ -250,7 +238,6 @@ class Simulation:
             remaining -= bits
             pk = DataPacket(
                 source=self.source_id,
-                stream_id=image_idx,
                 seq=self.emitted,
                 payload_bits=bits,
                 created_at=time,
@@ -259,11 +246,11 @@ class Simulation:
             )
             self.emitted += 1
             if len(source.queue) >= source.queue_capacity:
-                self._record_lost(pk, "buffer_overflow")
+                self._record(pk, "buffer_overflow")
             else:
                 source.queue.append(pk)
         if image_idx + 1 < cfg.image_count:
-            self._schedule(time + cfg.image_interval_s, IMAGE_EMISSION, image_idx + 1)
+            self._schedule(time + cfg.image_interval_s, self._do_emission, image_idx + 1)
         else:
             self.emissions_done = True
         self._try_start(source, time)
@@ -274,30 +261,20 @@ class Simulation:
             pk = node.queue.pop(0)
             next_hop, drop_reason = self._route(node, pk)
             if next_hop is None:
-                self._record_lost(pk, drop_reason)
+                self._record(pk, drop_reason)
                 continue
             # every route picks a neighbor from the table, whose record holds
             # the hop length
-            rec = node.table.records[next_hop]
-            d = rec.distance_to_me
+            d = node.table.records[next_hop].distance_to_me
             bits = pk.payload_bits + cfg.header_bits
             cost = tx_energy(bits, d, self.params)
             if not node.death_exempt and node.battery.residual < cost:
                 self._drop_and_die(node, pk)
                 return
-            if cfg.protocol == "geams":
-                # Account for the relay cost this forward imposes on the
-                # neighbor before its next beacon refreshes the record,
-                # otherwise every score stays stale for a whole beacon
-                # interval and the burst hammers a single neighbor.  The
-                # estimate is the electronics-only relay cost (its receive
-                # plus its transmit, amplifier term unknown); the next beacon
-                # overwrites it with ground truth.
-                rec.residual_energy -= self._pending_load_estimate(bits)
             node.transmitting = True
             delay = serialization_delay(bits, link_rate(d, cfg.base_rate_bps))
-            self._schedule(time + delay, TRANSMISSION_COMPLETE,
-                           (node.id, next_hop, pk, cost, bits))
+            self._schedule(time + delay, self._do_tx_complete,
+                           node.id, next_hop, pk, cost, bits)
             return
 
     def _do_tx_complete(self, time: float, sender_id: int, receiver_id: int,
@@ -306,16 +283,16 @@ class Simulation:
         sender = self.nodes[sender_id]
         sender.transmitting = False
         if not sender.alive:
-            self._record_lost(pk, "sender_died")
+            self._record(pk, "sender_died")
             return
         drained, died = sender.battery.debit(cost)
         self.ledger.add("data_tx", drained)
         if drained < cost:
             # a mid-transmission debit (beacon traffic) starved the battery
-            self._record_lost(pk, "sender_died")
+            self._record(pk, "sender_died")
             self._kill(sender)
             return
-        self._schedule(time, PACKET_ARRIVAL, (sender_id, receiver_id, pk, bits))
+        self._schedule(time, self._do_arrival, sender_id, receiver_id, pk, bits)
         if died:
             self._kill(sender)
         else:
@@ -325,7 +302,7 @@ class Simulation:
                     pk: DataPacket, bits: int) -> None:
         receiver = self.nodes[receiver_id]
         if not receiver.alive:
-            self._record_lost(pk, "next_hop_died")
+            self._record(pk, "next_hop_died")
             return
         drained, died = receiver.battery.debit(rx_energy(bits, self.params))
         self.ledger.add("data_rx", drained)
@@ -335,16 +312,16 @@ class Simulation:
         pk.path.append(receiver_id)
         if died:
             self._kill(receiver)
-            self._record_lost(pk, "next_hop_died")
+            self._record(pk, "next_hop_died")
             return
         if receiver_id == self.sink_id:
-            self._record_delivered(pk, time - pk.created_at)
+            self._record(pk, "delivered", time - pk.created_at)
             return
         if pk.ttl <= 0:
-            self._record_lost(pk, "ttl_expired")
+            self._record(pk, "ttl_expired")
             return
         if len(receiver.queue) >= receiver.queue_capacity:
-            self._record_lost(pk, "buffer_overflow")
+            self._record(pk, "buffer_overflow")
             return
         receiver.queue.append(pk)
         self._try_start(receiver, time)
@@ -372,20 +349,29 @@ class Simulation:
                 state = geams.refresh_state(state, entries)
             next_hop, new_state = geams.select_next_hop(state, entries, pk.hop_count)
             node.source_states[pk.source] = new_state
-            return next_hop, None
-        # walking back: announce the void once, then delegate sink-ward-most
-        if not node.announced_void:
-            node.announced_void = True
-            self._broadcast(node, cfg.void_announcement_bits, "void_tx", "void_rx",
-                            NeighborTable.mark_void, node.id)
-            if not node.alive:
-                return None, "sender_died"
-        pk.excluded.add(node.id)
-        candidate = geams.walking_back_candidate(
-            node.table, pk.excluded, self.now, cfg.neighbor_expiry_s)
-        if candidate is None:
-            return None, "void_unresolvable"
-        return candidate, None
+        else:
+            # walking back: announce the void once, then delegate sink-ward-most
+            if not node.announced_void:
+                node.announced_void = True
+                self._broadcast(node, cfg.void_announcement_bits, "void_tx", "void_rx",
+                                NeighborTable.mark_void, node.id)
+                if not node.alive:
+                    return None, "sender_died"
+            pk.excluded.add(node.id)
+            next_hop = geams.walking_back_candidate(
+                node.table, pk.excluded, self.now, cfg.neighbor_expiry_s)
+            if next_hop is None:
+                return None, "void_unresolvable"
+        # Account for the relay cost this forward imposes on the neighbor
+        # before its next beacon refreshes the record, otherwise every score
+        # stays stale for a whole beacon interval and the burst hammers a
+        # single neighbor.  The estimate is the electronics-only relay cost
+        # (its receive plus its transmit, amplifier term unknown); the next
+        # beacon overwrites it with ground truth.  A sender that then cannot
+        # afford the frame dies, and a dead node's table is never read again.
+        node.table.records[next_hop].residual_energy -= self._pending_load_estimate(
+            pk.payload_bits + cfg.header_bits)
+        return next_hop, None
 
     def _route_gpsr(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
         cfg = self.cfg
@@ -426,7 +412,7 @@ class Simulation:
         sensor_ids = self.topology.sensor_ids
         residuals = {i: n.battery.residual for i, n in self.nodes.items()}
         mean_e, var_e = energy_stats([residuals[i] for i in sensor_ids])
-        log = sorted(self.delivered + self.lost, key=lambda p: p.seq)
+        log = sorted(self.outcomes, key=lambda p: p.seq)  # seq is unique
         delay_mean, delay_var, lost = delay_and_loss(log)
         return MetricsReport(
             dead_nodes=dead_node_count(residuals, sensor_ids),
@@ -437,7 +423,7 @@ class Simulation:
                 self.topology.field),
             delay_mean=delay_mean,
             delay_variance=delay_var,
-            delivered=len(self.delivered),
+            delivered=len(log) - sum(lost.values()),
             lost=lost,
             per_packet_log=log,
         )

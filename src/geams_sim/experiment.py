@@ -52,8 +52,20 @@ class ExperimentPlan:
         ]
 
 
-def _run_cell(cfg: ScenarioConfig) -> MetricsReport:
-    return run_scenario(cfg)
+def write_reports(out_dir, keyed_reports, write_packets: bool) -> None:
+    """Write summary.csv and regional.csv (plus packets.csv when asked) under
+    the existing out_dir: the rows of each (protocol, seed, n) key and its
+    report, in the order given."""
+    sum_rows, reg_rows, pk_rows = [], [], []
+    for key, rep in keyed_reports:
+        sum_rows.append(summary_row(rep, *key))
+        reg_rows.extend(regional_rows(rep, *key))
+        if write_packets:
+            pk_rows.extend(packet_rows(rep, *key))
+    write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, sum_rows)
+    write_csv(os.path.join(out_dir, "regional.csv"), REGIONAL_COLUMNS, reg_rows)
+    if write_packets:
+        write_csv(os.path.join(out_dir, "packets.csv"), PACKET_COLUMNS, pk_rows)
 
 
 def run_experiment(plan: ExperimentPlan, out_dir, jobs: int = 1,
@@ -64,22 +76,11 @@ def run_experiment(plan: ExperimentPlan, out_dir, jobs: int = 1,
     cells = plan.cells()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_cell, cells))
+            reports = list(pool.map(run_scenario, cells))
     else:
-        reports = [_run_cell(c) for c in cells]
-
-    sum_rows, reg_rows, pk_rows = [], [], []
-    for cfg, rep in zip(cells, reports):
-        key = (cfg.protocol, cfg.seed, cfg.n_sensors)
-        sum_rows.append(summary_row(rep, *key))
-        reg_rows.extend(regional_rows(rep, *key))
-        if write_packets:
-            pk_rows.extend(packet_rows(rep, *key))
-    write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, sum_rows)
-    write_csv(os.path.join(out_dir, "regional.csv"), REGIONAL_COLUMNS, reg_rows)
-    if write_packets:
-        write_csv(os.path.join(out_dir, "packets.csv"), PACKET_COLUMNS, pk_rows)
-
+        reports = [run_scenario(c) for c in cells]
+    write_reports(out_dir, [((c.protocol, c.seed, c.n_sensors), r)
+                            for c, r in zip(cells, reports)], write_packets)
     if "geams" in plan.protocols and "gpsr" in plan.protocols:
         write_csv(os.path.join(out_dir, "comparison.csv"), COMPARISON_COLUMNS,
                   _comparison_rows(plan, cells, reports))

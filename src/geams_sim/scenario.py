@@ -66,8 +66,14 @@ class ScenarioConfig:
             raise ScenarioError("packet_bits and image_bits must be positive")
         if self.ttl is not None and self.ttl < 1:
             raise ScenarioError("ttl must be positive when given")
-        if not self.beacon_interval_s > 0:  # NaN fails too; zero never reaches the horizon
-            raise ScenarioError("beacon_interval_s must be positive")
+        # NaN fails too; a zero beacon interval never reaches the horizon
+        for name in ("beacon_interval_s", "horizon_s", "base_rate_bps"):
+            if not getattr(self, name) > 0:
+                raise ScenarioError(f"{name} must be positive")
+        if self.image_count < 1:
+            raise ScenarioError("image_count must be at least 1")
+        if not self.image_interval_s >= 0:  # NaN fails too; negative runs the clock back
+            raise ScenarioError("image_interval_s must be nonnegative")
         for name in ("initial_energy_j", "gateway_energy_j"):
             if not getattr(self, name) >= 0:  # NaN fails too
                 raise ScenarioError(f"{name} must be nonnegative")

@@ -1,5 +1,5 @@
-"""Random node deployments on a rectangular sensing field, plus the geometric
-queries both routing protocols rely on (radio neighborhood, Gabriel planarization).
+"""Random node deployments on a rectangular sensing field, plus the radio
+neighborhoods both routing protocols rely on.
 
 Topologies are immutable after construction and fully determined by
 (seed, n_sensors, field), so they can be shared read-only between runs.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 SINK_ID = 0
 SOURCE_ID = 1
@@ -20,10 +20,6 @@ MAX_PLACEMENT_ATTEMPTS = 10_000
 
 class PlacementError(RuntimeError):
     """Raised when rejection sampling cannot place a node (field too crowded)."""
-
-
-class UnknownNodeError(KeyError):
-    """Raised when a node id is not part of the topology."""
 
 
 @dataclass(frozen=True)
@@ -62,11 +58,6 @@ class Topology:
 
     nodes: tuple[tuple[int, Position], ...]
     field: FieldSpec
-    seed: int
-    _positions: dict[int, Position] = dc_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_positions", dict(self.nodes))
 
     @property
     def sink_id(self) -> int:
@@ -79,12 +70,6 @@ class Topology:
     @property
     def sensor_ids(self) -> list[int]:
         return [i for i, _ in self.nodes if i not in (SINK_ID, SOURCE_ID)]
-
-    def position(self, node_id: int) -> Position:
-        try:
-            return self._positions[node_id]
-        except KeyError:
-            raise UnknownNodeError(node_id) from None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -159,23 +144,12 @@ def generate_topology(seed: int, n_sensors: int, field: FieldSpec | None = None)
             raise PlacementError(
                 f"could not place sensor {node_id} after {MAX_PLACEMENT_ATTEMPTS} attempts"
             )
-    return Topology(nodes=tuple(placed), field=field, seed=seed)
-
-
-def radio_neighbors(t: Topology, node_id: int) -> set[int]:
-    """Ids of all nodes within radio range of node_id (boundary inclusive)."""
-    me = t.position(node_id)
-    r = t.field.radio_range
-    return {
-        other
-        for other, p in t.nodes
-        if other != node_id and distance(me, p) <= r
-    }
+    return Topology(nodes=tuple(placed), field=field)
 
 
 def range_neighbor_lists(t: Topology) -> dict[int, list[int]]:
-    """Every node's radio neighbors (boundary inclusive), ascending by id:
-    radio_neighbors for all nodes at once, from a grid of radio-range cells."""
+    """Every node's radio neighbors (boundary inclusive), ascending by id,
+    found through a grid of radio-range cells."""
     r = t.field.radio_range
     grid = CellGrid(r)
     for node_id, p in t.nodes:
@@ -184,39 +158,6 @@ def range_neighbor_lists(t: Topology) -> dict[int, list[int]]:
         u: sorted(v for v, pv in grid.near(pu) if v != u and distance(pu, pv) <= r)
         for u, pu in t.nodes
     }
-
-
-def radio_edges(t: Topology) -> set[tuple[int, int]]:
-    """All radio-range links as (u, v) pairs with u < v."""
-    edges = set()
-    r = t.field.radio_range
-    nodes = t.nodes
-    for i in range(len(nodes)):
-        u, pu = nodes[i]
-        for j in range(i + 1, len(nodes)):
-            v, pv = nodes[j]
-            if distance(pu, pv) <= r:
-                edges.add((min(u, v), max(u, v)))
-    return edges
-
-
-def gabriel_planarize(t: Topology) -> set[tuple[int, int]]:
-    """Gabriel subgraph of the radio graph: edge (u, v) survives iff no third
-    node lies inside or on the circle with diameter uv.  Boundary nodes remove
-    the edge, which keeps the result deterministic for degenerate placements.
-    """
-    kept = set()
-    for u, v in radio_edges(t):
-        pu, pv = t.position(u), t.position(v)
-        mx, my = (pu.x + pv.x) / 2.0, (pu.y + pv.y) / 2.0
-        r2 = ((pu.x - pv.x) ** 2 + (pu.y - pv.y) ** 2) / 4.0
-        if all(
-            (p.x - mx) ** 2 + (p.y - my) ** 2 > r2
-            for w, p in t.nodes
-            if w != u and w != v
-        ):
-            kept.add((u, v))
-    return kept
 
 
 def save_topology_csv(t: Topology, path) -> None:
@@ -228,25 +169,48 @@ def save_topology_csv(t: Topology, path) -> None:
             writer.writerow([node_id, repr(p.x), repr(p.y)])
 
 
-def load_topology_csv(path, field: FieldSpec | None = None, seed: int = 0) -> Topology:
+def load_topology_csv(path, field: FieldSpec | None = None) -> Topology:
     """Read a topology written by save_topology_csv.  Ids 0 and 1 must be
     present and are taken as sink and source; the FieldSpec's designated
     positions are overridden to match the file.
+
+    Raises ValueError naming the line for a malformed row, a duplicate id, a
+    coordinate that is not finite or lies off the field, and a node closer
+    than `field.min_separation` to an earlier one: such a file would
+    otherwise fail mid-run, or run on a placement no scenario can produce.
     """
     if field is None:
         field = FieldSpec()
-    nodes: list[tuple[int, Position]] = []
+    sep = field.min_separation
+    grid = CellGrid(sep)
+    positions: dict[int, Position] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["node_id", "x", "y"]:
             raise ValueError(f"{path}: expected header 'node_id,x,y', got {header!r}")
         for row in reader:
-            nodes.append((int(row[0]), Position(float(row[1]), float(row[2]))))
-    ids = [i for i, _ in nodes]
-    if SINK_ID not in ids or SOURCE_ID not in ids:
+            where = f"{path}: line {reader.line_num}"
+            try:
+                raw_id, x, y = row
+                node_id, p = int(raw_id), Position(float(x), float(y))
+            except ValueError:
+                raise ValueError(f"{where}: expected 'node_id,x,y', got {row!r}") from None
+            if node_id in positions:
+                raise ValueError(f"{where}: duplicate node id {node_id}")
+            if not (math.isfinite(p.x) and math.isfinite(p.y)):
+                raise ValueError(f"{where}: node {node_id} has a non-finite coordinate")
+            if not (0 <= p.x <= field.width and 0 <= p.y <= field.height):
+                raise ValueError(f"{where}: node {node_id} at ({p.x}, {p.y}) lies outside "
+                                 f"the {field.width} x {field.height} field")
+            for other, q in grid.near(p):
+                if distance(p, q) < sep:
+                    raise ValueError(f"{where}: node {node_id} is {distance(p, q)} m from "
+                                     f"node {other}, closer than min_separation {sep}")
+            grid.add(node_id, p)
+            positions[node_id] = p
+    if SINK_ID not in positions or SOURCE_ID not in positions:
         raise ValueError(f"{path}: topology must contain nodes {SINK_ID} (sink) and {SOURCE_ID} (source)")
-    positions = dict(nodes)
     field = FieldSpec(
         width=field.width,
         height=field.height,
@@ -255,4 +219,4 @@ def load_topology_csv(path, field: FieldSpec | None = None, seed: int = 0) -> To
         radio_range=field.radio_range,
         min_separation=field.min_separation,
     )
-    return Topology(nodes=tuple(nodes), field=field, seed=seed)
+    return Topology(nodes=tuple(positions.items()), field=field)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from geams_sim.topology import FieldSpec, Position, Topology
+from geams_sim.topology import FieldSpec, Position, Topology, distance
 
 
 def assert_energy_balanced(drawn: float, ledger_total: float) -> None:
@@ -28,7 +28,7 @@ def topo_builder():
             source_position=positions[1],
             radio_range=radio_range,
         )
-        return Topology(nodes=tuple(sorted(positions.items())), field=f, seed=0)
+        return Topology(nodes=tuple(sorted(positions.items())), field=f)
 
     return build
 
@@ -42,3 +42,52 @@ def chain_positions(spacing: float = 60.0, n_hops: int = 8) -> dict:
     for i, x in enumerate(xs[1:-1], start=2):
         positions[i] = Position(x, 90.0)
     return positions
+
+
+# Brute-force geometry oracles: the all-pairs definitions that the cell grid
+# (topology.range_neighbor_lists) and the local Gabriel test
+# (gpsr.planar_neighbors) must agree with.
+
+def radio_neighbors(t: Topology, node_id: int) -> set[int]:
+    """Ids of all nodes within radio range of node_id (boundary inclusive)."""
+    me = dict(t.nodes)[node_id]
+    r = t.field.radio_range
+    return {
+        other
+        for other, p in t.nodes
+        if other != node_id and distance(me, p) <= r
+    }
+
+
+def radio_edges(t: Topology) -> set[tuple[int, int]]:
+    """All radio-range links as (u, v) pairs with u < v."""
+    edges = set()
+    r = t.field.radio_range
+    nodes = t.nodes
+    for i in range(len(nodes)):
+        u, pu = nodes[i]
+        for j in range(i + 1, len(nodes)):
+            v, pv = nodes[j]
+            if distance(pu, pv) <= r:
+                edges.add((min(u, v), max(u, v)))
+    return edges
+
+
+def gabriel_planarize(t: Topology) -> set[tuple[int, int]]:
+    """Gabriel subgraph of the radio graph: edge (u, v) survives iff no third
+    node lies inside or on the circle with diameter uv.  Boundary nodes remove
+    the edge, which keeps the result deterministic for degenerate placements.
+    """
+    positions = dict(t.nodes)
+    kept = set()
+    for u, v in radio_edges(t):
+        pu, pv = positions[u], positions[v]
+        mx, my = (pu.x + pv.x) / 2.0, (pu.y + pv.y) / 2.0
+        r2 = ((pu.x - pv.x) ** 2 + (pu.y - pv.y) ** 2) / 4.0
+        if all(
+            (p.x - mx) ** 2 + (p.y - my) ** 2 > r2
+            for w, p in t.nodes
+            if w != u and w != v
+        ):
+            kept.add((u, v))
+    return kept

@@ -94,6 +94,32 @@ def test_run_topology_in_reports_its_own_sensor_count(tmp_path, capsys):
     assert read_rows(out / "summary.csv")[1][:3] == ["geams", "1", "20"]
 
 
+@pytest.mark.parametrize("rows,message", [
+    (["0,490,90", "1,10,90", "2,100,90", "2,200,90"], "line 5: duplicate node id 2"),
+    (["0,490,90", "1,10,90", "2,nan,90"], "line 4: node 2 has a non-finite coordinate"),
+    (["0,490,90", "1,10,90", "2,600,90"], "line 4: node 2 at (600.0, 90.0) lies outside"),
+    (["0,490,90", "1,10,90", "2,100,90", "3,100.4,90"],
+     "line 5: node 3 is 0.4"),
+])
+def test_run_rejects_bad_topology_file(tmp_path, capsys, rows, message):
+    topo = tmp_path / "topo.csv"
+    topo.write_text("node_id,x,y\n" + "".join(f"{r}\n" for r in rows))
+    out = tmp_path / "out"
+    assert main(["run", "--topology-in", str(topo), "--out-dir", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # rejected before anything ran
+
+
+def test_run_writes_what_a_one_cell_experiment_writes(tmp_path):
+    run_dir, exp_dir = tmp_path / "run", tmp_path / "exp"
+    assert main(["run", "--protocol", "gpsr", "--nodes", "20", "--seed", "2",
+                 "--packets", "--out-dir", str(run_dir)]) == 0
+    assert main(["experiment", "--protocols", "gpsr", "--nodes", "20", "--seeds", "2",
+                 "--packets", "--out-dir", str(exp_dir)]) == 0
+    for name in ("summary.csv", "regional.csv", "packets.csv"):
+        assert (run_dir / name).read_bytes() == (exp_dir / name).read_bytes()
+
+
 def test_default_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("GEAMS_SIM_OUT", str(tmp_path / "envout"))
     rc = main(["run", "--scenario", two_node_scenario(tmp_path)])

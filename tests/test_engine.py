@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -207,3 +209,26 @@ def test_report_statistics_recomputable():
         assert math.isclose(report.delay_mean, sum(delays) / len(delays), rel_tol=1e-12)
     assert report.lost_total == sum(
         1 for p in report.per_packet_log if p.outcome != "delivered")
+
+
+@pytest.mark.parametrize("horizon_s", [120.0, 2.5], ids=["complete", "horizon"])
+@pytest.mark.parametrize("protocol", ["geams", "gpsr"])
+def test_finished_simulation_is_freed_without_gc(protocol, horizon_s):
+    """A run leaves no reference cycle through self, so a finished
+    Simulation is freed as soon as it is dropped, not at a later gc pass
+    (a sweep of many runs would otherwise hold every finished one).  The
+    horizon case stops with events still pending."""
+    cfg = ScenarioConfig(protocol=protocol, image_count=6, horizon_s=horizon_s)
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulation(cfg)
+        report = sim.run()
+        assert sim.emissions_done == (horizon_s == 120.0)
+        if sim.emissions_done:
+            assert len(report.per_packet_log) == sim.emitted == 60
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()

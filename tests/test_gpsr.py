@@ -1,7 +1,9 @@
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
+from conftest import gabriel_planarize
 from geams_sim.engine import Simulation
 from geams_sim.gpsr import (
     greedy_next_hop,
@@ -11,7 +13,7 @@ from geams_sim.gpsr import (
 )
 from geams_sim.neighbors import Beacon, NeighborRecord, NeighborTable
 from geams_sim.scenario import ScenarioConfig
-from geams_sim.topology import Position, distance
+from geams_sim.topology import Position, distance, generate_topology, range_neighbor_lists
 
 
 def record(node_id, pos, me, sink, energy=1.0, beacon_time=0.0):
@@ -254,3 +256,20 @@ def test_planar_cache_follows_liveness(offsets, gone):
     beacon_round(4.0)                                    # and beacons back
     assert planar_neighbors(t, 4.0, expiry) == reference_planar(t, 4.0, expiry)
     assert planar_neighbors(t, 4.0, expiry) == first
+
+
+@pytest.mark.parametrize("n", [30, 60, 120])
+def test_planar_neighbors_agree_with_global_gabriel(n):
+    """The local Gabriel test over a table that holds every radio neighbour
+    keeps exactly the global planarization's edges at that node."""
+    for seed in range(1, 11):
+        topo = generate_topology(seed, n)
+        positions = dict(topo.nodes)
+        gabriel = gabriel_planarize(topo)
+        for u, neighbours in range_neighbor_lists(topo).items():
+            t = NeighborTable(my_position=positions[u], sink_position=topo.field.sink_position)
+            for v in neighbours:
+                t.handle_beacon(Beacon(sender=v, position=positions[v], residual_energy=1.0,
+                                       has_sinkward=True, time=0.0))
+            local = {r.id for r in planar_neighbors(t, 0.0, 2.5)}
+            assert local == {b if a == u else a for a, b in gabriel if u in (a, b)}, (seed, u)

@@ -111,3 +111,26 @@ def test_accepts_zero_energy_and_sizes():
     cfg = config_from_dict({"initial_energy_j": 0.0, "header_bits": 0,
                             "beacon_bits": 0, "void_announcement_bits": 0})
     assert (cfg.initial_energy_j, cfg.header_bits) == (0.0, 0)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("image_count", 0),
+    ("image_count", -3),
+    ("image_interval_s", -1.0),
+    ("image_interval_s", float("nan")),
+    ("horizon_s", 0.0),
+    ("horizon_s", -5.0),
+    ("horizon_s", float("nan")),
+    ("base_rate_bps", 0.0),
+    ("base_rate_bps", -1.0),
+    ("base_rate_bps", float("nan")),
+])
+def test_rejects_traffic_and_engine_values_that_run_wrongly(key, value):
+    # image_count < 1 still emitted one image, a negative interval ran the
+    # clock backwards, and a zero rate failed mid-run
+    with pytest.raises(ScenarioError, match=key):
+        config_from_dict({key: value})
+
+
+def test_accepts_back_to_back_images():
+    assert config_from_dict({"image_interval_s": 0.0}).image_interval_s == 0.0

@@ -4,19 +4,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import gabriel_planarize, radio_edges, radio_neighbors
 from geams_sim.topology import (
     MAX_PLACEMENT_ATTEMPTS,
     FieldSpec,
     PlacementError,
     Position,
     Topology,
-    UnknownNodeError,
     distance,
-    gabriel_planarize,
     generate_topology,
     load_topology_csv,
-    radio_edges,
-    radio_neighbors,
     range_neighbor_lists,
     save_topology_csv,
 )
@@ -63,8 +60,8 @@ def test_node_ids_dense_and_designated():
     assert sorted(i for i, _ in t.nodes) == list(range(14))
     assert t.sink_id == 0
     assert t.source_id == 1
-    assert t.position(0) == t.field.sink_position
-    assert t.position(1) == t.field.source_position
+    assert dict(t.nodes)[0] == t.field.sink_position
+    assert dict(t.nodes)[1] == t.field.source_position
     assert t.sensor_ids == list(range(2, 14))
 
 
@@ -73,12 +70,6 @@ def test_positions_stay_in_field():
     for _, p in t.nodes:
         assert 0 <= p.x <= t.field.width
         assert 0 <= p.y <= t.field.height
-
-
-def test_unknown_node():
-    t = generate_topology(1, 2)
-    with pytest.raises(UnknownNodeError):
-        t.position(99)
 
 
 def test_negative_sensor_count():
@@ -152,7 +143,7 @@ def test_grid_placement_fails_where_brute_force_fails():
 
 def _two_node_topology(d: float) -> Topology:
     f = FieldSpec(sink_position=Position(10 + d, 90), source_position=Position(10, 90))
-    return Topology(nodes=((0, f.sink_position), (1, f.source_position)), field=f, seed=0)
+    return Topology(nodes=((0, f.sink_position), (1, f.source_position)), field=f)
 
 
 def test_radio_boundary_inclusive():
@@ -199,7 +190,7 @@ def test_range_lists_match_radio_neighbors(points, partners):
         points.append((x + dx, y + dy))
     f = FieldSpec(radio_range=R)
     t = Topology(nodes=tuple((i, Position(x, y)) for i, (x, y) in enumerate(points)),
-                 field=f, seed=0)
+                 field=f)
     lists = range_neighbor_lists(t)
     assert set(lists) == {i for i, _ in t.nodes}
     for u, _ in t.nodes:
@@ -210,7 +201,7 @@ def test_range_lists_skip_non_finite_positions():
     f = FieldSpec()
     t = Topology(nodes=((0, f.sink_position), (1, f.source_position),
                         (2, Position(math.nan, 90)), (3, Position(math.inf, 90)),
-                        (4, Position(60, 90))), field=f, seed=0)
+                        (4, Position(60, 90))), field=f)
     lists = range_neighbor_lists(t)
     assert lists == {u: sorted(radio_neighbors(t, u)) for u, _ in t.nodes}
     assert lists[2] == lists[3] == []
@@ -276,7 +267,7 @@ def test_csv_roundtrip(tmp_path):
     t = generate_topology(9, 25)
     path = tmp_path / "topo.csv"
     save_topology_csv(t, path)
-    loaded = load_topology_csv(path, seed=t.seed)
+    loaded = load_topology_csv(path)
     assert loaded.nodes == t.nodes
     for u, _ in t.nodes:
         assert radio_neighbors(loaded, u) == radio_neighbors(t, u)
@@ -294,3 +285,32 @@ def test_csv_requires_designated_nodes(tmp_path):
     path.write_text("node_id,x,y\n1,10.0,90.0\n2,50.0,90.0\n")
     with pytest.raises(ValueError):
         load_topology_csv(path)
+
+
+def _write_topology(tmp_path, rows):
+    path = tmp_path / "topo.csv"
+    path.write_text("node_id,x,y\n" + "".join(f"{r}\n" for r in rows))
+    return path
+
+
+@pytest.mark.parametrize("rows,line,message", [
+    (["0,490,90", "1,10,90", "2,100,90", "2,200,90"], 5, "duplicate node id 2"),
+    (["0,490,90", "1,10,90", "2,nan,90"], 4, "non-finite"),
+    (["0,490,90", "1,10,90", "2,100,inf"], 4, "non-finite"),
+    (["0,490,90", "1,10,90", "2,100,-1"], 4, "outside the 500.0 x 200.0 field"),
+    (["0,490,90", "1,510,90"], 3, "outside"),
+    (["0,490,90", "1,10,90", "2,100,90", "3,100.4,90"], 5, "from node 2, closer than min_separation"),
+    (["0,490,90", "1,10,90", "2,10.5,90.5"], 4, "from node 1, closer than min_separation"),
+    (["0,490,90", "1,10,90", "2,100"], 4, "expected 'node_id,x,y'"),
+    (["0,490,90", "1,10,90", "two,100,90"], 4, "expected 'node_id,x,y'"),
+])
+def test_csv_rejects_bad_rows(tmp_path, rows, line, message):
+    path = _write_topology(tmp_path, rows)
+    with pytest.raises(ValueError, match=f"line {line}: .*{message}"):
+        load_topology_csv(path)
+
+
+def test_csv_accepts_nodes_exactly_min_separation_apart_and_on_the_edge(tmp_path):
+    path = _write_topology(tmp_path, ["0,500,200", "1,0,0", "2,100,90", "3,101,90"])
+    t = load_topology_csv(path)
+    assert [i for i, _ in t.nodes] == [0, 1, 2, 3]
