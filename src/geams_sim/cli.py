@@ -62,11 +62,13 @@ def _cmd_run(args) -> int:
     n = len(sim.topology.sensor_ids)
     write_reports(out_dir, [((cfg.protocol, cfg.seed, n), report)], args.packets)
 
-    emitted = report.delivered + report.lost_total
+    emitted = sim.emitted
     ratio = report.delivered / emitted if emitted else 0.0
     print(f"protocol={cfg.protocol} n={n} seed={cfg.seed}")
     print(f"dead nodes:      {report.dead_nodes}")
     print(f"delivery ratio:  {report.delivered}/{emitted} ({ratio:.1%})")
+    # packets neither delivered nor lost when the horizon stopped the run
+    print(f"in flight:       {emitted - report.delivered - report.lost_total}")
     delay = "n/a" if report.delay_mean is None else f"{report.delay_mean:.4f} s"
     print(f"mean delay:      {delay}")
     print(f"energy mean/var: {report.mean_energy:.4f} J / {report.energy_variance:.6f} J^2")

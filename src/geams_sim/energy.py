@@ -16,7 +16,7 @@ class EnergyModelParams:
     eps_amp: float = 1e-9
 
     def __post_init__(self):
-        if self.e_elec <= 0 or self.eps_amp <= 0:
+        if not (self.e_elec > 0 and self.eps_amp > 0):  # NaN fails too
             raise ValueError("energy model constants must be strictly positive")
 
 

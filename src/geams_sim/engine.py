@@ -32,12 +32,12 @@ class DataPacket:
     seq: int
     payload_bits: int
     created_at: float
-    ttl: int
-    hop_count: int = 0
+    # every node the packet has reached, source first: its hop count is
+    # len(path) - 1, it has outlived its TTL once that exceeds the TTL, and
+    # path[-2] is the hop it came from
+    path: list[int]
     excluded: set[int] = field(default_factory=set)
-    prev_hop: int | None = None
     perimeter: gpsr.PerimeterState | None = None
-    path: list[int] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -46,7 +46,6 @@ class NodeRuntime:
     position: Position
     battery: Battery
     death_exempt: bool
-    queue_capacity: int
     table: NeighborTable
     alive: bool = True
     queue: list = field(default_factory=list)
@@ -74,14 +73,12 @@ class EnergyLedger:
 
 
 class Simulation:
-    def __init__(self, cfg: ScenarioConfig, topology: Topology | None = None,
-                 record_paths: bool = False):
+    def __init__(self, cfg: ScenarioConfig, topology: Topology | None = None):
         self.cfg = cfg
         self.params = EnergyModelParams(cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
         if topology is None:
             topology = generate_topology(cfg.seed, cfg.n_sensors, cfg.field_spec())
         self.topology = topology
-        self.record_paths = record_paths
 
         f = topology.field
         self.nodes: dict[int, NodeRuntime] = {}
@@ -93,7 +90,6 @@ class Simulation:
                 position=pos,
                 battery=Battery(residual=initial, initial=initial),
                 death_exempt=gateway,
-                queue_capacity=cfg.queue_capacity,
                 table=NeighborTable(my_position=pos, sink_position=f.sink_position),
             )
         self.sink_id = topology.sink_id
@@ -149,9 +145,8 @@ class Simulation:
     def _record(self, pk: DataPacket, outcome: str, delay: float | None = None) -> None:
         """`outcome` is "delivered" (with its end-to-end delay) or a loss reason."""
         assert outcome == "delivered" or outcome in LOSS_REASONS, outcome
-        self.outcomes.append(PacketOutcome(pk.seq, outcome, delay, pk.hop_count))
-        if self.record_paths:
-            self.paths[pk.seq] = list(pk.path)
+        self.outcomes.append(PacketOutcome(pk.seq, outcome, delay, len(pk.path) - 1))
+        self.paths[pk.seq] = pk.path
 
     def _kill(self, node: NodeRuntime) -> None:
         if node.death_exempt:
@@ -241,11 +236,10 @@ class Simulation:
                 seq=self.emitted,
                 payload_bits=bits,
                 created_at=time,
-                ttl=self.ttl0,
                 path=[self.source_id],
             )
             self.emitted += 1
-            if len(source.queue) >= source.queue_capacity:
+            if len(source.queue) >= cfg.queue_capacity:
                 self._record(pk, "buffer_overflow")
             else:
                 source.queue.append(pk)
@@ -292,23 +286,20 @@ class Simulation:
             self._record(pk, "sender_died")
             self._kill(sender)
             return
-        self._schedule(time, self._do_arrival, sender_id, receiver_id, pk, bits)
+        self._schedule(time, self._do_arrival, receiver_id, pk, bits)
         if died:
             self._kill(sender)
         else:
             self._try_start(sender, time)
 
-    def _do_arrival(self, time: float, sender_id: int, receiver_id: int,
-                    pk: DataPacket, bits: int) -> None:
+    def _do_arrival(self, time: float, receiver_id: int, pk: DataPacket,
+                    bits: int) -> None:
         receiver = self.nodes[receiver_id]
         if not receiver.alive:
             self._record(pk, "next_hop_died")
             return
         drained, died = receiver.battery.debit(rx_energy(bits, self.params))
         self.ledger.add("data_rx", drained)
-        pk.hop_count += 1
-        pk.ttl -= 1
-        pk.prev_hop = sender_id
         pk.path.append(receiver_id)
         if died:
             self._kill(receiver)
@@ -317,10 +308,10 @@ class Simulation:
         if receiver_id == self.sink_id:
             self._record(pk, "delivered", time - pk.created_at)
             return
-        if pk.ttl <= 0:
+        if len(pk.path) > self.ttl0:
             self._record(pk, "ttl_expired")
             return
-        if len(receiver.queue) >= receiver.queue_capacity:
+        if len(receiver.queue) >= self.cfg.queue_capacity:
             self._record(pk, "buffer_overflow")
             return
         receiver.queue.append(pk)
@@ -347,7 +338,7 @@ class Simulation:
             state = node.source_states.get(pk.source)
             if state is not None:
                 state = geams.refresh_state(state, entries)
-            next_hop, new_state = geams.select_next_hop(state, entries, pk.hop_count)
+            next_hop, new_state = geams.select_next_hop(state, entries, len(pk.path) - 1)
             node.source_states[pk.source] = new_state
         else:
             # walking back: announce the void once, then delegate sink-ward-most
@@ -392,7 +383,7 @@ class Simulation:
                 entry_point=node.position, first_edge=(node.id, first))
             return first, None
         planar = gpsr.planar_neighbors(table, self.now, cfg.neighbor_expiry_s)
-        prev_pos = self.nodes[pk.prev_hop].position
+        prev_pos = self.nodes[pk.path[-2]].position
         nxt = gpsr.perimeter_next_hop(node.position, prev_pos, planar)
         if nxt is None:
             return None, "perimeter_exhausted"
@@ -429,7 +420,6 @@ class Simulation:
         )
 
 
-def run_scenario(cfg: ScenarioConfig, topology: Topology | None = None,
-                 record_paths: bool = False) -> MetricsReport:
+def run_scenario(cfg: ScenarioConfig, topology: Topology | None = None) -> MetricsReport:
     """Run one scenario to completion and return its report."""
-    return Simulation(cfg, topology, record_paths=record_paths).run()
+    return Simulation(cfg, topology).run()

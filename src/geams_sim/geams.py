@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
-from .energy import EnergyModelParams, rx_energy, tx_energy
+from .energy import EnergyModelParams, rx_energy
 from .neighbors import NeighborRecord, NeighborTable
 
 # (neighbor id, score) pairs, descending by score, ties by ascending id
@@ -38,20 +38,15 @@ class SourceState:
     neighbor_ids: tuple[int, ...] = ()
 
 
-def score(n: NeighborRecord, k_bits: float, p: EnergyModelParams) -> float:
-    """Neighbor fitness in joules: its remaining energy minus the cost of
-    pushing one standard data packet through it (our transmit + its receive)."""
-    return n.residual_energy - tx_energy(k_bits, n.distance_to_me, p) - rx_energy(k_bits, p)
-
-
 def build_best_neighbor_set(
     t: NeighborTable, now: float, expiry_s: float, k_bits: float, p: EnergyModelParams
 ) -> BestNeighborSet:
     """Live, non-void-flagged neighbors strictly closer to the sink than we
     are, sorted by descending score with ties broken by ascending id.
 
-    The liveness test is live_records' and the score is score()'s, inlined
-    with the same float operations in the same order.
+    A neighbor's score is its fitness in joules: its remaining energy minus
+    the cost of pushing one k-bit packet through it (our transmit to it, then
+    its receive).  The liveness test is live_records', inlined.
     """
     e_elec, eps_amp = p.e_elec, p.eps_amp
     rx = rx_energy(k_bits, p)

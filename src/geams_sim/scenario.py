@@ -67,7 +67,8 @@ class ScenarioConfig:
         if self.ttl is not None and self.ttl < 1:
             raise ScenarioError("ttl must be positive when given")
         # NaN fails too; a zero beacon interval never reaches the horizon
-        for name in ("beacon_interval_s", "horizon_s", "base_rate_bps"):
+        for name in ("beacon_interval_s", "horizon_s", "base_rate_bps", "e_elec_j_per_bit",
+                     "eps_amp_j_per_bit_m2", "neighbor_expiry_intervals"):
             if not getattr(self, name) > 0:
                 raise ScenarioError(f"{name} must be positive")
         if self.image_count < 1:
@@ -80,6 +81,10 @@ class ScenarioConfig:
         for name in ("header_bits", "beacon_bits", "void_announcement_bits"):
             if getattr(self, name) < 0:
                 raise ScenarioError(f"{name} must be nonnegative")
+        try:
+            self.field_spec()
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
 
     def field_spec(self) -> FieldSpec:
         return FieldSpec(
@@ -107,17 +112,27 @@ class ScenarioConfig:
         return dataclasses.replace(self, **overrides)
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(ScenarioConfig)}
+# the JSON values each declared field type accepts; bool is an int subclass,
+# so it is rejected separately everywhere but in a bool field
+_JSON_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "int | None": ((int, type(None)), "an integer or null"),
+}
+_FIELD_TYPES = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(ScenarioConfig)}
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    unknown = sorted(set(d) - _FIELD_NAMES)
+    unknown = sorted(set(d) - set(_FIELD_TYPES))
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {', '.join(unknown)}")
-    try:
-        return ScenarioConfig(**d)
-    except TypeError as exc:
-        raise ScenarioError(str(exc)) from None
+    for key, value in d.items():
+        types, kind = _FIELD_TYPES[key]
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise ScenarioError(f"{key} must be {kind}, not {json.dumps(value)}")
+    return ScenarioConfig(**d)
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -45,8 +45,8 @@ class FieldSpec:
     def __post_init__(self):
         if not self.radio_range > 0:  # NaN fails too
             raise ValueError("radio_range must be positive")
-        if not self.min_separation > 0:
-            raise ValueError("min_separation must be positive")
+        if not self.min_separation >= 1.0:  # the link model's floor; NaN fails too
+            raise ValueError("min_separation must be at least 1 m")
         for p in (self.sink_position, self.source_position):
             if not (0 <= p.x <= self.width and 0 <= p.y <= self.height):
                 raise ValueError(f"designated node at ({p.x}, {p.y}) lies outside the field")

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from geams_sim.energy import EnergyModelParams, rx_energy, tx_energy
+from geams_sim.neighbors import NeighborRecord
 from geams_sim.topology import FieldSpec, Position, Topology, distance
 
 
@@ -91,3 +93,11 @@ def gabriel_planarize(t: Topology) -> set[tuple[int, int]]:
         ):
             kept.add((u, v))
     return kept
+
+
+# GEAMS score oracle: the definition geams.build_best_neighbor_set inlines.
+
+def score(n: NeighborRecord, k_bits: float, p: EnergyModelParams) -> float:
+    """Neighbor fitness in joules: its remaining energy minus the cost of
+    pushing one standard data packet through it (our transmit + its receive)."""
+    return n.residual_energy - tx_energy(k_bits, n.distance_to_me, p) - rx_energy(k_bits, p)

@@ -18,7 +18,6 @@ from geams_sim.experiment import ExperimentPlan, run_experiment
 from geams_sim.geams import SourceState, select_next_hop
 from geams_sim.link import link_rate
 from geams_sim.scenario import ScenarioConfig
-from geams_sim.topology import FieldSpec, Position, Topology
 
 SEEDS = tuple(range(1, 21))
 SIZES = (80, 100)
@@ -178,7 +177,7 @@ def test_criterion_10_chain_degeneracy(topo_builder):
     reports = {}
     for protocol in ("geams", "gpsr"):
         cfg = ScenarioConfig(protocol=protocol, n_sensors=7, initial_energy_j=20.0)
-        sim = Simulation(cfg, topo, record_paths=True)
+        sim = Simulation(cfg, topo)
         reports[protocol] = sim.run()
         paths[protocol] = sim.paths
     full_delivery = all(r.delivered == 300 and r.lost_total == 0

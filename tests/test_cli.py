@@ -41,6 +41,16 @@ def test_run_writes_summary(tmp_path, capsys):
     assert "delivery ratio:  50/50" in capsys.readouterr().out
 
 
+def test_run_counts_packets_in_flight_at_the_horizon(tmp_path, capsys):
+    # the image emitted at t = 5 s is still queued when the horizon stops the run
+    scenario = two_node_scenario(tmp_path, image_count=30, horizon_s=5)
+    rc = main(["run", "--scenario", scenario, "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "delivery ratio:  50/60 (83.3%)" in out
+    assert "in flight:       10" in out
+
+
 def test_run_flag_overrides_scenario_file(tmp_path):
     out = tmp_path / "out"
     scenario = two_node_scenario(tmp_path, seed=5)

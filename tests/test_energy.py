@@ -31,6 +31,10 @@ def test_params_must_be_positive():
         EnergyModelParams(e_elec=0)
     with pytest.raises(ValueError):
         EnergyModelParams(eps_amp=-1e-9)
+    with pytest.raises(ValueError):
+        EnergyModelParams(e_elec=math.nan)
+    with pytest.raises(ValueError):
+        EnergyModelParams(eps_amp=math.nan)
 
 
 @given(

@@ -88,6 +88,33 @@ def test_ttl_expiry_on_relay(topo_builder):
     assert report.lost["ttl_expired"] == 300
 
 
+@pytest.mark.parametrize("ttl, outcome", [(2, "delivered"), (1, "ttl_expired")])
+def test_ttl_boundary_on_relay_chain(topo_builder, ttl, outcome):
+    # source -> relay -> sink: hop `ttl` may reach the sink but not a relay
+    topo = topo_builder({
+        0: Position(130, 90),
+        1: Position(10, 90),
+        2: Position(70, 90),
+    })
+    cfg = ScenarioConfig(protocol="geams", n_sensors=1, ttl=ttl, initial_energy_j=20.0)
+    report = Simulation(cfg, topo).run()
+    assert {p.outcome for p in report.per_packet_log} == {outcome}
+    assert len(report.per_packet_log) == 300
+
+
+@pytest.mark.parametrize("protocol", ["geams", "gpsr"])
+def test_every_packet_has_a_path_that_counts_its_hops(protocol):
+    sim = Simulation(ScenarioConfig(protocol=protocol))
+    report = sim.run()
+    assert sorted(sim.paths) == list(range(sim.emitted))
+    for p in report.per_packet_log:
+        path = sim.paths[p.seq]
+        assert path[0] == sim.source_id
+        assert p.hops == len(path) - 1
+        if p.outcome == "delivered":
+            assert path[-1] == sim.sink_id
+
+
 class _QueueCheckingSimulation(Simulation):
     """Every enqueue is followed by a _try_start on that node, so checking
     the queue there sees every queue length the run reaches."""
@@ -141,7 +168,7 @@ def test_underfunded_sender_forfeits_and_dies(topo_builder):
 def test_chain_delay_is_pure_serialization(topo_builder):
     topo = topo_builder(chain_positions())
     cfg = ScenarioConfig(protocol="gpsr", n_sensors=7, initial_energy_j=20.0)
-    sim = Simulation(cfg, topo, record_paths=True)
+    sim = Simulation(cfg, topo)
     report = sim.run()
     assert report.delivered == 300
     hop = 1064 * math.sqrt(60) / 250_000
@@ -165,7 +192,7 @@ def test_walking_back_steps_back_twice_then_resumes(topo_builder):
         8: Position(315, 80),
     }, width=400, height=200)
     cfg = ScenarioConfig(protocol="geams", n_sensors=7, initial_energy_j=20.0)
-    sim = Simulation(cfg, topo, record_paths=True)
+    sim = Simulation(cfg, topo)
     report = sim.run()
     assert report.delivered == 300
     assert report.lost_total == 0
@@ -179,7 +206,7 @@ def test_walking_back_steps_back_twice_then_resumes(topo_builder):
 
 def test_geams_spreads_load_across_first_hops():
     cfg = ScenarioConfig(protocol="geams", n_sensors=100, seed=1)
-    sim = Simulation(cfg, record_paths=True)
+    sim = Simulation(cfg)
     sim.run()
     first_hops = {path[1] for path in sim.paths.values() if len(path) > 1}
     assert len(first_hops) > 1

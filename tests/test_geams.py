@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import score
 from geams_sim.energy import EnergyModelParams
 from geams_sim.geams import (
     EmptyNeighborSetError,
@@ -12,7 +13,6 @@ from geams_sim.geams import (
     build_best_neighbor_set,
     has_sinkward_neighbor,
     refresh_state,
-    score,
     select_next_hop,
     walking_back_candidate,
 )
@@ -48,23 +48,30 @@ def table(me, sink, records):
     return t
 
 
+def one_score(r, k_bits, me, sink):
+    """The score build_best_neighbor_set gives `r` as a table's only record."""
+    [(node_id, value)] = build_best_neighbor_set(table(me, sink, [r]), 0.0, 2.5, k_bits, P)
+    assert node_id == r.id
+    return value
+
+
 def test_score_worked_example():
     me, sink = Position(0, 0), Position(500, 0)
     r = record(2, Position(50, 0), me, sink, energy=1.0)
-    assert math.isclose(score(r, 1000, P), 0.9875, rel_tol=1e-15)
+    assert math.isclose(one_score(r, 1000, me, sink), 0.9875, rel_tol=1e-15)
 
 
-def test_score_zero_everything():
+def test_score_of_zero_bits_is_the_residual_energy():
     me, sink = Position(0, 0), Position(500, 0)
-    r = record(2, Position(0, 0), me, sink, energy=0.0)
-    assert score(r, 0, P) == 0.0
+    r = record(2, Position(50, 0), me, sink, energy=0.25)
+    assert one_score(r, 0, me, sink) == 0.25
 
 
 def test_score_prefers_nearer_neighbor_at_equal_energy():
     me, sink = Position(0, 0), Position(500, 0)
     near = record(2, Position(10, 0), me, sink, energy=1.0)
     far = record(3, Position(70, 0), me, sink, energy=1.0)
-    assert score(near, 1000, P) > score(far, 1000, P)
+    assert one_score(near, 1000, me, sink) > one_score(far, 1000, me, sink)
 
 
 def test_best_neighbor_set_empty_when_all_farther():

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -155,7 +153,7 @@ def _void_detour_topology(topo_builder):
 def test_gpsr_delivers_through_void(topo_builder):
     topo = _void_detour_topology(topo_builder)
     cfg = ScenarioConfig(protocol="gpsr", n_sensors=6, initial_energy_j=20.0)
-    sim = Simulation(cfg, topo, record_paths=True)
+    sim = Simulation(cfg, topo)
     report = sim.run()
     assert report.delivered == 300
     assert report.lost_total == 0
@@ -165,7 +163,7 @@ def test_gpsr_delivers_through_void(topo_builder):
 def test_gpsr_repeats_identical_paths(topo_builder):
     topo = _void_detour_topology(topo_builder)
     cfg = ScenarioConfig(protocol="gpsr", n_sensors=6, initial_energy_j=20.0)
-    sim = Simulation(cfg, topo, record_paths=True)
+    sim = Simulation(cfg, topo)
     sim.run()
     paths = set(tuple(p) for p in sim.paths.values())
     assert paths == {(1, 2, 3, 4, 5, 6, 7, 0)}

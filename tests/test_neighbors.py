@@ -57,8 +57,7 @@ def test_pending_load_estimate_is_overwritten_by_next_beacon(topo_builder):
     source, relay = sim.nodes[1], sim.nodes[2]
     reported = relay.battery.residual
     assert source.table.records[2].residual_energy == reported
-    pk = DataPacket(source=1, seq=0, payload_bits=1000, created_at=0.0,
-                    ttl=10, path=[1])
+    pk = DataPacket(source=1, seq=0, payload_bits=1000, created_at=0.0, path=[1])
     source.queue.append(pk)
     sim._try_start(source, 0.0)
     bits = 1000 + sim.cfg.header_bits

@@ -124,12 +124,37 @@ def test_accepts_zero_energy_and_sizes():
     ("base_rate_bps", 0.0),
     ("base_rate_bps", -1.0),
     ("base_rate_bps", float("nan")),
+    ("n_sensors", 2.5),
+    ("n_sensors", True),
+    ("beacon_energy", "no"),
+    ("seed", "abc"),
+    ("protocol", None),
+    ("horizon_s", "5"),
+    ("ttl", 2.5),
+    ("e_elec_j_per_bit", float("nan")),
+    ("e_elec_j_per_bit", 0.0),
+    ("eps_amp_j_per_bit_m2", -1e-9),
+    ("eps_amp_j_per_bit_m2", float("nan")),
+    ("neighbor_expiry_intervals", -1),
+    ("neighbor_expiry_intervals", 0),
+    ("min_separation", 0.2),
+    ("min_separation", float("nan")),
+    ("radio_range", -1),
 ])
 def test_rejects_traffic_and_engine_values_that_run_wrongly(key, value):
     # image_count < 1 still emitted one image, a negative interval ran the
-    # clock backwards, and a zero rate failed mid-run
+    # clock backwards, and a zero rate failed mid-run; a float n_sensors
+    # crashed, "no" switched beacon energy on and seed "abc" was written out;
+    # NaN radio constants ran to a NaN report, a negative expiry left no
+    # neighbour live, a sub-metre separation failed mid-run on a crowded field
+    # and a negative range failed only when the Simulation was built
     with pytest.raises(ScenarioError, match=key):
         config_from_dict({key: value})
+
+
+def test_accepts_json_ints_for_floats_and_null_ttl():
+    cfg = config_from_dict({"horizon_s": 5, "min_separation": 1, "ttl": None})
+    assert (cfg.horizon_s, cfg.min_separation, cfg.ttl) == (5, 1, None)
 
 
 def test_accepts_back_to_back_images():
