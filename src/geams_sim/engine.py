@@ -20,9 +20,9 @@ from .energy import Battery, EnergyModelParams, rx_energy, tx_energy
 from .link import link_rate, serialization_delay
 from .metrics import LOSS_REASONS, MetricsReport, PacketOutcome, delay_and_loss, \
     dead_node_count, energy_stats, regional_energy
-from .neighbors import Beacon, NeighborTable
+from .neighbors import BeaconState, NeighborTable
 from .scenario import ScenarioConfig
-from .topology import Position, Topology, distance, generate_topology, \
+from .topology import Position, Topology, check_nodes, distance, generate_topology, \
     range_neighbor_lists
 
 
@@ -52,6 +52,9 @@ class NodeRuntime:
     transmitting: bool = False
     source_states: dict[int, geams.SourceState] = field(default_factory=dict)
     announced_void: bool = False
+    # what this node's beacons told its neighbours; None until its first
+    # beacon goes on air
+    beacon_state: BeaconState | None = None
 
 
 class EnergyLedger:
@@ -78,6 +81,8 @@ class Simulation:
         self.params = EnergyModelParams(cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
         if topology is None:
             topology = generate_topology(cfg.seed, cfg.n_sensors, cfg.field_spec())
+        else:
+            check_nodes(topology.nodes, topology.field)  # generated ones pass by construction
         self.topology = topology
 
         f = topology.field
@@ -168,34 +173,69 @@ class Simulation:
     def _has_sinkward(self, node: NodeRuntime) -> bool:
         return geams.has_sinkward_neighbor(node.table, self.now, self.cfg.neighbor_expiry_s)
 
-    def _broadcast(self, node: NodeRuntime, bits: int, tx_cat: str, rx_cat: str,
-                   on_receive, message) -> None:
-        """Common beacon / void-announcement broadcast: sender pays one
-        worst-case (full radio range) transmission, every live in-range node
-        pays one reception and runs on_receive(its table, message)."""
+    def _broadcast(self, node: NodeRuntime, time: float, void: bool = False,
+                   has_sinkward: bool = False) -> None:
+        """A beacon stamped `time` or, with `void`, a void announcement: the
+        sender pays one worst-case (full radio range) transmission and every
+        live in-range node pays one reception.  A beacon that goes on air
+        updates the sender's shared BeaconState (clearing its void flag when
+        `has_sinkward`), and the sender's first one gives every live
+        receiver its record; an announcement sets the void flag."""
         cfg = self.cfg
-        if cfg.beacon_energy:
+        if void:
+            bits, tx_cat, rx_cat = cfg.void_announcement_bits, "void_tx", "void_rx"
+        else:
+            bits, tx_cat, rx_cat = cfg.beacon_bits, "beacon_tx", "beacon_rx"
+        charge = cfg.beacon_energy
+        battery = node.battery
+        reported = battery.residual  # a beacon reports the charge it is sent from
+        if charge:
             cost = tx_energy(bits, self.topology.field.radio_range, self.params)
-            drained, died = node.battery.debit(cost)
+            drained, died = battery.debit(cost)
             self.ledger.add(tx_cat, drained)
             if drained < cost or died:
                 self._kill(node)
                 if drained < cost:
                     return  # underfunded broadcast never goes on air
+        state = node.beacon_state
+        first = False
+        if void:
+            # a sender none of whose beacons went on air is in no table
+            if state is not None:
+                state.void_flagged = True
+        elif state is None:
+            state = node.beacon_state = BeaconState(reported, time)
+            first = True
+        else:
+            state.residual_energy = reported
+            state.last_beacon_time = time
+            state.beacons += 1
+            if has_sinkward:
+                state.void_flagged = False
+        receivers = self.range_neighbors[node.id]
+        if first:
+            for other in receivers:
+                if other.alive:
+                    other.table.handle_beacon(node.id, node.position, state)
+        if not charge:
+            return
+        # Battery.debit, inlined: the same float expressions and death test,
+        # and one ledger entry for the whole broadcast's receptions
         rx_cost = rx_energy(bits, self.params)
-        charge_rx = cfg.beacon_energy
-        ledger_add = self.ledger.add
-        for other in self.range_neighbors[node.id]:
+        if rx_cost < 0:
+            raise ValueError("debit amount must be nonnegative")
+        total = 0.0
+        for other in receivers:
             if not other.alive:
                 continue
-            if charge_rx:
-                drained, died = other.battery.debit(rx_cost)
-                ledger_add(rx_cat, drained)
-            else:
-                died = False
-            on_receive(other.table, message)
-            if died:
+            receiver = other.battery
+            residual = receiver.residual
+            drained = residual if residual < rx_cost else rx_cost
+            receiver.residual = left = residual - drained
+            total += drained
+            if residual > 0 and left == 0.0 and rx_cost > 0:
                 self._kill(other)
+        self.ledger.add(rx_cat, total)
 
     def _do_beacons(self, time: float) -> None:
         cfg = self.cfg
@@ -208,15 +248,7 @@ class Simulation:
             has_sinkward = self._has_sinkward(node) if geams_run else True
             if has_sinkward:
                 node.announced_void = False
-            beacon = Beacon(
-                sender=node.id,
-                position=node.position,
-                residual_energy=node.battery.residual,
-                has_sinkward=has_sinkward,
-                time=time,
-            )
-            self._broadcast(node, cfg.beacon_bits, "beacon_tx", "beacon_rx",
-                            NeighborTable.handle_beacon, beacon)
+            self._broadcast(node, time, has_sinkward=has_sinkward)
         nxt = time + cfg.beacon_interval_s
         if nxt <= cfg.horizon_s and not self._traffic_complete():
             self._schedule(nxt, self._do_beacons)
@@ -344,8 +376,7 @@ class Simulation:
             # walking back: announce the void once, then delegate sink-ward-most
             if not node.announced_void:
                 node.announced_void = True
-                self._broadcast(node, cfg.void_announcement_bits, "void_tx", "void_rx",
-                                NeighborTable.mark_void, node.id)
+                self._broadcast(node, self.now, void=True)
                 if not node.alive:
                     return None, "sender_died"
             pk.excluded.add(node.id)
@@ -357,11 +388,14 @@ class Simulation:
         # before its next beacon refreshes the record, otherwise every score
         # stays stale for a whole beacon interval and the burst hammers a
         # single neighbor.  The estimate is the electronics-only relay cost
-        # (its receive plus its transmit, amplifier term unknown); the next
-        # beacon overwrites it with ground truth.  A sender that then cannot
-        # afford the frame dies, and a dead node's table is never read again.
-        node.table.records[next_hop].residual_energy -= self._pending_load_estimate(
+        # (its receive plus its transmit, amplifier term unknown), kept in
+        # this node's overlay on the record; the neighbor's next beacon
+        # supersedes it with ground truth.  A sender that then cannot afford
+        # the frame dies, and a dead node's table is never read again.
+        r = node.table.records[next_hop]
+        r.pending = r.residual_energy - self._pending_load_estimate(
             pk.payload_bits + cfg.header_bits)
+        r.pending_beacon = r.state.beacons
         return next_hop, None
 
     def _route_gpsr(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:

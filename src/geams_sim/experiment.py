@@ -42,6 +42,14 @@ class ExperimentPlan:
         for p in self.protocols:
             if p not in PROTOCOLS:
                 raise ScenarioError(f"unknown protocol {p!r}; expected one of {PROTOCOLS}")
+        # a repeated entry would run its cells twice and count them twice
+        for name, values in (("seed", self.seeds), ("node count", self.node_counts),
+                             ("protocol", self.protocols)):
+            seen = set()
+            for v in values:
+                if v in seen:
+                    raise ScenarioError(f"{name} {v!r} is listed more than once")
+                seen.add(v)
 
     def cells(self) -> list[ScenarioConfig]:
         return [

@@ -46,17 +46,20 @@ def build_best_neighbor_set(
 
     A neighbor's score is its fitness in joules: its remaining energy minus
     the cost of pushing one k-bit packet through it (our transmit to it, then
-    its receive).  The liveness test is live_records', inlined.
+    its receive).  The liveness test and the residual are live_records' and
+    NeighborRecord.residual_energy's, inlined.
     """
     e_elec, eps_amp = p.e_elec, p.eps_amp
     rx = rx_energy(k_bits, p)
-    candidates = [
-        (r.id, (r.residual_energy
-                - k_bits * (e_elec + eps_amp * r.distance_to_me * r.distance_to_me)) - rx)
-        for r in t.sinkward_records()
-        if not r.void_flagged and now - r.last_beacon_time <= expiry_s
-        and r.residual_energy > 0
-    ]
+    candidates = []
+    for r in t.sinkward_records():
+        s = r.state
+        if s.void_flagged or not now - s.last_beacon_time <= expiry_s:
+            continue
+        energy = r.pending if r.pending_beacon == s.beacons else s.residual_energy
+        if energy > 0:
+            d = r.distance_to_me
+            candidates.append((r.id, (energy - k_bits * (e_elec + eps_amp * d * d)) - rx))
     # the input is in ascending id order and the sort is stable, so equal
     # scores stay in ascending id order
     candidates.sort(key=itemgetter(1), reverse=True)
@@ -129,11 +132,12 @@ def has_sinkward_neighbor(t: NeighborTable, now: float, expiry_s: float) -> bool
     non-void-flagged neighbor is strictly closer to the sink than we are.
     False is the walking-back trigger.  The liveness test is live_records',
     inlined."""
-    return any(
-        not r.void_flagged and now - r.last_beacon_time <= expiry_s
-        and r.residual_energy > 0
-        for r in t.sinkward_records()
-    )
+    for r in t.sinkward_records():
+        s = r.state
+        if not s.void_flagged and now - s.last_beacon_time <= expiry_s and (
+                r.pending if r.pending_beacon == s.beacons else s.residual_energy) > 0:
+            return True
+    return False
 
 
 def walking_back_candidate(
@@ -144,7 +148,7 @@ def walking_back_candidate(
     unresolvable from here."""
     best: NeighborRecord | None = None
     for r in t.live_records(now, expiry_s):
-        if r.id in excluded or r.void_flagged:
+        if r.id in excluded or r.state.void_flagged:
             continue
         if best is None or (r.distance_to_sink, r.id) < (best.distance_to_sink, best.id):
             best = r

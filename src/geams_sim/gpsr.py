@@ -30,11 +30,14 @@ def greedy_next_hop(t: NeighborTable, now: float, expiry_s: float) -> int | None
     """Live neighbor nearest the sink, if strictly closer than we are;
     None signals a local minimum (perimeter trigger).  Ties by ascending id."""
     best: NeighborRecord | None = None
-    # live_records' liveness test, inlined; ascending id order: on equal
-    # distances the first record seen wins
+    # ascending id order: on equal distances the first record seen wins
     for r in t.sinkward_records():
-        if now - r.last_beacon_time <= expiry_s and r.residual_energy > 0 and (
-                best is None or r.distance_to_sink < best.distance_to_sink):
+        if best is not None and not r.distance_to_sink < best.distance_to_sink:
+            continue
+        # live_records' liveness test, inlined
+        s = r.state
+        if now - s.last_beacon_time <= expiry_s and (
+                r.pending if r.pending_beacon == s.beacons else s.residual_energy) > 0:
             best = r
     return None if best is None else best.id
 

@@ -3,10 +3,17 @@
 A record is considered live while its last beacon is recent enough and it
 reported positive energy; expired records are treated as dead nodes.
 
-Positions never change, so a sender's record is built once, from its first
-beacon; later beacons refresh only what a beacon can change.  For the same
-reason the set of records strictly closer to the sink than this node changes
-only when a sender is added.
+What a sender's beacons say is the same for every node that hears them, so
+each sender keeps one BeaconState and every receiver's record refers to it: a
+broadcast updates that state once, not once per receiver.  This holds because
+no node joins after the first beacon round and a dead node never comes back:
+a receiver still alive has heard every broadcast its senders made since their
+first beacon, and a dead node's table is never read again.
+
+Positions never change, so a record is built once, from the sender's first
+beacon, and holds only static geometry, the shared state and the GEAMS
+pending-load overlay.  For the same reason the set of records strictly closer
+to the sink than this node changes only when a sender is added.
 """
 from __future__ import annotations
 
@@ -16,15 +23,18 @@ from .link import link_rate
 from .topology import Position, distance
 
 
-@dataclass(frozen=True)
-class Beacon:
-    sender: int
-    position: Position
+@dataclass(slots=True)
+class BeaconState:
+    """What a sender's last beacon reported, shared by every record of it."""
+
     residual_energy: float
-    # whether the sender currently has at least one usable sink-ward neighbor;
-    # a true value clears any standing void flag for the sender
-    has_sinkward: bool
-    time: float
+    last_beacon_time: float
+    # set by a void announcement; cleared by a beacon from a sender that has
+    # a usable sink-ward neighbor again
+    void_flagged: bool = False
+    # beacons sent so far: a pending-load overlay taken at an earlier count
+    # has been overwritten by ground truth since
+    beacons: int = 1
 
 
 @dataclass(slots=True)
@@ -33,18 +43,28 @@ class NeighborRecord:
     position: Position
     distance_to_me: float
     distance_to_sink: float
-    residual_energy: float
-    void_flagged: bool
-    last_beacon_time: float
+    state: BeaconState
+    # GEAMS pending-load overlay: this node's estimate of the neighbor's
+    # residual after the frames sent to it since beacon number
+    # `pending_beacon`; it stands only while that is the sender's latest
+    pending: float = 0.0
+    pending_beacon: int = 0
+
+    @property
+    def residual_energy(self) -> float:
+        """The residual routing sees: the overlay while it stands, else the
+        last beacon's.  The hot loops in geams.py and gpsr.py inline this."""
+        s = self.state
+        return self.pending if self.pending_beacon == s.beacons else s.residual_energy
 
 
 @dataclass
 class NeighborTable:
     my_position: Position
     sink_position: Position
-    # by sender id; a record is only ever added (or updated in place), never
-    # replaced or removed: the id order and the sink-ward subset below are
-    # rebuilt only when len(records) changes
+    # by sender id; a record is only ever added, never replaced or removed:
+    # the id order and the sink-ward subset below are rebuilt only when
+    # len(records) changes
     records: dict[int, NeighborRecord] = field(default_factory=dict)
     my_sink_distance: float = field(init=False)
     # GPSR's Gabriel neighbours, keyed by the tuple of live ids they were
@@ -59,29 +79,18 @@ class NeighborTable:
     def __post_init__(self):
         self.my_sink_distance = distance(self.my_position, self.sink_position)
 
-    def handle_beacon(self, b: Beacon) -> None:
-        r = self.records.get(b.sender)
-        if r is None:
-            d = distance(self.my_position, b.position)
-            link_rate(d)  # raises DegenerateLinkError for a sub-metre link
-            self.records[b.sender] = NeighborRecord(
-                id=b.sender,
-                position=b.position,
-                distance_to_me=d,
-                distance_to_sink=distance(b.position, self.sink_position),
-                residual_energy=b.residual_energy,
-                void_flagged=False,
-                last_beacon_time=b.time,
-            )
-            return
-        r.residual_energy = b.residual_energy
-        r.last_beacon_time = b.time
-        if b.has_sinkward:
-            r.void_flagged = False
-
-    def mark_void(self, node_id: int) -> None:
-        if node_id in self.records:
-            self.records[node_id].void_flagged = True
+    def handle_beacon(self, sender: int, position: Position, state: BeaconState) -> None:
+        """Add the record of a sender heard for the first time.  Its later
+        beacons update only the shared `state`, so they need no call here."""
+        d = distance(self.my_position, position)
+        link_rate(d)  # raises DegenerateLinkError for a sub-metre link
+        self.records[sender] = NeighborRecord(
+            id=sender,
+            position=position,
+            distance_to_me=d,
+            distance_to_sink=distance(position, self.sink_position),
+            state=state,
+        )
 
     def _sort(self) -> None:
         """Put records in ascending id order and rebuild the sink-ward subset,
@@ -107,8 +116,10 @@ class NeighborTable:
         in ascending id order.  The hot loops over sinkward_records() in
         geams.py and gpsr.py inline this test; keep them in step."""
         self._sort()
-        return [
-            r
-            for r in self.records.values()
-            if now - r.last_beacon_time <= expiry_s and r.residual_energy > 0
-        ]
+        live = []
+        for r in self.records.values():
+            s = r.state
+            if now - s.last_beacon_time <= expiry_s and (
+                    r.pending if r.pending_beacon == s.beacons else s.residual_energy) > 0:
+                live.append(r)
+        return live

@@ -169,48 +169,69 @@ def save_topology_csv(t: Topology, path) -> None:
             writer.writerow([node_id, repr(p.x), repr(p.y)])
 
 
+def check_nodes(nodes, field: FieldSpec, origin: str = "topology",
+                line=None) -> dict[int, Position]:
+    """Positions by id of a deployment's (id, position) `nodes`, checked in
+    the order given: no id twice, finite coordinates on the field, and at
+    least `field.min_separation` from every earlier node; then the sink and
+    the source must be among them.  Such a deployment would otherwise fail
+    mid-run, or run on a placement no scenario can produce.
+
+    Raises ValueError prefixed with `origin` and, when `line` is given, with
+    `line()` called as the failing node is checked (a file reader's current
+    line).
+    """
+    sep = field.min_separation
+    grid = CellGrid(sep)
+    positions: dict[int, Position] = {}
+    for node_id, p in nodes:
+        where = origin if line is None else f"{origin}: line {line()}"
+        if node_id in positions:
+            raise ValueError(f"{where}: duplicate node id {node_id}")
+        if not (math.isfinite(p.x) and math.isfinite(p.y)):
+            raise ValueError(f"{where}: node {node_id} has a non-finite coordinate")
+        if not (0 <= p.x <= field.width and 0 <= p.y <= field.height):
+            raise ValueError(f"{where}: node {node_id} at ({p.x}, {p.y}) lies outside "
+                             f"the {field.width} x {field.height} field")
+        for other, q in grid.near(p):
+            if distance(p, q) < sep:
+                raise ValueError(f"{where}: node {node_id} is {distance(p, q)} m from "
+                                 f"node {other}, closer than min_separation {sep}")
+        grid.add(node_id, p)
+        positions[node_id] = p
+    if SINK_ID not in positions or SOURCE_ID not in positions:
+        raise ValueError(f"{origin}: topology must contain nodes {SINK_ID} (sink) "
+                         f"and {SOURCE_ID} (source)")
+    return positions
+
+
 def load_topology_csv(path, field: FieldSpec | None = None) -> Topology:
     """Read a topology written by save_topology_csv.  Ids 0 and 1 must be
     present and are taken as sink and source; the FieldSpec's designated
     positions are overridden to match the file.
 
-    Raises ValueError naming the line for a malformed row, a duplicate id, a
-    coordinate that is not finite or lies off the field, and a node closer
-    than `field.min_separation` to an earlier one: such a file would
-    otherwise fail mid-run, or run on a placement no scenario can produce.
+    Raises ValueError naming the line for a malformed row and for every
+    check_nodes failure.
     """
     if field is None:
         field = FieldSpec()
-    sep = field.min_separation
-    grid = CellGrid(sep)
-    positions: dict[int, Position] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["node_id", "x", "y"]:
             raise ValueError(f"{path}: expected header 'node_id,x,y', got {header!r}")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            try:
-                raw_id, x, y = row
-                node_id, p = int(raw_id), Position(float(x), float(y))
-            except ValueError:
-                raise ValueError(f"{where}: expected 'node_id,x,y', got {row!r}") from None
-            if node_id in positions:
-                raise ValueError(f"{where}: duplicate node id {node_id}")
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                raise ValueError(f"{where}: node {node_id} has a non-finite coordinate")
-            if not (0 <= p.x <= field.width and 0 <= p.y <= field.height):
-                raise ValueError(f"{where}: node {node_id} at ({p.x}, {p.y}) lies outside "
-                                 f"the {field.width} x {field.height} field")
-            for other, q in grid.near(p):
-                if distance(p, q) < sep:
-                    raise ValueError(f"{where}: node {node_id} is {distance(p, q)} m from "
-                                     f"node {other}, closer than min_separation {sep}")
-            grid.add(node_id, p)
-            positions[node_id] = p
-    if SINK_ID not in positions or SOURCE_ID not in positions:
-        raise ValueError(f"{path}: topology must contain nodes {SINK_ID} (sink) and {SOURCE_ID} (source)")
+
+        def rows():
+            for row in reader:
+                try:
+                    raw_id, x, y = row
+                    node = int(raw_id), Position(float(x), float(y))
+                except ValueError:
+                    raise ValueError(f"{path}: line {reader.line_num}: expected "
+                                     f"'node_id,x,y', got {row!r}") from None
+                yield node
+
+        positions = check_nodes(rows(), field, str(path), lambda: reader.line_num)
     field = FieldSpec(
         width=field.width,
         height=field.height,

@@ -1,8 +1,10 @@
 import math
+from dataclasses import dataclass
 
 import pytest
 
 from geams_sim.energy import EnergyModelParams, rx_energy, tx_energy
+from geams_sim.engine import Simulation
 from geams_sim.neighbors import NeighborRecord
 from geams_sim.topology import FieldSpec, Position, Topology, distance
 
@@ -101,3 +103,113 @@ def score(n: NeighborRecord, k_bits: float, p: EnergyModelParams) -> float:
     """Neighbor fitness in joules: its remaining energy minus the cost of
     pushing one standard data packet through it (our transmit + its receive)."""
     return n.residual_energy - tx_energy(k_bits, n.distance_to_me, p) - rx_energy(k_bits, p)
+
+
+# Beacon-table oracle: one private table per receiver, updated once per
+# reception, which the shared per-sender BeaconState must agree with.
+
+@dataclass(frozen=True)
+class Beacon:
+    sender: int
+    position: Position
+    residual_energy: float
+    # a true value clears any standing void flag for the sender
+    has_sinkward: bool
+    time: float
+
+
+@dataclass
+class OracleRecord:
+    residual_energy: float
+    void_flagged: bool
+    last_beacon_time: float
+
+
+class OracleTable:
+    """A receiver's own copy of every sender it has heard from."""
+
+    def __init__(self):
+        self.records: dict[int, OracleRecord] = {}
+
+    def handle_beacon(self, b: Beacon) -> None:
+        r = self.records.get(b.sender)
+        if r is None:
+            self.records[b.sender] = OracleRecord(b.residual_energy, False, b.time)
+            return
+        r.residual_energy = b.residual_energy
+        r.last_beacon_time = b.time
+        if b.has_sinkward:
+            r.void_flagged = False
+
+    def mark_void(self, node_id: int) -> None:
+        if node_id in self.records:
+            self.records[node_id].void_flagged = True
+
+    def live_ids(self, now: float, expiry_s: float) -> list[int]:
+        return sorted(i for i, r in self.records.items()
+                      if now - r.last_beacon_time <= expiry_s and r.residual_energy > 0)
+
+
+class ReplaySimulation(Simulation):
+    """A Simulation that also keeps an OracleTable per node, fed by every
+    broadcast that goes on air, and checks the routing node's table against
+    its oracle before and after every route, and every live node's table
+    after every beacon round.  It counts what it saw, so a test can tell
+    which paths a scenario took."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.oracle = {i: OracleTable() for i in self.nodes}
+        self.checks = self.void_announcements = self.void_clears = 0
+        self.rx_deaths = self.walkbacks = 0
+
+    def _broadcast(self, node, time, void=False, has_sinkward=False):
+        cfg = self.cfg
+        bits = cfg.void_announcement_bits if void else cfg.beacon_bits
+        residual = node.battery.residual
+        cost = tx_energy(bits, self.topology.field.radio_range, self.params)
+        on_air = not (cfg.beacon_energy and residual < cost)
+        # a receiver's alive flag changes during a broadcast only at its own
+        # reception, so the nodes alive now are the ones that hear it
+        hearers = [o for o in self.range_neighbors[node.id] if o.alive]
+        flagged = node.beacon_state is not None and node.beacon_state.void_flagged
+        super()._broadcast(node, time, void, has_sinkward)
+        if not on_air:
+            return
+        for other in hearers:
+            table = self.oracle[other.id]
+            if void:
+                table.mark_void(node.id)
+            else:
+                table.handle_beacon(Beacon(node.id, node.position, residual, has_sinkward, time))
+            self.rx_deaths += not other.alive
+        self.void_announcements += void
+        self.void_clears += flagged and not void and has_sinkward
+
+    def _do_beacons(self, time):
+        super()._do_beacons(time)
+        for node in self.nodes.values():
+            if node.alive:
+                self.check_table(node)
+
+    def _route(self, node, pk):
+        self.check_table(node)
+        hop, reason = super()._route(node, pk)
+        if hop is not None and self.cfg.protocol == "geams":
+            self.oracle[node.id].records[hop].residual_energy -= \
+                self._pending_load_estimate(pk.payload_bits + self.cfg.header_bits)
+        self.walkbacks += node.id in pk.excluded
+        self.check_table(node)
+        return hop, reason
+
+    def check_table(self, node) -> None:
+        table, oracle = node.table, self.oracle[node.id]
+        now, expiry = self.now, self.cfg.neighbor_expiry_s
+        assert [r.id for r in table.live_records(now, expiry)] == oracle.live_ids(now, expiry)
+        assert table.records.keys() == oracle.records.keys()
+        for i, want in oracle.records.items():
+            r = table.records[i]
+            got = OracleRecord(r.residual_energy, r.state.void_flagged,
+                               r.state.last_beacon_time)
+            assert got == want, (node.id, i, got, want)
+        self.checks += 1

@@ -173,6 +173,28 @@ def test_plan_validation():
         ExperimentPlan(seeds=())
     with pytest.raises(ScenarioError):
         ExperimentPlan(seeds=(1,), protocols=("flooding",))
+    with pytest.raises(ScenarioError, match="seed 3 is listed more than once"):
+        ExperimentPlan(seeds=(3, 1, 3))
+    with pytest.raises(ScenarioError, match="node count 30 is listed more than once"):
+        ExperimentPlan(seeds=(1,), node_counts=(30, 30))
+    with pytest.raises(ScenarioError, match="protocol 'gpsr' is listed more than once"):
+        ExperimentPlan(seeds=(1,), protocols=("gpsr", "geams", "gpsr"))
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--seeds", "1,1"], "seed 1 is listed more than once"),
+    (["--seeds", "1-3,2"], "seed 2 is listed more than once"),
+    (["--nodes", "30", "30"], "node count 30 is listed more than once"),
+    (["--protocols", "geams,geams"], "protocol 'geams' is listed more than once"),
+    (["--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["--jobs", "-2"], "--jobs must be at least 1, got -2"),
+])
+def test_experiment_rejects_a_bad_plan_before_running(tmp_path, capsys, flags, message):
+    out = tmp_path / "exp"
+    argv = ["experiment", "--nodes", "10", "--seeds", "1", "--out-dir", str(out)]
+    assert main(argv + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # nothing was written
 
 
 def test_single_protocol_plan_skips_comparison(tmp_path):

@@ -3,10 +3,11 @@ import math
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import assert_energy_balanced, chain_positions
+from conftest import ReplaySimulation, assert_energy_balanced, chain_positions
 from geams_sim.engine import Simulation, run_scenario
-from geams_sim.scenario import ScenarioConfig
+from geams_sim.scenario import PROTOCOLS, ScenarioConfig
 from geams_sim.topology import Position
 
 TWO_NODE = dict(n_sensors=0, sink_x=35.0)  # sink 25 m east of the source
@@ -165,6 +166,17 @@ def test_underfunded_sender_forfeits_and_dies(topo_builder):
     assert_energy_balanced(drawn, ledger_total)
 
 
+@pytest.mark.parametrize("position,message", [
+    (Position(100.4, 90), "topology: node 3 is 0.4.* m from node 2, closer than min_separation"),
+    (Position(math.nan, 90), "topology: node 3 has a non-finite coordinate"),
+], ids=["0.4 m apart", "nan"])
+def test_simulation_rejects_a_bad_hand_built_topology(topo_builder, position, message):
+    topo = topo_builder({0: Position(490, 90), 1: Position(10, 90), 2: Position(100, 90),
+                         3: position})
+    with pytest.raises(ValueError, match=message):
+        Simulation(ScenarioConfig(n_sensors=2), topo)
+
+
 def test_chain_delay_is_pure_serialization(topo_builder):
     topo = topo_builder(chain_positions())
     cfg = ScenarioConfig(protocol="gpsr", n_sensors=7, initial_energy_j=20.0)
@@ -259,3 +271,36 @@ def test_finished_simulation_is_freed_without_gc(protocol, horizon_s):
         assert ref() is None
     finally:
         gc.enable()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    protocol=st.sampled_from(PROTOCOLS),
+    n=st.integers(0, 30),
+    seed=st.integers(1, 10_000),
+    horizon_s=st.floats(0.05, 12.0),
+    image_count=st.integers(1, 6),
+    initial_energy_j=st.sampled_from([0.0, 0.002, 0.01, 0.03, 0.1, 0.5]),
+    beacon_energy=st.booleans(),
+    radio_range=st.sampled_from([40.0, 80.0, 150.0]),
+)
+def test_small_random_scenarios_end_conserve_packets_and_balance(
+        protocol, n, seed, horizon_s, image_count, initial_energy_j, beacon_energy,
+        radio_range):
+    """Any small scenario runs to an end, accounts for every packet it
+    emitted and books every joule drawn.  The replay also checks every
+    routing node's table against its per-receiver oracle."""
+    cfg = ScenarioConfig(protocol=protocol, n_sensors=n, seed=seed, horizon_s=horizon_s,
+                         image_count=image_count, initial_energy_j=initial_energy_j,
+                         beacon_energy=beacon_energy, radio_range=radio_range)
+    sim = ReplaySimulation(cfg)
+    report = sim.run()
+    assert sim.now <= horizon_s
+    log = report.per_packet_log
+    assert len({p.seq for p in log}) == len(log)
+    in_flight = sim.emitted - report.delivered - report.lost_total
+    assert in_flight >= 0
+    assert report.delivered + report.lost_total + in_flight == sim.emitted
+    if sim.emissions_done and len(log) == sim.emitted:
+        assert in_flight == 0
+    assert_energy_balanced(*sim.energy_drawdown())

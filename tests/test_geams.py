@@ -16,23 +16,27 @@ from geams_sim.geams import (
     select_next_hop,
     walking_back_candidate,
 )
-from geams_sim.neighbors import NeighborRecord, NeighborTable
+from geams_sim.neighbors import BeaconState, NeighborRecord, NeighborTable
 from geams_sim.topology import Position, distance
 
 P = EnergyModelParams()
 K_BITS = 1064
 
 
-def record(node_id, pos, me, sink, energy, void=False, beacon_time=0.0):
-    return NeighborRecord(
+def record(node_id, pos, me, sink, energy, void=False, beacon_time=0.0,
+           pending=None, stale=False):
+    """A record whose sender's last beacon reported `energy`; `pending` puts
+    a pending-load overlay on it, taken before that beacon when `stale`."""
+    r = NeighborRecord(
         id=node_id,
         position=pos,
         distance_to_me=distance(me, pos),
         distance_to_sink=distance(pos, sink),
-        residual_energy=energy,
-        void_flagged=void,
-        last_beacon_time=beacon_time,
+        state=BeaconState(energy, beacon_time, void_flagged=void, beacons=2),
     )
+    if pending is not None:
+        r.pending, r.pending_beacon = pending, 1 if stale else 2
+    return r
 
 
 def add(t, r):
@@ -247,13 +251,15 @@ def test_has_sinkward_expiry_boundary_is_inclusive():
 
 @given(st.lists(
     st.tuples(st.integers(0, 200), st.booleans(), st.sampled_from([0.0, 0.5, 1.0]),
-              st.sampled_from([0.0, -2.5, -3.0])),
+              st.sampled_from([0.0, -2.5, -3.0]), st.sampled_from([None, 0.0, 0.5]),
+              st.booleans()),
     max_size=6))
 def test_has_sinkward_agrees_with_best_neighbor_set(specs):
     me, sink = Position(100, 90), Position(490, 90)
     t = table(me, sink, [
-        record(i + 2, Position(x, 90), me, sink, energy, void=void, beacon_time=bt)
-        for i, (x, void, energy, bt) in enumerate(specs)
+        record(i + 2, Position(x, 90), me, sink, energy, void=void, beacon_time=bt,
+               pending=pending, stale=stale)
+        for i, (x, void, energy, bt, pending, stale) in enumerate(specs)
     ])
     assert has_sinkward_neighbor(t, 0.0, 2.5) == \
         bool(build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P))
@@ -281,7 +287,7 @@ def test_walking_back_respects_exclusions_and_flags():
 def reference_best_set(t, now, expiry_s, k_bits, p):
     """build_best_neighbor_set by brute force: score() over live_records."""
     s = [(r.id, score(r, k_bits, p)) for r in t.live_records(now, expiry_s)
-         if not r.void_flagged and r.distance_to_sink < t.my_sink_distance]
+         if not r.state.void_flagged and r.distance_to_sink < t.my_sink_distance]
     s.sort(key=lambda item: (-item[1], item[0]))
     return s
 
@@ -294,6 +300,8 @@ _RECORD = st.tuples(
     st.sampled_from([0.0, 0.5, 1.0]),               # residual energy
     st.booleans(),                                  # void flagged
     st.sampled_from([0.0, -1.0, -2.5, -2.6]),       # beacon time (expiry 2.5)
+    st.sampled_from([None, -0.25, 0.0, 0.25]),      # pending-load overlay
+    st.booleans(),                                  # overlay taken before the beacon
 )
 
 
@@ -305,8 +313,8 @@ _RECORD = st.tuples(
 def test_best_neighbor_set_agrees_with_brute_force(specs, ids, split):
     me, sink = Position(100, 90), Position(490, 90)
     recs = [record(node_id, Position(100 + dx, 90 + dy), me, sink, energy,
-                   void=void, beacon_time=bt)
-            for node_id, (dx, dy, energy, void, bt) in zip(ids, specs)]
+                   void=void, beacon_time=bt, pending=pending, stale=stale)
+            for node_id, (dx, dy, energy, void, bt, pending, stale) in zip(ids, specs)]
     t = NeighborTable(my_position=me, sink_position=sink)
     # senders arrive in two batches, out of id order, with a call between
     for batch in (recs[:split], recs[split:]):

@@ -9,21 +9,24 @@ from geams_sim.gpsr import (
     perimeter_next_hop,
     planar_neighbors,
 )
-from geams_sim.neighbors import Beacon, NeighborRecord, NeighborTable
+from geams_sim.neighbors import BeaconState, NeighborRecord, NeighborTable
 from geams_sim.scenario import ScenarioConfig
 from geams_sim.topology import Position, distance, generate_topology, range_neighbor_lists
 
 
-def record(node_id, pos, me, sink, energy=1.0, beacon_time=0.0):
-    return NeighborRecord(
+def record(node_id, pos, me, sink, energy=1.0, beacon_time=0.0, pending=None):
+    """A record whose sender's last beacon reported `energy`; `pending` puts
+    a standing pending-load overlay on it."""
+    r = NeighborRecord(
         id=node_id,
         position=pos,
         distance_to_me=distance(me, pos),
         distance_to_sink=distance(pos, sink),
-        residual_energy=energy,
-        void_flagged=False,
-        last_beacon_time=beacon_time,
+        state=BeaconState(energy, beacon_time),
     )
+    if pending is not None:
+        r.pending, r.pending_beacon = pending, r.state.beacons
+    return r
 
 
 def add(t, r):
@@ -210,16 +213,17 @@ def reference_planar(t, now, expiry_s):
         st.sampled_from([-40, -20, 0, 20, 40]),      # dx from me
         st.sampled_from([-30, -15, 0, 15, 30]),      # dy from me
         st.sampled_from([0.0, 1.0]),                 # residual energy
-        st.sampled_from([0.0, -2.5, -2.6])),         # beacon time (expiry 2.5)
+        st.sampled_from([0.0, -2.5, -2.6]),          # beacon time (expiry 2.5)
+        st.sampled_from([None, 0.0, 0.5])),          # pending-load overlay
         max_size=12),
     ids=st.permutations(range(2, 14)),
 )
 def test_greedy_agrees_with_brute_force(specs, ids):
     me = Position(370, 90)
     t = NeighborTable(my_position=me, sink_position=SINK)
-    for node_id, (dx, dy, energy, bt) in zip(ids, specs):
+    for node_id, (dx, dy, energy, bt, pending) in zip(ids, specs):
         add(t, record(node_id, Position(370 + dx, 90 + dy), me, SINK,
-                      energy=energy, beacon_time=bt))
+                      energy=energy, beacon_time=bt, pending=pending))
         assert greedy_next_hop(t, 0.0, 2.5) == reference_greedy(t, 0.0, 2.5)
 
 
@@ -238,11 +242,14 @@ def test_planar_cache_follows_liveness(offsets, gone):
                for node_id, (dx, dy) in enumerate(offsets, start=2)}
     gone = 2 + gone % len(senders)
 
+    states = {node_id: BeaconState(1.0, 0.0) for node_id in senders}
+    for node_id, pos in senders.items():
+        t.handle_beacon(node_id, pos, states[node_id])
+
     def beacon_round(time, skip=None):
-        for node_id, pos in senders.items():
+        for node_id, state in states.items():
             if node_id != skip:
-                t.handle_beacon(Beacon(sender=node_id, position=pos, residual_energy=1.0,
-                                       has_sinkward=True, time=time))
+                state.last_beacon_time = time
 
     beacon_round(0.0)
     first = planar_neighbors(t, 0.0, expiry)
@@ -267,7 +274,6 @@ def test_planar_neighbors_agree_with_global_gabriel(n):
         for u, neighbours in range_neighbor_lists(topo).items():
             t = NeighborTable(my_position=positions[u], sink_position=topo.field.sink_position)
             for v in neighbours:
-                t.handle_beacon(Beacon(sender=v, position=positions[v], residual_energy=1.0,
-                                       has_sinkward=True, time=0.0))
+                t.handle_beacon(v, positions[v], BeaconState(1.0, 0.0))
             local = {r.id for r in planar_neighbors(t, 0.0, 2.5)}
             assert local == {b if a == u else a for a, b in gabriel if u in (a, b)}, (seed, u)

@@ -1,53 +1,141 @@
 import pytest
 
-from geams_sim.engine import DataPacket, Simulation
+from conftest import ReplaySimulation, assert_energy_balanced
+from geams_sim.energy import Battery
+from geams_sim.engine import DataPacket, EnergyLedger, Simulation
 from geams_sim.link import DegenerateLinkError
-from geams_sim.neighbors import Beacon, NeighborTable
+from geams_sim.neighbors import BeaconState, NeighborTable
 from geams_sim.scenario import ScenarioConfig
 from geams_sim.topology import Position
 
 ME, SINK = Position(100, 90), Position(490, 90)
 
 
-def beacon(sender, x, energy=1.0, has_sinkward=True, time=0.0):
-    return Beacon(sender=sender, position=Position(x, 90), residual_energy=energy,
-                  has_sinkward=has_sinkward, time=time)
+def hear(t, sender, x, energy=1.0, time=0.0):
+    """Give `t` the record of a sender first heard at (x, 90); returns the
+    sender's shared state."""
+    state = BeaconState(energy, time)
+    t.handle_beacon(sender, Position(x, 90), state)
+    return state
 
 
 def test_live_records_in_id_order_whatever_the_arrival_order():
     t = NeighborTable(my_position=ME, sink_position=SINK)
-    for sender, x in ((9, 150), (3, 60), (5, 120)):
-        t.handle_beacon(beacon(sender, x))
+    states = {sender: hear(t, sender, x) for sender, x in ((9, 150), (3, 60), (5, 120))}
     assert [r.id for r in t.live_records(0.0, 2.5)] == [3, 5, 9]
-    t.handle_beacon(beacon(4, 130, time=1.0))
-    t.handle_beacon(beacon(9, 150, time=1.0))
+    hear(t, 4, 130, time=1.0)
+    states[9].last_beacon_time = 1.0
     assert [r.id for r in t.live_records(1.0, 2.5)] == [3, 4, 5, 9]
+    assert [r.id for r in t.live_records(3.0, 2.5)] == [4, 9]
 
 
 def test_later_beacons_refresh_energy_and_time_only():
     t = NeighborTable(my_position=ME, sink_position=SINK)
-    t.handle_beacon(beacon(2, 160, energy=1.0, time=0.0))
-    t.handle_beacon(beacon(2, 160, energy=0.7, time=1.0))
+    state = hear(t, 2, 160, energy=1.0, time=0.0)
+    # a later beacon updates only the sender's shared state
+    state.residual_energy, state.last_beacon_time = 0.7, 1.0
     (r,) = t.live_records(1.0, 2.5)
-    assert (r.residual_energy, r.last_beacon_time) == (0.7, 1.0)
+    assert r.state is state and r.residual_energy == 0.7
     assert (r.distance_to_me, r.distance_to_sink) == (60.0, 330.0)
     assert t.my_sink_distance == 390.0
 
 
-def test_void_flag_survives_until_sender_has_sinkward():
+def test_pending_overlay_stands_until_the_next_beacon():
     t = NeighborTable(my_position=ME, sink_position=SINK)
-    t.handle_beacon(beacon(2, 160))
-    t.mark_void(2)
-    t.handle_beacon(beacon(2, 160, has_sinkward=False, time=1.0))
-    assert t.records[2].void_flagged
-    t.handle_beacon(beacon(2, 160, has_sinkward=True, time=2.0))
-    assert not t.records[2].void_flagged
+    state = hear(t, 2, 160, energy=1.0)
+    r = t.records[2]
+    r.pending, r.pending_beacon = 0.25, state.beacons
+    assert r.residual_energy == 0.25
+    state.beacons += 1
+    assert r.residual_energy == 1.0
 
 
 def test_first_beacon_validates_the_link():
     t = NeighborTable(my_position=ME, sink_position=SINK)
     with pytest.raises(DegenerateLinkError):
-        t.handle_beacon(beacon(2, 100.5))
+        hear(t, 2, 100.5)
+
+
+def _line(topo_builder):
+    """Chain source - 3 - 2 - sink, 40-50 m a hop: each node hears only its
+    chain neighbours."""
+    return topo_builder({0: Position(150, 90), 1: Position(10, 90),
+                         2: Position(100, 90), 3: Position(50, 90)})
+
+
+def test_one_state_per_sender_shared_by_every_receiver(topo_builder):
+    sim = Simulation(ScenarioConfig(n_sensors=2), _line(topo_builder))
+    sim._do_beacons(0.0)
+    state = sim.nodes[3].beacon_state
+    holders = [i for i, n in sim.nodes.items() if 3 in n.table.records]
+    assert holders == [1, 2]
+    assert all(sim.nodes[i].table.records[3].state is state for i in holders)
+    sim._do_beacons(1.0)
+    assert sim.nodes[3].beacon_state is state
+    assert (state.last_beacon_time, state.beacons) == (1.0, 2)
+
+
+def test_void_flag_survives_until_sender_has_sinkward(topo_builder):
+    sim = Simulation(ScenarioConfig(n_sensors=2, beacon_energy=False), _line(topo_builder))
+    sim._do_beacons(0.0)
+    node = sim.nodes[3]
+    record = sim.nodes[2].table.records[3]
+    sim._broadcast(node, 0.5, void=True)
+    assert record.state.void_flagged
+    sim._broadcast(node, 1.0, has_sinkward=False)
+    assert record.state.void_flagged
+    sim._broadcast(node, 2.0, has_sinkward=True)
+    assert not record.state.void_flagged
+
+
+def test_underfunded_broadcast_changes_no_state(topo_builder):
+    sim = Simulation(ScenarioConfig(n_sensors=2), _line(topo_builder))
+    sim._do_beacons(0.0)
+    node = sim.nodes[3]
+    node.battery.residual = 1e-6
+    sim._broadcast(node, 1.0, void=True)
+    assert not node.alive and not node.beacon_state.void_flagged
+    assert node.beacon_state.last_beacon_time == 0.0
+
+
+def test_broadcast_debits_like_battery_debit_and_books_one_entry(topo_builder):
+    """The inlined receive debit drains each battery as Battery.debit would,
+    kills a receiver it empties, and the receptions are one ledger entry."""
+    sim = Simulation(ScenarioConfig(n_sensors=2), _line(topo_builder))
+    entries = []
+
+    class Ledger(EnergyLedger):
+        def add(self, category, amount):
+            entries.append(category)
+            super().add(category, amount)
+
+    sim.ledger = Ledger()
+    sim._do_beacons(0.0)
+    node, victim = sim.nodes[3], sim.nodes[2]
+    rx_cost = 128 * sim.params.e_elec
+    victim.battery.residual = rx_cost / 3
+    source = Battery(sim.nodes[1].battery.residual, 0.0)
+    before = {i: n.battery.residual for i, n in sim.nodes.items()}
+    booked = sim.ledger.total
+    entries.clear()
+    sim._broadcast(node, 1.0, has_sinkward=True)
+    assert entries == ["beacon_tx", "beacon_rx"]
+    assert victim.battery.residual == 0.0 and not victim.alive
+    source.debit(rx_cost)
+    assert sim.nodes[1].battery.residual == source.residual
+    drawn = sum(before[i] - n.battery.residual for i, n in sim.nodes.items())
+    assert_energy_balanced(drawn, sim.ledger.total - booked)
+
+
+def test_broadcast_rejects_a_negative_receive_cost(topo_builder):
+    sim = Simulation(ScenarioConfig(n_sensors=2), _line(topo_builder))
+
+    class Params:  # a transmit cost that stays positive over the full range
+        e_elec, eps_amp = -1e-9, 1e-9
+
+    sim.params = Params()
+    with pytest.raises(ValueError, match="nonnegative"):
+        sim._broadcast(sim.nodes[3], 0.0)
 
 
 def test_pending_load_estimate_is_overwritten_by_next_beacon(topo_builder):
@@ -65,3 +153,47 @@ def test_pending_load_estimate_is_overwritten_by_next_beacon(topo_builder):
         reported - sim._pending_load_estimate(bits)
     sim._do_beacons(1.0)
     assert source.table.records[2].residual_energy == relay.battery.residual
+
+
+# Replays against per-receiver oracle tables (conftest.ReplaySimulation): the
+# shared states must give every routing node the view it would have had from
+# tables of its own.
+
+@pytest.mark.parametrize("protocol", ["geams", "gpsr"])
+def test_shared_state_replays_private_tables_on_the_default_scenario(protocol):
+    sim = ReplaySimulation(ScenarioConfig(protocol=protocol))
+    sim.run()
+    assert sim.checks > 1000
+
+
+# sparse, low-energy cells: beacon receptions kill nodes mid-broadcast, and
+# GEAMS walks back and announces voids
+@pytest.mark.parametrize("protocol", ["geams", "gpsr"])
+def test_shared_state_replays_private_tables_in_sparse_low_energy_cells(protocol):
+    sims = [ReplaySimulation(ScenarioConfig(
+                protocol=protocol, seed=seed, n_sensors=30, initial_energy_j=energy,
+                image_count=10, horizon_s=20.0))
+            for seed in (1, 2, 3, 4, 5) for energy in (0.05, 0.5)]
+    for sim in sims:
+        sim.run()
+        assert sim.checks > 0
+    assert sum(s.rx_deaths for s in sims) > 0
+    if protocol == "geams":
+        assert sum(s.walkbacks for s in sims) > 0
+        assert sum(s.void_announcements for s in sims) > 0
+
+
+def test_replay_sees_a_void_flag_cleared(topo_builder):
+    """A void flag clears only when its sender has a usable sink-ward
+    neighbour again, which random deployments hardly ever produce: here the
+    source's pending-load estimates make the low-energy sink look drained
+    within one beacon interval, so the source announces a void and walks
+    packets back to node 2, and the sink's next beacon shows it alive."""
+    topo = topo_builder({0: Position(35, 90), 1: Position(10, 90), 2: Position(5, 130)})
+    cfg = ScenarioConfig(protocol="geams", n_sensors=1, gateway_energy_j=0.1,
+                         beacon_energy=False, image_bits=20_000, image_count=3,
+                         queue_capacity=30)
+    sim = ReplaySimulation(cfg, topo)
+    sim.run()
+    assert sim.void_announcements > 0 and sim.walkbacks > 0
+    assert sim.void_clears > 0
