@@ -86,8 +86,9 @@ class Simulation:
         self.topology = topology
 
         f = topology.field
+        # ascending by id whatever the row order: beacon rounds rely on it
         self.nodes: dict[int, NodeRuntime] = {}
-        for node_id, pos in topology.nodes:
+        for node_id, pos in sorted(topology.nodes):  # ids are unique
             gateway = node_id in (topology.sink_id, topology.source_id)
             initial = cfg.gateway_energy_j if gateway else cfg.initial_energy_j
             self.nodes[node_id] = NodeRuntime(
@@ -171,7 +172,10 @@ class Simulation:
     # -- beacons ------------------------------------------------------------
 
     def _has_sinkward(self, node: NodeRuntime) -> bool:
-        return geams.has_sinkward_neighbor(node.table, self.now, self.cfg.neighbor_expiry_s)
+        """Whether GEAMS would forward from `node` now rather than walk back."""
+        cfg = self.cfg
+        return bool(geams.build_best_neighbor_set(
+            node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits, self.params))
 
     def _broadcast(self, node: NodeRuntime, time: float, void: bool = False,
                    has_sinkward: bool = False) -> None:
@@ -239,13 +243,12 @@ class Simulation:
 
     def _do_beacons(self, time: float) -> None:
         cfg = self.cfg
-        # only GEAMS reads void flags, so GPSR beacons skip the check
-        geams_run = cfg.protocol == "geams"
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
+        for node in self.nodes.values():
             if not node.alive:
                 continue
-            has_sinkward = self._has_sinkward(node) if geams_run else True
+            # only an announcement sets a void flag, so only a node that
+            # announced a void has one for its beacon to clear
+            has_sinkward = not node.announced_void or self._has_sinkward(node)
             if has_sinkward:
                 node.announced_void = False
             self._broadcast(node, time, has_sinkward=has_sinkward)
@@ -434,18 +437,18 @@ class Simulation:
         return drawn, self.ledger.total
 
     def report(self) -> MetricsReport:
-        sensor_ids = self.topology.sensor_ids
-        residuals = {i: n.battery.residual for i, n in self.nodes.items()}
-        mean_e, var_e = energy_stats([residuals[i] for i in sensor_ids])
+        # ascending by id, so the float sums do not depend on row order
+        sensors = [n for n in self.nodes.values() if not n.death_exempt]
+        residuals = {n.id: n.battery.residual for n in sensors}
+        mean_e, var_e = energy_stats(list(residuals.values()))
         log = sorted(self.outcomes, key=lambda p: p.seq)  # seq is unique
         delay_mean, delay_var, lost = delay_and_loss(log)
         return MetricsReport(
-            dead_nodes=dead_node_count(residuals, sensor_ids),
+            dead_nodes=dead_node_count(residuals, list(residuals)),
             mean_energy=mean_e,
             energy_variance=var_e,
             regional_mean_energy=regional_energy(
-                [(self.nodes[i].position, residuals[i]) for i in sensor_ids],
-                self.topology.field),
+                [(n.position, n.battery.residual) for n in sensors], self.topology.field),
             delay_mean=delay_mean,
             delay_variance=delay_var,
             delivered=len(log) - sum(lost.values()),

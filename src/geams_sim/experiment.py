@@ -61,9 +61,9 @@ class ExperimentPlan:
 
 
 def write_reports(out_dir, keyed_reports, write_packets: bool) -> None:
-    """Write summary.csv and regional.csv (plus packets.csv when asked) under
-    the existing out_dir: the rows of each (protocol, seed, n) key and its
-    report, in the order given."""
+    """Write summary.csv and regional.csv (plus packets.csv when asked, else
+    remove an old one) under the existing out_dir: the rows of each
+    (protocol, seed, n) key and its report, in the order given."""
     sum_rows, reg_rows, pk_rows = [], [], []
     for key, rep in keyed_reports:
         sum_rows.append(summary_row(rep, *key))
@@ -72,14 +72,19 @@ def write_reports(out_dir, keyed_reports, write_packets: bool) -> None:
             pk_rows.extend(packet_rows(rep, *key))
     write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, sum_rows)
     write_csv(os.path.join(out_dir, "regional.csv"), REGIONAL_COLUMNS, reg_rows)
+    packets = os.path.join(out_dir, "packets.csv")
     if write_packets:
-        write_csv(os.path.join(out_dir, "packets.csv"), PACKET_COLUMNS, pk_rows)
+        write_csv(packets, PACKET_COLUMNS, pk_rows)
+    elif os.path.exists(packets):
+        os.remove(packets)  # an earlier run's, which these reports do not match
 
 
 def run_experiment(plan: ExperimentPlan, out_dir, jobs: int = 1,
                    write_packets: bool = False) -> list[MetricsReport]:
-    """Run the full matrix and write summary.csv, regional.csv and
-    comparison.csv (plus packets.csv when asked) under out_dir."""
+    """Run the full matrix and write summary.csv, regional.csv and, when the
+    plan has both protocols, comparison.csv (plus packets.csv when asked)
+    under out_dir; an old comparison.csv or packets.csv this run does not
+    write is removed."""
     os.makedirs(out_dir, exist_ok=True)
     cells = plan.cells()
     if jobs > 1:
@@ -89,9 +94,11 @@ def run_experiment(plan: ExperimentPlan, out_dir, jobs: int = 1,
         reports = [run_scenario(c) for c in cells]
     write_reports(out_dir, [((c.protocol, c.seed, c.n_sensors), r)
                             for c, r in zip(cells, reports)], write_packets)
+    comparison = os.path.join(out_dir, "comparison.csv")
     if "geams" in plan.protocols and "gpsr" in plan.protocols:
-        write_csv(os.path.join(out_dir, "comparison.csv"), COMPARISON_COLUMNS,
-                  _comparison_rows(plan, cells, reports))
+        write_csv(comparison, COMPARISON_COLUMNS, _comparison_rows(plan, cells, reports))
+    elif os.path.exists(comparison):
+        os.remove(comparison)  # an earlier run's, which these reports do not match
     return reports
 
 

@@ -127,19 +127,6 @@ def select_next_hop(
     return s[index - 1][0], new_state
 
 
-def has_sinkward_neighbor(t: NeighborTable, now: float, expiry_s: float) -> bool:
-    """True when build_best_neighbor_set would be nonempty: some live,
-    non-void-flagged neighbor is strictly closer to the sink than we are.
-    False is the walking-back trigger.  The liveness test is live_records',
-    inlined."""
-    for r in t.sinkward_records():
-        s = r.state
-        if not s.void_flagged and now - s.last_beacon_time <= expiry_s and (
-                r.pending if r.pending_beacon == s.beacons else s.residual_energy) > 0:
-            return True
-    return False
-
-
 def walking_back_candidate(
     t: NeighborTable, excluded: set[int], now: float, expiry_s: float
 ) -> int | None:

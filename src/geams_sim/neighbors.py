@@ -12,8 +12,13 @@ first beacon, and a dead node's table is never read again.
 
 Positions never change, so a record is built once, from the sender's first
 beacon, and holds only static geometry, the shared state and the GEAMS
-pending-load overlay.  For the same reason the set of records strictly closer
-to the sink than this node changes only when a sender is added.
+pending-load overlay.
+
+Every table receives its senders in ascending id order, so records are kept
+in that order by appending alone.  The engine beacons its nodes in ascending
+id order, and every sender's first beacon that goes on air does so in the
+t = 0 round: an underfunded beacon kills a sensor, and a death-exempt
+gateway that cannot fund one never can later.
 """
 from __future__ import annotations
 
@@ -60,62 +65,49 @@ class NeighborRecord:
 
 @dataclass
 class NeighborTable:
+    """One node's records of the senders it has heard.  Senders arrive in
+    ascending id order (see the module docstring), and a caller that fills a
+    table itself must keep that order."""
+
     my_position: Position
     sink_position: Position
-    # by sender id; a record is only ever added, never replaced or removed:
-    # the id order and the sink-ward subset below are rebuilt only when
-    # len(records) changes
+    # by sender id, ascending; filled only by handle_beacon
     records: dict[int, NeighborRecord] = field(default_factory=dict)
     my_sink_distance: float = field(init=False)
     # GPSR's Gabriel neighbours, keyed by the tuple of live ids they were
     # computed from; positions are static, so only liveness can change them
     planar_cache: tuple[tuple[int, ...], tuple[NeighborRecord, ...]] | None = field(
         default=None, init=False, repr=False)
-    # len(records) when they were last put in ascending id order; a different
-    # length means a sender was added since
-    _sorted_len: int = field(default=0, init=False, repr=False)
     _sinkward: list[NeighborRecord] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         self.my_sink_distance = distance(self.my_position, self.sink_position)
 
     def handle_beacon(self, sender: int, position: Position, state: BeaconState) -> None:
-        """Add the record of a sender heard for the first time.  Its later
-        beacons update only the shared `state`, so they need no call here."""
+        """Add the record of a sender heard for the first time, whose id is
+        above every id heard before.  Its later beacons update only the
+        shared `state`, so they need no call here."""
         d = distance(self.my_position, position)
         link_rate(d)  # raises DegenerateLinkError for a sub-metre link
-        self.records[sender] = NeighborRecord(
+        r = self.records[sender] = NeighborRecord(
             id=sender,
             position=position,
             distance_to_me=d,
             distance_to_sink=distance(position, self.sink_position),
             state=state,
         )
-
-    def _sort(self) -> None:
-        """Put records in ascending id order and rebuild the sink-ward subset,
-        if a sender was added since the last call."""
-        records = self.records
-        if len(records) == self._sorted_len:
-            return
-        by_id = sorted(records.items())
-        records.clear()
-        records.update(by_id)
-        self._sorted_len = len(records)
-        mine = self.my_sink_distance
-        self._sinkward = [r for r in records.values() if r.distance_to_sink < mine]
+        if r.distance_to_sink < self.my_sink_distance:
+            self._sinkward.append(r)
 
     def sinkward_records(self) -> list[NeighborRecord]:
         """Every record strictly closer to the sink than this node, live or
         not, in ascending id order.  The list is shared: do not mutate it."""
-        self._sort()
         return self._sinkward
 
     def live_records(self, now: float, expiry_s: float) -> list[NeighborRecord]:
         """Records fresh enough to be trusted, from nodes with energy left,
         in ascending id order.  The hot loops over sinkward_records() in
         geams.py and gpsr.py inline this test; keep them in step."""
-        self._sort()
         live = []
         for r in self.records.values():
             s = r.state

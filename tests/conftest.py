@@ -5,7 +5,7 @@ import pytest
 
 from geams_sim.energy import EnergyModelParams, rx_energy, tx_energy
 from geams_sim.engine import Simulation
-from geams_sim.neighbors import NeighborRecord
+from geams_sim.neighbors import NeighborRecord, NeighborTable
 from geams_sim.topology import FieldSpec, Position, Topology, distance
 
 
@@ -103,6 +103,26 @@ def score(n: NeighborRecord, k_bits: float, p: EnergyModelParams) -> float:
     """Neighbor fitness in joules: its remaining energy minus the cost of
     pushing one standard data packet through it (our transmit + its receive)."""
     return n.residual_energy - tx_energy(k_bits, n.distance_to_me, p) - rx_energy(k_bits, p)
+
+
+# Hand-filled neighbour tables, filled as the engine fills them.
+
+def add(t: NeighborTable, r: NeighborRecord) -> None:
+    """Give `t` the record of r's sender, heard for the first time, through
+    handle_beacon; its id must be above every id `t` holds.  r's pending-load
+    overlay is copied onto the new record."""
+    assert not t.records or r.id > max(t.records), (r.id, list(t.records))
+    t.handle_beacon(r.id, r.position, r.state)
+    heard = t.records[r.id]
+    heard.pending, heard.pending_beacon = r.pending, r.pending_beacon
+
+
+def table(me: Position, sink: Position, records) -> NeighborTable:
+    """A table at `me` that heard `records`' senders in ascending id order."""
+    t = NeighborTable(my_position=me, sink_position=sink)
+    for r in sorted(records, key=lambda r: r.id):
+        add(t, r)
+    return t
 
 
 # Beacon-table oracle: one private table per receiver, updated once per
@@ -206,7 +226,9 @@ class ReplaySimulation(Simulation):
         table, oracle = node.table, self.oracle[node.id]
         now, expiry = self.now, self.cfg.neighbor_expiry_s
         assert [r.id for r in table.live_records(now, expiry)] == oracle.live_ids(now, expiry)
-        assert table.records.keys() == oracle.records.keys()
+        assert list(table.records) == sorted(oracle.records)
+        assert [r.id for r in table.sinkward_records()] == [
+            i for i, r in table.records.items() if r.distance_to_sink < table.my_sink_distance]
         for i, want in oracle.records.items():
             r = table.records[i]
             got = OracleRecord(r.residual_energy, r.state.void_flagged,

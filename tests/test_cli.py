@@ -67,6 +67,16 @@ def test_run_packets_flag(tmp_path):
     assert len(read_rows(out / "packets.csv")) == 51
 
 
+def test_run_without_packets_removes_an_older_packets_file(tmp_path):
+    out = tmp_path / "out"
+    scenario = two_node_scenario(tmp_path)
+    assert main(["run", "--scenario", scenario, "--out-dir", str(out), "--packets"]) == 0
+    assert (out / "packets.csv").exists()
+    assert main(["run", "--scenario", scenario, "--seed", "2", "--out-dir", str(out)]) == 0
+    assert read_rows(out / "summary.csv")[1][1] == "2"
+    assert not (out / "packets.csv").exists()
+
+
 def test_run_missing_scenario(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path / "absent.json"),
                "--out-dir", str(tmp_path / "out")])
@@ -203,4 +213,14 @@ def test_single_protocol_plan_skips_comparison(tmp_path):
                           base=ScenarioConfig())
     run_experiment(plan, out)
     assert (out / "summary.csv").exists()
+    assert not (out / "comparison.csv").exists()
+
+
+def test_single_protocol_experiment_removes_an_older_comparison(tmp_path):
+    out = tmp_path / "exp"
+    argv = ["experiment", "--nodes", "10", "--seeds", "1", "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert (out / "comparison.csv").exists()
+    assert main(argv + ["--protocols", "gpsr"]) == 0
+    assert {row[0] for row in read_rows(out / "summary.csv")[1:]} == {"gpsr"}
     assert not (out / "comparison.csv").exists()

@@ -4,19 +4,20 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import score
+from conftest import add, score, table
 from geams_sim.energy import EnergyModelParams
+from geams_sim.engine import Simulation
 from geams_sim.geams import (
     EmptyNeighborSetError,
     SourceState,
     average_score_index,
     build_best_neighbor_set,
-    has_sinkward_neighbor,
     refresh_state,
     select_next_hop,
     walking_back_candidate,
 )
 from geams_sim.neighbors import BeaconState, NeighborRecord, NeighborTable
+from geams_sim.scenario import ScenarioConfig
 from geams_sim.topology import Position, distance
 
 P = EnergyModelParams()
@@ -37,19 +38,6 @@ def record(node_id, pos, me, sink, energy, void=False, beacon_time=0.0,
     if pending is not None:
         r.pending, r.pending_beacon = pending, 1 if stale else 2
     return r
-
-
-def add(t, r):
-    # a table's records are only ever added, never replaced (see NeighborTable)
-    assert r.id not in t.records
-    t.records[r.id] = r
-
-
-def table(me, sink, records):
-    t = NeighborTable(my_position=me, sink_position=sink)
-    for r in records:
-        add(t, r)
-    return t
 
 
 def one_score(r, k_bits, me, sink):
@@ -85,7 +73,6 @@ def test_best_neighbor_set_empty_when_all_farther():
         record(3, Position(80, 120), me, sink, 1.0),
     ])
     assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P) == []
-    assert not has_sinkward_neighbor(t, 0.0, 2.5)
 
 
 def test_best_neighbor_set_orders_by_score_then_id():
@@ -215,15 +202,18 @@ def test_order_invariant_under_energy_shift(halves, shift_halves):
     assert order == order_shifted
 
 
+# A node has a sink-ward neighbour, and so need not walk back, exactly when its
+# best-neighbour set is nonempty.
+
 def test_has_sinkward_true_with_closer_neighbor():
     me, sink = Position(100, 90), Position(490, 90)
     t = table(me, sink, [record(2, Position(160, 90), me, sink, 1.0)])
-    assert has_sinkward_neighbor(t, 0.0, 2.5)
+    assert [i for i, _ in build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P)] == [2]
 
 
 def test_has_sinkward_false_on_empty_table():
     t = NeighborTable(my_position=Position(100, 90), sink_position=Position(490, 90))
-    assert not has_sinkward_neighbor(t, 0.0, 2.5)
+    assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P) == []
 
 
 @pytest.mark.parametrize("closer", [
@@ -238,31 +228,35 @@ def test_has_sinkward_ignores_unusable_closer_neighbor(closer):
         record(2, Position(60, 90), me, sink, 1.0),   # usable but farther
         record(3, Position(160, 90), me, sink, **kw),
     ])
-    assert not has_sinkward_neighbor(t, 0.0, 2.5)
     assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P) == []
 
 
 def test_has_sinkward_expiry_boundary_is_inclusive():
     me, sink = Position(100, 90), Position(490, 90)
     t = table(me, sink, [record(2, Position(160, 90), me, sink, 1.0, beacon_time=0.5)])
-    assert has_sinkward_neighbor(t, 3.0, 2.5)
-    assert not has_sinkward_neighbor(t, 3.0000001, 2.5)
+    assert [i for i, _ in build_best_neighbor_set(t, 3.0, 2.5, K_BITS, P)] == [2]
+    assert build_best_neighbor_set(t, 3.0000001, 2.5, K_BITS, P) == []
 
 
 @given(st.lists(
-    st.tuples(st.integers(0, 200), st.booleans(), st.sampled_from([0.0, 0.5, 1.0]),
-              st.sampled_from([0.0, -2.5, -3.0]), st.sampled_from([None, 0.0, 0.5]),
-              st.booleans()),
+    # x on our y line: a table holds no sub-metre link
+    st.tuples(st.integers(0, 200).filter(lambda x: x != 100), st.booleans(),
+              st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, -2.5, -3.0]),
+              st.sampled_from([None, 0.0, 0.5]), st.booleans()),
     max_size=6))
 def test_has_sinkward_agrees_with_best_neighbor_set(specs):
+    """The engine's void check is true exactly when the brute-force best
+    set is nonempty."""
     me, sink = Position(100, 90), Position(490, 90)
-    t = table(me, sink, [
+    sim = Simulation(ScenarioConfig(n_sensors=0))  # expiry 2.5 s, now 0.0
+    node = sim.nodes[1]
+    node.table = table(me, sink, [
         record(i + 2, Position(x, 90), me, sink, energy, void=void, beacon_time=bt,
                pending=pending, stale=stale)
         for i, (x, void, energy, bt, pending, stale) in enumerate(specs)
     ])
-    assert has_sinkward_neighbor(t, 0.0, 2.5) == \
-        bool(build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P))
+    assert sim._has_sinkward(node) == \
+        bool(reference_best_set(node.table, 0.0, 2.5, sim.cfg.data_packet_bits, sim.params))
 
 
 def test_walking_back_picks_least_far():
@@ -315,8 +309,9 @@ def test_best_neighbor_set_agrees_with_brute_force(specs, ids, split):
     recs = [record(node_id, Position(100 + dx, 90 + dy), me, sink, energy,
                    void=void, beacon_time=bt, pending=pending, stale=stale)
             for node_id, (dx, dy, energy, void, bt, pending, stale) in zip(ids, specs)]
+    recs.sort(key=lambda r: r.id)
     t = NeighborTable(my_position=me, sink_position=sink)
-    # senders arrive in two batches, out of id order, with a call between
+    # senders arrive in two batches, in ascending id order, with a call between
     for batch in (recs[:split], recs[split:]):
         for r in batch:
             add(t, r)

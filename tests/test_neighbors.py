@@ -3,10 +3,11 @@ import pytest
 from conftest import ReplaySimulation, assert_energy_balanced
 from geams_sim.energy import Battery
 from geams_sim.engine import DataPacket, EnergyLedger, Simulation
+from geams_sim.metrics import regional_rows, summary_row
 from geams_sim.link import DegenerateLinkError
 from geams_sim.neighbors import BeaconState, NeighborTable
 from geams_sim.scenario import ScenarioConfig
-from geams_sim.topology import Position
+from geams_sim.topology import Position, Topology, generate_topology
 
 ME, SINK = Position(100, 90), Position(490, 90)
 
@@ -19,14 +20,22 @@ def hear(t, sender, x, energy=1.0, time=0.0):
     return state
 
 
-def test_live_records_in_id_order_whatever_the_arrival_order():
-    t = NeighborTable(my_position=ME, sink_position=SINK)
-    states = {sender: hear(t, sender, x) for sender, x in ((9, 150), (3, 60), (5, 120))}
-    assert [r.id for r in t.live_records(0.0, 2.5)] == [3, 5, 9]
-    hear(t, 4, 130, time=1.0)
-    states[9].last_beacon_time = 1.0
-    assert [r.id for r in t.live_records(1.0, 2.5)] == [3, 4, 5, 9]
-    assert [r.id for r in t.live_records(3.0, 2.5)] == [4, 9]
+def test_topology_listed_in_descending_id_order_changes_nothing():
+    """Nodes beacon in ascending id order whatever the topology's row order,
+    so every table is in ascending id order (ReplaySimulation checks it) and
+    the reports match byte for byte."""
+    for protocol in ("gpsr", "geams"):
+        cfg = ScenarioConfig(protocol=protocol, n_sensors=60, seed=3)
+        topo = generate_topology(cfg.seed, cfg.n_sensors, cfg.field_spec())
+        reverse = Topology(nodes=topo.nodes[::-1], field=topo.field)
+        sims = [ReplaySimulation(cfg, t) for t in (topo, reverse)]
+        a, b = [sim.run() for sim in sims]
+        assert list(sims[1].nodes) == sorted(sims[1].nodes)
+        assert sims[1].checks > 0
+        assert a.per_packet_log == b.per_packet_log
+        key = (protocol, cfg.seed, cfg.n_sensors)
+        assert summary_row(a, *key) == summary_row(b, *key)
+        assert regional_rows(a, *key) == regional_rows(b, *key)
 
 
 def test_later_beacons_refresh_energy_and_time_only():
@@ -197,3 +206,58 @@ def test_replay_sees_a_void_flag_cleared(topo_builder):
     sim.run()
     assert sim.void_announcements > 0 and sim.walkbacks > 0
     assert sim.void_clears > 0
+
+
+class VoidCheckCounter(Simulation):
+    """Records, for every void check, whether its node had announced a void."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.void_checks: list[bool] = []
+
+    def _has_sinkward(self, node):
+        self.void_checks.append(node.announced_void)
+        return super()._has_sinkward(node)
+
+
+class CheckEveryNode(Simulation):
+    """Runs the void check for every live node in every beacon round: the
+    reference that checking only nodes that announced a void must agree with.
+    A node that never announced a void is left unannounced."""
+
+    def _do_beacons(self, time):
+        unannounced = [n for n in self.nodes.values() if not n.announced_void]
+        for n in unannounced:
+            n.announced_void = True
+        super()._do_beacons(time)
+        for n in unannounced:
+            n.announced_void = False
+
+
+def _void_scenarios(topo_builder):
+    """Sparse low-energy GEAMS cells, which announce voids, and the one
+    hand-built scenario known to clear a void flag."""
+    cells = [(ScenarioConfig(protocol="geams", seed=seed, n_sensors=30,
+                             initial_energy_j=energy, image_count=10, horizon_s=20.0), None)
+             for seed in (1, 2, 3, 4, 5) for energy in (0.05, 0.5)]
+    topo = topo_builder({0: Position(35, 90), 1: Position(10, 90), 2: Position(5, 130)})
+    cells.append((ScenarioConfig(protocol="geams", n_sensors=1, gateway_energy_j=0.1,
+                                 beacon_energy=False, image_bits=20_000, image_count=3,
+                                 queue_capacity=30), topo))
+    return cells
+
+
+def test_void_check_runs_only_for_nodes_that_announced_a_void(topo_builder):
+    gpsr = VoidCheckCounter(ScenarioConfig(protocol="gpsr"))
+    gpsr.run()
+    assert gpsr.void_checks == []
+    sims = [VoidCheckCounter(cfg, topo) for cfg, topo in _void_scenarios(topo_builder)]
+    for sim in sims:
+        sim.run()
+        assert all(sim.void_checks)
+    assert sum(len(sim.void_checks) for sim in sims) > 0
+
+
+def test_checking_every_node_for_a_void_changes_no_report(topo_builder):
+    for cfg, topo in _void_scenarios(topo_builder):
+        assert Simulation(cfg, topo).run() == CheckEveryNode(cfg, topo).run()
