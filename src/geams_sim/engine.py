@@ -22,8 +22,8 @@ from .metrics import LOSS_REASONS, MetricsReport, PacketOutcome, delay_and_loss,
     dead_node_count, energy_stats, regional_energy
 from .neighbors import BeaconState, NeighborTable
 from .scenario import ScenarioConfig
-from .topology import Position, Topology, check_nodes, distance, generate_topology, \
-    range_neighbor_lists
+from .topology import SINK_ID, SOURCE_ID, Position, Topology, check_nodes, distance, \
+    generate_topology, range_neighbor_lists
 
 
 @dataclass
@@ -79,32 +79,32 @@ class Simulation:
     def __init__(self, cfg: ScenarioConfig, topology: Topology | None = None):
         self.cfg = cfg
         self.params = EnergyModelParams(cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
+        spec = cfg.field_spec()
         if topology is None:
-            topology = generate_topology(cfg.seed, cfg.n_sensors, cfg.field_spec())
+            topology = generate_topology(cfg.seed, cfg.n_sensors, spec)
         else:
-            check_nodes(topology.nodes, topology.field)  # generated ones pass by construction
+            check_nodes(topology.nodes, spec)  # generated ones pass by construction
         self.topology = topology
 
-        f = topology.field
         # ascending by id whatever the row order: beacon rounds rely on it
+        positions = dict(sorted(topology.nodes))  # ids are unique
+        sink = positions[SINK_ID]  # every table steers to node 0's row
         self.nodes: dict[int, NodeRuntime] = {}
-        for node_id, pos in sorted(topology.nodes):  # ids are unique
-            gateway = node_id in (topology.sink_id, topology.source_id)
+        for node_id, pos in positions.items():
+            gateway = node_id in (SINK_ID, SOURCE_ID)
             initial = cfg.gateway_energy_j if gateway else cfg.initial_energy_j
             self.nodes[node_id] = NodeRuntime(
                 id=node_id,
                 position=pos,
                 battery=Battery(residual=initial, initial=initial),
                 death_exempt=gateway,
-                table=NeighborTable(my_position=pos, sink_position=f.sink_position),
+                table=NeighborTable(my_position=pos, sink_position=sink),
             )
-        self.sink_id = topology.sink_id
-        self.source_id = topology.source_id
         # static radio adjacency, ascending by id; liveness is handled at
         # delivery time
         self.range_neighbors: dict[int, list[NodeRuntime]] = {
             u: [self.nodes[v] for v in vs]
-            for u, vs in range_neighbor_lists(topology).items()
+            for u, vs in range_neighbor_lists(topology, cfg.radio_range).items()
         }
 
         self.ttl0 = cfg.effective_ttl(len(topology))
@@ -194,7 +194,7 @@ class Simulation:
         battery = node.battery
         reported = battery.residual  # a beacon reports the charge it is sent from
         if charge:
-            cost = tx_energy(bits, self.topology.field.radio_range, self.params)
+            cost = tx_energy(bits, cfg.radio_range, self.params)
             drained, died = battery.debit(cost)
             self.ledger.add(tx_cat, drained)
             if drained < cost or died:
@@ -260,18 +260,18 @@ class Simulation:
 
     def _do_emission(self, time: float, image_idx: int) -> None:
         cfg = self.cfg
-        source = self.nodes[self.source_id]
+        source = self.nodes[SOURCE_ID]
         n_packets = math.ceil(cfg.image_bits / cfg.packet_bits)
         remaining = cfg.image_bits
         for _ in range(n_packets):
             bits = min(cfg.packet_bits, remaining)
             remaining -= bits
             pk = DataPacket(
-                source=self.source_id,
+                source=SOURCE_ID,
                 seq=self.emitted,
                 payload_bits=bits,
                 created_at=time,
-                path=[self.source_id],
+                path=[SOURCE_ID],
             )
             self.emitted += 1
             if len(source.queue) >= cfg.queue_capacity:
@@ -340,7 +340,7 @@ class Simulation:
             self._kill(receiver)
             self._record(pk, "next_hop_died")
             return
-        if receiver_id == self.sink_id:
+        if receiver_id == SINK_ID:
             self._record(pk, "delivered", time - pk.created_at)
             return
         if len(pk.path) > self.ttl0:
@@ -448,7 +448,7 @@ class Simulation:
             mean_energy=mean_e,
             energy_variance=var_e,
             regional_mean_energy=regional_energy(
-                [(n.position, n.battery.residual) for n in sensors], self.topology.field),
+                [(n.position, n.battery.residual) for n in sensors], self.cfg.field_width),
             delay_mean=delay_mean,
             delay_variance=delay_var,
             delivered=len(log) - sum(lost.values()),

@@ -87,8 +87,10 @@ def run_experiment(plan: ExperimentPlan, out_dir, jobs: int = 1,
     write is removed."""
     os.makedirs(out_dir, exist_ok=True)
     cells = plan.cells()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts every worker at once: none beyond one per cell
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_scenario, cells))
     else:
         reports = [run_scenario(c) for c in cells]

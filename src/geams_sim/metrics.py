@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
-from .topology import FieldSpec, Position
+from .topology import Position
 
 LOSS_REASONS = (
     "buffer_overflow",
@@ -64,7 +64,7 @@ def energy_stats(values: list[float]) -> tuple[float, float]:
 
 
 def regional_energy(
-    sensors: list[tuple[Position, float]], f: FieldSpec
+    sensors: list[tuple[Position, float]], width: float
 ) -> list[tuple[float, float, float]]:
     """Mean residual energy per 40 m x-interval anchored at x=10.
 
@@ -73,11 +73,11 @@ def regional_energy(
     """
     edges = []
     lo = REGION_ANCHOR_X
-    while lo + REGION_WIDTH_M <= f.width - REGION_ANCHOR_X:
+    while lo + REGION_WIDTH_M <= width - REGION_ANCHOR_X:
         edges.append((lo, lo + REGION_WIDTH_M))
         lo += REGION_WIDTH_M
     if not edges:
-        edges = [(0.0, f.width)]
+        edges = [(0.0, width)]
     sums = [0.0] * len(edges)
     counts = [0] * len(edges)
     for pos, residual in sensors:

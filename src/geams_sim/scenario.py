@@ -68,7 +68,7 @@ class ScenarioConfig:
             raise ScenarioError("ttl must be positive when given")
         # NaN fails too; a zero beacon interval never reaches the horizon
         for name in ("beacon_interval_s", "horizon_s", "base_rate_bps", "e_elec_j_per_bit",
-                     "eps_amp_j_per_bit_m2", "neighbor_expiry_intervals"):
+                     "eps_amp_j_per_bit_m2", "neighbor_expiry_intervals", "radio_range"):
             if not getattr(self, name) > 0:
                 raise ScenarioError(f"{name} must be positive")
         if self.image_count < 1:
@@ -92,7 +92,6 @@ class ScenarioConfig:
             height=self.field_height,
             sink_position=Position(self.sink_x, self.sink_y),
             source_position=Position(self.source_x, self.source_y),
-            radio_range=self.radio_range,
             min_separation=self.min_separation,
         )
 

@@ -1,7 +1,8 @@
 """Random node deployments on a rectangular sensing field, plus the radio
 neighborhoods both routing protocols rely on.
 
-Topologies are immutable after construction and fully determined by
+A topology is its node rows alone: the field and the radio range belong to
+the scenario that runs it.  Topologies are immutable and fully determined by
 (seed, n_sensors, field), so they can be shared read-only between runs.
 """
 from __future__ import annotations
@@ -39,17 +40,22 @@ class FieldSpec:
     height: float = 200.0
     sink_position: Position = Position(490.0, 90.0)
     source_position: Position = Position(10.0, 90.0)
-    radio_range: float = 80.0
     min_separation: float = 1.0
 
     def __post_init__(self):
-        if not self.radio_range > 0:  # NaN fails too
-            raise ValueError("radio_range must be positive")
+        for name in ("width", "height"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"field {name} must be positive and finite")
         if not self.min_separation >= 1.0:  # the link model's floor; NaN fails too
             raise ValueError("min_separation must be at least 1 m")
         for p in (self.sink_position, self.source_position):
             if not (0 <= p.x <= self.width and 0 <= p.y <= self.height):
                 raise ValueError(f"designated node at ({p.x}, {p.y}) lies outside the field")
+        # a closer pair fails mid-run on its degenerate link
+        gap = distance(self.sink_position, self.source_position)
+        if gap < self.min_separation:
+            raise ValueError(f"sink and source are {gap} m apart, closer than "
+                             f"min_separation {self.min_separation}")
 
 
 @dataclass(frozen=True)
@@ -57,15 +63,6 @@ class Topology:
     """A static deployment: node 0 is the sink, node 1 the source, the rest sensors."""
 
     nodes: tuple[tuple[int, Position], ...]
-    field: FieldSpec
-
-    @property
-    def sink_id(self) -> int:
-        return SINK_ID
-
-    @property
-    def source_id(self) -> int:
-        return SOURCE_ID
 
     @property
     def sensor_ids(self) -> list[int]:
@@ -144,13 +141,12 @@ def generate_topology(seed: int, n_sensors: int, field: FieldSpec | None = None)
             raise PlacementError(
                 f"could not place sensor {node_id} after {MAX_PLACEMENT_ATTEMPTS} attempts"
             )
-    return Topology(nodes=tuple(placed), field=field)
+    return Topology(nodes=tuple(placed))
 
 
-def range_neighbor_lists(t: Topology) -> dict[int, list[int]]:
-    """Every node's radio neighbors (boundary inclusive), ascending by id,
-    found through a grid of radio-range cells."""
-    r = t.field.radio_range
+def range_neighbor_lists(t: Topology, r: float) -> dict[int, list[int]]:
+    """Every node's neighbors within radio range `r` (boundary inclusive),
+    ascending by id, found through a grid of radio-range cells."""
     grid = CellGrid(r)
     for node_id, p in t.nodes:
         grid.add(node_id, p)
@@ -206,9 +202,10 @@ def check_nodes(nodes, field: FieldSpec, origin: str = "topology",
 
 
 def load_topology_csv(path, field: FieldSpec | None = None) -> Topology:
-    """Read a topology written by save_topology_csv.  Ids 0 and 1 must be
-    present and are taken as sink and source; the FieldSpec's designated
-    positions are overridden to match the file.
+    """Read a topology written by save_topology_csv, checked against
+    `field`'s size and min_separation.  Ids 0 and 1 must be present and are
+    taken as sink and source wherever they lie; the field's designated
+    positions place generated topologies only.
 
     Raises ValueError naming the line for a malformed row and for every
     check_nodes failure.
@@ -232,12 +229,4 @@ def load_topology_csv(path, field: FieldSpec | None = None) -> Topology:
                 yield node
 
         positions = check_nodes(rows(), field, str(path), lambda: reader.line_num)
-    field = FieldSpec(
-        width=field.width,
-        height=field.height,
-        sink_position=positions[SINK_ID],
-        source_position=positions[SOURCE_ID],
-        radio_range=field.radio_range,
-        min_separation=field.min_separation,
-    )
-    return Topology(nodes=tuple(positions.items()), field=field)
+    return Topology(nodes=tuple(positions.items()))

@@ -6,7 +6,8 @@ import pytest
 from geams_sim.energy import EnergyModelParams, rx_energy, tx_energy
 from geams_sim.engine import Simulation
 from geams_sim.neighbors import NeighborRecord, NeighborTable
-from geams_sim.topology import FieldSpec, Position, Topology, distance
+from geams_sim.scenario import ScenarioConfig
+from geams_sim.topology import Position, Topology, distance
 
 
 def assert_energy_balanced(drawn: float, ledger_total: float) -> None:
@@ -23,16 +24,8 @@ def topo_builder():
     """Factory for hand-placed topologies.  `positions` maps node id to
     Position; id 0 must be the sink and id 1 the source."""
 
-    def build(positions: dict, width: float = 500.0, height: float = 200.0,
-              radio_range: float = 80.0) -> Topology:
-        f = FieldSpec(
-            width=width,
-            height=height,
-            sink_position=positions[0],
-            source_position=positions[1],
-            radio_range=radio_range,
-        )
-        return Topology(nodes=tuple(sorted(positions.items())), field=f)
+    def build(positions: dict) -> Topology:
+        return Topology(nodes=tuple(sorted(positions.items())))
 
     return build
 
@@ -50,12 +43,15 @@ def chain_positions(spacing: float = 60.0, n_hops: int = 8) -> dict:
 
 # Brute-force geometry oracles: the all-pairs definitions that the cell grid
 # (topology.range_neighbor_lists) and the local Gabriel test
-# (gpsr.planar_neighbors) must agree with.
+# (gpsr.planar_neighbors) must agree with.  Radio range `r` defaults to the
+# scenario's.
 
-def radio_neighbors(t: Topology, node_id: int) -> set[int]:
-    """Ids of all nodes within radio range of node_id (boundary inclusive)."""
+RADIO_RANGE = ScenarioConfig().radio_range
+
+
+def radio_neighbors(t: Topology, node_id: int, r: float = RADIO_RANGE) -> set[int]:
+    """Ids of all nodes within radio range r of node_id (boundary inclusive)."""
     me = dict(t.nodes)[node_id]
-    r = t.field.radio_range
     return {
         other
         for other, p in t.nodes
@@ -63,10 +59,9 @@ def radio_neighbors(t: Topology, node_id: int) -> set[int]:
     }
 
 
-def radio_edges(t: Topology) -> set[tuple[int, int]]:
-    """All radio-range links as (u, v) pairs with u < v."""
+def radio_edges(t: Topology, r: float = RADIO_RANGE) -> set[tuple[int, int]]:
+    """All links of radio range r as (u, v) pairs with u < v."""
     edges = set()
-    r = t.field.radio_range
     nodes = t.nodes
     for i in range(len(nodes)):
         u, pu = nodes[i]
@@ -77,14 +72,14 @@ def radio_edges(t: Topology) -> set[tuple[int, int]]:
     return edges
 
 
-def gabriel_planarize(t: Topology) -> set[tuple[int, int]]:
+def gabriel_planarize(t: Topology, r: float = RADIO_RANGE) -> set[tuple[int, int]]:
     """Gabriel subgraph of the radio graph: edge (u, v) survives iff no third
     node lies inside or on the circle with diameter uv.  Boundary nodes remove
     the edge, which keeps the result deterministic for degenerate placements.
     """
     positions = dict(t.nodes)
     kept = set()
-    for u, v in radio_edges(t):
+    for u, v in radio_edges(t, r):
         pu, pv = positions[u], positions[v]
         mx, my = (pu.x + pv.x) / 2.0, (pu.y + pv.y) / 2.0
         r2 = ((pu.x - pv.x) ** 2 + (pu.y - pv.y) ** 2) / 4.0
@@ -187,7 +182,7 @@ class ReplaySimulation(Simulation):
         cfg = self.cfg
         bits = cfg.void_announcement_bits if void else cfg.beacon_bits
         residual = node.battery.residual
-        cost = tx_energy(bits, self.topology.field.radio_range, self.params)
+        cost = tx_energy(bits, cfg.radio_range, self.params)
         on_air = not (cfg.beacon_energy and residual < cost)
         # a receiver's alive flag changes during a broadcast only at its own
         # reception, so the nodes alive now are the ones that hear it

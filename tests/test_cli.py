@@ -92,6 +92,15 @@ def test_run_unknown_scenario_key(tmp_path, capsys):
     assert "protcol" in capsys.readouterr().err
 
 
+def test_run_rejects_a_sink_too_close_to_the_source(tmp_path, capsys):
+    # it used to load, then fail mid-run on a 0.4 m link
+    scenario = two_node_scenario(tmp_path, sink_x=10.0, sink_y=90.4)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", scenario, "--out-dir", str(out)]) == 1
+    assert "closer than min_separation" in capsys.readouterr().err
+    assert not out.exists()  # nothing was written
+
+
 def test_topology_roundtrip_reproduces_run(tmp_path):
     topo = tmp_path / "topo.csv"
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -167,6 +176,35 @@ def test_experiment_is_deterministic_and_parallel_safe(tmp_path):
     for name in ("summary.csv", "regional.csv", "comparison.csv"):
         blobs = [(d / name).read_bytes() for d in dirs]
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_experiment_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
+    # a fork pool starts all its workers at once, so an oversized --jobs
+    # must not reach it; the fake pool runs the cells in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr("geams_sim.experiment.ProcessPoolExecutor", RecordingPool)
+    plan = ExperimentPlan(seeds=(1,), node_counts=(10,))  # 2 cells
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    run_experiment(plan, serial, jobs=1)
+    assert sizes == []
+    run_experiment(plan, pooled, jobs=10**6)
+    assert sizes == [2]
+    for name in ("summary.csv", "regional.csv", "comparison.csv"):
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
 
 def test_experiment_rejects_unknown_protocol(tmp_path, capsys):

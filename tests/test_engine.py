@@ -5,10 +5,11 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ReplaySimulation, assert_energy_balanced, chain_positions
+from conftest import ReplaySimulation, assert_energy_balanced, chain_positions, \
+    radio_neighbors
 from geams_sim.engine import Simulation, run_scenario
 from geams_sim.scenario import PROTOCOLS, ScenarioConfig
-from geams_sim.topology import Position
+from geams_sim.topology import SINK_ID, SOURCE_ID, Position, Topology, generate_topology
 
 TWO_NODE = dict(n_sensors=0, sink_x=35.0)  # sink 25 m east of the source
 
@@ -110,10 +111,10 @@ def test_every_packet_has_a_path_that_counts_its_hops(protocol):
     assert sorted(sim.paths) == list(range(sim.emitted))
     for p in report.per_packet_log:
         path = sim.paths[p.seq]
-        assert path[0] == sim.source_id
+        assert path[0] == SOURCE_ID
         assert p.hops == len(path) - 1
         if p.outcome == "delivered":
-            assert path[-1] == sim.sink_id
+            assert path[-1] == SINK_ID
 
 
 class _QueueCheckingSimulation(Simulation):
@@ -166,15 +167,46 @@ def test_underfunded_sender_forfeits_and_dies(topo_builder):
     assert_energy_balanced(drawn, ledger_total)
 
 
-@pytest.mark.parametrize("position,message", [
-    (Position(100.4, 90), "topology: node 3 is 0.4.* m from node 2, closer than min_separation"),
-    (Position(math.nan, 90), "topology: node 3 has a non-finite coordinate"),
-], ids=["0.4 m apart", "nan"])
-def test_simulation_rejects_a_bad_hand_built_topology(topo_builder, position, message):
-    topo = topo_builder({0: Position(490, 90), 1: Position(10, 90), 2: Position(100, 90),
+@pytest.mark.parametrize("overrides,position,message", [
+    ({}, Position(100.4, 90),
+     "topology: node 3 is 0.4.* m from node 2, closer than min_separation"),
+    ({}, Position(math.nan, 90), "topology: node 3 has a non-finite coordinate"),
+    ({"field_width": 300.0, "sink_x": 290.0}, Position(350.0, 90.0),
+     r"topology: node 3 at \(350.0, 90.0\) lies outside the 300.0 x 200.0 field"),
+    ({"min_separation": 5.0}, Position(103.0, 90.0),
+     "topology: node 3 is 3.0 m from node 2, closer than min_separation 5.0"),
+], ids=["0.4 m apart", "nan", "outside field_width", "inside min_separation"])
+def test_simulation_rejects_a_bad_hand_built_topology(topo_builder, overrides, position,
+                                                      message):
+    # checked against the scenario's field and min_separation
+    topo = topo_builder({0: Position(290, 90), 1: Position(10, 90), 2: Position(100, 90),
                          3: position})
     with pytest.raises(ValueError, match=message):
-        Simulation(ScenarioConfig(n_sensors=2), topo)
+        Simulation(ScenarioConfig(n_sensors=2, **overrides), topo)
+
+
+def test_a_run_takes_its_radio_range_from_the_scenario():
+    cfg = ScenarioConfig(n_sensors=60, seed=3)
+    topo = generate_topology(cfg.seed, cfg.n_sensors, cfg.field_spec())
+    short = cfg.replace(radio_range=40.0)
+    sim = Simulation(short, topo)
+    assert {u: [v.id for v in vs] for u, vs in sim.range_neighbors.items()} == \
+        {u: sorted(radio_neighbors(topo, u, 40.0)) for u, _ in topo.nodes}
+    assert sim.run() != run_scenario(cfg, topo)
+    assert run_scenario(short, topo) == run_scenario(short)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_every_table_steers_to_node_0s_row(protocol):
+    positions = chain_positions(spacing=50.0)
+    cfg = ScenarioConfig(protocol=protocol, n_sensors=7, image_count=5)
+    sink = positions[SINK_ID]
+    assert sink != Position(cfg.sink_x, cfg.sink_y)
+    sim = Simulation(cfg, Topology(nodes=tuple(positions.items())))
+    assert all(n.table.sink_position == sink for n in sim.nodes.values())
+    report = sim.run()
+    assert report.delivered == sim.emitted > 0
+    assert sim.paths[0] == [1, 2, 3, 4, 5, 6, 7, 8, 0]
 
 
 def test_chain_delay_is_pure_serialization(topo_builder):
@@ -202,7 +234,7 @@ def test_walking_back_steps_back_twice_then_resumes(topo_builder):
         6: Position(170, 25),
         7: Position(242, 55),
         8: Position(315, 80),
-    }, width=400, height=200)
+    })
     cfg = ScenarioConfig(protocol="geams", n_sensors=7, initial_energy_j=20.0)
     sim = Simulation(cfg, topo)
     report = sim.run()
@@ -229,8 +261,8 @@ def test_gateways_never_die():
                          initial_energy_j=0.05)
     sim = Simulation(cfg)
     sim.run()
-    assert sim.nodes[sim.sink_id].alive
-    assert sim.nodes[sim.source_id].alive
+    assert sim.nodes[SINK_ID].alive
+    assert sim.nodes[SOURCE_ID].alive
 
 
 def test_report_statistics_recomputable():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import add, gabriel_planarize, table
+from conftest import RADIO_RANGE, add, gabriel_planarize, table
 from geams_sim.engine import Simulation
 from geams_sim.gpsr import (
     greedy_next_hop,
@@ -11,7 +11,8 @@ from geams_sim.gpsr import (
 )
 from geams_sim.neighbors import BeaconState, NeighborRecord, NeighborTable
 from geams_sim.scenario import ScenarioConfig
-from geams_sim.topology import Position, distance, generate_topology, range_neighbor_lists
+from geams_sim.topology import FieldSpec, Position, distance, generate_topology, \
+    range_neighbor_lists
 
 
 def record(node_id, pos, me, sink, energy=1.0, beacon_time=0.0, pending=None):
@@ -137,7 +138,7 @@ def _void_detour_topology(topo_builder):
         5: Position(190, 160),
         6: Position(255, 130),
         7: Position(320, 100),
-    }, width=400, height=200)
+    })
 
 
 def test_gpsr_delivers_through_void(topo_builder):
@@ -259,8 +260,8 @@ def test_planar_neighbors_agree_with_global_gabriel(n):
         topo = generate_topology(seed, n)
         positions = dict(topo.nodes)
         gabriel = gabriel_planarize(topo)
-        for u, neighbours in range_neighbor_lists(topo).items():
-            t = NeighborTable(my_position=positions[u], sink_position=topo.field.sink_position)
+        for u, neighbours in range_neighbor_lists(topo, RADIO_RANGE).items():
+            t = NeighborTable(my_position=positions[u], sink_position=FieldSpec().sink_position)
             for v in neighbours:
                 t.handle_beacon(v, positions[v], BeaconState(1.0, 0.0))
             local = {r.id for r in planar_neighbors(t, 0.0, 2.5)}

@@ -60,21 +60,21 @@ def test_variance_invariant_under_relabeling(values, seed):
     assert math.isclose(a[1], b[1], rel_tol=1e-9, abs_tol=1e-12)
 
 
-FIELD = FieldSpec()
+FIELD_WIDTH = FieldSpec().width
 
 
 def test_regional_left_edge_bin():
-    rows = regional_energy([(Position(10, 90), 2.0)], FIELD)
+    rows = regional_energy([(Position(10, 90), 2.0)], FIELD_WIDTH)
     assert rows == [(10.0, 50.0, 2.0)]
 
 
 def test_regional_clamps_outside_anchor_and_far_edge():
-    rows = regional_energy([(Position(5, 90), 2.0), (Position(495, 90), 4.0)], FIELD)
+    rows = regional_energy([(Position(5, 90), 2.0), (Position(495, 90), 4.0)], FIELD_WIDTH)
     assert rows == [(10.0, 50.0, 2.0), (450.0, 490.0, 4.0)]
 
 
 def test_regional_omits_empty_bins():
-    rows = regional_energy([(Position(100, 90), 1.0)], FIELD)
+    rows = regional_energy([(Position(100, 90), 1.0)], FIELD_WIDTH)
     assert rows == [(90.0, 130.0, 1.0)]
 
 
@@ -82,7 +82,7 @@ def test_regional_matches_brute_force():
     rng = random.Random(4)
     sensors = [(Position(rng.uniform(0, 500), rng.uniform(0, 200)), rng.uniform(0, 3))
                for _ in range(200)]
-    rows = regional_energy(sensors, FIELD)
+    rows = regional_energy(sensors, FIELD_WIDTH)
     for lo, hi, mean in rows:
         if lo == 10.0:
             members = [e for p, e in sensors if p.x < hi]

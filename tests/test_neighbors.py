@@ -27,7 +27,7 @@ def test_topology_listed_in_descending_id_order_changes_nothing():
     for protocol in ("gpsr", "geams"):
         cfg = ScenarioConfig(protocol=protocol, n_sensors=60, seed=3)
         topo = generate_topology(cfg.seed, cfg.n_sensors, cfg.field_spec())
-        reverse = Topology(nodes=topo.nodes[::-1], field=topo.field)
+        reverse = Topology(nodes=topo.nodes[::-1])
         sims = [ReplaySimulation(cfg, t) for t in (topo, reverse)]
         a, b = [sim.run() for sim in sims]
         assert list(sims[1].nodes) == sorted(sims[1].nodes)

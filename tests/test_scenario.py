@@ -31,10 +31,10 @@ def test_replace_returns_new_config():
 
 
 def test_field_spec_mirrors_geometry():
-    cfg = ScenarioConfig(sink_x=123.0, radio_range=40.0)
+    cfg = ScenarioConfig(sink_x=123.0, field_width=300.0, min_separation=2.0)
     f = cfg.field_spec()
     assert f.sink_position.x == 123.0
-    assert f.radio_range == 40.0
+    assert (f.width, f.min_separation) == (300.0, 2.0)
 
 
 def test_rejects_unknown_protocol():
@@ -140,6 +140,8 @@ def test_accepts_zero_energy_and_sizes():
     ("min_separation", 0.2),
     ("min_separation", float("nan")),
     ("radio_range", -1),
+    ("radio_range", 0.0),
+    ("radio_range", float("nan")),
 ])
 def test_rejects_traffic_and_engine_values_that_run_wrongly(key, value):
     # image_count < 1 still emitted one image, a negative interval ran the
@@ -150,6 +152,22 @@ def test_rejects_traffic_and_engine_values_that_run_wrongly(key, value):
     # and a negative range failed only when the Simulation was built
     with pytest.raises(ScenarioError, match=key):
         config_from_dict({key: value})
+
+
+@pytest.mark.parametrize("key", ["field_width", "field_height"])
+@pytest.mark.parametrize("value", [float("inf"), 0, -1])
+def test_rejects_a_field_size_that_is_not_positive_and_finite(key, value):
+    # an infinite width loaded, placed every sensor at x = inf and never finished
+    with pytest.raises(ScenarioError, match=key.replace("_", " ") + " must be positive and finite"):
+        config_from_dict({key: value})
+
+
+def test_rejects_a_sink_closer_to_the_source_than_min_separation():
+    # it loaded, then failed mid-run on a degenerate 0.4 m link
+    with pytest.raises(ScenarioError, match="sink and source are .* closer than min_separation"):
+        config_from_dict({"sink_x": 10.0, "sink_y": 90.4})
+    with pytest.raises(ScenarioError, match="closer than min_separation 5.0"):
+        config_from_dict({"sink_x": 14.0, "sink_y": 90.0, "min_separation": 5.0})
 
 
 def test_accepts_json_ints_for_floats_and_null_ttl():

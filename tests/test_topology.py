@@ -4,9 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gabriel_planarize, radio_edges, radio_neighbors
+from conftest import RADIO_RANGE, gabriel_planarize, radio_edges, radio_neighbors
 from geams_sim.topology import (
     MAX_PLACEMENT_ATTEMPTS,
+    SINK_ID,
+    SOURCE_ID,
     FieldSpec,
     PlacementError,
     Position,
@@ -42,7 +44,7 @@ def test_pairwise_separation_holds():
     nodes = t.nodes
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
-            assert distance(nodes[i][1], nodes[j][1]) >= t.field.min_separation
+            assert distance(nodes[i][1], nodes[j][1]) >= FieldSpec().min_separation
 
 
 @settings(max_examples=20, deadline=None)
@@ -52,24 +54,24 @@ def test_separation_property(seed):
     nodes = t.nodes
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
-            assert distance(nodes[i][1], nodes[j][1]) >= t.field.min_separation
+            assert distance(nodes[i][1], nodes[j][1]) >= FieldSpec().min_separation
 
 
 def test_node_ids_dense_and_designated():
     t = generate_topology(3, 12)
     assert sorted(i for i, _ in t.nodes) == list(range(14))
-    assert t.sink_id == 0
-    assert t.source_id == 1
-    assert dict(t.nodes)[0] == t.field.sink_position
-    assert dict(t.nodes)[1] == t.field.source_position
+    assert (SINK_ID, SOURCE_ID) == (0, 1)
+    assert dict(t.nodes)[0] == FieldSpec().sink_position
+    assert dict(t.nodes)[1] == FieldSpec().source_position
     assert t.sensor_ids == list(range(2, 14))
 
 
 def test_positions_stay_in_field():
     t = generate_topology(11, 60)
+    f = FieldSpec()
     for _, p in t.nodes:
-        assert 0 <= p.x <= t.field.width
-        assert 0 <= p.y <= t.field.height
+        assert 0 <= p.x <= f.width
+        assert 0 <= p.y <= f.height
 
 
 def test_negative_sensor_count():
@@ -79,21 +81,26 @@ def test_negative_sensor_count():
 
 def test_field_validation():
     with pytest.raises(ValueError):
-        FieldSpec(radio_range=0)
-    with pytest.raises(ValueError):
         FieldSpec(min_separation=0)
-    with pytest.raises(ValueError):
-        FieldSpec(radio_range=math.nan)
     with pytest.raises(ValueError):
         FieldSpec(min_separation=math.nan)
     with pytest.raises(ValueError):
         FieldSpec(sink_position=Position(600, 90))
+    for size in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="field width must be positive and finite"):
+            FieldSpec(width=size)
+        with pytest.raises(ValueError, match="field height must be positive and finite"):
+            FieldSpec(height=size)
+    with pytest.raises(ValueError, match="closer than min_separation"):
+        FieldSpec(sink_position=Position(10.0, 90.4))
+    # exactly min_separation apart is allowed
+    FieldSpec(sink_position=Position(10.0, 92.0), min_separation=2.0)
 
 
 def test_placement_error_when_field_too_crowded():
     # a 5x5 field cannot hold a third node 5 m away from both corners
     f = FieldSpec(width=5, height=5, sink_position=Position(0, 0),
-                  source_position=Position(5, 5), radio_range=80, min_separation=5)
+                  source_position=Position(5, 5), min_separation=5)
     with pytest.raises(PlacementError):
         generate_topology(1, 1, f)
 
@@ -116,7 +123,7 @@ def _brute_force_placement(seed, n_sensors, field):
 
 
 CROWDED = FieldSpec(width=20, height=20, sink_position=Position(19, 10),
-                    source_position=Position(1, 10), radio_range=5, min_separation=1)
+                    source_position=Position(1, 10), min_separation=1)
 
 
 @pytest.mark.parametrize("seed,n,field", [
@@ -142,8 +149,7 @@ def test_grid_placement_fails_where_brute_force_fails():
 
 
 def _two_node_topology(d: float) -> Topology:
-    f = FieldSpec(sink_position=Position(10 + d, 90), source_position=Position(10, 90))
-    return Topology(nodes=((0, f.sink_position), (1, f.source_position)), field=f)
+    return Topology(nodes=((0, Position(10 + d, 90)), (1, Position(10, 90))))
 
 
 def test_radio_boundary_inclusive():
@@ -163,7 +169,7 @@ def test_radio_neighbors_match_brute_force():
     for u, pu in t.nodes:
         expected = {
             v for v, pv in t.nodes
-            if v != u and distance(pu, pv) <= t.field.radio_range
+            if v != u and distance(pu, pv) <= RADIO_RANGE
         }
         assert radio_neighbors(t, u) == expected
 
@@ -188,21 +194,18 @@ def test_range_lists_match_radio_neighbors(points, partners):
     for i, (dx, dy) in partners:
         x, y = points[i % len(points)]
         points.append((x + dx, y + dy))
-    f = FieldSpec(radio_range=R)
-    t = Topology(nodes=tuple((i, Position(x, y)) for i, (x, y) in enumerate(points)),
-                 field=f)
-    lists = range_neighbor_lists(t)
+    t = Topology(nodes=tuple((i, Position(x, y)) for i, (x, y) in enumerate(points)))
+    lists = range_neighbor_lists(t, R)
     assert set(lists) == {i for i, _ in t.nodes}
     for u, _ in t.nodes:
-        assert lists[u] == sorted(radio_neighbors(t, u))
+        assert lists[u] == sorted(radio_neighbors(t, u, R))
 
 
 def test_range_lists_skip_non_finite_positions():
-    f = FieldSpec()
-    t = Topology(nodes=((0, f.sink_position), (1, f.source_position),
+    t = Topology(nodes=((0, Position(490, 90)), (1, Position(10, 90)),
                         (2, Position(math.nan, 90)), (3, Position(math.inf, 90)),
-                        (4, Position(60, 90))), field=f)
-    lists = range_neighbor_lists(t)
+                        (4, Position(60, 90))))
+    lists = range_neighbor_lists(t, RADIO_RANGE)
     assert lists == {u: sorted(radio_neighbors(t, u)) for u, _ in t.nodes}
     assert lists[2] == lists[3] == []
 
@@ -216,9 +219,7 @@ def test_radio_symmetry():
 
 def test_gabriel_collinear_triple(topo_builder):
     t = topo_builder(
-        {0: Position(0, 5), 1: Position(80, 5), 2: Position(40, 5)},
-        width=100, height=10,
-    )
+        {0: Position(0, 5), 1: Position(80, 5), 2: Position(40, 5)})
     assert radio_edges(t) == {(0, 1), (0, 2), (1, 2)}
     # the middle node sits on the (0,1) diameter circle, which removes that edge
     assert gabriel_planarize(t) == {(0, 2), (1, 2)}
