@@ -3,10 +3,9 @@ routing in wireless multimedia sensor networks."""
 
 from .engine import Simulation, run_scenario
 from .scenario import ScenarioConfig, load_scenario
-from .topology import FieldSpec, Position, Topology, generate_topology
+from .topology import Position, Topology, generate_topology
 
 __all__ = [
-    "FieldSpec",
     "Position",
     "ScenarioConfig",
     "Simulation",

@@ -22,15 +22,21 @@ def _default_out_dir() -> str:
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    """Accept '1,2,3' and ranges like '1-20' (mixable: '1-3,7')."""
+    """Accept '1,2,3' and ascending ranges like '1-20' (mixable: '1-3,7')."""
     seeds: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(part))
+        # a leading '-' is a negative seed's sign, not a range
+        lo, dash, hi = part[1:].partition("-")
+        try:
+            first = int(part[:1] + lo)
+            last = int(hi) if dash else first
+        except ValueError:
+            raise ScenarioError(f"--seeds: {part!r} is neither a seed nor a range "
+                                f"like 1-20") from None
+        if last < first:
+            raise ScenarioError(f"--seeds: range {part!r} is descending")
+        seeds.extend(range(first, last + 1))
     return tuple(seeds)
 
 
@@ -50,7 +56,7 @@ def _cmd_run(args) -> int:
     cfg = _base_config(args)
     topology = None
     if args.topology_in:
-        topology = load_topology_csv(args.topology_in, cfg.field_spec())
+        topology = load_topology_csv(args.topology_in, cfg)
     sim = Simulation(cfg, topology)
     if args.topology_out:
         save_topology_csv(sim.topology, args.topology_out)

@@ -8,26 +8,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class EnergyModelParams:
-    """Radio constants: electronics cost per bit, amplifier cost per bit per m^2."""
-
-    e_elec: float = 5e-6
-    eps_amp: float = 1e-9
-
-    def __post_init__(self):
-        if not (self.e_elec > 0 and self.eps_amp > 0):  # NaN fails too
-            raise ValueError("energy model constants must be strictly positive")
+def tx_energy(k_bits: float, d_meters: float, e_elec: float, eps_amp: float) -> float:
+    """Energy to transmit k bits over distance d: k * (e_elec + eps_amp * d^2),
+    with e_elec the electronics cost per bit and eps_amp the amplifier cost
+    per bit per m^2."""
+    return k_bits * (e_elec + eps_amp * d_meters * d_meters)
 
 
-def tx_energy(k_bits: float, d_meters: float, p: EnergyModelParams) -> float:
-    """Energy to transmit k bits over distance d: k * (e_elec + eps_amp * d^2)."""
-    return k_bits * (p.e_elec + p.eps_amp * d_meters * d_meters)
-
-
-def rx_energy(k_bits: float, p: EnergyModelParams) -> float:
+def rx_energy(k_bits: float, e_elec: float) -> float:
     """Energy to receive k bits: k * e_elec."""
-    return k_bits * p.e_elec
+    return k_bits * e_elec
 
 
 @dataclass(slots=True)

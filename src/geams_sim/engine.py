@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import geams, gpsr
-from .energy import Battery, EnergyModelParams, rx_energy, tx_energy
+from .energy import Battery, rx_energy, tx_energy
 from .link import link_rate, serialization_delay
 from .metrics import LOSS_REASONS, MetricsReport, PacketOutcome, delay_and_loss, \
     dead_node_count, energy_stats, regional_energy
@@ -78,12 +78,10 @@ class EnergyLedger:
 class Simulation:
     def __init__(self, cfg: ScenarioConfig, topology: Topology | None = None):
         self.cfg = cfg
-        self.params = EnergyModelParams(cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
-        spec = cfg.field_spec()
         if topology is None:
-            topology = generate_topology(cfg.seed, cfg.n_sensors, spec)
+            topology = generate_topology(cfg)
         else:
-            check_nodes(topology.nodes, spec)  # generated ones pass by construction
+            check_nodes(topology.nodes, cfg)  # generated ones pass by construction
         self.topology = topology
 
         # ascending by id whatever the row order: beacon rounds rely on it
@@ -175,7 +173,8 @@ class Simulation:
         """Whether GEAMS would forward from `node` now rather than walk back."""
         cfg = self.cfg
         return bool(geams.build_best_neighbor_set(
-            node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits, self.params))
+            node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits,
+            cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2))
 
     def _broadcast(self, node: NodeRuntime, time: float, void: bool = False,
                    has_sinkward: bool = False) -> None:
@@ -194,7 +193,8 @@ class Simulation:
         battery = node.battery
         reported = battery.residual  # a beacon reports the charge it is sent from
         if charge:
-            cost = tx_energy(bits, cfg.radio_range, self.params)
+            cost = tx_energy(bits, cfg.radio_range, cfg.e_elec_j_per_bit,
+                             cfg.eps_amp_j_per_bit_m2)
             drained, died = battery.debit(cost)
             self.ledger.add(tx_cat, drained)
             if drained < cost or died:
@@ -225,7 +225,7 @@ class Simulation:
             return
         # Battery.debit, inlined: the same float expressions and death test,
         # and one ledger entry for the whole broadcast's receptions
-        rx_cost = rx_energy(bits, self.params)
+        rx_cost = rx_energy(bits, cfg.e_elec_j_per_bit)
         if rx_cost < 0:
             raise ValueError("debit amount must be nonnegative")
         total = 0.0
@@ -296,7 +296,7 @@ class Simulation:
             # the hop length
             d = node.table.records[next_hop].distance_to_me
             bits = pk.payload_bits + cfg.header_bits
-            cost = tx_energy(bits, d, self.params)
+            cost = tx_energy(bits, d, cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
             if not node.death_exempt and node.battery.residual < cost:
                 self._drop_and_die(node, pk)
                 return
@@ -333,7 +333,7 @@ class Simulation:
         if not receiver.alive:
             self._record(pk, "next_hop_died")
             return
-        drained, died = receiver.battery.debit(rx_energy(bits, self.params))
+        drained, died = receiver.battery.debit(rx_energy(bits, self.cfg.e_elec_j_per_bit))
         self.ledger.add("data_rx", drained)
         pk.path.append(receiver_id)
         if died:
@@ -356,7 +356,7 @@ class Simulation:
         """Relay cost a forwarded frame will impose on the chosen neighbor:
         its receive plus the electronics part of its own transmit (the
         amplifier term depends on a hop we cannot know)."""
-        return 2.0 * self.params.e_elec * bits
+        return 2.0 * self.cfg.e_elec_j_per_bit * bits
 
     # -- routing ------------------------------------------------------------
 
@@ -368,7 +368,8 @@ class Simulation:
     def _route_geams(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
         cfg = self.cfg
         entries = geams.build_best_neighbor_set(
-            node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits, self.params)
+            node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits,
+            cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
         if entries:
             state = node.source_states.get(pk.source)
             if state is not None:

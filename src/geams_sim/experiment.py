@@ -84,9 +84,9 @@ def run_experiment(plan: ExperimentPlan, out_dir, jobs: int = 1,
     """Run the full matrix and write summary.csv, regional.csv and, when the
     plan has both protocols, comparison.csv (plus packets.csv when asked)
     under out_dir; an old comparison.csv or packets.csv this run does not
-    write is removed."""
+    write is removed.  A cell the scenario rejects leaves out_dir as it was."""
+    cells = plan.cells()  # validates every cell
     os.makedirs(out_dir, exist_ok=True)
-    cells = plan.cells()
     # a fork pool starts every worker at once: none beyond one per cell
     workers = min(jobs, len(cells))
     if workers > 1:

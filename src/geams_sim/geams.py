@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
-from .energy import EnergyModelParams, rx_energy
+from .energy import rx_energy
 from .neighbors import NeighborRecord, NeighborTable
 
 # (neighbor id, score) pairs, descending by score, ties by ascending id
@@ -39,18 +39,19 @@ class SourceState:
 
 
 def build_best_neighbor_set(
-    t: NeighborTable, now: float, expiry_s: float, k_bits: float, p: EnergyModelParams
+    t: NeighborTable, now: float, expiry_s: float, k_bits: float, e_elec: float,
+    eps_amp: float
 ) -> BestNeighborSet:
     """Live, non-void-flagged neighbors strictly closer to the sink than we
     are, sorted by descending score with ties broken by ascending id.
 
     A neighbor's score is its fitness in joules: its remaining energy minus
     the cost of pushing one k-bit packet through it (our transmit to it, then
-    its receive).  The liveness test and the residual are live_records' and
+    its receive), priced with the radio constants `e_elec` and `eps_amp`.
+    The liveness test and the residual are live_records' and
     NeighborRecord.residual_energy's, inlined.
     """
-    e_elec, eps_amp = p.e_elec, p.eps_amp
-    rx = rx_energy(k_bits, p)
+    rx = rx_energy(k_bits, e_elec)
     candidates = []
     for r in t.sinkward_records():
         s = r.state

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
-
-from .topology import FieldSpec, Position
 
 PROTOCOLS = ("geams", "gpsr")
 
@@ -67,33 +66,38 @@ class ScenarioConfig:
         if self.ttl is not None and self.ttl < 1:
             raise ScenarioError("ttl must be positive when given")
         # NaN fails too; a zero beacon interval never reaches the horizon
-        for name in ("beacon_interval_s", "horizon_s", "base_rate_bps", "e_elec_j_per_bit",
-                     "eps_amp_j_per_bit_m2", "neighbor_expiry_intervals", "radio_range"):
+        for name in ("beacon_interval_s", "horizon_s", "base_rate_bps",
+                     "neighbor_expiry_intervals"):
             if not getattr(self, name) > 0:
                 raise ScenarioError(f"{name} must be positive")
+        # an infinite field never finishes placement, and an infinite radio
+        # constant or range drains every sensor at t = 0
+        for name in ("field_width", "field_height", "radio_range", "e_elec_j_per_bit",
+                     "eps_amp_j_per_bit_m2"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                label = name.replace("field_", "field ")  # "field width", "radio_range"
+                raise ScenarioError(f"{label} must be positive and finite")
         if self.image_count < 1:
             raise ScenarioError("image_count must be at least 1")
         if not self.image_interval_s >= 0:  # NaN fails too; negative runs the clock back
             raise ScenarioError("image_interval_s must be nonnegative")
+        # an infinite battery leaves inf - inf = NaN in the reports and the ledger
         for name in ("initial_energy_j", "gateway_energy_j"):
-            if not getattr(self, name) >= 0:  # NaN fails too
-                raise ScenarioError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ScenarioError(f"{name} must be nonnegative and finite")
         for name in ("header_bits", "beacon_bits", "void_announcement_bits"):
             if getattr(self, name) < 0:
                 raise ScenarioError(f"{name} must be nonnegative")
-        try:
-            self.field_spec()
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
-
-    def field_spec(self) -> FieldSpec:
-        return FieldSpec(
-            width=self.field_width,
-            height=self.field_height,
-            sink_position=Position(self.sink_x, self.sink_y),
-            source_position=Position(self.source_x, self.source_y),
-            min_separation=self.min_separation,
-        )
+        if not self.min_separation >= 1.0:  # the link model's floor; NaN fails too
+            raise ScenarioError("min_separation must be at least 1 m")
+        for x, y in ((self.sink_x, self.sink_y), (self.source_x, self.source_y)):
+            if not (0 <= x <= self.field_width and 0 <= y <= self.field_height):
+                raise ScenarioError(f"designated node at ({x}, {y}) lies outside the field")
+        # a closer pair fails mid-run on its degenerate link
+        gap = math.hypot(self.sink_x - self.source_x, self.sink_y - self.source_y)
+        if gap < self.min_separation:
+            raise ScenarioError(f"sink and source are {gap} m apart, closer than "
+                                f"min_separation {self.min_separation}")
 
     def effective_ttl(self, total_nodes: int) -> int:
         return self.ttl if self.ttl is not None else 2 * total_nodes

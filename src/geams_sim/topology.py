@@ -3,7 +3,8 @@ neighborhoods both routing protocols rely on.
 
 A topology is its node rows alone: the field and the radio range belong to
 the scenario that runs it.  Topologies are immutable and fully determined by
-(seed, n_sensors, field), so they can be shared read-only between runs.
+the scenario's seed, sensor count and field, so they can be shared read-only
+between runs.
 """
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import csv
 import math
 import random
 from dataclasses import dataclass
+
+from .scenario import ScenarioConfig
 
 SINK_ID = 0
 SOURCE_ID = 1
@@ -32,30 +35,6 @@ class Position:
 def distance(a: Position, b: Position) -> float:
     """Euclidean distance in meters."""
     return math.hypot(a.x - b.x, a.y - b.y)
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    width: float = 500.0
-    height: float = 200.0
-    sink_position: Position = Position(490.0, 90.0)
-    source_position: Position = Position(10.0, 90.0)
-    min_separation: float = 1.0
-
-    def __post_init__(self):
-        for name in ("width", "height"):
-            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
-                raise ValueError(f"field {name} must be positive and finite")
-        if not self.min_separation >= 1.0:  # the link model's floor; NaN fails too
-            raise ValueError("min_separation must be at least 1 m")
-        for p in (self.sink_position, self.source_position):
-            if not (0 <= p.x <= self.width and 0 <= p.y <= self.height):
-                raise ValueError(f"designated node at ({p.x}, {p.y}) lies outside the field")
-        # a closer pair fails mid-run on its degenerate link
-        gap = distance(self.sink_position, self.source_position)
-        if gap < self.min_separation:
-            raise ValueError(f"sink and source are {gap} m apart, closer than "
-                             f"min_separation {self.min_separation}")
 
 
 @dataclass(frozen=True)
@@ -109,30 +88,28 @@ class CellGrid:
                 yield from cells.get((x, y), ())
 
 
-def generate_topology(seed: int, n_sensors: int, field: FieldSpec | None = None) -> Topology:
-    """Place n_sensors sensors uniformly at random, keeping every pairwise
-    distance >= field.min_separation (sink and source included).
+def generate_topology(cfg: ScenarioConfig) -> Topology:
+    """Place the sink and source at cfg's designated positions and
+    cfg.n_sensors sensors uniformly at random on cfg's field, seeded by
+    cfg.seed, keeping every pairwise distance >= cfg.min_separation.
 
     Raises PlacementError if any sensor cannot be placed within
     MAX_PLACEMENT_ATTEMPTS rejection-sampling attempts.
     """
-    if n_sensors < 0:
-        raise ValueError("n_sensors must be nonnegative")
-    if field is None:
-        field = FieldSpec()
-    rng = random.Random(seed)
+    rng = random.Random(cfg.seed)
     placed: list[tuple[int, Position]] = [
-        (SINK_ID, field.sink_position),
-        (SOURCE_ID, field.source_position),
+        (SINK_ID, Position(cfg.sink_x, cfg.sink_y)),
+        (SOURCE_ID, Position(cfg.source_x, cfg.source_y)),
     ]
-    sep = field.min_separation
+    sep = cfg.min_separation
     grid = CellGrid(sep)
     for node_id, p in placed:
         grid.add(node_id, p)
-    for i in range(n_sensors):
+    width, height = cfg.field_width, cfg.field_height
+    for i in range(cfg.n_sensors):
         node_id = 2 + i
         for _ in range(MAX_PLACEMENT_ATTEMPTS):
-            cand = Position(rng.uniform(0.0, field.width), rng.uniform(0.0, field.height))
+            cand = Position(rng.uniform(0.0, width), rng.uniform(0.0, height))
             if all(distance(cand, p) >= sep for _, p in grid.near(cand)):
                 placed.append((node_id, cand))
                 grid.add(node_id, cand)
@@ -165,11 +142,11 @@ def save_topology_csv(t: Topology, path) -> None:
             writer.writerow([node_id, repr(p.x), repr(p.y)])
 
 
-def check_nodes(nodes, field: FieldSpec, origin: str = "topology",
+def check_nodes(nodes, cfg: ScenarioConfig, origin: str = "topology",
                 line=None) -> dict[int, Position]:
     """Positions by id of a deployment's (id, position) `nodes`, checked in
-    the order given: no id twice, finite coordinates on the field, and at
-    least `field.min_separation` from every earlier node; then the sink and
+    the order given: no id twice, finite coordinates on cfg's field, and at
+    least `cfg.min_separation` from every earlier node; then the sink and
     the source must be among them.  Such a deployment would otherwise fail
     mid-run, or run on a placement no scenario can produce.
 
@@ -177,7 +154,8 @@ def check_nodes(nodes, field: FieldSpec, origin: str = "topology",
     `line()` called as the failing node is checked (a file reader's current
     line).
     """
-    sep = field.min_separation
+    sep = cfg.min_separation
+    width, height = cfg.field_width, cfg.field_height
     grid = CellGrid(sep)
     positions: dict[int, Position] = {}
     for node_id, p in nodes:
@@ -186,9 +164,9 @@ def check_nodes(nodes, field: FieldSpec, origin: str = "topology",
             raise ValueError(f"{where}: duplicate node id {node_id}")
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             raise ValueError(f"{where}: node {node_id} has a non-finite coordinate")
-        if not (0 <= p.x <= field.width and 0 <= p.y <= field.height):
+        if not (0 <= p.x <= width and 0 <= p.y <= height):
             raise ValueError(f"{where}: node {node_id} at ({p.x}, {p.y}) lies outside "
-                             f"the {field.width} x {field.height} field")
+                             f"the {width} x {height} field")
         for other, q in grid.near(p):
             if distance(p, q) < sep:
                 raise ValueError(f"{where}: node {node_id} is {distance(p, q)} m from "
@@ -201,17 +179,15 @@ def check_nodes(nodes, field: FieldSpec, origin: str = "topology",
     return positions
 
 
-def load_topology_csv(path, field: FieldSpec | None = None) -> Topology:
-    """Read a topology written by save_topology_csv, checked against
-    `field`'s size and min_separation.  Ids 0 and 1 must be present and are
-    taken as sink and source wherever they lie; the field's designated
-    positions place generated topologies only.
+def load_topology_csv(path, cfg: ScenarioConfig) -> Topology:
+    """Read a topology written by save_topology_csv, checked against cfg's
+    field size and min_separation.  Ids 0 and 1 must be present and are
+    taken as sink and source wherever they lie; cfg's designated positions
+    place generated topologies only.
 
     Raises ValueError naming the line for a malformed row and for every
     check_nodes failure.
     """
-    if field is None:
-        field = FieldSpec()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -228,5 +204,5 @@ def load_topology_csv(path, field: FieldSpec | None = None) -> Topology:
                                      f"'node_id,x,y', got {row!r}") from None
                 yield node
 
-        positions = check_nodes(rows(), field, str(path), lambda: reader.line_num)
+        positions = check_nodes(rows(), cfg, str(path), lambda: reader.line_num)
     return Topology(nodes=tuple(positions.items()))

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from geams_sim.energy import EnergyModelParams, rx_energy, tx_energy
+from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import Simulation
 from geams_sim.neighbors import NeighborRecord, NeighborTable
 from geams_sim.scenario import ScenarioConfig
@@ -94,10 +94,11 @@ def gabriel_planarize(t: Topology, r: float = RADIO_RANGE) -> set[tuple[int, int
 
 # GEAMS score oracle: the definition geams.build_best_neighbor_set inlines.
 
-def score(n: NeighborRecord, k_bits: float, p: EnergyModelParams) -> float:
+def score(n: NeighborRecord, k_bits: float, e_elec: float, eps_amp: float) -> float:
     """Neighbor fitness in joules: its remaining energy minus the cost of
     pushing one standard data packet through it (our transmit + its receive)."""
-    return n.residual_energy - tx_energy(k_bits, n.distance_to_me, p) - rx_energy(k_bits, p)
+    return (n.residual_energy - tx_energy(k_bits, n.distance_to_me, e_elec, eps_amp)
+            - rx_energy(k_bits, e_elec))
 
 
 # Hand-filled neighbour tables, filled as the engine fills them.
@@ -182,7 +183,7 @@ class ReplaySimulation(Simulation):
         cfg = self.cfg
         bits = cfg.void_announcement_bits if void else cfg.beacon_bits
         residual = node.battery.residual
-        cost = tx_energy(bits, cfg.radio_range, self.params)
+        cost = tx_energy(bits, cfg.radio_range, cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
         on_air = not (cfg.beacon_energy and residual < cost)
         # a receiver's alive flag changes during a broadcast only at its own
         # reception, so the nodes alive now are the ones that hear it

@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from conftest import assert_energy_balanced, chain_positions
-from geams_sim.energy import EnergyModelParams, rx_energy, tx_energy
+from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import Simulation
 from geams_sim.experiment import ExperimentPlan, run_experiment
 from geams_sim.geams import SourceState, select_next_hop
@@ -136,10 +136,12 @@ def test_criterion_05_selection_matches_oracle_exhaustively():
 
 
 def test_criterion_06_energy_model_values():
-    p = EnergyModelParams()
-    ok = (math.isclose(tx_energy(1000, 80, p), 1.14e-2, rel_tol=1e-15)
-          and math.isclose(rx_energy(1000, p), 5.0e-3, rel_tol=1e-15))
-    _verdict(6, ok, f"tx={tx_energy(1000, 80, p)!r} rx={rx_energy(1000, p)!r}")
+    cfg = ScenarioConfig()
+    tx = tx_energy(1000, 80, cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
+    rx = rx_energy(1000, cfg.e_elec_j_per_bit)
+    ok = (math.isclose(tx, 1.14e-2, rel_tol=1e-15)
+          and math.isclose(rx, 5.0e-3, rel_tol=1e-15))
+    _verdict(6, ok, f"tx={tx!r} rx={rx!r}")
 
 
 def test_criterion_07_link_model_values():

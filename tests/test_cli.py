@@ -27,6 +27,7 @@ def test_parse_seeds():
     assert _parse_seeds("1-3,7") == (1, 2, 3, 7)
     assert _parse_seeds("4") == (4,)
     assert _parse_seeds("1,5,9") == (1, 5, 9)
+    assert _parse_seeds("-3--1,-5") == (-3, -2, -1, -5)
 
 
 def test_run_writes_summary(tmp_path, capsys):
@@ -236,6 +237,11 @@ def test_plan_validation():
     (["--protocols", "geams,geams"], "protocol 'geams' is listed more than once"),
     (["--jobs", "0"], "--jobs must be at least 1, got 0"),
     (["--jobs", "-2"], "--jobs must be at least 1, got -2"),
+    (["--seeds", "1-"], "--seeds: '1-' is neither a seed nor a range like 1-20"),
+    (["--seeds", "1,,2"], "--seeds: '' is neither a seed nor a range like 1-20"),
+    (["--seeds", "x"], "--seeds: 'x' is neither a seed nor a range like 1-20"),
+    (["--seeds", "5-1"], "--seeds: range '5-1' is descending"),
+    (["--nodes", "-5"], "n_sensors must be nonnegative"),
 ])
 def test_experiment_rejects_a_bad_plan_before_running(tmp_path, capsys, flags, message):
     out = tmp_path / "exp"

@@ -3,38 +3,30 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from geams_sim.energy import Battery, EnergyModelParams, rx_energy, tx_energy
+from geams_sim.energy import Battery, rx_energy, tx_energy
+from geams_sim.scenario import ScenarioConfig
 
-P = EnergyModelParams()
+# the scenario's radio constants: electronics and amplifier cost per bit
+E_ELEC = ScenarioConfig().e_elec_j_per_bit
+EPS_AMP = ScenarioConfig().eps_amp_j_per_bit_m2
 
 
 def test_tx_energy_at_range():
-    assert math.isclose(tx_energy(1000, 80, P), 1.14e-2, rel_tol=1e-15)
+    assert math.isclose(tx_energy(1000, 80, E_ELEC, EPS_AMP), 1.14e-2, rel_tol=1e-15)
 
 
 def test_tx_energy_zero_distance():
-    assert math.isclose(tx_energy(1000, 0, P), 5.0e-3, rel_tol=1e-15)
+    assert math.isclose(tx_energy(1000, 0, E_ELEC, EPS_AMP), 5.0e-3, rel_tol=1e-15)
 
 
 def test_tx_energy_zero_bits():
-    assert tx_energy(0, 50, P) == 0.0
+    assert tx_energy(0, 50, E_ELEC, EPS_AMP) == 0.0
 
 
 def test_rx_energy_values():
-    assert math.isclose(rx_energy(1000, P), 5.0e-3, rel_tol=1e-15)
-    assert rx_energy(0, P) == 0.0
-    assert math.isclose(rx_energy(128, P), 6.4e-4, rel_tol=1e-15)
-
-
-def test_params_must_be_positive():
-    with pytest.raises(ValueError):
-        EnergyModelParams(e_elec=0)
-    with pytest.raises(ValueError):
-        EnergyModelParams(eps_amp=-1e-9)
-    with pytest.raises(ValueError):
-        EnergyModelParams(e_elec=math.nan)
-    with pytest.raises(ValueError):
-        EnergyModelParams(eps_amp=math.nan)
+    assert math.isclose(rx_energy(1000, E_ELEC), 5.0e-3, rel_tol=1e-15)
+    assert rx_energy(0, E_ELEC) == 0.0
+    assert math.isclose(rx_energy(128, E_ELEC), 6.4e-4, rel_tol=1e-15)
 
 
 @given(
@@ -44,12 +36,12 @@ def test_params_must_be_positive():
 def test_tx_energy_monotone(k1, k2, d1, d2):
     lo_k, hi_k = sorted((k1, k2))
     lo_d, hi_d = sorted((d1, d2))
-    assert tx_energy(lo_k, lo_d, P) <= tx_energy(hi_k, hi_d, P)
+    assert tx_energy(lo_k, lo_d, E_ELEC, EPS_AMP) <= tx_energy(hi_k, hi_d, E_ELEC, EPS_AMP)
 
 
 @given(k=st.floats(0, 1e6), d=st.floats(0, 1e3))
 def test_tx_at_least_rx(k, d):
-    assert tx_energy(k, d, P) >= rx_energy(k, P)
+    assert tx_energy(k, d, E_ELEC, EPS_AMP) >= rx_energy(k, E_ELEC)
 
 
 def test_debit_normal():

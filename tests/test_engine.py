@@ -187,7 +187,7 @@ def test_simulation_rejects_a_bad_hand_built_topology(topo_builder, overrides, p
 
 def test_a_run_takes_its_radio_range_from_the_scenario():
     cfg = ScenarioConfig(n_sensors=60, seed=3)
-    topo = generate_topology(cfg.seed, cfg.n_sensors, cfg.field_spec())
+    topo = generate_topology(cfg)
     short = cfg.replace(radio_range=40.0)
     sim = Simulation(short, topo)
     assert {u: [v.id for v in vs] for u, vs in sim.range_neighbors.items()} == \

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import add, score, table
-from geams_sim.energy import EnergyModelParams
 from geams_sim.engine import Simulation
 from geams_sim.geams import (
     EmptyNeighborSetError,
@@ -20,7 +19,8 @@ from geams_sim.neighbors import BeaconState, NeighborRecord, NeighborTable
 from geams_sim.scenario import ScenarioConfig
 from geams_sim.topology import Position, distance
 
-P = EnergyModelParams()
+# the scenario's radio constants, e_elec and eps_amp
+RADIO = (ScenarioConfig().e_elec_j_per_bit, ScenarioConfig().eps_amp_j_per_bit_m2)
 K_BITS = 1064
 
 
@@ -42,7 +42,7 @@ def record(node_id, pos, me, sink, energy, void=False, beacon_time=0.0,
 
 def one_score(r, k_bits, me, sink):
     """The score build_best_neighbor_set gives `r` as a table's only record."""
-    [(node_id, value)] = build_best_neighbor_set(table(me, sink, [r]), 0.0, 2.5, k_bits, P)
+    [(node_id, value)] = build_best_neighbor_set(table(me, sink, [r]), 0.0, 2.5, k_bits, *RADIO)
     assert node_id == r.id
     return value
 
@@ -72,7 +72,7 @@ def test_best_neighbor_set_empty_when_all_farther():
         record(2, Position(60, 90), me, sink, 1.0),
         record(3, Position(80, 120), me, sink, 1.0),
     ])
-    assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P) == []
+    assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO) == []
 
 
 def test_best_neighbor_set_orders_by_score_then_id():
@@ -82,9 +82,9 @@ def test_best_neighbor_set_orders_by_score_then_id():
         record(2, Position(160, 90), me, sink, 1.0),  # tie with 5: id wins
         record(3, Position(160, 90), me, sink, 2.0),  # more energy: top rank
     ])
-    s = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P)
+    s = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
     assert [i for i, _ in s] == [3, 2, 5]
-    assert s == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P)
+    assert s == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
 
 
 def test_best_neighbor_set_skips_dead_expired_and_flagged():
@@ -95,7 +95,7 @@ def test_best_neighbor_set_skips_dead_expired_and_flagged():
         record(4, Position(170, 90), me, sink, 1.0, beacon_time=-5.0),  # expired
         record(5, Position(160, 80), me, sink, 1.0, void=True),     # flagged
     ])
-    s = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P)
+    s = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
     assert [i for i, _ in s] == [2]
 
 
@@ -197,8 +197,8 @@ def test_order_invariant_under_energy_shift(halves, shift_halves):
     shifted = table(me, sink, [
         record(r.id, r.position, me, sink, r.residual_energy + shift) for r in recs
     ])
-    order = [i for i, _ in build_best_neighbor_set(base, 0.0, 2.5, K_BITS, P)]
-    order_shifted = [i for i, _ in build_best_neighbor_set(shifted, 0.0, 2.5, K_BITS, P)]
+    order = [i for i, _ in build_best_neighbor_set(base, 0.0, 2.5, K_BITS, *RADIO)]
+    order_shifted = [i for i, _ in build_best_neighbor_set(shifted, 0.0, 2.5, K_BITS, *RADIO)]
     assert order == order_shifted
 
 
@@ -208,12 +208,12 @@ def test_order_invariant_under_energy_shift(halves, shift_halves):
 def test_has_sinkward_true_with_closer_neighbor():
     me, sink = Position(100, 90), Position(490, 90)
     t = table(me, sink, [record(2, Position(160, 90), me, sink, 1.0)])
-    assert [i for i, _ in build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P)] == [2]
+    assert [i for i, _ in build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)] == [2]
 
 
 def test_has_sinkward_false_on_empty_table():
     t = NeighborTable(my_position=Position(100, 90), sink_position=Position(490, 90))
-    assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P) == []
+    assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO) == []
 
 
 @pytest.mark.parametrize("closer", [
@@ -228,14 +228,14 @@ def test_has_sinkward_ignores_unusable_closer_neighbor(closer):
         record(2, Position(60, 90), me, sink, 1.0),   # usable but farther
         record(3, Position(160, 90), me, sink, **kw),
     ])
-    assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P) == []
+    assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO) == []
 
 
 def test_has_sinkward_expiry_boundary_is_inclusive():
     me, sink = Position(100, 90), Position(490, 90)
     t = table(me, sink, [record(2, Position(160, 90), me, sink, 1.0, beacon_time=0.5)])
-    assert [i for i, _ in build_best_neighbor_set(t, 3.0, 2.5, K_BITS, P)] == [2]
-    assert build_best_neighbor_set(t, 3.0000001, 2.5, K_BITS, P) == []
+    assert [i for i, _ in build_best_neighbor_set(t, 3.0, 2.5, K_BITS, *RADIO)] == [2]
+    assert build_best_neighbor_set(t, 3.0000001, 2.5, K_BITS, *RADIO) == []
 
 
 @given(st.lists(
@@ -256,7 +256,8 @@ def test_has_sinkward_agrees_with_best_neighbor_set(specs):
         for i, (x, void, energy, bt, pending, stale) in enumerate(specs)
     ])
     assert sim._has_sinkward(node) == \
-        bool(reference_best_set(node.table, 0.0, 2.5, sim.cfg.data_packet_bits, sim.params))
+        bool(reference_best_set(node.table, 0.0, 2.5, sim.cfg.data_packet_bits,
+                                sim.cfg.e_elec_j_per_bit, sim.cfg.eps_amp_j_per_bit_m2))
 
 
 def test_walking_back_picks_least_far():
@@ -278,9 +279,9 @@ def test_walking_back_respects_exclusions_and_flags():
     assert walking_back_candidate(t, {2}, 0.0, 2.5) is None
 
 
-def reference_best_set(t, now, expiry_s, k_bits, p):
+def reference_best_set(t, now, expiry_s, k_bits, e_elec, eps_amp):
     """build_best_neighbor_set by brute force: score() over live_records."""
-    s = [(r.id, score(r, k_bits, p)) for r in t.live_records(now, expiry_s)
+    s = [(r.id, score(r, k_bits, e_elec, eps_amp)) for r in t.live_records(now, expiry_s)
          if not r.state.void_flagged and r.distance_to_sink < t.my_sink_distance]
     s.sort(key=lambda item: (-item[1], item[0]))
     return s
@@ -315,8 +316,8 @@ def test_best_neighbor_set_agrees_with_brute_force(specs, ids, split):
     for batch in (recs[:split], recs[split:]):
         for r in batch:
             add(t, r)
-        assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, P) == \
-            reference_best_set(t, 0.0, 2.5, K_BITS, P)
+        assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO) == \
+            reference_best_set(t, 0.0, 2.5, K_BITS, *RADIO)
 
 
 @given(steps=st.lists(st.tuples(

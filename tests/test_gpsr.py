@@ -11,7 +11,7 @@ from geams_sim.gpsr import (
 )
 from geams_sim.neighbors import BeaconState, NeighborRecord, NeighborTable
 from geams_sim.scenario import ScenarioConfig
-from geams_sim.topology import FieldSpec, Position, distance, generate_topology, \
+from geams_sim.topology import SINK_ID, Position, distance, generate_topology, \
     range_neighbor_lists
 
 
@@ -257,11 +257,11 @@ def test_planar_neighbors_agree_with_global_gabriel(n):
     """The local Gabriel test over a table that holds every radio neighbour
     keeps exactly the global planarization's edges at that node."""
     for seed in range(1, 11):
-        topo = generate_topology(seed, n)
+        topo = generate_topology(ScenarioConfig(seed=seed, n_sensors=n))
         positions = dict(topo.nodes)
         gabriel = gabriel_planarize(topo)
         for u, neighbours in range_neighbor_lists(topo, RADIO_RANGE).items():
-            t = NeighborTable(my_position=positions[u], sink_position=FieldSpec().sink_position)
+            t = NeighborTable(my_position=positions[u], sink_position=positions[SINK_ID])
             for v in neighbours:
                 t.handle_beacon(v, positions[v], BeaconState(1.0, 0.0))
             local = {r.id for r in planar_neighbors(t, 0.0, 2.5)}

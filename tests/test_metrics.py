@@ -21,7 +21,7 @@ from geams_sim.metrics import (
     write_csv,
 )
 from geams_sim.scenario import ScenarioConfig
-from geams_sim.topology import FieldSpec, Position
+from geams_sim.topology import Position
 
 
 def test_dead_node_count():
@@ -60,7 +60,7 @@ def test_variance_invariant_under_relabeling(values, seed):
     assert math.isclose(a[1], b[1], rel_tol=1e-9, abs_tol=1e-12)
 
 
-FIELD_WIDTH = FieldSpec().width
+FIELD_WIDTH = ScenarioConfig().field_width
 
 
 def test_regional_left_edge_bin():

@@ -26,7 +26,7 @@ def test_topology_listed_in_descending_id_order_changes_nothing():
     the reports match byte for byte."""
     for protocol in ("gpsr", "geams"):
         cfg = ScenarioConfig(protocol=protocol, n_sensors=60, seed=3)
-        topo = generate_topology(cfg.seed, cfg.n_sensors, cfg.field_spec())
+        topo = generate_topology(cfg)
         reverse = Topology(nodes=topo.nodes[::-1])
         sims = [ReplaySimulation(cfg, t) for t in (topo, reverse)]
         a, b = [sim.run() for sim in sims]
@@ -121,7 +121,7 @@ def test_broadcast_debits_like_battery_debit_and_books_one_entry(topo_builder):
     sim.ledger = Ledger()
     sim._do_beacons(0.0)
     node, victim = sim.nodes[3], sim.nodes[2]
-    rx_cost = 128 * sim.params.e_elec
+    rx_cost = 128 * sim.cfg.e_elec_j_per_bit
     victim.battery.residual = rx_cost / 3
     source = Battery(sim.nodes[1].battery.residual, 0.0)
     before = {i: n.battery.residual for i, n in sim.nodes.items()}
@@ -137,12 +137,11 @@ def test_broadcast_debits_like_battery_debit_and_books_one_entry(topo_builder):
 
 
 def test_broadcast_rejects_a_negative_receive_cost(topo_builder):
-    sim = Simulation(ScenarioConfig(n_sensors=2), _line(topo_builder))
-
-    class Params:  # a transmit cost that stays positive over the full range
-        e_elec, eps_amp = -1e-9, 1e-9
-
-    sim.params = Params()
+    cfg = ScenarioConfig(n_sensors=2)
+    # past the scenario's check, with a transmit cost that stays positive over
+    # the full range (eps_amp 1e-9)
+    object.__setattr__(cfg, "e_elec_j_per_bit", -1e-9)
+    sim = Simulation(cfg, _line(topo_builder))
     with pytest.raises(ValueError, match="nonnegative"):
         sim._broadcast(sim.nodes[3], 0.0)
 

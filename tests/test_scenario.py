@@ -30,13 +30,6 @@ def test_replace_returns_new_config():
     assert cfg.seed == 1
 
 
-def test_field_spec_mirrors_geometry():
-    cfg = ScenarioConfig(sink_x=123.0, field_width=300.0, min_separation=2.0)
-    f = cfg.field_spec()
-    assert f.sink_position.x == 123.0
-    assert (f.width, f.min_separation) == (300.0, 2.0)
-
-
 def test_rejects_unknown_protocol():
     with pytest.raises(ScenarioError):
         ScenarioConfig(protocol="dsr")
@@ -142,6 +135,11 @@ def test_accepts_zero_energy_and_sizes():
     ("radio_range", -1),
     ("radio_range", 0.0),
     ("radio_range", float("nan")),
+    ("radio_range", float("inf")),
+    ("e_elec_j_per_bit", float("inf")),
+    ("eps_amp_j_per_bit_m2", float("inf")),
+    ("initial_energy_j", float("inf")),
+    ("gateway_energy_j", float("inf")),
 ])
 def test_rejects_traffic_and_engine_values_that_run_wrongly(key, value):
     # image_count < 1 still emitted one image, a negative interval ran the
@@ -149,7 +147,9 @@ def test_rejects_traffic_and_engine_values_that_run_wrongly(key, value):
     # crashed, "no" switched beacon energy on and seed "abc" was written out;
     # NaN radio constants ran to a NaN report, a negative expiry left no
     # neighbour live, a sub-metre separation failed mid-run on a crowded field
-    # and a negative range failed only when the Simulation was built
+    # and a negative range failed only when the Simulation was built; an
+    # infinite range or radio constant killed every sensor at t = 0, and an
+    # infinite battery wrote NaN into the reports and the ledger check
     with pytest.raises(ScenarioError, match=key):
         config_from_dict({key: value})
 

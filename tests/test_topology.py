@@ -9,7 +9,6 @@ from geams_sim.topology import (
     MAX_PLACEMENT_ATTEMPTS,
     SINK_ID,
     SOURCE_ID,
-    FieldSpec,
     PlacementError,
     Position,
     Topology,
@@ -19,6 +18,14 @@ from geams_sim.topology import (
     range_neighbor_lists,
     save_topology_csv,
 )
+from geams_sim.scenario import ScenarioConfig, ScenarioError, config_from_dict
+
+DEFAULT = ScenarioConfig()
+
+
+def placed(seed: int, n_sensors: int) -> Topology:
+    """The default field's placement of `n_sensors` sensors under `seed`."""
+    return generate_topology(DEFAULT.replace(seed=seed, n_sensors=n_sensors))
 
 
 def test_distance_identity():
@@ -34,117 +41,119 @@ def test_distance_pythagorean():
 
 
 def test_generate_is_deterministic():
-    a = generate_topology(1, 30)
-    b = generate_topology(1, 30)
+    a = placed(1, 30)
+    b = placed(1, 30)
     assert a.nodes == b.nodes
 
 
 def test_pairwise_separation_holds():
-    t = generate_topology(7, 100)
+    t = placed(7, 100)
     nodes = t.nodes
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
-            assert distance(nodes[i][1], nodes[j][1]) >= FieldSpec().min_separation
+            assert distance(nodes[i][1], nodes[j][1]) >= DEFAULT.min_separation
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_separation_property(seed):
-    t = generate_topology(seed, 8)
+    t = placed(seed, 8)
     nodes = t.nodes
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
-            assert distance(nodes[i][1], nodes[j][1]) >= FieldSpec().min_separation
+            assert distance(nodes[i][1], nodes[j][1]) >= DEFAULT.min_separation
 
 
 def test_node_ids_dense_and_designated():
-    t = generate_topology(3, 12)
+    t = placed(3, 12)
     assert sorted(i for i, _ in t.nodes) == list(range(14))
     assert (SINK_ID, SOURCE_ID) == (0, 1)
-    assert dict(t.nodes)[0] == FieldSpec().sink_position
-    assert dict(t.nodes)[1] == FieldSpec().source_position
+    assert dict(t.nodes)[0] == Position(DEFAULT.sink_x, DEFAULT.sink_y)
+    assert dict(t.nodes)[1] == Position(DEFAULT.source_x, DEFAULT.source_y)
     assert t.sensor_ids == list(range(2, 14))
 
 
 def test_positions_stay_in_field():
-    t = generate_topology(11, 60)
-    f = FieldSpec()
+    t = placed(11, 60)
     for _, p in t.nodes:
-        assert 0 <= p.x <= f.width
-        assert 0 <= p.y <= f.height
+        assert 0 <= p.x <= DEFAULT.field_width
+        assert 0 <= p.y <= DEFAULT.field_height
 
 
 def test_negative_sensor_count():
+    # the scenario rejects it before any placement
     with pytest.raises(ValueError):
-        generate_topology(1, -1)
+        placed(1, -1)
 
 
 def test_field_validation():
-    with pytest.raises(ValueError):
-        FieldSpec(min_separation=0)
-    with pytest.raises(ValueError):
-        FieldSpec(min_separation=math.nan)
-    with pytest.raises(ValueError):
-        FieldSpec(sink_position=Position(600, 90))
+    with pytest.raises(ScenarioError):
+        config_from_dict({"min_separation": 0})
+    with pytest.raises(ScenarioError):
+        config_from_dict({"min_separation": math.nan})
+    with pytest.raises(ScenarioError):
+        config_from_dict({"sink_x": 600})
     for size in (math.inf, math.nan, 0.0, -1.0):
-        with pytest.raises(ValueError, match="field width must be positive and finite"):
-            FieldSpec(width=size)
-        with pytest.raises(ValueError, match="field height must be positive and finite"):
-            FieldSpec(height=size)
-    with pytest.raises(ValueError, match="closer than min_separation"):
-        FieldSpec(sink_position=Position(10.0, 90.4))
+        with pytest.raises(ScenarioError, match="field width must be positive and finite"):
+            config_from_dict({"field_width": size})
+        with pytest.raises(ScenarioError, match="field height must be positive and finite"):
+            config_from_dict({"field_height": size})
+    with pytest.raises(ScenarioError, match="closer than min_separation"):
+        config_from_dict({"sink_x": 10.0, "sink_y": 90.4})
     # exactly min_separation apart is allowed
-    FieldSpec(sink_position=Position(10.0, 92.0), min_separation=2.0)
+    config_from_dict({"sink_x": 10.0, "sink_y": 92.0, "min_separation": 2.0})
 
 
 def test_placement_error_when_field_too_crowded():
     # a 5x5 field cannot hold a third node 5 m away from both corners
-    f = FieldSpec(width=5, height=5, sink_position=Position(0, 0),
-                  source_position=Position(5, 5), min_separation=5)
+    cfg = ScenarioConfig(n_sensors=1, field_width=5, field_height=5, sink_x=0, sink_y=0,
+                         source_x=5, source_y=5, min_separation=5)
     with pytest.raises(PlacementError):
-        generate_topology(1, 1, f)
+        generate_topology(cfg)
 
 
-def _brute_force_placement(seed, n_sensors, field):
+def _brute_force_placement(cfg):
     """generate_topology with an all-pairs separation check: the reference
     the cell-grid placement must reproduce draw for draw."""
-    rng = random.Random(seed)
-    placed = [(0, field.sink_position), (1, field.source_position)]
-    for node_id in range(2, 2 + n_sensors):
+    rng = random.Random(cfg.seed)
+    nodes = [(0, Position(cfg.sink_x, cfg.sink_y)), (1, Position(cfg.source_x, cfg.source_y))]
+    for node_id in range(2, 2 + cfg.n_sensors):
         for _ in range(MAX_PLACEMENT_ATTEMPTS):
-            cand = Position(rng.uniform(0.0, field.width), rng.uniform(0.0, field.height))
-            if all(distance(cand, p) >= field.min_separation for _, p in placed):
-                placed.append((node_id, cand))
+            cand = Position(rng.uniform(0.0, cfg.field_width),
+                            rng.uniform(0.0, cfg.field_height))
+            if all(distance(cand, p) >= cfg.min_separation for _, p in nodes):
+                nodes.append((node_id, cand))
                 break
         else:
             raise PlacementError(f"could not place sensor {node_id} after "
                                  f"{MAX_PLACEMENT_ATTEMPTS} attempts")
-    return tuple(placed)
+    return tuple(nodes)
 
 
-CROWDED = FieldSpec(width=20, height=20, sink_position=Position(19, 10),
-                    source_position=Position(1, 10), min_separation=1)
+CROWDED = ScenarioConfig(field_width=20, field_height=20, sink_x=19, sink_y=10,
+                         source_x=1, source_y=10, min_separation=1)
 
 
-@pytest.mark.parametrize("seed,n,field", [
-    (1, 300, FieldSpec()),
-    (2, 300, FieldSpec()),
+@pytest.mark.parametrize("seed,n,base", [
+    (1, 300, DEFAULT),
+    (2, 300, DEFAULT),
     (3, 150, CROWDED),
     (4, 150, CROWDED),
-    (5, 60, FieldSpec(width=30, height=30, sink_position=Position(30, 0),
-                      source_position=Position(0, 30), min_separation=2.5)),
+    (5, 60, ScenarioConfig(field_width=30, field_height=30, sink_x=30, sink_y=0,
+                           source_x=0, source_y=30, min_separation=2.5)),
 ], ids=["default-1", "default-2", "crowded-3", "crowded-4", "crowded-sep2.5"])
-def test_grid_placement_matches_brute_force(seed, n, field):
-    assert generate_topology(seed, n, field).nodes == _brute_force_placement(seed, n, field)
+def test_grid_placement_matches_brute_force(seed, n, base):
+    cfg = base.replace(seed=seed, n_sensors=n)
+    assert generate_topology(cfg).nodes == _brute_force_placement(cfg)
 
 
 def test_grid_placement_fails_where_brute_force_fails():
-    f = FieldSpec(width=4, height=4, sink_position=Position(4, 2),
-                  source_position=Position(0, 2), min_separation=1)
+    cfg = ScenarioConfig(n_sensors=40, field_width=4, field_height=4, sink_x=4, sink_y=2,
+                         source_x=0, source_y=2, min_separation=1)
     with pytest.raises(PlacementError) as grid:
-        generate_topology(1, 40, f)
+        generate_topology(cfg)
     with pytest.raises(PlacementError) as brute:
-        _brute_force_placement(1, 40, f)
+        _brute_force_placement(cfg)
     assert str(grid.value) == str(brute.value)  # the same sensor fails
 
 
@@ -165,7 +174,7 @@ def test_radio_boundary_exclusive_beyond_range():
 
 
 def test_radio_neighbors_match_brute_force():
-    t = generate_topology(1, 30)
+    t = placed(1, 30)
     for u, pu in t.nodes:
         expected = {
             v for v, pv in t.nodes
@@ -211,7 +220,7 @@ def test_range_lists_skip_non_finite_positions():
 
 
 def test_radio_symmetry():
-    t = generate_topology(5, 40)
+    t = placed(5, 40)
     for u, _ in t.nodes:
         for v in radio_neighbors(t, u):
             assert u in radio_neighbors(t, v)
@@ -231,7 +240,7 @@ def test_gabriel_pair_kept():
 
 
 def test_gabriel_is_subgraph():
-    t = generate_topology(2, 30)
+    t = placed(2, 30)
     assert gabriel_planarize(t) <= radio_edges(t)
 
 
@@ -257,7 +266,7 @@ def _components(ids, edges):
 
 def test_gabriel_preserves_connectivity():
     for seed in range(1, 6):
-        t = generate_topology(seed, 30)
+        t = placed(seed, 30)
         ids = [i for i, _ in t.nodes]
         before = _components(ids, radio_edges(t))
         after = _components(ids, gabriel_planarize(t))
@@ -265,10 +274,10 @@ def test_gabriel_preserves_connectivity():
 
 
 def test_csv_roundtrip(tmp_path):
-    t = generate_topology(9, 25)
+    t = placed(9, 25)
     path = tmp_path / "topo.csv"
     save_topology_csv(t, path)
-    loaded = load_topology_csv(path)
+    loaded = load_topology_csv(path, DEFAULT)
     assert loaded.nodes == t.nodes
     for u, _ in t.nodes:
         assert radio_neighbors(loaded, u) == radio_neighbors(t, u)
@@ -278,14 +287,14 @@ def test_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,x,y\n0,1,2\n")
     with pytest.raises(ValueError):
-        load_topology_csv(path)
+        load_topology_csv(path, DEFAULT)
 
 
 def test_csv_requires_designated_nodes(tmp_path):
     path = tmp_path / "nosink.csv"
     path.write_text("node_id,x,y\n1,10.0,90.0\n2,50.0,90.0\n")
     with pytest.raises(ValueError):
-        load_topology_csv(path)
+        load_topology_csv(path, DEFAULT)
 
 
 def _write_topology(tmp_path, rows):
@@ -308,10 +317,10 @@ def _write_topology(tmp_path, rows):
 def test_csv_rejects_bad_rows(tmp_path, rows, line, message):
     path = _write_topology(tmp_path, rows)
     with pytest.raises(ValueError, match=f"line {line}: .*{message}"):
-        load_topology_csv(path)
+        load_topology_csv(path, DEFAULT)
 
 
 def test_csv_accepts_nodes_exactly_min_separation_apart_and_on_the_edge(tmp_path):
     path = _write_topology(tmp_path, ["0,500,200", "1,0,0", "2,100,90", "3,101,90"])
-    t = load_topology_csv(path)
+    t = load_topology_csv(path, DEFAULT)
     assert [i for i, _ in t.nodes] == [0, 1, 2, 3]
