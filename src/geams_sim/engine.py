@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import geams, gpsr
 from .energy import Battery, rx_energy, tx_energy
@@ -55,6 +57,10 @@ class NodeRuntime:
     # what this node's beacons told its neighbours; None until its first
     # beacon goes on air
     beacon_state: BeaconState | None = None
+    # live range neighbours with a lower and a higher id; derived by the
+    # first batched beacon round, then kept by _kill
+    live_below: int = 0
+    live_above: int = 0
 
 
 class EnergyLedger:
@@ -76,6 +82,12 @@ class EnergyLedger:
 
 
 class Simulation:
+    # a node is safe in a beacon round when its residual exceeds the most the
+    # round can debit by this factor, far above the float rounding of the
+    # round's subtractions; a subclass that sets it to inf runs every round
+    # on the exact path
+    SAFE_MARGIN = 1.0 + 1e-9
+
     def __init__(self, cfg: ScenarioConfig, topology: Topology | None = None):
         self.cfg = cfg
         if topology is None:
@@ -115,6 +127,10 @@ class Simulation:
         self.paths: dict[int, list[int]] = {}
         self.ledger = EnergyLedger()
         self.emissions_done = False
+        # S[m] = S[m - 1] + beacon receive cost, S[0] = 0.0: the ledger entry
+        # for m receptions, as the exact path sums it; with the live-neighbour
+        # counts, built by the first batched beacon round
+        self._rx_totals: list[float] | None = None
 
     # -- event plumbing -----------------------------------------------------
 
@@ -153,12 +169,23 @@ class Simulation:
         self.paths[pk.seq] = pk.path
 
     def _kill(self, node: NodeRuntime) -> None:
-        if node.death_exempt:
+        if node.death_exempt or not node.alive:
             return
         node.alive = False
         for pk in node.queue:
             self._record(pk, "sender_died")
         node.queue.clear()
+        if self._rx_totals is not None:
+            self._uncount(node)
+
+    def _uncount(self, node: NodeRuntime) -> None:
+        """Take a dead node out of its neighbours' live-neighbour counts."""
+        nid = node.id
+        for other in self.range_neighbors[nid]:
+            if nid < other.id:
+                other.live_below -= 1
+            else:
+                other.live_above -= 1
 
     def _drop_and_die(self, node: NodeRuntime, pk: DataPacket) -> None:
         """Node cannot afford a pending transmission: forfeit the remaining
@@ -176,14 +203,47 @@ class Simulation:
             node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits,
             cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2))
 
+    def _clears_void(self, node: NodeRuntime) -> bool:
+        """The void check a beacon makes as its node's turn comes: whether
+        the beacon clears the sender's void flag."""
+        has_sinkward = not node.announced_void or self._has_sinkward(node)
+        if has_sinkward:
+            node.announced_void = False
+        return has_sinkward
+
+    def _on_air(self, node: NodeRuntime, reported: float, time: float,
+                void: bool = False, has_sinkward: bool = False) -> BeaconState | None:
+        """A broadcast from `node`, reporting `reported` joules, has gone on
+        air at `time`: update the sender's shared BeaconState (a beacon
+        clears its void flag when `has_sinkward`; an announcement sets it).
+        Both beacon paths call this once per broadcast on air, before any
+        receiver is debited.  Returns the new state when this is the
+        sender's first beacon, whose live receivers then need its record;
+        else None."""
+        state = node.beacon_state
+        if void:
+            # a sender none of whose beacons went on air is in no table
+            if state is not None:
+                state.void_flagged = True
+        elif state is None:
+            state = node.beacon_state = BeaconState(reported, time)
+            return state
+        else:
+            state.residual_energy = reported
+            state.last_beacon_time = time
+            state.beacons += 1
+            if has_sinkward:
+                state.void_flagged = False
+        return None
+
     def _broadcast(self, node: NodeRuntime, time: float, void: bool = False,
                    has_sinkward: bool = False) -> None:
-        """A beacon stamped `time` or, with `void`, a void announcement: the
-        sender pays one worst-case (full radio range) transmission and every
-        live in-range node pays one reception.  A beacon that goes on air
-        updates the sender's shared BeaconState (clearing its void flag when
-        `has_sinkward`), and the sender's first one gives every live
-        receiver its record; an announcement sets the void flag."""
+        """The exact path: a beacon stamped `time` or, with `void`, a void
+        announcement.  The sender pays one worst-case (full radio range)
+        transmission; an underfunded one never goes on air.  On air, it
+        updates the sender's state (_on_air), the sender's first beacon gives
+        every live receiver its record, and every live in-range node pays
+        one reception, in ascending id order."""
         cfg = self.cfg
         if void:
             bits, tx_cat, rx_cat = cfg.void_announcement_bits, "void_tx", "void_rx"
@@ -201,33 +261,19 @@ class Simulation:
                 self._kill(node)
                 if drained < cost:
                     return  # underfunded broadcast never goes on air
-        state = node.beacon_state
-        first = False
-        if void:
-            # a sender none of whose beacons went on air is in no table
-            if state is not None:
-                state.void_flagged = True
-        elif state is None:
-            state = node.beacon_state = BeaconState(reported, time)
-            first = True
-        else:
-            state.residual_energy = reported
-            state.last_beacon_time = time
-            state.beacons += 1
-            if has_sinkward:
-                state.void_flagged = False
+        first = self._on_air(node, reported, time, void, has_sinkward)
         receivers = self.range_neighbors[node.id]
-        if first:
+        if first is not None:
+            nid, position = node.id, node.position
+            to_sink = node.table.my_sink_distance
             for other in receivers:
                 if other.alive:
-                    other.table.handle_beacon(node.id, node.position, state)
+                    other.table.handle_beacon(nid, position, first, to_sink)
         if not charge:
             return
         # Battery.debit, inlined: the same float expressions and death test,
         # and one ledger entry for the whole broadcast's receptions
         rx_cost = rx_energy(bits, cfg.e_elec_j_per_bit)
-        if rx_cost < 0:
-            raise ValueError("debit amount must be nonnegative")
         total = 0.0
         for other in receivers:
             if not other.alive:
@@ -242,19 +288,126 @@ class Simulation:
         self.ledger.add(rx_cat, total)
 
     def _do_beacons(self, time: float) -> None:
+        """A beacon round: each live node, in ascending id order, runs its
+        void check and broadcasts.  With beacon energy on, a node's debits
+        in a round come in a fixed order: one reception per on-air sender
+        below it, then its own beacon, which reports the residual left at
+        that point, then one reception per on-air sender above it; every
+        sender books one beacon_tx and one beacon_rx ledger entry, in sender
+        order.  The t = 0 round, which gives every receiver its records, and
+        rounds with beacon energy off take the exact path (_broadcast) node
+        by node; later rounds go through _beacon_round."""
         cfg = self.cfg
-        for node in self.nodes.values():
-            if not node.alive:
-                continue
-            # only an announcement sets a void flag, so only a node that
-            # announced a void has one for its beacon to clear
-            has_sinkward = not node.announced_void or self._has_sinkward(node)
-            if has_sinkward:
-                node.announced_void = False
-            self._broadcast(node, time, has_sinkward=has_sinkward)
+        if cfg.beacon_energy and time > 0.0:
+            self._beacon_round(time)
+        else:
+            for node in self.nodes.values():
+                if node.alive:
+                    self._broadcast(node, time, has_sinkward=self._clears_void(node))
         nxt = time + cfg.beacon_interval_s
         if nxt <= cfg.horizon_s and not self._traffic_complete():
             self._schedule(nxt, self._do_beacons)
+
+    def _count_live_neighbours(self, rx: float) -> None:
+        """Derive every node's live-neighbour counts (which _kill then keeps)
+        and the receive-cost prefix sums.  Range lists ascend by id, so a
+        node's lower neighbours are the head of its list."""
+        ranges = self.range_neighbors
+        by_id = attrgetter("id")
+        for node in self.nodes.values():
+            others = ranges[node.id]
+            below = bisect_left(others, node.id, key=by_id)
+            node.live_below, node.live_above = below, len(others) - below
+        for node in self.nodes.values():
+            if not node.alive:
+                self._uncount(node)
+        totals = [0.0]
+        for _ in range(max(map(len, ranges.values()), default=0)):
+            totals.append(totals[-1] + rx)
+        self._rx_totals = totals
+
+    def _beacon_round(self, time: float) -> None:
+        """A beacon round after the first, with beacon energy on.
+
+        A node is safe when it has beaconed before and its residual exceeds
+        its beacon plus one reception per live neighbour by SAFE_MARGIN: it
+        cannot die this round and funds its beacon.  A safe node whose live
+        neighbours are all safe is batched: every neighbour goes on air, so
+        its debits are known in advance, and it subtracts them in order in a
+        local float (never multiplied: r - c - c is not r - 2c in floating
+        point), books its receivers' receptions as one prefix sum, and
+        touches no receiver.  Every other node takes the exact path at its
+        turn.  An unsafe node has no batched neighbour; a safe one beside an
+        unsafe node first subtracts the receptions owed by batched senders
+        below it, and the ones from batched senders above it come at the end
+        of the round.  Receptions all cost the same, so only their number
+        before and after a node's own beacon matters, and the floats equal
+        the exact path's."""
+        cfg = self.cfg
+        bits = cfg.beacon_bits
+        tx = tx_energy(bits, cfg.radio_range, cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
+        rx = rx_energy(bits, cfg.e_elec_j_per_bit)
+        if self._rx_totals is None:
+            self._count_live_neighbours(rx)
+        rx_totals = self._rx_totals
+        ranges = self.range_neighbors
+        margin = self.SAFE_MARGIN
+        live = [n for n in self.nodes.values() if n.alive]
+        # a batched node's residual before the round: an exact sender's
+        # reception may debit it before its turn, and its turn recounts them
+        start = [n.battery.residual for n in live]
+        unsafe = {node.id for node, r in zip(live, start)
+                  if node.beacon_state is None
+                  or not r > margin * (tx + (node.live_below + node.live_above) * rx)}
+        exact = set(unsafe)
+        for nid in unsafe:
+            exact.update(other.id for other in ranges[nid])
+        ledger_add = self.ledger.add
+        on_air = self._on_air
+        batched_ends = []  # (battery, residual after its beacon, receptions after)
+        exact_ends = []  # (battery, receptions owed by batched senders above)
+        for node, r in zip(live, start):
+            nid = node.id
+            if nid not in exact:
+                has_sinkward = self._clears_void(node)
+                below = node.live_below
+                for _ in range(below):
+                    r -= rx
+                on_air(node, r, time, False, has_sinkward)
+                r -= tx
+                node.battery.residual = r
+                above = node.live_above
+                ledger_add("beacon_tx", tx)
+                ledger_add("beacon_rx", rx_totals[below + above])
+                batched_ends.append((node.battery, r, above))
+                continue
+            if not node.alive:
+                continue  # killed by a reception this round
+            has_sinkward = self._clears_void(node)
+            if nid not in unsafe:
+                # safe, beside an unsafe node: settle what batched senders owe
+                battery = node.battery
+                r = battery.residual
+                above = 0
+                for other in ranges[nid]:
+                    if other.alive and other.id not in exact:
+                        if other.id < nid:
+                            r -= rx
+                        else:
+                            above += 1
+                battery.residual = r
+                if above:
+                    exact_ends.append((battery, above))
+            self._broadcast(node, time, has_sinkward=has_sinkward)
+        for battery, r, above in batched_ends:
+            for _ in range(above):
+                r -= rx
+            battery.residual = r
+        for battery, above in exact_ends:
+            r = battery.residual
+            for _ in range(above):
+                r -= rx
+            battery.residual = r
 
     # -- traffic ------------------------------------------------------------
 

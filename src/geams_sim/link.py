@@ -10,14 +10,10 @@ import math
 BASE_RATE_BPS = 250_000.0
 
 
-class DegenerateLinkError(ValueError):
-    """Raised for link lengths below the 1 m minimum separation."""
-
-
 def link_rate(length_m: float, base_rate_bps: float = BASE_RATE_BPS) -> float:
-    """Bits per second over a link of the given length: base_rate / sqrt(length)."""
-    if length_m < 1.0:
-        raise DegenerateLinkError(f"link length {length_m} m is below the 1 m minimum")
+    """Bits per second over a link of the given length: base_rate / sqrt(length).
+    Links are at least 1 m long: the scenario's `min_separation` is, and
+    every deployment is checked against it at load time."""
     return base_rate_bps / math.sqrt(length_m)
 
 

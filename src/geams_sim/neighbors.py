@@ -12,19 +12,34 @@ first beacon, and a dead node's table is never read again.
 
 Positions never change, so a record is built once, from the sender's first
 beacon, and holds only static geometry, the shared state and the GEAMS
-pending-load overlay.
+pending-load overlay.  The sender works out its own distance to the sink
+once and hands it to every receiver; the receiver works out only the hop.
 
 Every table receives its senders in ascending id order, so records are kept
 in that order by appending alone.  The engine beacons its nodes in ascending
 id order, and every sender's first beacon that goes on air does so in the
 t = 0 round: an underfunded beacon kills a sensor, and a death-exempt
-gateway that cannot fund one never can later.
+gateway that cannot fund one never can later.  Later rounds change only the
+shared states.
+
+A round (`engine.Simulation._do_beacons`) gives each live node its turn in
+ascending id order.  With beacon energy on, a node's debits in a round are
+one reception per on-air sender below it, then its own beacon, which reports
+the residual left at that point, then one reception per on-air sender above
+it.  After the first round a node is safe when its residual exceeds its
+beacon plus a reception from every live neighbour by a small relative
+margin: it can neither die nor fail to fund its beacon.  A safe node whose
+live neighbours are all safe is batched, its debits subtracted in that order
+in one local float; every other node falls back, on its own, to the exact
+path, which debits each receiver in turn.  Either way a sender books one
+beacon_tx and one beacon_rx ledger entry, in sender order, and its shared
+state changes at its turn, so a table reads the same states on both paths.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .link import link_rate
 from .topology import Position, distance
 
 
@@ -83,20 +98,19 @@ class NeighborTable:
     def __post_init__(self):
         self.my_sink_distance = distance(self.my_position, self.sink_position)
 
-    def handle_beacon(self, sender: int, position: Position, state: BeaconState) -> None:
+    def handle_beacon(self, sender: int, position: Position, state: BeaconState,
+                      distance_to_sink: float) -> None:
         """Add the record of a sender heard for the first time, whose id is
-        above every id heard before.  Its later beacons update only the
-        shared `state`, so they need no call here."""
-        d = distance(self.my_position, position)
-        link_rate(d)  # raises DegenerateLinkError for a sub-metre link
+        above every id heard before; `distance_to_sink` is the sender's own
+        (its table's `my_sink_distance`).  Its later beacons update only the
+        shared `state`, so they need no call here.  Load-time checks keep
+        every pair at least 1 m apart, so the hop needs no link check."""
+        me = self.my_position
+        # topology.distance, inlined
         r = self.records[sender] = NeighborRecord(
-            id=sender,
-            position=position,
-            distance_to_me=d,
-            distance_to_sink=distance(position, self.sink_position),
-            state=state,
-        )
-        if r.distance_to_sink < self.my_sink_distance:
+            sender, position, math.hypot(me.x - position.x, me.y - position.y),
+            distance_to_sink, state)
+        if distance_to_sink < self.my_sink_distance:
             self._sinkward.append(r)
 
     def sinkward_records(self) -> list[NeighborRecord]:

@@ -88,12 +88,13 @@ class ScenarioConfig:
         for name in ("header_bits", "beacon_bits", "void_announcement_bits"):
             if getattr(self, name) < 0:
                 raise ScenarioError(f"{name} must be nonnegative")
-        if not self.min_separation >= 1.0:  # the link model's floor; NaN fails too
+        # the link model's floor: no in-run check guards a shorter link
+        if not self.min_separation >= 1.0:  # NaN fails too
             raise ScenarioError("min_separation must be at least 1 m")
         for x, y in ((self.sink_x, self.sink_y), (self.source_x, self.source_y)):
             if not (0 <= x <= self.field_width and 0 <= y <= self.field_height):
                 raise ScenarioError(f"designated node at ({x}, {y}) lies outside the field")
-        # a closer pair fails mid-run on its degenerate link
+        # a closer pair would be a link shorter than the floor
         gap = math.hypot(self.sink_x - self.source_x, self.sink_y - self.source_y)
         if gap < self.min_separation:
             raise ScenarioError(f"sink and source are {gap} m apart, closer than "

@@ -108,7 +108,7 @@ def add(t: NeighborTable, r: NeighborRecord) -> None:
     handle_beacon; its id must be above every id `t` holds.  r's pending-load
     overlay is copied onto the new record."""
     assert not t.records or r.id > max(t.records), (r.id, list(t.records))
-    t.handle_beacon(r.id, r.position, r.state)
+    t.handle_beacon(r.id, r.position, r.state, distance(r.position, t.sink_position))
     heard = t.records[r.id]
     heard.pending, heard.pending_beacon = r.pending, r.pending_beacon
 
@@ -168,39 +168,40 @@ class OracleTable:
 
 class ReplaySimulation(Simulation):
     """A Simulation that also keeps an OracleTable per node, fed by every
-    broadcast that goes on air, and checks the routing node's table against
-    its oracle before and after every route, and every live node's table
-    after every beacon round.  It counts what it saw, so a test can tell
-    which paths a scenario took."""
+    broadcast that goes on air (through the `_on_air` hook, which the exact
+    and the batched beacon paths both call), and checks the routing node's
+    table against its oracle before and after every route, and every live
+    node's table after every beacon round.  It counts what it saw, so a test
+    can tell which paths a scenario took."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.oracle = {i: OracleTable() for i in self.nodes}
         self.checks = self.void_announcements = self.void_clears = 0
         self.rx_deaths = self.walkbacks = 0
+        self._hearers = []
 
-    def _broadcast(self, node, time, void=False, has_sinkward=False):
-        cfg = self.cfg
-        bits = cfg.void_announcement_bits if void else cfg.beacon_bits
-        residual = node.battery.residual
-        cost = tx_energy(bits, cfg.radio_range, cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
-        on_air = not (cfg.beacon_energy and residual < cost)
-        # a receiver's alive flag changes during a broadcast only at its own
-        # reception, so the nodes alive now are the ones that hear it
-        hearers = [o for o in self.range_neighbors[node.id] if o.alive]
-        flagged = node.beacon_state is not None and node.beacon_state.void_flagged
-        super()._broadcast(node, time, void, has_sinkward)
-        if not on_air:
-            return
+    def _on_air(self, node, reported, time, void=False, has_sinkward=False):
+        # no receiver has been debited yet, so the nodes alive now are the
+        # ones that hear the broadcast
+        self._hearers = hearers = [o for o in self.range_neighbors[node.id] if o.alive]
         for other in hearers:
             table = self.oracle[other.id]
             if void:
                 table.mark_void(node.id)
             else:
-                table.handle_beacon(Beacon(node.id, node.position, residual, has_sinkward, time))
-            self.rx_deaths += not other.alive
+                table.handle_beacon(Beacon(node.id, node.position, reported, has_sinkward, time))
+        flagged = node.beacon_state is not None and node.beacon_state.void_flagged
         self.void_announcements += void
         self.void_clears += flagged and not void and has_sinkward
+        return super()._on_air(node, reported, time, void, has_sinkward)
+
+    def _broadcast(self, node, time, void=False, has_sinkward=False):
+        # only the exact path debits receivers one by one, so only it can
+        # kill one with a reception
+        self._hearers = []
+        super()._broadcast(node, time, void, has_sinkward)
+        self.rx_deaths += sum(not other.alive for other in self._hearers)
 
     def _do_beacons(self, time):
         super()._do_beacons(time)

@@ -233,7 +233,7 @@ def test_planar_cache_follows_liveness(offsets, gone):
 
     states = {node_id: BeaconState(1.0, 0.0) for node_id in senders}
     for node_id, pos in senders.items():
-        t.handle_beacon(node_id, pos, states[node_id])
+        t.handle_beacon(node_id, pos, states[node_id], distance(pos, SINK))
 
     def beacon_round(time, skip=None):
         for node_id, state in states.items():
@@ -263,6 +263,7 @@ def test_planar_neighbors_agree_with_global_gabriel(n):
         for u, neighbours in range_neighbor_lists(topo, RADIO_RANGE).items():
             t = NeighborTable(my_position=positions[u], sink_position=positions[SINK_ID])
             for v in neighbours:
-                t.handle_beacon(v, positions[v], BeaconState(1.0, 0.0))
+                t.handle_beacon(v, positions[v], BeaconState(1.0, 0.0),
+                                distance(positions[v], t.sink_position))
             local = {r.id for r in planar_neighbors(t, 0.0, 2.5)}
             assert local == {b if a == u else a for a, b in gabriel if u in (a, b)}, (seed, u)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from geams_sim.link import DegenerateLinkError, link_rate, serialization_delay
+from geams_sim.link import link_rate, serialization_delay
 
 
 def test_rate_at_one_meter():
@@ -15,11 +15,6 @@ def test_rate_at_25_meters():
 
 def test_rate_at_64_meters():
     assert math.isclose(link_rate(64), 31_250.0, rel_tol=1e-15)
-
-
-def test_rate_rejects_short_links():
-    with pytest.raises(DegenerateLinkError):
-        link_rate(0.99)
 
 
 def test_serialization_delay_values():

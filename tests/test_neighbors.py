@@ -1,13 +1,14 @@
+import math
+
 import pytest
 
 from conftest import ReplaySimulation, assert_energy_balanced
 from geams_sim.energy import Battery
 from geams_sim.engine import DataPacket, EnergyLedger, Simulation
 from geams_sim.metrics import regional_rows, summary_row
-from geams_sim.link import DegenerateLinkError
 from geams_sim.neighbors import BeaconState, NeighborTable
 from geams_sim.scenario import ScenarioConfig
-from geams_sim.topology import Position, Topology, generate_topology
+from geams_sim.topology import Position, Topology, distance, generate_topology
 
 ME, SINK = Position(100, 90), Position(490, 90)
 
@@ -15,8 +16,8 @@ ME, SINK = Position(100, 90), Position(490, 90)
 def hear(t, sender, x, energy=1.0, time=0.0):
     """Give `t` the record of a sender first heard at (x, 90); returns the
     sender's shared state."""
-    state = BeaconState(energy, time)
-    t.handle_beacon(sender, Position(x, 90), state)
+    state, position = BeaconState(energy, time), Position(x, 90)
+    t.handle_beacon(sender, position, state, distance(position, SINK))
     return state
 
 
@@ -57,12 +58,6 @@ def test_pending_overlay_stands_until_the_next_beacon():
     assert r.residual_energy == 0.25
     state.beacons += 1
     assert r.residual_energy == 1.0
-
-
-def test_first_beacon_validates_the_link():
-    t = NeighborTable(my_position=ME, sink_position=SINK)
-    with pytest.raises(DegenerateLinkError):
-        hear(t, 2, 100.5)
 
 
 def _line(topo_builder):
@@ -134,16 +129,6 @@ def test_broadcast_debits_like_battery_debit_and_books_one_entry(topo_builder):
     assert sim.nodes[1].battery.residual == source.residual
     drawn = sum(before[i] - n.battery.residual for i, n in sim.nodes.items())
     assert_energy_balanced(drawn, sim.ledger.total - booked)
-
-
-def test_broadcast_rejects_a_negative_receive_cost(topo_builder):
-    cfg = ScenarioConfig(n_sensors=2)
-    # past the scenario's check, with a transmit cost that stays positive over
-    # the full range (eps_amp 1e-9)
-    object.__setattr__(cfg, "e_elec_j_per_bit", -1e-9)
-    sim = Simulation(cfg, _line(topo_builder))
-    with pytest.raises(ValueError, match="nonnegative"):
-        sim._broadcast(sim.nodes[3], 0.0)
 
 
 def test_pending_load_estimate_is_overwritten_by_next_beacon(topo_builder):
@@ -260,3 +245,70 @@ def test_void_check_runs_only_for_nodes_that_announced_a_void(topo_builder):
 def test_checking_every_node_for_a_void_changes_no_report(topo_builder):
     for cfg, topo in _void_scenarios(topo_builder):
         assert Simulation(cfg, topo).run() == CheckEveryNode(cfg, topo).run()
+
+
+# Batched beacon rounds against the exact path: the same floats, not close ones.
+
+class PathCounter(Simulation):
+    """Counts the beacons of rounds after the first by the path they took:
+    the exact path goes through _broadcast, a batched beacon calls the
+    on-air hook directly."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.exact_beacons = self.batched_beacons = 0
+        self._exact = False
+
+    def _broadcast(self, node, time, void=False, has_sinkward=False):
+        self._exact = True
+        super()._broadcast(node, time, void, has_sinkward)
+        self._exact = False
+
+    def _on_air(self, node, reported, time, void=False, has_sinkward=False):
+        if time > 0 and not void:
+            if self._exact:
+                self.exact_beacons += 1
+            else:
+                self.batched_beacons += 1
+        return super()._on_air(node, reported, time, void, has_sinkward)
+
+
+class ExactRounds(PathCounter):
+    """No node is ever safe, so every round takes the exact path."""
+
+    SAFE_MARGIN = math.inf
+
+
+def _low_energy_cells():
+    """Sparse low-energy cells, where beacon receptions kill sensors mid-round,
+    and cells whose gateways run too low to fund their beacons."""
+    cells = [ScenarioConfig(protocol=protocol, seed=seed, n_sensors=30,
+                            initial_energy_j=energy, image_count=10, horizon_s=20.0)
+             for protocol in ("geams", "gpsr") for seed in (1, 2, 3, 4, 5)
+             for energy in (0.05, 0.5)]
+    gateways = [ScenarioConfig(protocol=protocol, n_sensors=30, gateway_energy_j=0.05,
+                               image_count=10, horizon_s=20.0)
+                for protocol in ("geams", "gpsr")]
+    return cells, gateways
+
+
+def test_batched_rounds_equal_the_exact_path_bit_for_bit():
+    cells, gateways = _low_energy_cells()
+    unfunded = mixed = 0
+    for cfg in cells + gateways:
+        batched, exact = PathCounter(cfg), ExactRounds(cfg)
+        assert batched.run() == exact.run()
+        assert [(n.battery.residual, n.alive) for n in batched.nodes.values()] == \
+            [(n.battery.residual, n.alive) for n in exact.nodes.values()]
+        assert batched.ledger.totals == exact.ledger.totals
+        assert exact.batched_beacons == 0
+        assert batched.batched_beacons + batched.exact_beacons == exact.exact_beacons
+        # per-node fallback: both paths ran in the same rounds of one cell
+        mixed += batched.batched_beacons > 0 and batched.exact_beacons > 0
+        if cfg in gateways:
+            # a gateway alive but too low to fund its beacon stops going on air
+            last = batched.now - batched.now % cfg.beacon_interval_s
+            unfunded += any(batched.nodes[g].beacon_state.last_beacon_time < last
+                            for g in (0, 1))
+    assert mixed > len(cells) // 2
+    assert unfunded == len(gateways)

@@ -170,6 +170,25 @@ def test_rejects_a_sink_closer_to_the_source_than_min_separation():
         config_from_dict({"sink_x": 14.0, "sink_y": 90.0, "min_separation": 5.0})
 
 
+def test_rejects_a_min_separation_below_the_link_floor():
+    # the link rate is base / sqrt(length) for links of 1 m or more, and no
+    # in-run check guards a shorter link
+    with pytest.raises(ScenarioError, match="min_separation must be at least 1 m"):
+        ScenarioConfig(min_separation=0.5)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("e_elec_j_per_bit", -1e-9),
+    ("e_elec_j_per_bit", float("nan")),
+    ("beacon_bits", -1),
+    ("void_announcement_bits", -1),
+])
+def test_rejects_constants_that_would_make_a_negative_receive_cost(key, value):
+    # a broadcast debits every receiver k * e_elec with no sign check
+    with pytest.raises(ScenarioError, match=key):
+        ScenarioConfig(**{key: value})
+
+
 def test_accepts_json_ints_for_floats_and_null_ttl():
     cfg = config_from_dict({"horizon_s": 5, "min_separation": 1, "ttl": None})
     assert (cfg.horizon_s, cfg.min_separation, cfg.ttl) == (5, 1, None)

@@ -320,6 +320,15 @@ def test_csv_rejects_bad_rows(tmp_path, rows, line, message):
         load_topology_csv(path, DEFAULT)
 
 
+def test_csv_rejects_two_nodes_half_a_metre_apart(tmp_path):
+    # their link would be shorter than the link model's 1 m floor, which no
+    # in-run check guards
+    path = _write_topology(tmp_path, ["0,490,90", "1,10,90", "2,100,90", "3,100.5,90"])
+    with pytest.raises(ValueError, match="line 5: node 3 is 0.5 m from node 2, closer "
+                                         "than min_separation 1.0"):
+        load_topology_csv(path, DEFAULT)
+
+
 def test_csv_accepts_nodes_exactly_min_separation_apart_and_on_the_edge(tmp_path):
     path = _write_topology(tmp_path, ["0,500,200", "1,0,0", "2,100,90", "3,101,90"])
     t = load_topology_csv(path, DEFAULT)
