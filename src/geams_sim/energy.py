@@ -30,10 +30,9 @@ class Battery:
 
         Returns (drained, died): `drained` is the energy actually removed
         (may be less than `amount` on an underfunded battery), `died` is true
-        iff this debit is the one that brought the residual to zero.
+        iff this debit is the one that brought the residual to zero.  Amounts
+        are nonnegative: bit counts and radio constants are checked at load.
         """
-        if amount < 0:
-            raise ValueError("debit amount must be nonnegative")
         residual = self.residual
         # drains the residual itself when underfunded, so the floor at zero
         # is exact in floating point

@@ -58,7 +58,7 @@ class NodeRuntime:
     # beacon goes on air
     beacon_state: BeaconState | None = None
     # live range neighbours with a lower and a higher id; derived by the
-    # first batched beacon round, then kept by _kill
+    # first _beacon_round, then kept by _kill
     live_below: int = 0
     live_above: int = 0
 
@@ -129,7 +129,7 @@ class Simulation:
         self.emissions_done = False
         # S[m] = S[m - 1] + beacon receive cost, S[0] = 0.0: the ledger entry
         # for m receptions, as the exact path sums it; with the live-neighbour
-        # counts, built by the first batched beacon round
+        # counts, built by the first _beacon_round
         self._rx_totals: list[float] | None = None
 
     # -- event plumbing -----------------------------------------------------
@@ -294,13 +294,11 @@ class Simulation:
         below it, then its own beacon, which reports the residual left at
         that point, then one reception per on-air sender above it; every
         sender books one beacon_tx and one beacon_rx ledger entry, in sender
-        order.  The t = 0 round, which gives every receiver its records, and
-        rounds with beacon energy off take the exact path (_broadcast) node
-        by node; later rounds go through _beacon_round."""
+        order.  _beacon_round batches a later round whole when it can; the
+        t = 0 round, which gives every receiver its records, and every other
+        round take the exact path (_broadcast) node by node."""
         cfg = self.cfg
-        if cfg.beacon_energy and time > 0.0:
-            self._beacon_round(time)
-        else:
+        if not (cfg.beacon_energy and time > 0.0 and self._beacon_round(time)):
             for node in self.nodes.values():
                 if node.alive:
                     self._broadcast(node, time, has_sinkward=self._clears_void(node))
@@ -326,88 +324,47 @@ class Simulation:
             totals.append(totals[-1] + rx)
         self._rx_totals = totals
 
-    def _beacon_round(self, time: float) -> None:
-        """A beacon round after the first, with beacon energy on.
-
-        A node is safe when it has beaconed before and its residual exceeds
-        its beacon plus one reception per live neighbour by SAFE_MARGIN: it
-        cannot die this round and funds its beacon.  A safe node whose live
-        neighbours are all safe is batched: every neighbour goes on air, so
-        its debits are known in advance, and it subtracts them in order in a
+    def _beacon_round(self, time: float) -> bool:
+        """Batch a beacon round after the first, with beacon energy on, if
+        every live node is safe; returns whether it did.  A node is safe when
+        it has beaconed before and its residual exceeds its beacon plus one
+        reception per live neighbour by SAFE_MARGIN: it cannot die this round
+        and funds its beacon.  Then every node goes on air, and no battery is
+        touched but by its owner or read before the round ends, so each node
+        settles its round at its turn: it subtracts its debits in order in a
         local float (never multiplied: r - c - c is not r - 2c in floating
-        point), books its receivers' receptions as one prefix sum, and
-        touches no receiver.  Every other node takes the exact path at its
-        turn.  An unsafe node has no batched neighbour; a safe one beside an
-        unsafe node first subtracts the receptions owed by batched senders
-        below it, and the ones from batched senders above it come at the end
-        of the round.  Receptions all cost the same, so only their number
-        before and after a node's own beacon matters, and the floats equal
-        the exact path's."""
+        point) and books its receivers' receptions as one prefix sum.
+        Receptions all cost the same, so only their number before and after
+        a node's own beacon matters, and the floats equal the exact path's."""
         cfg = self.cfg
         bits = cfg.beacon_bits
         tx = tx_energy(bits, cfg.radio_range, cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
         rx = rx_energy(bits, cfg.e_elec_j_per_bit)
         if self._rx_totals is None:
             self._count_live_neighbours(rx)
-        rx_totals = self._rx_totals
-        ranges = self.range_neighbors
         margin = self.SAFE_MARGIN
         live = [n for n in self.nodes.values() if n.alive]
-        # a batched node's residual before the round: an exact sender's
-        # reception may debit it before its turn, and its turn recounts them
-        start = [n.battery.residual for n in live]
-        unsafe = {node.id for node, r in zip(live, start)
-                  if node.beacon_state is None
-                  or not r > margin * (tx + (node.live_below + node.live_above) * rx)}
-        exact = set(unsafe)
-        for nid in unsafe:
-            exact.update(other.id for other in ranges[nid])
+        if not all(n.beacon_state is not None and n.battery.residual >
+                   margin * (tx + (n.live_below + n.live_above) * rx) for n in live):
+            return False
+        rx_totals = self._rx_totals
         ledger_add = self.ledger.add
         on_air = self._on_air
-        batched_ends = []  # (battery, residual after its beacon, receptions after)
-        exact_ends = []  # (battery, receptions owed by batched senders above)
-        for node, r in zip(live, start):
-            nid = node.id
-            if nid not in exact:
-                has_sinkward = self._clears_void(node)
-                below = node.live_below
-                for _ in range(below):
-                    r -= rx
-                on_air(node, r, time, False, has_sinkward)
-                r -= tx
-                node.battery.residual = r
-                above = node.live_above
-                ledger_add("beacon_tx", tx)
-                ledger_add("beacon_rx", rx_totals[below + above])
-                batched_ends.append((node.battery, r, above))
-                continue
-            if not node.alive:
-                continue  # killed by a reception this round
+        for node in live:
             has_sinkward = self._clears_void(node)
-            if nid not in unsafe:
-                # safe, beside an unsafe node: settle what batched senders owe
-                battery = node.battery
-                r = battery.residual
-                above = 0
-                for other in ranges[nid]:
-                    if other.alive and other.id not in exact:
-                        if other.id < nid:
-                            r -= rx
-                        else:
-                            above += 1
-                battery.residual = r
-                if above:
-                    exact_ends.append((battery, above))
-            self._broadcast(node, time, has_sinkward=has_sinkward)
-        for battery, r, above in batched_ends:
-            for _ in range(above):
-                r -= rx
-            battery.residual = r
-        for battery, above in exact_ends:
+            battery = node.battery
             r = battery.residual
+            below, above = node.live_below, node.live_above
+            for _ in range(below):
+                r -= rx
+            on_air(node, r, time, False, has_sinkward)
+            r -= tx
             for _ in range(above):
                 r -= rx
             battery.residual = r
+            ledger_add("beacon_tx", tx)
+            ledger_add("beacon_rx", rx_totals[below + above])
+        return True
 
     # -- traffic ------------------------------------------------------------
 
@@ -593,12 +550,12 @@ class Simulation:
     def report(self) -> MetricsReport:
         # ascending by id, so the float sums do not depend on row order
         sensors = [n for n in self.nodes.values() if not n.death_exempt]
-        residuals = {n.id: n.battery.residual for n in sensors}
-        mean_e, var_e = energy_stats(list(residuals.values()))
+        residuals = [n.battery.residual for n in sensors]
+        mean_e, var_e = energy_stats(residuals)
         log = sorted(self.outcomes, key=lambda p: p.seq)  # seq is unique
         delay_mean, delay_var, lost = delay_and_loss(log)
         return MetricsReport(
-            dead_nodes=dead_node_count(residuals, list(residuals)),
+            dead_nodes=dead_node_count(residuals),
             mean_energy=mean_e,
             energy_variance=var_e,
             regional_mean_energy=regional_energy(

@@ -19,10 +19,6 @@ from .neighbors import NeighborRecord, NeighborTable
 BestNeighborSet = list[tuple[int, float]]
 
 
-class EmptyNeighborSetError(ValueError):
-    """Raised when an operation requires at least one sink-ward neighbor."""
-
-
 @dataclass(frozen=True)
 class SourceState:
     """Per-source forwarding memory.
@@ -68,10 +64,9 @@ def build_best_neighbor_set(
 
 
 def average_score_index(s: BestNeighborSet) -> int:
-    """1-based rank of the entry whose score is nearest the mean score;
-    equidistant candidates resolve to the better (smaller) rank."""
-    if not s:
-        raise EmptyNeighborSetError("average_score_index needs a nonempty set")
+    """1-based rank of the entry of a nonempty set whose score is nearest
+    the mean score; equidistant candidates resolve to the better (smaller)
+    rank."""
     mean = sum(v for _, v in s) / len(s)
     best_rank, best_gap = 1, abs(s[0][1] - mean)
     for rank, (_, v) in enumerate(s[1:], start=2):
@@ -101,8 +96,6 @@ def select_next_hop(
     reference hop count so the balance point tracks the traffic.  A state
     that would come out unchanged is returned as it was given.
     """
-    if not s:
-        raise EmptyNeighborSetError("select_next_hop needs a nonempty set")
     m = len(s)
     ids = tuple([node_id for node_id, _ in s])
     if state is None:

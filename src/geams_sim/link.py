@@ -18,7 +18,6 @@ def link_rate(length_m: float, base_rate_bps: float = BASE_RATE_BPS) -> float:
 
 
 def serialization_delay(k_bits: float, rate_bps: float) -> float:
-    """Seconds to clock k bits onto a link of the given rate."""
-    if rate_bps <= 0:
-        raise ValueError("rate must be positive")
+    """Seconds to clock k bits onto a link of the given (load-time checked,
+    positive) rate."""
     return k_bits / rate_bps

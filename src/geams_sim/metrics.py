@@ -49,9 +49,9 @@ class MetricsReport:
         return sum(self.lost.values())
 
 
-def dead_node_count(residuals: dict[int, float], sensor_ids: list[int]) -> int:
-    """Sensors whose battery hit zero; the sink and source gateways never count."""
-    return sum(1 for i in sensor_ids if residuals[i] == 0.0)
+def dead_node_count(residuals: list[float]) -> int:
+    """Sensors whose battery hit zero, from the sensors' residuals alone."""
+    return sum(1 for r in residuals if r == 0.0)
 
 
 def energy_stats(values: list[float]) -> tuple[float, float]:

@@ -28,12 +28,13 @@ one reception per on-air sender below it, then its own beacon, which reports
 the residual left at that point, then one reception per on-air sender above
 it.  After the first round a node is safe when its residual exceeds its
 beacon plus a reception from every live neighbour by a small relative
-margin: it can neither die nor fail to fund its beacon.  A safe node whose
-live neighbours are all safe is batched, its debits subtracted in that order
-in one local float; every other node falls back, on its own, to the exact
-path, which debits each receiver in turn.  Either way a sender books one
-beacon_tx and one beacon_rx ledger entry, in sender order, and its shared
-state changes at its turn, so a table reads the same states on both paths.
+margin: it can neither die nor fail to fund its beacon.  A round in which
+every live node is safe is batched whole, each node's debits subtracted in
+that order in one local float at its turn; any other round runs whole on
+the exact path, which debits each receiver in turn.  Either way a sender
+books one beacon_tx and one beacon_rx ledger entry, in sender order, and its
+shared state changes at its turn, so a table reads the same states on both
+paths.
 """
 from __future__ import annotations
 

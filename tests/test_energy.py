@@ -1,6 +1,5 @@
 import math
 
-import pytest
 from hypothesis import given, strategies as st
 
 from geams_sim.energy import Battery, rx_energy, tx_energy
@@ -65,12 +64,6 @@ def test_debit_zero_amount():
     drained, died = b.debit(0.0)
     assert (drained, died) == (0.0, False)
     assert b.residual == 0.5
-
-
-def test_debit_rejects_negative():
-    b = Battery(residual=0.5, initial=1.0)
-    with pytest.raises(ValueError):
-        b.debit(-0.1)
 
 
 def test_death_reported_once():

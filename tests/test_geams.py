@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from conftest import add, score, table
 from geams_sim.engine import Simulation
 from geams_sim.geams import (
-    EmptyNeighborSetError,
     SourceState,
     average_score_index,
     build_best_neighbor_set,
@@ -112,11 +111,6 @@ def test_average_score_index_middle():
     assert average_score_index([(2, 8.0), (3, 5.0), (4, 2.0), (5, 1.0)]) == 2
 
 
-def test_average_score_index_empty():
-    with pytest.raises(EmptyNeighborSetError):
-        average_score_index([])
-
-
 def test_refresh_state_keeps_matching_set():
     s = [(2, 8.0), (3, 5.0)]
     state = SourceState(ref_hop_count=4, balance_index=2, neighbor_ids=(2, 3))
@@ -162,11 +156,6 @@ def test_select_clamps_high_to_worst_rank():
     choice, new = select_next_hop(state, FOUR, hop_count=0)
     assert choice == 5
     assert (new.ref_hop_count, new.balance_index) == (2, 2)
-
-
-def test_select_empty_set():
-    with pytest.raises(EmptyNeighborSetError):
-        select_next_hop(None, [], hop_count=0)
 
 
 @given(

@@ -1,7 +1,5 @@
 import math
 
-import pytest
-
 from geams_sim.link import link_rate, serialization_delay
 
 
@@ -21,8 +19,3 @@ def test_serialization_delay_values():
     assert math.isclose(serialization_delay(1000, 50_000), 0.02, rel_tol=1e-15)
     assert serialization_delay(0, 123.0) == 0.0
     assert math.isclose(serialization_delay(10_000, 250_000), 0.04, rel_tol=1e-15)
-
-
-def test_serialization_delay_rejects_zero_rate():
-    with pytest.raises(ValueError):
-        serialization_delay(1000, 0)

@@ -25,15 +25,20 @@ from geams_sim.topology import Position
 
 
 def test_dead_node_count():
-    residuals = {0: 1e6, 1: 1e6, 2: 0.5, 3: 0.4}
-    assert dead_node_count(residuals, [2, 3]) == 0
-    residuals[3] = 0.0
-    assert dead_node_count(residuals, [2, 3]) == 1
+    residuals = [0.5, 0.4]
+    assert dead_node_count(residuals) == 0
+    residuals[1] = 0.0
+    assert dead_node_count(residuals) == 1
 
 
-def test_dead_count_ignores_gateways():
-    residuals = {0: 0.0, 1: 0.0, 2: 1.0}
-    assert dead_node_count(residuals, [2]) == 0
+def test_report_dead_count_ignores_gateways():
+    # the source runs dry on its beacons; only sensors are counted dead
+    sim = Simulation(ScenarioConfig(protocol="gpsr", n_sensors=30, gateway_energy_j=0.05,
+                                    image_count=10, horizon_s=20.0))
+    report = sim.run()
+    assert sim.nodes[1].battery.residual == 0.0
+    sensors = [n for n in sim.nodes.values() if not n.death_exempt]
+    assert report.dead_nodes == sum(n.battery.residual == 0.0 for n in sensors)
 
 
 def test_energy_stats_uniform():

@@ -250,13 +250,14 @@ def test_checking_every_node_for_a_void_changes_no_report(topo_builder):
 # Batched beacon rounds against the exact path: the same floats, not close ones.
 
 class PathCounter(Simulation):
-    """Counts the beacons of rounds after the first by the path they took:
-    the exact path goes through _broadcast, a batched beacon calls the
-    on-air hook directly."""
+    """Counts the beacons of rounds after the first by the path they took,
+    and records the paths each such round took: the exact path goes through
+    _broadcast, a batched beacon calls the on-air hook directly."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.exact_beacons = self.batched_beacons = 0
+        self.round_paths: dict[float, set[str]] = {}
         self._exact = False
 
     def _broadcast(self, node, time, void=False, has_sinkward=False):
@@ -270,6 +271,8 @@ class PathCounter(Simulation):
                 self.exact_beacons += 1
             else:
                 self.batched_beacons += 1
+            self.round_paths.setdefault(time, set()).add(
+                "exact" if self._exact else "batched")
         return super()._on_air(node, reported, time, void, has_sinkward)
 
 
@@ -294,7 +297,7 @@ def _low_energy_cells():
 
 def test_batched_rounds_equal_the_exact_path_bit_for_bit():
     cells, gateways = _low_energy_cells()
-    unfunded = mixed = 0
+    unfunded = both = 0
     for cfg in cells + gateways:
         batched, exact = PathCounter(cfg), ExactRounds(cfg)
         assert batched.run() == exact.run()
@@ -303,12 +306,13 @@ def test_batched_rounds_equal_the_exact_path_bit_for_bit():
         assert batched.ledger.totals == exact.ledger.totals
         assert exact.batched_beacons == 0
         assert batched.batched_beacons + batched.exact_beacons == exact.exact_beacons
-        # per-node fallback: both paths ran in the same rounds of one cell
-        mixed += batched.batched_beacons > 0 and batched.exact_beacons > 0
+        # a round is batched whole or run exact whole, and a cell sees both
+        assert all(len(paths) == 1 for paths in batched.round_paths.values())
+        both += batched.batched_beacons > 0 and batched.exact_beacons > 0
         if cfg in gateways:
             # a gateway alive but too low to fund its beacon stops going on air
             last = batched.now - batched.now % cfg.beacon_interval_s
             unfunded += any(batched.nodes[g].beacon_state.last_beacon_time < last
                             for g in (0, 1))
-    assert mixed > len(cells) // 2
+    assert both > len(cells) // 2
     assert unfunded == len(gateways)
