@@ -15,7 +15,7 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import accumulate, repeat
 
 from . import geams, gpsr
 from .energy import Battery, rx_energy, tx_energy
@@ -55,10 +55,10 @@ class NodeRuntime:
     source_states: dict[int, geams.SourceState] = field(default_factory=dict)
     announced_void: bool = False
     # what this node's beacons told its neighbours; None until its first
-    # beacon goes on air
+    # beacon goes on air, which is in the t = 0 round or never
     beacon_state: BeaconState | None = None
-    # live range neighbours with a lower and a higher id; derived by the
-    # first _beacon_round, then kept by _kill
+    # live range neighbours with a lower and a higher id; set by
+    # Simulation.__init__, then kept by _kill
     live_below: int = 0
     live_above: int = 0
 
@@ -112,10 +112,12 @@ class Simulation:
             )
         # static radio adjacency, ascending by id; liveness is handled at
         # delivery time
-        self.range_neighbors: dict[int, list[NodeRuntime]] = {
-            u: [self.nodes[v] for v in vs]
-            for u, vs in range_neighbor_lists(topology, cfg.radio_range).items()
-        }
+        self.range_neighbors: dict[int, list[NodeRuntime]] = {}
+        for u, vs in range_neighbor_lists(topology, cfg.radio_range).items():
+            self.range_neighbors[u] = [self.nodes[v] for v in vs]
+            node = self.nodes[u]
+            node.live_below = below = bisect_left(vs, u)
+            node.live_above = len(vs) - below
 
         self.ttl0 = cfg.effective_ttl(len(topology))
         self.now = 0.0
@@ -128,9 +130,10 @@ class Simulation:
         self.ledger = EnergyLedger()
         self.emissions_done = False
         # S[m] = S[m - 1] + beacon receive cost, S[0] = 0.0: the ledger entry
-        # for m receptions, as the exact path sums it; with the live-neighbour
-        # counts, built by the first _beacon_round
-        self._rx_totals: list[float] | None = None
+        # for m receptions, as the exact path sums it
+        most = max(map(len, self.range_neighbors.values()), default=0)
+        self._rx_totals = list(accumulate(
+            repeat(rx_energy(cfg.beacon_bits, cfg.e_elec_j_per_bit), most), initial=0.0))
 
     # -- event plumbing -----------------------------------------------------
 
@@ -175,11 +178,7 @@ class Simulation:
         for pk in node.queue:
             self._record(pk, "sender_died")
         node.queue.clear()
-        if self._rx_totals is not None:
-            self._uncount(node)
-
-    def _uncount(self, node: NodeRuntime) -> None:
-        """Take a dead node out of its neighbours' live-neighbour counts."""
+        # take it out of its neighbours' live-neighbour counts
         nid = node.id
         for other in self.range_neighbors[nid]:
             if nid < other.id:
@@ -212,38 +211,33 @@ class Simulation:
         return has_sinkward
 
     def _on_air(self, node: NodeRuntime, reported: float, time: float,
-                void: bool = False, has_sinkward: bool = False) -> BeaconState | None:
+                void: bool = False, has_sinkward: bool = False) -> None:
         """A broadcast from `node`, reporting `reported` joules, has gone on
-        air at `time`: update the sender's shared BeaconState (a beacon
-        clears its void flag when `has_sinkward`; an announcement sets it).
-        Both beacon paths call this once per broadcast on air, before any
-        receiver is debited.  Returns the new state when this is the
-        sender's first beacon, whose live receivers then need its record;
-        else None."""
+        air at `time`: create the sender's shared BeaconState on its first
+        beacon, else update it (a beacon clears its void flag when
+        `has_sinkward`; an announcement sets it).  Both beacon paths call
+        this once per broadcast on air, before any receiver is debited."""
         state = node.beacon_state
         if void:
             # a sender none of whose beacons went on air is in no table
             if state is not None:
                 state.void_flagged = True
         elif state is None:
-            state = node.beacon_state = BeaconState(reported, time)
-            return state
+            node.beacon_state = BeaconState(reported, time)
         else:
             state.residual_energy = reported
             state.last_beacon_time = time
             state.beacons += 1
             if has_sinkward:
                 state.void_flagged = False
-        return None
 
     def _broadcast(self, node: NodeRuntime, time: float, void: bool = False,
                    has_sinkward: bool = False) -> None:
         """The exact path: a beacon stamped `time` or, with `void`, a void
         announcement.  The sender pays one worst-case (full radio range)
         transmission; an underfunded one never goes on air.  On air, it
-        updates the sender's state (_on_air), the sender's first beacon gives
-        every live receiver its record, and every live in-range node pays
-        one reception, in ascending id order."""
+        updates the sender's state (_on_air), and every live in-range node
+        pays one reception, in ascending id order."""
         cfg = self.cfg
         if void:
             bits, tx_cat, rx_cat = cfg.void_announcement_bits, "void_tx", "void_rx"
@@ -261,21 +255,14 @@ class Simulation:
                 self._kill(node)
                 if drained < cost:
                     return  # underfunded broadcast never goes on air
-        first = self._on_air(node, reported, time, void, has_sinkward)
-        receivers = self.range_neighbors[node.id]
-        if first is not None:
-            nid, position = node.id, node.position
-            to_sink = node.table.my_sink_distance
-            for other in receivers:
-                if other.alive:
-                    other.table.handle_beacon(nid, position, first, to_sink)
+        self._on_air(node, reported, time, void, has_sinkward)
         if not charge:
             return
         # Battery.debit, inlined: the same float expressions and death test,
         # and one ledger entry for the whole broadcast's receptions
         rx_cost = rx_energy(bits, cfg.e_elec_j_per_bit)
         total = 0.0
-        for other in receivers:
+        for other in self.range_neighbors[node.id]:
             if not other.alive:
                 continue
             receiver = other.battery
@@ -294,58 +281,51 @@ class Simulation:
         below it, then its own beacon, which reports the residual left at
         that point, then one reception per on-air sender above it; every
         sender books one beacon_tx and one beacon_rx ledger entry, in sender
-        order.  _beacon_round batches a later round whole when it can; the
-        t = 0 round, which gives every receiver its records, and every other
-        round take the exact path (_broadcast) node by node."""
+        order.  _beacon_round batches a round whole when it can; any other
+        round takes the exact path (_broadcast) node by node.
+
+        Every first beacon that goes on air does so at t = 0 (an underfunded
+        sensor dies, and an underfunded gateway never funds a later beacon),
+        and a dead node's table is never read; so when that round ends, each
+        live node's table gets a record of every range neighbour that has
+        beaconed, in ascending id order."""
         cfg = self.cfg
-        if not (cfg.beacon_energy and time > 0.0 and self._beacon_round(time)):
+        if not (cfg.beacon_energy and self._beacon_round(time)):
             for node in self.nodes.values():
                 if node.alive:
                     self._broadcast(node, time, has_sinkward=self._clears_void(node))
+        if time == 0.0:
+            for node in self.nodes.values():
+                if node.alive:
+                    table = node.table
+                    for other in self.range_neighbors[node.id]:
+                        if other.beacon_state is not None:
+                            table.handle_beacon(other.id, other.position, other.beacon_state,
+                                                other.table.my_sink_distance)
         nxt = time + cfg.beacon_interval_s
         if nxt <= cfg.horizon_s and not self._traffic_complete():
             self._schedule(nxt, self._do_beacons)
 
-    def _count_live_neighbours(self, rx: float) -> None:
-        """Derive every node's live-neighbour counts (which _kill then keeps)
-        and the receive-cost prefix sums.  Range lists ascend by id, so a
-        node's lower neighbours are the head of its list."""
-        ranges = self.range_neighbors
-        by_id = attrgetter("id")
-        for node in self.nodes.values():
-            others = ranges[node.id]
-            below = bisect_left(others, node.id, key=by_id)
-            node.live_below, node.live_above = below, len(others) - below
-        for node in self.nodes.values():
-            if not node.alive:
-                self._uncount(node)
-        totals = [0.0]
-        for _ in range(max(map(len, ranges.values()), default=0)):
-            totals.append(totals[-1] + rx)
-        self._rx_totals = totals
-
     def _beacon_round(self, time: float) -> bool:
-        """Batch a beacon round after the first, with beacon energy on, if
-        every live node is safe; returns whether it did.  A node is safe when
-        it has beaconed before and its residual exceeds its beacon plus one
-        reception per live neighbour by SAFE_MARGIN: it cannot die this round
-        and funds its beacon.  Then every node goes on air, and no battery is
-        touched but by its owner or read before the round ends, so each node
-        settles its round at its turn: it subtracts its debits in order in a
-        local float (never multiplied: r - c - c is not r - 2c in floating
-        point) and books its receivers' receptions as one prefix sum.
-        Receptions all cost the same, so only their number before and after
-        a node's own beacon matters, and the floats equal the exact path's."""
+        """Batch a beacon round, with beacon energy on, if every live node is
+        safe; returns whether it did.  A node is safe when its residual
+        exceeds its beacon plus one reception per live neighbour by
+        SAFE_MARGIN: it cannot die this round and funds its beacon.  Then
+        every node goes on air, and no battery is touched but by its owner or
+        read before the round ends, so each node settles its round at its
+        turn: it subtracts its debits in order in a local float (never
+        multiplied: r - c - c is not r - 2c in floating point) and books its
+        receivers' receptions as one prefix sum.  Receptions all cost the
+        same, so only their number before and after a node's own beacon
+        matters, and the floats equal the exact path's."""
         cfg = self.cfg
         bits = cfg.beacon_bits
         tx = tx_energy(bits, cfg.radio_range, cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
         rx = rx_energy(bits, cfg.e_elec_j_per_bit)
-        if self._rx_totals is None:
-            self._count_live_neighbours(rx)
         margin = self.SAFE_MARGIN
         live = [n for n in self.nodes.values() if n.alive]
-        if not all(n.beacon_state is not None and n.battery.residual >
-                   margin * (tx + (n.live_below + n.live_above) * rx) for n in live):
+        if not all(n.battery.residual > margin * (tx + (n.live_below + n.live_above) * rx)
+                   for n in live):
             return False
         rx_totals = self._rx_totals
         ledger_add = self.ledger.add

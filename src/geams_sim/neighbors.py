@@ -10,28 +10,28 @@ no node joins after the first beacon round and a dead node never comes back:
 a receiver still alive has heard every broadcast its senders made since their
 first beacon, and a dead node's table is never read again.
 
-Positions never change, so a record is built once, from the sender's first
-beacon, and holds only static geometry, the shared state and the GEAMS
-pending-load overlay.  The sender works out its own distance to the sink
-once and hands it to every receiver; the receiver works out only the hop.
-
-Every table receives its senders in ascending id order, so records are kept
-in that order by appending alone.  The engine beacons its nodes in ascending
-id order, and every sender's first beacon that goes on air does so in the
-t = 0 round: an underfunded beacon kills a sensor, and a death-exempt
-gateway that cannot fund one never can later.  Later rounds change only the
-shared states.
+Positions never change, and every sender's first beacon that goes on air
+does so in the t = 0 round: an underfunded beacon kills a sensor, and a
+death-exempt gateway that cannot fund one never can later.  So which senders
+a table holds, and how far away they are, is fixed once that round ends.
+The engine fills every table then, once, from the static range lists: each
+live node gets a record of every range neighbour that has beaconed, in
+ascending id order, so records are kept in that order by appending alone.
+A record holds only static geometry, the shared state and the GEAMS
+pending-load overlay; the sender's distance to the sink is its own, worked
+out once, and the receiver works out only the hop.  Later beacons change
+only the shared states.
 
 A round (`engine.Simulation._do_beacons`) gives each live node its turn in
 ascending id order.  With beacon energy on, a node's debits in a round are
 one reception per on-air sender below it, then its own beacon, which reports
 the residual left at that point, then one reception per on-air sender above
-it.  After the first round a node is safe when its residual exceeds its
-beacon plus a reception from every live neighbour by a small relative
-margin: it can neither die nor fail to fund its beacon.  A round in which
-every live node is safe is batched whole, each node's debits subtracted in
-that order in one local float at its turn; any other round runs whole on
-the exact path, which debits each receiver in turn.  Either way a sender
+it.  A node is safe when its residual exceeds its beacon plus a reception
+from every live neighbour by a small relative margin: it can neither die
+nor fail to fund its beacon.  A round in which every live node is safe,
+the t = 0 round included, is batched whole, each node's debits subtracted
+in that order in one local float at its turn; any other round runs whole
+on the exact path, which debits each receiver in turn.  Either way a sender
 books one beacon_tx and one beacon_rx ledger entry, in sender order, and its
 shared state changes at its turn, so a table reads the same states on both
 paths.
@@ -101,10 +101,11 @@ class NeighborTable:
 
     def handle_beacon(self, sender: int, position: Position, state: BeaconState,
                       distance_to_sink: float) -> None:
-        """Add the record of a sender heard for the first time, whose id is
-        above every id heard before; `distance_to_sink` is the sender's own
-        (its table's `my_sink_distance`).  Its later beacons update only the
-        shared `state`, so they need no call here.  Load-time checks keep
+        """Add the record of a sender that has beaconed, whose id is above
+        every id this table holds; `distance_to_sink` is the sender's own
+        (its table's `my_sink_distance`).  The engine calls this once per
+        live node and range neighbour, when the t = 0 beacon round ends;
+        later beacons update only the shared `state`.  Load-time checks keep
         every pair at least 1 m apart, so the hop needs no link check."""
         me = self.my_position
         # topology.distance, inlined

@@ -194,7 +194,7 @@ class ReplaySimulation(Simulation):
         flagged = node.beacon_state is not None and node.beacon_state.void_flagged
         self.void_announcements += void
         self.void_clears += flagged and not void and has_sinkward
-        return super()._on_air(node, reported, time, void, has_sinkward)
+        super()._on_air(node, reported, time, void, has_sinkward)
 
     def _broadcast(self, node, time, void=False, has_sinkward=False):
         # only the exact path debits receivers one by one, so only it can

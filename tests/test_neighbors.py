@@ -250,9 +250,9 @@ def test_checking_every_node_for_a_void_changes_no_report(topo_builder):
 # Batched beacon rounds against the exact path: the same floats, not close ones.
 
 class PathCounter(Simulation):
-    """Counts the beacons of rounds after the first by the path they took,
-    and records the paths each such round took: the exact path goes through
-    _broadcast, a batched beacon calls the on-air hook directly."""
+    """Counts beacons by the path they took, and records the paths each round
+    took: the exact path goes through _broadcast, a batched beacon calls the
+    on-air hook directly."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -266,14 +266,14 @@ class PathCounter(Simulation):
         self._exact = False
 
     def _on_air(self, node, reported, time, void=False, has_sinkward=False):
-        if time > 0 and not void:
+        if not void:
             if self._exact:
                 self.exact_beacons += 1
             else:
                 self.batched_beacons += 1
             self.round_paths.setdefault(time, set()).add(
                 "exact" if self._exact else "batched")
-        return super()._on_air(node, reported, time, void, has_sinkward)
+        super()._on_air(node, reported, time, void, has_sinkward)
 
 
 class ExactRounds(PathCounter):
@@ -283,21 +283,34 @@ class ExactRounds(PathCounter):
 
 
 def _low_energy_cells():
-    """Sparse low-energy cells, where beacon receptions kill sensors mid-round,
-    and cells whose gateways run too low to fund their beacons."""
+    """Sparse low-energy cells, where beacon receptions kill sensors mid-round
+    (at 0.005 J sensors cannot fund the t = 0 round), a cell without beacon
+    energy, and cells whose gateways run too low to fund their beacons."""
     cells = [ScenarioConfig(protocol=protocol, seed=seed, n_sensors=30,
                             initial_energy_j=energy, image_count=10, horizon_s=20.0)
              for protocol in ("geams", "gpsr") for seed in (1, 2, 3, 4, 5)
-             for energy in (0.05, 0.5)]
+             for energy in (0.005, 0.05, 0.5)]
+    cells.append(ScenarioConfig(n_sensors=30, beacon_energy=False, image_count=10,
+                                horizon_s=20.0))
     gateways = [ScenarioConfig(protocol=protocol, n_sensors=30, gateway_energy_j=0.05,
                                image_count=10, horizon_s=20.0)
                 for protocol in ("geams", "gpsr")]
     return cells, gateways
 
 
+def assert_live_counts_hold(sim):
+    """Every node's live-neighbour counts equal a recount of its alive range
+    neighbours below and above it."""
+    for node in sim.nodes.values():
+        alive = [o.id for o in sim.range_neighbors[node.id] if o.alive]
+        below = sum(i < node.id for i in alive)
+        assert (node.live_below, node.live_above) == (below, len(alive) - below), node.id
+
+
 def test_batched_rounds_equal_the_exact_path_bit_for_bit():
     cells, gateways = _low_energy_cells()
     unfunded = both = 0
+    first_round = []
     for cfg in cells + gateways:
         batched, exact = PathCounter(cfg), ExactRounds(cfg)
         assert batched.run() == exact.run()
@@ -309,6 +322,9 @@ def test_batched_rounds_equal_the_exact_path_bit_for_bit():
         # a round is batched whole or run exact whole, and a cell sees both
         assert all(len(paths) == 1 for paths in batched.round_paths.values())
         both += batched.batched_beacons > 0 and batched.exact_beacons > 0
+        first_round += batched.round_paths[0.0]
+        assert_live_counts_hold(batched)
+        assert_live_counts_hold(exact)
         if cfg in gateways:
             # a gateway alive but too low to fund its beacon stops going on air
             last = batched.now - batched.now % cfg.beacon_interval_s
@@ -316,3 +332,5 @@ def test_batched_rounds_equal_the_exact_path_bit_for_bit():
                             for g in (0, 1))
     assert both > len(cells) // 2
     assert unfunded == len(gateways)
+    # the t = 0 round takes either path, like any other
+    assert {"batched", "exact"} <= set(first_round)
