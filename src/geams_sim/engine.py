@@ -30,13 +30,12 @@ from .topology import SINK_ID, SOURCE_ID, Position, Topology, check_nodes, dista
 
 @dataclass
 class DataPacket:
-    source: int
     seq: int
     payload_bits: int
     created_at: float
-    # every node the packet has reached, source first: its hop count is
-    # len(path) - 1, it has outlived its TTL once that exceeds the TTL, and
-    # path[-2] is the hop it came from
+    # every node the packet has reached, source first: path[0] is its
+    # source, its hop count is len(path) - 1, it has outlived its TTL once
+    # that exceeds the TTL, and path[-2] is the hop it came from
     path: list[int]
     excluded: set[int] = field(default_factory=set)
     perimeter: gpsr.PerimeterState | None = None
@@ -227,7 +226,6 @@ class Simulation:
         else:
             state.residual_energy = reported
             state.last_beacon_time = time
-            state.beacons += 1
             if has_sinkward:
                 state.void_flagged = False
 
@@ -357,7 +355,6 @@ class Simulation:
             bits = min(cfg.packet_bits, remaining)
             remaining -= bits
             pk = DataPacket(
-                source=SOURCE_ID,
                 seq=self.emitted,
                 payload_bits=bits,
                 created_at=time,
@@ -461,11 +458,9 @@ class Simulation:
             node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits,
             cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
         if entries:
-            state = node.source_states.get(pk.source)
-            if state is not None:
-                state = geams.refresh_state(state, entries)
-            next_hop, new_state = geams.select_next_hop(state, entries, len(pk.path) - 1)
-            node.source_states[pk.source] = new_state
+            source = pk.path[0]
+            next_hop, node.source_states[source] = geams.select_next_hop(
+                node.source_states.get(source), entries, len(pk.path) - 1)
         else:
             # walking back: announce the void once, then delegate sink-ward-most
             if not node.announced_void:
@@ -489,7 +484,7 @@ class Simulation:
         r = node.table.records[next_hop]
         r.pending = r.residual_energy - self._pending_load_estimate(
             pk.payload_bits + cfg.header_bits)
-        r.pending_beacon = r.state.beacons
+        r.pending_time = r.state.last_beacon_time
         return next_hop, None
 
     def _route_gpsr(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:

@@ -9,7 +9,7 @@ least far from the sink.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .energy import rx_energy
@@ -19,9 +19,9 @@ from .neighbors import NeighborRecord, NeighborTable
 BestNeighborSet = list[tuple[int, float]]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SourceState:
-    """Per-source forwarding memory.
+    """Per-source forwarding memory, updated in place by select_next_hop.
 
     ref_hop_count: running reference hop count for packets of this source.
     balance_index: 1-based rank in the best-neighbor set whose score is
@@ -53,7 +53,7 @@ def build_best_neighbor_set(
         s = r.state
         if s.void_flagged or not now - s.last_beacon_time <= expiry_s:
             continue
-        energy = r.pending if r.pending_beacon == s.beacons else s.residual_energy
+        energy = r.pending if r.pending_time == s.last_beacon_time else s.residual_energy
         if energy > 0:
             d = r.distance_to_me
             candidates.append((r.id, (energy - k_bits * (e_elec + eps_amp * d * d)) - rx))
@@ -77,12 +77,13 @@ def average_score_index(s: BestNeighborSet) -> int:
 
 
 def refresh_state(state: SourceState, s: BestNeighborSet) -> SourceState:
-    """Recompute the balance rank if the set membership or order changed since
-    it was last computed; the reference hop count persists."""
+    """Recompute the balance rank in place if the set membership or order
+    changed since it was last computed, and return the state."""
     ids = tuple([node_id for node_id, _ in s])
-    if state.neighbor_ids == ids:
-        return state
-    return replace(state, balance_index=average_score_index(s), neighbor_ids=ids)
+    if state.neighbor_ids != ids:
+        state.balance_index = average_score_index(s)
+        state.neighbor_ids = ids
+    return state
 
 
 def select_next_hop(
@@ -90,35 +91,26 @@ def select_next_hop(
 ) -> tuple[int, SourceState]:
     """Smart greedy choice among the sorted sink-ward neighbors.
 
-    First packet from a source goes to the top-ranked neighbor and seeds the
-    state.  Later packets pick rank (balance_index + ref_hop_count - hop_count),
-    clamping out-of-range picks to the best or worst rank while shifting the
-    reference hop count so the balance point tracks the traffic.  A state
-    that would come out unchanged is returned as it was given.
+    The state is first refreshed against the set (refresh_state).  The first
+    packet from a source goes to the top-ranked neighbor and seeds a new
+    state, which has no ids, so its balance rank is computed.  Later packets
+    pick rank (balance_index + ref_hop_count - hop_count), clamping
+    out-of-range picks to the best or worst rank while shifting the
+    reference hop count so the balance point tracks the traffic.  A given
+    state is updated in place and returned.
     """
-    m = len(s)
-    ids = tuple([node_id for node_id, _ in s])
     if state is None:
-        new_state = SourceState(
-            ref_hop_count=hop_count,
-            balance_index=average_score_index(s),
-            neighbor_ids=ids,
-        )
-        return s[0][0], new_state
-    ref = state.ref_hop_count
-    index = state.balance_index + (ref - hop_count)
+        return s[0][0], refresh_state(SourceState(hop_count, 0), s)
+    refresh_state(state, s)
+    m = len(s)
+    index = state.balance_index + (state.ref_hop_count - hop_count)
     if index <= 0:
-        ref = ref - index + 1
+        state.ref_hop_count -= index - 1
         index = 1
     elif index > m:
-        ref = ref - index + m
+        state.ref_hop_count -= index - m
         index = m
-    if ref == state.ref_hop_count and ids == state.neighbor_ids:
-        return s[index - 1][0], state
-    new_state = SourceState(
-        ref_hop_count=ref, balance_index=state.balance_index, neighbor_ids=ids
-    )
-    return s[index - 1][0], new_state
+    return s[index - 1][0], state
 
 
 def walking_back_candidate(

@@ -37,7 +37,7 @@ def greedy_next_hop(t: NeighborTable, now: float, expiry_s: float) -> int | None
         # live_records' liveness test, inlined
         s = r.state
         if now - s.last_beacon_time <= expiry_s and (
-                r.pending if r.pending_beacon == s.beacons else s.residual_energy) > 0:
+                r.pending if r.pending_time == s.last_beacon_time else s.residual_energy) > 0:
             best = r
     return None if best is None else best.id
 

@@ -20,7 +20,9 @@ ascending id order, so records are kept in that order by appending alone.
 A record holds only static geometry, the shared state and the GEAMS
 pending-load overlay; the sender's distance to the sink is its own, worked
 out once, and the receiver works out only the hop.  Later beacons change
-only the shared states.
+only the shared states.  An overlay is stamped with the sender's last beacon
+time and stands until its next: a sender beacons at most once a round,
+rounds run at strictly increasing times, and a void announcement keeps it.
 
 A round (`engine.Simulation._do_beacons`) gives each live node its turn in
 ascending id order.  With beacon energy on, a node's debits in a round are
@@ -49,13 +51,10 @@ class BeaconState:
     """What a sender's last beacon reported, shared by every record of it."""
 
     residual_energy: float
-    last_beacon_time: float
+    last_beacon_time: float  # also stamps the pending-load overlays taken since
     # set by a void announcement; cleared by a beacon from a sender that has
     # a usable sink-ward neighbor again
     void_flagged: bool = False
-    # beacons sent so far: a pending-load overlay taken at an earlier count
-    # has been overwritten by ground truth since
-    beacons: int = 1
 
 
 @dataclass(slots=True)
@@ -66,17 +65,17 @@ class NeighborRecord:
     distance_to_sink: float
     state: BeaconState
     # GEAMS pending-load overlay: this node's estimate of the neighbor's
-    # residual after the frames sent to it since beacon number
-    # `pending_beacon`; it stands only while that is the sender's latest
+    # residual after the frames sent since its beacon at `pending_time`
+    # (-1.0 is no beacon's time), standing until the sender's next beacon
     pending: float = 0.0
-    pending_beacon: int = 0
+    pending_time: float = -1.0
 
     @property
     def residual_energy(self) -> float:
         """The residual routing sees: the overlay while it stands, else the
         last beacon's.  The hot loops in geams.py and gpsr.py inline this."""
         s = self.state
-        return self.pending if self.pending_beacon == s.beacons else s.residual_energy
+        return self.pending if self.pending_time == s.last_beacon_time else s.residual_energy
 
 
 @dataclass
@@ -128,6 +127,6 @@ class NeighborTable:
         for r in self.records.values():
             s = r.state
             if now - s.last_beacon_time <= expiry_s and (
-                    r.pending if r.pending_beacon == s.beacons else s.residual_energy) > 0:
+                    r.pending if r.pending_time == s.last_beacon_time else s.residual_energy) > 0:
                 live.append(r)
         return live

@@ -110,7 +110,7 @@ def add(t: NeighborTable, r: NeighborRecord) -> None:
     assert not t.records or r.id > max(t.records), (r.id, list(t.records))
     t.handle_beacon(r.id, r.position, r.state, distance(r.position, t.sink_position))
     heard = t.records[r.id]
-    heard.pending, heard.pending_beacon = r.pending, r.pending_beacon
+    heard.pending, heard.pending_time = r.pending, r.pending_time
 
 
 def table(me: Position, sink: Position, records) -> NeighborTable:

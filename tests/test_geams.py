@@ -32,10 +32,10 @@ def record(node_id, pos, me, sink, energy, void=False, beacon_time=0.0,
         position=pos,
         distance_to_me=distance(me, pos),
         distance_to_sink=distance(pos, sink),
-        state=BeaconState(energy, beacon_time, void_flagged=void, beacons=2),
+        state=BeaconState(energy, beacon_time, void_flagged=void),
     )
     if pending is not None:
-        r.pending, r.pending_beacon = pending, 1 if stale else 2
+        r.pending, r.pending_time = pending, beacon_time - 1.0 if stale else beacon_time
     return r
 
 
@@ -121,6 +121,7 @@ def test_refresh_state_recomputes_on_change():
     s = [(2, 8.0), (3, 5.0), (4, 2.0), (5, 1.0)]
     state = SourceState(ref_hop_count=4, balance_index=1, neighbor_ids=(2, 3))
     new = refresh_state(state, s)
+    assert new is state
     assert new.ref_hop_count == 4
     assert new.balance_index == 2
     assert new.neighbor_ids == (2, 3, 4, 5)
@@ -147,6 +148,7 @@ def test_select_in_range_pick():
 def test_select_clamps_low_to_best_rank():
     state = SourceState(ref_hop_count=3, balance_index=2, neighbor_ids=(2, 3, 4, 5))
     choice, new = select_next_hop(state, FOUR, hop_count=6)
+    assert new is state
     assert choice == 2
     assert (new.ref_hop_count, new.balance_index) == (5, 2)
 
@@ -154,8 +156,19 @@ def test_select_clamps_low_to_best_rank():
 def test_select_clamps_high_to_worst_rank():
     state = SourceState(ref_hop_count=3, balance_index=2, neighbor_ids=(2, 3, 4, 5))
     choice, new = select_next_hop(state, FOUR, hop_count=0)
+    assert new is state
     assert choice == 5
     assert (new.ref_hop_count, new.balance_index) == (2, 2)
+
+
+def test_select_refreshes_a_stale_state_itself():
+    """A state computed against another set is refreshed before the pick:
+    FOUR's balance rank is 2, so hop 3 at reference 3 picks rank 2."""
+    state = SourceState(ref_hop_count=3, balance_index=1, neighbor_ids=(2, 3))
+    choice, new = select_next_hop(state, FOUR, hop_count=3)
+    assert new is state
+    assert choice == 3
+    assert (new.ref_hop_count, new.balance_index, new.neighbor_ids) == (3, 2, (2, 3, 4, 5))
 
 
 @given(
@@ -313,17 +326,16 @@ def test_best_neighbor_set_agrees_with_brute_force(specs, ids, split):
     st.lists(st.integers(2, 8), min_size=1, max_size=5, unique=True),
     st.integers(0, 12)), min_size=1, max_size=12))
 def test_select_sequence_same_with_or_without_reused_state(steps):
-    """The engine's refresh-then-select loop makes the same choices whether
-    select_next_hop hands back the state it was given or every step works on
-    a fresh copy."""
+    """The engine's one-call loop makes the same choices whether
+    select_next_hop updates one state in place or every step works on a
+    fresh copy."""
     reused = copied = None
     for node_ids, hop in steps:
         s = [(node_id, float(10 - rank)) for rank, node_id in enumerate(node_ids)]
-        if reused is not None:
-            reused = refresh_state(reused, s)
-            copied = refresh_state(replace(copied), s)
+        given = reused
         choice_a, reused = select_next_hop(reused, s, hop)
         choice_b, copied = select_next_hop(
             None if copied is None else replace(copied), s, hop)
+        assert given is None or reused is given
         assert choice_a == choice_b
         assert reused == copied

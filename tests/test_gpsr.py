@@ -26,7 +26,7 @@ def record(node_id, pos, me, sink, energy=1.0, beacon_time=0.0, pending=None):
         state=BeaconState(energy, beacon_time),
     )
     if pending is not None:
-        r.pending, r.pending_beacon = pending, r.state.beacons
+        r.pending, r.pending_time = pending, r.state.last_beacon_time
     return r
 
 

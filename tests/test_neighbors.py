@@ -54,9 +54,9 @@ def test_pending_overlay_stands_until_the_next_beacon():
     t = NeighborTable(my_position=ME, sink_position=SINK)
     state = hear(t, 2, 160, energy=1.0)
     r = t.records[2]
-    r.pending, r.pending_beacon = 0.25, state.beacons
+    r.pending, r.pending_time = 0.25, state.last_beacon_time
     assert r.residual_energy == 0.25
-    state.beacons += 1
+    state.last_beacon_time = 1.0
     assert r.residual_energy == 1.0
 
 
@@ -76,7 +76,7 @@ def test_one_state_per_sender_shared_by_every_receiver(topo_builder):
     assert all(sim.nodes[i].table.records[3].state is state for i in holders)
     sim._do_beacons(1.0)
     assert sim.nodes[3].beacon_state is state
-    assert (state.last_beacon_time, state.beacons) == (1.0, 2)
+    assert state.last_beacon_time == 1.0
 
 
 def test_void_flag_survives_until_sender_has_sinkward(topo_builder):
@@ -138,12 +138,15 @@ def test_pending_load_estimate_is_overwritten_by_next_beacon(topo_builder):
     source, relay = sim.nodes[1], sim.nodes[2]
     reported = relay.battery.residual
     assert source.table.records[2].residual_energy == reported
-    pk = DataPacket(source=1, seq=0, payload_bits=1000, created_at=0.0, path=[1])
+    pk = DataPacket(seq=0, payload_bits=1000, created_at=0.0, path=[1])
     source.queue.append(pk)
     sim._try_start(source, 0.0)
     bits = 1000 + sim.cfg.header_bits
-    assert source.table.records[2].residual_energy == \
-        reported - sim._pending_load_estimate(bits)
+    estimate = reported - sim._pending_load_estimate(bits)
+    assert source.table.records[2].residual_energy == estimate
+    # a void announcement is no beacon: the overlay still stands
+    sim._broadcast(relay, 0.5, void=True)
+    assert source.table.records[2].residual_energy == estimate
     sim._do_beacons(1.0)
     assert source.table.records[2].residual_energy == relay.battery.residual
 
