@@ -52,10 +52,9 @@ class NodeRuntime:
     queue: list = field(default_factory=list)
     transmitting: bool = False
     source_states: dict[int, geams.SourceState] = field(default_factory=dict)
-    announced_void: bool = False
-    # what this node's beacons told its neighbours; None until its first
-    # beacon goes on air, which is in the t = 0 round or never
-    beacon_state: BeaconState | None = None
+    # what this node's beacons told its neighbours: never live until one
+    # goes on air
+    beacon_state: BeaconState = field(default_factory=BeaconState)
     # live range neighbours with a lower and a higher id; set by
     # Simulation.__init__, then kept by _kill
     live_below: int = 0
@@ -204,25 +203,18 @@ class Simulation:
     def _clears_void(self, node: NodeRuntime) -> bool:
         """The void check a beacon makes as its node's turn comes: whether
         the beacon clears the sender's void flag."""
-        has_sinkward = not node.announced_void or self._has_sinkward(node)
-        if has_sinkward:
-            node.announced_void = False
-        return has_sinkward
+        return not node.beacon_state.void_flagged or self._has_sinkward(node)
 
     def _on_air(self, node: NodeRuntime, reported: float, time: float,
                 void: bool = False, has_sinkward: bool = False) -> None:
         """A broadcast from `node`, reporting `reported` joules, has gone on
-        air at `time`: create the sender's shared BeaconState on its first
-        beacon, else update it (a beacon clears its void flag when
-        `has_sinkward`; an announcement sets it).  Both beacon paths call
-        this once per broadcast on air, before any receiver is debited."""
+        air at `time`: update the sender's shared BeaconState (a beacon
+        clears its void flag when `has_sinkward`; an announcement sets it).
+        Both beacon paths call this once per broadcast on air, before any
+        receiver is debited."""
         state = node.beacon_state
         if void:
-            # a sender none of whose beacons went on air is in no table
-            if state is not None:
-                state.void_flagged = True
-        elif state is None:
-            node.beacon_state = BeaconState(reported, time)
+            state.void_flagged = True
         else:
             state.residual_energy = reported
             state.last_beacon_time = time
@@ -280,26 +272,12 @@ class Simulation:
         that point, then one reception per on-air sender above it; every
         sender books one beacon_tx and one beacon_rx ledger entry, in sender
         order.  _beacon_round batches a round whole when it can; any other
-        round takes the exact path (_broadcast) node by node.
-
-        Every first beacon that goes on air does so at t = 0 (an underfunded
-        sensor dies, and an underfunded gateway never funds a later beacon),
-        and a dead node's table is never read; so when that round ends, each
-        live node's table gets a record of every range neighbour that has
-        beaconed, in ascending id order."""
+        round takes the exact path (_broadcast) node by node."""
         cfg = self.cfg
         if not (cfg.beacon_energy and self._beacon_round(time)):
             for node in self.nodes.values():
                 if node.alive:
                     self._broadcast(node, time, has_sinkward=self._clears_void(node))
-        if time == 0.0:
-            for node in self.nodes.values():
-                if node.alive:
-                    table = node.table
-                    for other in self.range_neighbors[node.id]:
-                        if other.beacon_state is not None:
-                            table.handle_beacon(other.id, other.position, other.beacon_state,
-                                                other.table.my_sink_distance)
         nxt = time + cfg.beacon_interval_s
         if nxt <= cfg.horizon_s and not self._traffic_complete():
             self._schedule(nxt, self._do_beacons)
@@ -447,7 +425,20 @@ class Simulation:
 
     # -- routing ------------------------------------------------------------
 
+    def _fill_table(self, node: NodeRuntime) -> None:
+        """Fill an empty table with a record of every range neighbour, in
+        ascending id order.  Every record refers to its sender's shared
+        state, which exists from the start, so the fill may come at any time:
+        _route makes it on the table's first read, and a sender that has
+        never gone on air has a record that is never live."""
+        table = node.table
+        if not table.records:
+            for other in self.range_neighbors[node.id]:
+                table.handle_beacon(other.id, other.position, other.beacon_state,
+                                    other.table.my_sink_distance)
+
     def _route(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
+        self._fill_table(node)
         if self.cfg.protocol == "geams":
             return self._route_geams(node, pk)
         return self._route_gpsr(node, pk)
@@ -462,9 +453,9 @@ class Simulation:
             next_hop, node.source_states[source] = geams.select_next_hop(
                 node.source_states.get(source), entries, len(pk.path) - 1)
         else:
-            # walking back: announce the void once, then delegate sink-ward-most
-            if not node.announced_void:
-                node.announced_void = True
+            # walking back: announce the void unless it stands, then delegate
+            # sink-ward-most
+            if not node.beacon_state.void_flagged:
                 self._broadcast(node, self.now, void=True)
                 if not node.alive:
                     return None, "sender_died"

@@ -10,16 +10,14 @@ no node joins after the first beacon round and a dead node never comes back:
 a receiver still alive has heard every broadcast its senders made since their
 first beacon, and a dead node's table is never read again.
 
-Positions never change, and every sender's first beacon that goes on air
-does so in the t = 0 round: an underfunded beacon kills a sensor, and a
-death-exempt gateway that cannot fund one never can later.  So which senders
-a table holds, and how far away they are, is fixed once that round ends.
-The engine fills every table then, once, from the static range lists: each
-live node gets a record of every range neighbour that has beaconed, in
-ascending id order, so records are kept in that order by appending alone.
-A record holds only static geometry, the shared state and the GEAMS
-pending-load overlay; the sender's distance to the sink is its own, worked
-out once, and the receiver works out only the hop.  Later beacons change
+Positions never change, and each sender's state exists from the start, so a
+table holds a record of every range neighbour however late it is filled.
+The engine fills a table from the static range list the first time the
+table is read, in ascending id order, so records are kept in that order by
+appending alone; a sender that has not yet gone on air has a record that is
+never live.  A record holds only static geometry, the shared state and the
+GEAMS pending-load overlay; the sender's distance to the sink is its own,
+worked out once, and the receiver works out only the hop.  Beacons change
 only the shared states.  An overlay is stamped with the sender's last beacon
 time and stands until its next: a sender beacons at most once a round,
 rounds run at strictly increasing times, and a void announcement keeps it.
@@ -48,10 +46,11 @@ from .topology import Position, distance
 
 @dataclass(slots=True)
 class BeaconState:
-    """What a sender's last beacon reported, shared by every record of it."""
+    """What a sender's last beacon reported, shared by every record of it.
+    The defaults are a sender never heard: its records are never live."""
 
-    residual_energy: float
-    last_beacon_time: float  # also stamps the pending-load overlays taken since
+    residual_energy: float = 0.0
+    last_beacon_time: float = -math.inf  # also stamps the overlays taken since
     # set by a void announcement; cleared by a beacon from a sender that has
     # a usable sink-ward neighbor again
     void_flagged: bool = False
@@ -80,7 +79,7 @@ class NeighborRecord:
 
 @dataclass
 class NeighborTable:
-    """One node's records of the senders it has heard.  Senders arrive in
+    """One node's records of its range neighbours.  Senders arrive in
     ascending id order (see the module docstring), and a caller that fills a
     table itself must keep that order."""
 
@@ -100,12 +99,12 @@ class NeighborTable:
 
     def handle_beacon(self, sender: int, position: Position, state: BeaconState,
                       distance_to_sink: float) -> None:
-        """Add the record of a sender that has beaconed, whose id is above
-        every id this table holds; `distance_to_sink` is the sender's own
-        (its table's `my_sink_distance`).  The engine calls this once per
-        live node and range neighbour, when the t = 0 beacon round ends;
-        later beacons update only the shared `state`.  Load-time checks keep
-        every pair at least 1 m apart, so the hop needs no link check."""
+        """Add the record of a sender, whose id is above every id this table
+        holds; `distance_to_sink` is the sender's own (its table's
+        `my_sink_distance`).  The engine calls this once per range neighbour
+        when it fills a table; beacons update only the shared `state`.
+        Load-time checks keep every pair at least 1 m apart, so the hop
+        needs no link check."""
         me = self.my_position
         # topology.distance, inlined
         r = self.records[sender] = NeighborRecord(

@@ -142,24 +142,21 @@ class OracleRecord:
 
 
 class OracleTable:
-    """A receiver's own copy of every sender it has heard from."""
+    """A receiver's own copy of every range neighbour, heard or not: a
+    sender never heard has residual 0.0 and last beacon time -inf."""
 
-    def __init__(self):
-        self.records: dict[int, OracleRecord] = {}
+    def __init__(self, senders):
+        self.records = {i: OracleRecord(0.0, False, -math.inf) for i in senders}
 
     def handle_beacon(self, b: Beacon) -> None:
-        r = self.records.get(b.sender)
-        if r is None:
-            self.records[b.sender] = OracleRecord(b.residual_energy, False, b.time)
-            return
+        r = self.records[b.sender]
         r.residual_energy = b.residual_energy
         r.last_beacon_time = b.time
         if b.has_sinkward:
             r.void_flagged = False
 
     def mark_void(self, node_id: int) -> None:
-        if node_id in self.records:
-            self.records[node_id].void_flagged = True
+        self.records[node_id].void_flagged = True
 
     def live_ids(self, now: float, expiry_s: float) -> list[int]:
         return sorted(i for i, r in self.records.items()
@@ -171,12 +168,14 @@ class ReplaySimulation(Simulation):
     broadcast that goes on air (through the `_on_air` hook, which the exact
     and the batched beacon paths both call), and checks the routing node's
     table against its oracle before and after every route, and every live
-    node's table after every beacon round.  It counts what it saw, so a test
-    can tell which paths a scenario took."""
+    node's table after every beacon round, filling a table through the
+    engine's own fill before its first check.  It counts what it saw, so a
+    test can tell which paths a scenario took."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.oracle = {i: OracleTable() for i in self.nodes}
+        self.oracle = {i: OracleTable([o.id for o in self.range_neighbors[i]])
+                       for i in self.nodes}
         self.checks = self.void_announcements = self.void_clears = 0
         self.rx_deaths = self.walkbacks = 0
         self._hearers = []
@@ -191,7 +190,7 @@ class ReplaySimulation(Simulation):
                 table.mark_void(node.id)
             else:
                 table.handle_beacon(Beacon(node.id, node.position, reported, has_sinkward, time))
-        flagged = node.beacon_state is not None and node.beacon_state.void_flagged
+        flagged = node.beacon_state.void_flagged
         self.void_announcements += void
         self.void_clears += flagged and not void and has_sinkward
         super()._on_air(node, reported, time, void, has_sinkward)
@@ -220,6 +219,7 @@ class ReplaySimulation(Simulation):
         return hop, reason
 
     def check_table(self, node) -> None:
+        self._fill_table(node)  # the fill _route makes on a table's first read
         table, oracle = node.table, self.oracle[node.id]
         now, expiry = self.now, self.cfg.neighbor_expiry_s
         assert [r.id for r in table.live_records(now, expiry)] == oracle.live_ids(now, expiry)

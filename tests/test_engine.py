@@ -313,18 +313,21 @@ def test_finished_simulation_is_freed_without_gc(protocol, horizon_s):
     horizon_s=st.floats(0.05, 12.0),
     image_count=st.integers(1, 6),
     initial_energy_j=st.sampled_from([0.0, 0.002, 0.01, 0.03, 0.1, 0.5]),
+    gateway_energy_j=st.sampled_from([0.0, 0.002, 1e6]),
     beacon_energy=st.booleans(),
     radio_range=st.sampled_from([40.0, 80.0, 150.0]),
 )
 def test_small_random_scenarios_end_conserve_packets_and_balance(
-        protocol, n, seed, horizon_s, image_count, initial_energy_j, beacon_energy,
-        radio_range):
+        protocol, n, seed, horizon_s, image_count, initial_energy_j, gateway_energy_j,
+        beacon_energy, radio_range):
     """Any small scenario runs to an end, accounts for every packet it
     emitted and books every joule drawn.  The replay also checks every
-    routing node's table against its per-receiver oracle."""
+    routing node's table against its per-receiver oracle, underfunded
+    gateways that announce a void again included."""
     cfg = ScenarioConfig(protocol=protocol, n_sensors=n, seed=seed, horizon_s=horizon_s,
                          image_count=image_count, initial_energy_j=initial_energy_j,
-                         beacon_energy=beacon_energy, radio_range=radio_range)
+                         gateway_energy_j=gateway_energy_j, beacon_energy=beacon_energy,
+                         radio_range=radio_range)
     sim = ReplaySimulation(cfg)
     report = sim.run()
     assert sim.now <= horizon_s

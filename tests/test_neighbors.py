@@ -5,6 +5,8 @@ import pytest
 from conftest import ReplaySimulation, assert_energy_balanced
 from geams_sim.energy import Battery
 from geams_sim.engine import DataPacket, EnergyLedger, Simulation
+from geams_sim.geams import build_best_neighbor_set, walking_back_candidate
+from geams_sim.gpsr import greedy_next_hop, planar_neighbors
 from geams_sim.metrics import regional_rows, summary_row
 from geams_sim.neighbors import BeaconState, NeighborTable
 from geams_sim.scenario import ScenarioConfig
@@ -70,6 +72,8 @@ def _line(topo_builder):
 def test_one_state_per_sender_shared_by_every_receiver(topo_builder):
     sim = Simulation(ScenarioConfig(n_sensors=2), _line(topo_builder))
     sim._do_beacons(0.0)
+    for node in sim.nodes.values():
+        sim._fill_table(node)
     state = sim.nodes[3].beacon_state
     holders = [i for i, n in sim.nodes.items() if 3 in n.table.records]
     assert holders == [1, 2]
@@ -79,9 +83,34 @@ def test_one_state_per_sender_shared_by_every_receiver(topo_builder):
     assert state.last_beacon_time == 1.0
 
 
+def test_a_sender_never_heard_has_a_record_that_is_never_live(topo_builder):
+    """A sensor too poor to fund its t = 0 beacon dies without going on air.
+    The source's table, filled after that round, holds its record, which is
+    sink-ward but never live, so no read returns it."""
+    cfg = ScenarioConfig(n_sensors=2, initial_energy_j=1e-9)
+    sim = Simulation(cfg, _line(topo_builder))
+    sim._do_beacons(0.0)
+    poor, source = sim.nodes[3], sim.nodes[1]
+    assert not poor.alive
+    sim._fill_table(source)
+    t = source.table
+    assert list(t.records) == [3] and [r.id for r in t.sinkward_records()] == [3]
+    assert t.records[3].state is poor.beacon_state
+    assert poor.beacon_state.last_beacon_time == -math.inf
+    expiry = cfg.neighbor_expiry_s
+    for now in (0.0, 1.0, 1e9):
+        assert t.live_records(now, expiry) == []
+        assert build_best_neighbor_set(t, now, expiry, cfg.data_packet_bits,
+                                       cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2) == []
+        assert greedy_next_hop(t, now, expiry) is None
+        assert planar_neighbors(t, now, expiry) == ()
+        assert walking_back_candidate(t, set(), now, expiry) is None
+
+
 def test_void_flag_survives_until_sender_has_sinkward(topo_builder):
     sim = Simulation(ScenarioConfig(n_sensors=2, beacon_energy=False), _line(topo_builder))
     sim._do_beacons(0.0)
+    sim._fill_table(sim.nodes[2])
     node = sim.nodes[3]
     record = sim.nodes[2].table.records[3]
     sim._broadcast(node, 0.5, void=True)
@@ -136,6 +165,7 @@ def test_pending_load_estimate_is_overwritten_by_next_beacon(topo_builder):
     sim = Simulation(ScenarioConfig(protocol="geams", n_sensors=1, beacon_energy=False), topo)
     sim._do_beacons(0.0)
     source, relay = sim.nodes[1], sim.nodes[2]
+    sim._fill_table(source)
     reported = relay.battery.residual
     assert source.table.records[2].residual_energy == reported
     pk = DataPacket(seq=0, payload_bits=1000, created_at=0.0, path=[1])
@@ -196,29 +226,43 @@ def test_replay_sees_a_void_flag_cleared(topo_builder):
 
 
 class VoidCheckCounter(Simulation):
-    """Records, for every void check, whether its node had announced a void."""
+    """Records, for every void check, whether its node's void flag stood."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.void_checks: list[bool] = []
 
     def _has_sinkward(self, node):
-        self.void_checks.append(node.announced_void)
+        self.void_checks.append(node.beacon_state.void_flagged)
         return super()._has_sinkward(node)
 
 
 class CheckEveryNode(Simulation):
-    """Runs the void check for every live node in every beacon round: the
-    reference that checking only nodes that announced a void must agree with.
-    A node that never announced a void is left unannounced."""
+    """Runs the void check for every live node in every beacon round, on a
+    table filled through the engine's fill: the reference that checking
+    only nodes whose void flag stands must agree with.  A beacon's check
+    result changes only a standing flag."""
+
+    def _clears_void(self, node):
+        self._fill_table(node)
+        return self._has_sinkward(node)
+
+
+class FillAtFirstRound(Simulation):
+    """Fills every live node's table when the t = 0 round ends, with the
+    range neighbours that went on air in it: the eager reference that a
+    fill on first read must agree with."""
 
     def _do_beacons(self, time):
-        unannounced = [n for n in self.nodes.values() if not n.announced_void]
-        for n in unannounced:
-            n.announced_void = True
         super()._do_beacons(time)
-        for n in unannounced:
-            n.announced_void = False
+        if time == 0.0:
+            for node in self.nodes.values():
+                if node.alive:
+                    for other in self.range_neighbors[node.id]:
+                        if other.beacon_state.last_beacon_time == 0.0:
+                            node.table.handle_beacon(other.id, other.position,
+                                                     other.beacon_state,
+                                                     other.table.my_sink_distance)
 
 
 def _void_scenarios(topo_builder):
@@ -337,3 +381,27 @@ def test_batched_rounds_equal_the_exact_path_bit_for_bit():
     assert unfunded == len(gateways)
     # the t = 0 round takes either path, like any other
     assert {"batched", "exact"} <= set(first_round)
+
+
+def test_when_a_table_is_filled_changes_nothing():
+    """Filling tables on first read, with a never-live record for each range
+    neighbour that has not gone on air, gives the same floats as filling
+    every live node's table with the senders heard when the t = 0 round
+    ends."""
+    cells, gateways = _low_energy_cells()
+    cells += gateways + [ScenarioConfig(protocol="geams"), ScenarioConfig(protocol="gpsr")]
+    lazy_records = eager_records = never_heard = 0
+    for cfg in cells:
+        lazy, eager = Simulation(cfg), FillAtFirstRound(cfg)
+        assert lazy.run() == eager.run()
+        assert [(n.battery.residual, n.alive) for n in lazy.nodes.values()] == \
+            [(n.battery.residual, n.alive) for n in eager.nodes.values()]
+        assert lazy.ledger.totals == eager.ledger.totals
+        lazy_records += sum(len(n.table.records) for n in lazy.nodes.values())
+        eager_records += sum(len(n.table.records) for n in eager.nodes.values())
+        never_heard += sum(n.beacon_state.last_beacon_time == -math.inf
+                           for n in lazy.nodes.values())
+    # the cells read fewer tables than they hold, and some senders never go
+    # on air (0.005 J sensors cannot fund the t = 0 round)
+    assert lazy_records < eager_records
+    assert never_heard > 0
