@@ -90,8 +90,8 @@ class Simulation:
         self.cfg = cfg
         if topology is None:
             topology = generate_topology(cfg)
-        else:
-            check_nodes(topology.nodes, cfg)  # generated ones pass by construction
+        elif topology.checked_for != cfg:  # not placed or checked for cfg
+            check_nodes(topology.nodes, cfg)
         self.topology = topology
 
         # ascending by id whatever the row order: beacon rounds rely on it
@@ -124,7 +124,6 @@ class Simulation:
         self.emitted = 0
         # one entry per packet that reached the sink or was lost
         self.outcomes: list[PacketOutcome] = []
-        self.paths: dict[int, list[int]] = {}
         self.ledger = EnergyLedger()
         self.emissions_done = False
         # S[m] = S[m - 1] + beacon receive cost, S[0] = 0.0: the ledger entry
@@ -167,7 +166,6 @@ class Simulation:
         """`outcome` is "delivered" (with its end-to-end delay) or a loss reason."""
         assert outcome == "delivered" or outcome in LOSS_REASONS, outcome
         self.outcomes.append(PacketOutcome(pk.seq, outcome, delay, len(pk.path) - 1))
-        self.paths[pk.seq] = pk.path
 
     def _kill(self, node: NodeRuntime) -> None:
         if node.death_exempt or not node.alive:

@@ -60,21 +60,33 @@ class ExperimentPlan:
         ]
 
 
+@dataclass(frozen=True)
+class _PacketRows:
+    """Every report's packet rows, made report by report as they are written,
+    not held in one list; sized like that list, as perfbench's tracer counts
+    the rows write_csv is given."""
+    keyed_reports: list
+
+    def __iter__(self):
+        for key, rep in self.keyed_reports:
+            yield from packet_rows(rep, *key)
+
+    def __len__(self):
+        return sum(len(rep.per_packet_log) for _, rep in self.keyed_reports)
+
+
 def write_reports(out_dir, keyed_reports, write_packets: bool) -> None:
     """Write summary.csv and regional.csv (plus packets.csv when asked, else
     remove an old one) under the existing out_dir: the rows of each
-    (protocol, seed, n) key and its report, in the order given."""
-    sum_rows, reg_rows, pk_rows = [], [], []
-    for key, rep in keyed_reports:
-        sum_rows.append(summary_row(rep, *key))
-        reg_rows.extend(regional_rows(rep, *key))
-        if write_packets:
-            pk_rows.extend(packet_rows(rep, *key))
-    write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, sum_rows)
-    write_csv(os.path.join(out_dir, "regional.csv"), REGIONAL_COLUMNS, reg_rows)
+    (protocol, seed, n) key and its report, in the order given.
+    `keyed_reports` is read once per file."""
+    write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS,
+              [summary_row(rep, *key) for key, rep in keyed_reports])
+    write_csv(os.path.join(out_dir, "regional.csv"), REGIONAL_COLUMNS,
+              [row for key, rep in keyed_reports for row in regional_rows(rep, *key)])
     packets = os.path.join(out_dir, "packets.csv")
     if write_packets:
-        write_csv(packets, PACKET_COLUMNS, pk_rows)
+        write_csv(packets, PACKET_COLUMNS, _PacketRows(keyed_reports))
     elif os.path.exists(packets):
         os.remove(packets)  # an earlier run's, which these reports do not match
 

@@ -7,6 +7,7 @@ states, which the test suite exploits as an independent cross-check.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .topology import Position
@@ -151,7 +152,7 @@ def packet_rows(report: MetricsReport, protocol: str, seed: int, n: int) -> list
     ]
 
 
-def write_csv(path, header: list[str], rows: list[list[str]]) -> None:
+def write_csv(path, header: list[str], rows: Iterable[list[str]]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

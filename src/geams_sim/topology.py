@@ -1,17 +1,19 @@
 """Random node deployments on a rectangular sensing field, plus the radio
-neighborhoods both routing protocols rely on.
+neighborhoods both routing protocols rely on, found by testing each node
+pair once on a grid of cells.
 
-A topology is its node rows alone: the field and the radio range belong to
-the scenario that runs it.  Topologies are immutable and fully determined by
-the scenario's seed, sensor count and field, so they can be shared read-only
-between runs.
+A topology is its node rows: the field and the radio range belong to the
+scenario that runs it, which a placed or loaded topology names only so that
+a run on that scenario need not check the rows again.  Topologies are
+immutable and fully determined by the scenario's seed, sensor count and
+field, so they can be shared read-only between runs.
 """
 from __future__ import annotations
 
 import csv
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .scenario import ScenarioConfig
 
@@ -42,6 +44,8 @@ class Topology:
     """A static deployment: node 0 is the sink, node 1 the source, the rest sensors."""
 
     nodes: tuple[tuple[int, Position], ...]
+    # the scenario the rows were placed for or checked against; None if built by hand
+    checked_for: ScenarioConfig | None = field(default=None, compare=False, repr=False)
 
     @property
     def sensor_ids(self) -> list[int]:
@@ -55,37 +59,38 @@ class CellGrid:
     """Points bucketed into square cells of side `radius` (the cell-list
     method): every point within `radius` of a query point lies in the 3x3
     block of cells around it, so a range query scans that block, not every
-    point.  Cells are a hair wider than `radius` so that float rounding in a
-    cell index cannot put two points within `radius` two cells apart; this
-    holds while coordinates stay under about a million cell widths.
-    Points with a non-finite coordinate are kept in no cell: they are within
-    `radius` of nothing."""
+    point.  Points are kept as (id, x, y) tuples.  Cells are a hair wider
+    than `radius` so that float rounding in a cell index cannot put two
+    points within `radius` two cells apart; this holds while coordinates stay
+    under about a million cell widths.  Points with a non-finite coordinate
+    are kept in no cell: they are within `radius` of nothing."""
 
     def __init__(self, radius: float):
         self._size = radius * (1.0 + 1e-9)
-        self._cells: dict[tuple[int, int], list[tuple[int, Position]]] = {}
+        self._cells: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
 
-    def _cell(self, p: Position) -> tuple[int, int] | None:
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
+    def _cell(self, x: float, y: float) -> tuple[int, int] | None:
+        if not (math.isfinite(x) and math.isfinite(y)):
             return None
-        return math.floor(p.x / self._size), math.floor(p.y / self._size)
+        return math.floor(x / self._size), math.floor(y / self._size)
 
-    def add(self, node_id: int, p: Position) -> None:
-        cell = self._cell(p)
+    def add(self, node_id: int, x: float, y: float) -> None:
+        cell = self._cell(x, y)
         if cell is not None:
-            self._cells.setdefault(cell, []).append((node_id, p))
+            self._cells.setdefault(cell, []).append((node_id, x, y))
 
-    def near(self, p: Position):
-        """(id, position) of every point in the 3x3 block around p, a
-        superset of the points within `radius` of p."""
-        cell = self._cell(p)
+    def near(self, x: float, y: float) -> list[tuple[int, float, float]]:
+        """(id, x, y) of every point in the 3x3 block around (x, y), a
+        superset of the points within `radius` of it."""
+        cell = self._cell(x, y)
         if cell is None:
-            return
+            return []
         cx, cy = cell
-        cells = self._cells
-        for x in (cx - 1, cx, cx + 1):
-            for y in (cy - 1, cy, cy + 1):
-                yield from cells.get((x, y), ())
+        cells, found = self._cells, []
+        for i in (cx - 1, cx, cx + 1):
+            for j in (cy - 1, cy, cy + 1):
+                found += cells.get((i, j), ())
+        return found
 
 
 def generate_topology(cfg: ScenarioConfig) -> Topology:
@@ -104,33 +109,40 @@ def generate_topology(cfg: ScenarioConfig) -> Topology:
     sep = cfg.min_separation
     grid = CellGrid(sep)
     for node_id, p in placed:
-        grid.add(node_id, p)
+        grid.add(node_id, p.x, p.y)
     width, height = cfg.field_width, cfg.field_height
     for i in range(cfg.n_sensors):
         node_id = 2 + i
         for _ in range(MAX_PLACEMENT_ATTEMPTS):
-            cand = Position(rng.uniform(0.0, width), rng.uniform(0.0, height))
-            if all(distance(cand, p) >= sep for _, p in grid.near(cand)):
-                placed.append((node_id, cand))
-                grid.add(node_id, cand)
+            x, y = rng.uniform(0.0, width), rng.uniform(0.0, height)
+            if all(math.hypot(x - qx, y - qy) >= sep for _, qx, qy in grid.near(x, y)):
+                placed.append((node_id, Position(x, y)))
+                grid.add(node_id, x, y)
                 break
         else:
             raise PlacementError(
                 f"could not place sensor {node_id} after {MAX_PLACEMENT_ATTEMPTS} attempts"
             )
-    return Topology(nodes=tuple(placed))
+    return Topology(nodes=tuple(placed), checked_for=cfg)
 
 
 def range_neighbor_lists(t: Topology, r: float) -> dict[int, list[int]]:
     """Every node's neighbors within radio range `r` (boundary inclusive),
-    ascending by id, found through a grid of radio-range cells."""
-    grid = CellGrid(r)
-    for node_id, p in t.nodes:
-        grid.add(node_id, p)
-    return {
-        u: sorted(v for v, pv in grid.near(pu) if v != u and distance(pu, pv) <= r)
-        for u, pu in t.nodes
-    }
+    ascending by id, keyed in `t.nodes` row order.  Each pair is tested once,
+    from its later id, on a grid of radio-range cells; `hypot` gives the same
+    float from either end of a pair."""
+    grid, hypot = CellGrid(r), math.hypot
+    lists: dict[int, list[int]] = {}
+    for u, p in sorted(t.nodes):  # ids are unique: positions never compared
+        x, y = p.x, p.y
+        # the earlier ids in range; u joins each of their lists, which so
+        # stay ascending, then the grid
+        lists[u] = earlier = sorted(v for v, vx, vy in grid.near(x, y)
+                                    if hypot(x - vx, y - vy) <= r)
+        for v in earlier:
+            lists[v].append(u)
+        grid.add(u, x, y)
+    return {u: lists[u] for u, _ in t.nodes}
 
 
 def save_topology_csv(t: Topology, path) -> None:
@@ -143,10 +155,10 @@ def save_topology_csv(t: Topology, path) -> None:
 
 
 def check_nodes(nodes, cfg: ScenarioConfig, origin: str = "topology",
-                line=None) -> dict[int, Position]:
-    """Positions by id of a deployment's (id, position) `nodes`, checked in
-    the order given: no id twice, finite coordinates on cfg's field, and at
-    least `cfg.min_separation` from every earlier node; then the sink and
+                line=None) -> Topology:
+    """The topology of a deployment's (id, position) `nodes`, checked for cfg
+    in the order given: no id twice, finite coordinates on cfg's field, and
+    at least `cfg.min_separation` from every earlier node; then the sink and
     the source must be among them.  Such a deployment would otherwise fail
     mid-run, or run on a placement no scenario can produce.
 
@@ -167,16 +179,17 @@ def check_nodes(nodes, cfg: ScenarioConfig, origin: str = "topology",
         if not (0 <= p.x <= width and 0 <= p.y <= height):
             raise ValueError(f"{where}: node {node_id} at ({p.x}, {p.y}) lies outside "
                              f"the {width} x {height} field")
-        for other, q in grid.near(p):
-            if distance(p, q) < sep:
-                raise ValueError(f"{where}: node {node_id} is {distance(p, q)} m from "
+        for other, qx, qy in grid.near(p.x, p.y):
+            d = math.hypot(p.x - qx, p.y - qy)
+            if d < sep:
+                raise ValueError(f"{where}: node {node_id} is {d} m from "
                                  f"node {other}, closer than min_separation {sep}")
-        grid.add(node_id, p)
+        grid.add(node_id, p.x, p.y)
         positions[node_id] = p
     if SINK_ID not in positions or SOURCE_ID not in positions:
         raise ValueError(f"{origin}: topology must contain nodes {SINK_ID} (sink) "
                          f"and {SOURCE_ID} (source)")
-    return positions
+    return Topology(nodes=tuple(positions.items()), checked_for=cfg)
 
 
 def load_topology_csv(path, cfg: ScenarioConfig) -> Topology:
@@ -204,5 +217,4 @@ def load_topology_csv(path, cfg: ScenarioConfig) -> Topology:
                                      f"'node_id,x,y', got {row!r}") from None
                 yield node
 
-        positions = check_nodes(rows(), cfg, str(path), lambda: reader.line_num)
-    return Topology(nodes=tuple(positions.items()))
+        return check_nodes(rows(), cfg, str(path), lambda: reader.line_num)

@@ -41,6 +41,19 @@ def chain_positions(spacing: float = 60.0, n_hops: int = 8) -> dict:
     return positions
 
 
+class PathSimulation(Simulation):
+    """A Simulation that also keeps each finished packet's hop path (source
+    first) by sequence number, as its outcome is recorded."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.paths: dict[int, list[int]] = {}
+
+    def _record(self, pk, outcome, delay=None):
+        super()._record(pk, outcome, delay)
+        self.paths[pk.seq] = pk.path
+
+
 # Brute-force geometry oracles: the all-pairs definitions that the cell grid
 # (topology.range_neighbor_lists) and the local Gabriel test
 # (gpsr.planar_neighbors) must agree with.  Radio range `r` defaults to the

@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from conftest import assert_energy_balanced, chain_positions
+from conftest import PathSimulation, assert_energy_balanced, chain_positions
 from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import Simulation
 from geams_sim.experiment import ExperimentPlan, run_experiment
@@ -179,7 +179,7 @@ def test_criterion_10_chain_degeneracy(topo_builder):
     reports = {}
     for protocol in ("geams", "gpsr"):
         cfg = ScenarioConfig(protocol=protocol, n_sensors=7, initial_energy_j=20.0)
-        sim = Simulation(cfg, topo)
+        sim = PathSimulation(cfg, topo)
         reports[protocol] = sim.run()
         paths[protocol] = sim.paths
     full_delivery = all(r.delivered == 300 and r.lost_total == 0

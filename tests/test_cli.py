@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from geams_sim import engine, topology
 from geams_sim.cli import _parse_seeds, main
 from geams_sim.experiment import ExperimentPlan, run_experiment
 from geams_sim.metrics import SUMMARY_COLUMNS
@@ -110,6 +111,22 @@ def test_topology_roundtrip_reproduces_run(tmp_path):
     assert main(args + ["--topology-in", str(topo), "--out-dir", str(out_b)]) == 0
     assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
     assert (out_a / "regional.csv").read_bytes() == (out_b / "regional.csv").read_bytes()
+
+
+def test_run_topology_in_checks_the_rows_once(tmp_path, monkeypatch):
+    topo = tmp_path / "topo.csv"
+    args = ["run", "--nodes", "10", "--seed", "3"]
+    assert main(args + ["--topology-out", str(topo), "--out-dir", str(tmp_path / "a")]) == 0
+    check, calls = topology.check_nodes, []
+
+    def counting_check(*a, **kw):
+        calls.append(a)
+        return check(*a, **kw)
+
+    monkeypatch.setattr(topology, "check_nodes", counting_check)
+    monkeypatch.setattr(engine, "check_nodes", counting_check)
+    assert main(args + ["--topology-in", str(topo), "--out-dir", str(tmp_path / "b")]) == 0
+    assert len(calls) == 1
 
 
 def test_run_topology_in_reports_its_own_sensor_count(tmp_path, capsys):

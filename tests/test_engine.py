@@ -5,8 +5,8 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ReplaySimulation, assert_energy_balanced, chain_positions, \
-    radio_neighbors
+from conftest import PathSimulation, ReplaySimulation, assert_energy_balanced, \
+    chain_positions, radio_neighbors
 from geams_sim.engine import Simulation, run_scenario
 from geams_sim.scenario import PROTOCOLS, ScenarioConfig
 from geams_sim.topology import SINK_ID, SOURCE_ID, Position, Topology, generate_topology
@@ -106,7 +106,7 @@ def test_ttl_boundary_on_relay_chain(topo_builder, ttl, outcome):
 
 @pytest.mark.parametrize("protocol", ["geams", "gpsr"])
 def test_every_packet_has_a_path_that_counts_its_hops(protocol):
-    sim = Simulation(ScenarioConfig(protocol=protocol))
+    sim = PathSimulation(ScenarioConfig(protocol=protocol))
     report = sim.run()
     assert sorted(sim.paths) == list(range(sim.emitted))
     for p in report.per_packet_log:
@@ -185,6 +185,14 @@ def test_simulation_rejects_a_bad_hand_built_topology(topo_builder, overrides, p
         Simulation(ScenarioConfig(n_sensors=2, **overrides), topo)
 
 
+def test_simulation_checks_a_topology_placed_for_another_scenario():
+    cfg = ScenarioConfig(n_sensors=30, seed=2)
+    topo = generate_topology(cfg)
+    Simulation(cfg.replace(protocol="gpsr"), topo)  # the same field fits
+    with pytest.raises(ValueError, match=r"topology: node 0 at \(490.0, 90.0\) lies outside"):
+        Simulation(cfg.replace(field_width=300.0, sink_x=290.0), topo)
+
+
 def test_a_run_takes_its_radio_range_from_the_scenario():
     cfg = ScenarioConfig(n_sensors=60, seed=3)
     topo = generate_topology(cfg)
@@ -202,7 +210,7 @@ def test_every_table_steers_to_node_0s_row(protocol):
     cfg = ScenarioConfig(protocol=protocol, n_sensors=7, image_count=5)
     sink = positions[SINK_ID]
     assert sink != Position(cfg.sink_x, cfg.sink_y)
-    sim = Simulation(cfg, Topology(nodes=tuple(positions.items())))
+    sim = PathSimulation(cfg, Topology(nodes=tuple(positions.items())))
     assert all(n.table.sink_position == sink for n in sim.nodes.values())
     report = sim.run()
     assert report.delivered == sim.emitted > 0
@@ -212,7 +220,7 @@ def test_every_table_steers_to_node_0s_row(protocol):
 def test_chain_delay_is_pure_serialization(topo_builder):
     topo = topo_builder(chain_positions())
     cfg = ScenarioConfig(protocol="gpsr", n_sensors=7, initial_energy_j=20.0)
-    sim = Simulation(cfg, topo)
+    sim = PathSimulation(cfg, topo)
     report = sim.run()
     assert report.delivered == 300
     hop = 1064 * math.sqrt(60) / 250_000
@@ -236,7 +244,7 @@ def test_walking_back_steps_back_twice_then_resumes(topo_builder):
         8: Position(315, 80),
     })
     cfg = ScenarioConfig(protocol="geams", n_sensors=7, initial_energy_j=20.0)
-    sim = Simulation(cfg, topo)
+    sim = PathSimulation(cfg, topo)
     report = sim.run()
     assert report.delivered == 300
     assert report.lost_total == 0
@@ -250,7 +258,7 @@ def test_walking_back_steps_back_twice_then_resumes(topo_builder):
 
 def test_geams_spreads_load_across_first_hops():
     cfg = ScenarioConfig(protocol="geams", n_sensors=100, seed=1)
-    sim = Simulation(cfg)
+    sim = PathSimulation(cfg)
     sim.run()
     first_hops = {path[1] for path in sim.paths.values() if len(path) > 1}
     assert len(first_hops) > 1

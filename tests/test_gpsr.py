@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import RADIO_RANGE, add, gabriel_planarize, table
+from conftest import RADIO_RANGE, PathSimulation, add, gabriel_planarize, table
 from geams_sim.engine import Simulation
 from geams_sim.gpsr import (
     greedy_next_hop,
@@ -144,7 +144,7 @@ def _void_detour_topology(topo_builder):
 def test_gpsr_delivers_through_void(topo_builder):
     topo = _void_detour_topology(topo_builder)
     cfg = ScenarioConfig(protocol="gpsr", n_sensors=6, initial_energy_j=20.0)
-    sim = Simulation(cfg, topo)
+    sim = PathSimulation(cfg, topo)
     report = sim.run()
     assert report.delivered == 300
     assert report.lost_total == 0
@@ -154,7 +154,7 @@ def test_gpsr_delivers_through_void(topo_builder):
 def test_gpsr_repeats_identical_paths(topo_builder):
     topo = _void_detour_topology(topo_builder)
     cfg = ScenarioConfig(protocol="gpsr", n_sensors=6, initial_energy_j=20.0)
-    sim = Simulation(cfg, topo)
+    sim = PathSimulation(cfg, topo)
     sim.run()
     paths = set(tuple(p) for p in sim.paths.values())
     assert paths == {(1, 2, 3, 4, 5, 6, 7, 0)}

@@ -198,16 +198,22 @@ _EXACT_R = st.sampled_from([(R, 0.0), (0.0, -R), (0.6 * R, 0.8 * R), (-0.8 * R, 
 @given(
     points=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=40),
     partners=st.lists(st.tuples(st.integers(0, 39), _EXACT_R), max_size=10),
+    data=st.data(),
 )
-def test_range_lists_match_radio_neighbors(points, partners):
+def test_range_lists_match_radio_neighbors(points, partners, data):
     for i, (dx, dy) in partners:
         x, y = points[i % len(points)]
         points.append((x + dx, y + dy))
-    t = Topology(nodes=tuple((i, Position(x, y)) for i, (x, y) in enumerate(points)))
+    rows = [(i, Position(x, y)) for i, (x, y) in enumerate(points)]
+    # ascending, descending or shuffled ids: lists are built in id order
+    rows = data.draw(st.one_of(st.just(rows), st.just(rows[::-1]), st.permutations(rows)))
+    t = Topology(nodes=tuple(rows))
     lists = range_neighbor_lists(t, R)
-    assert set(lists) == {i for i, _ in t.nodes}
+    assert list(lists) == [i for i, _ in t.nodes]  # keyed in row order
     for u, _ in t.nodes:
         assert lists[u] == sorted(radio_neighbors(t, u, R))
+        for v in lists[u]:
+            assert u in lists[v]
 
 
 def test_range_lists_skip_non_finite_positions():
