@@ -126,11 +126,18 @@ class Simulation:
         self.outcomes: list[PacketOutcome] = []
         self.ledger = EnergyLedger()
         self.emissions_done = False
-        # S[m] = S[m - 1] + beacon receive cost, S[0] = 0.0: the ledger entry
+        # (send, hear) joules of a beacon and of a void announcement: one
+        # full-range transmission and one reception; 0.0 J with beacon energy
+        # off, which changes no float
+        e_elec = cfg.e_elec_j_per_bit
+        self._beacon_price, self._void_price = [
+            (tx_energy(bits, cfg.radio_range, e_elec, cfg.eps_amp_j_per_bit_m2),
+             rx_energy(bits, e_elec)) if cfg.beacon_energy else (0.0, 0.0)
+            for bits in (cfg.beacon_bits, cfg.void_announcement_bits)]
+        # S[m] = S[m - 1] + beacon hear price, S[0] = 0.0: the ledger entry
         # for m receptions, as the exact path sums it
         most = max(map(len, self.range_neighbors.values()), default=0)
-        self._rx_totals = list(accumulate(
-            repeat(rx_energy(cfg.beacon_bits, cfg.e_elec_j_per_bit), most), initial=0.0))
+        self._rx_totals = list(accumulate(repeat(self._beacon_price[1], most), initial=0.0))
 
     # -- event plumbing -----------------------------------------------------
 
@@ -198,127 +205,107 @@ class Simulation:
             node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits,
             cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2))
 
-    def _clears_void(self, node: NodeRuntime) -> bool:
-        """The void check a beacon makes as its node's turn comes: whether
-        the beacon clears the sender's void flag."""
-        return not node.beacon_state.void_flagged or self._has_sinkward(node)
-
     def _on_air(self, node: NodeRuntime, reported: float, time: float,
-                void: bool = False, has_sinkward: bool = False) -> None:
+                void: bool = False) -> None:
         """A broadcast from `node`, reporting `reported` joules, has gone on
-        air at `time`: update the sender's shared BeaconState (a beacon
-        clears its void flag when `has_sinkward`; an announcement sets it).
-        Both beacon paths call this once per broadcast on air, before any
+        air at `time`: update the sender's shared BeaconState.  An
+        announcement sets the void flag; a beacon clears a standing one when
+        the sender has a sink-ward neighbour again (_has_sinkward).  Both
+        beacon paths call this once per broadcast on air, before any
         receiver is debited."""
         state = node.beacon_state
         if void:
             state.void_flagged = True
-        else:
-            state.residual_energy = reported
-            state.last_beacon_time = time
-            if has_sinkward:
-                state.void_flagged = False
+            return
+        state.residual_energy = reported
+        state.last_beacon_time = time
+        if state.void_flagged and self._has_sinkward(node):
+            state.void_flagged = False
 
-    def _broadcast(self, node: NodeRuntime, time: float, void: bool = False,
-                   has_sinkward: bool = False) -> None:
+    def _broadcast(self, node: NodeRuntime, time: float, void: bool = False) -> None:
         """The exact path: a beacon stamped `time` or, with `void`, a void
-        announcement.  The sender pays one worst-case (full radio range)
-        transmission; an underfunded one never goes on air.  On air, it
-        updates the sender's state (_on_air), and every live in-range node
-        pays one reception, in ascending id order."""
-        cfg = self.cfg
+        announcement, at its price.  An underfunded sender never goes on
+        air.  On air, it updates the sender's state (_on_air), and every
+        live in-range node pays one reception, in ascending id order."""
         if void:
-            bits, tx_cat, rx_cat = cfg.void_announcement_bits, "void_tx", "void_rx"
+            (tx, rx), tx_cat, rx_cat = self._void_price, "void_tx", "void_rx"
         else:
-            bits, tx_cat, rx_cat = cfg.beacon_bits, "beacon_tx", "beacon_rx"
-        charge = cfg.beacon_energy
+            (tx, rx), tx_cat, rx_cat = self._beacon_price, "beacon_tx", "beacon_rx"
         battery = node.battery
         reported = battery.residual  # a beacon reports the charge it is sent from
-        if charge:
-            cost = tx_energy(bits, cfg.radio_range, cfg.e_elec_j_per_bit,
-                             cfg.eps_amp_j_per_bit_m2)
-            drained, died = battery.debit(cost)
-            self.ledger.add(tx_cat, drained)
-            if drained < cost or died:
-                self._kill(node)
-                if drained < cost:
-                    return  # underfunded broadcast never goes on air
-        self._on_air(node, reported, time, void, has_sinkward)
-        if not charge:
-            return
+        drained, died = battery.debit(tx)
+        self.ledger.add(tx_cat, drained)
+        if drained < tx or died:
+            self._kill(node)
+            if drained < tx:
+                return  # underfunded broadcast never goes on air
+        self._on_air(node, reported, time, void)
         # Battery.debit, inlined: the same float expressions and death test,
         # and one ledger entry for the whole broadcast's receptions
-        rx_cost = rx_energy(bits, cfg.e_elec_j_per_bit)
         total = 0.0
         for other in self.range_neighbors[node.id]:
             if not other.alive:
                 continue
             receiver = other.battery
             residual = receiver.residual
-            drained = residual if residual < rx_cost else rx_cost
+            drained = residual if residual < rx else rx
             receiver.residual = left = residual - drained
             total += drained
-            if residual > 0 and left == 0.0 and rx_cost > 0:
+            if residual > 0 and left == 0.0 and rx > 0:
                 self._kill(other)
         self.ledger.add(rx_cat, total)
 
     def _do_beacons(self, time: float) -> None:
-        """A beacon round: each live node, in ascending id order, runs its
-        void check and broadcasts.  With beacon energy on, a node's debits
-        in a round come in a fixed order: one reception per on-air sender
-        below it, then its own beacon, which reports the residual left at
-        that point, then one reception per on-air sender above it; every
-        sender books one beacon_tx and one beacon_rx ledger entry, in sender
-        order.  _beacon_round batches a round whole when it can; any other
-        round takes the exact path (_broadcast) node by node."""
+        """A beacon round: each live node, in ascending id order, goes on air
+        at its turn, where a node whose void flag stands runs its void check
+        (_on_air).  A node's debits in a round come in a fixed order: one
+        reception per on-air sender below it, then its own beacon, which
+        reports the residual left at that point, then one reception per
+        on-air sender above it.  Every sender books one beacon_tx and one
+        beacon_rx ledger entry, in sender order; with beacon energy off
+        every price, and so every debit and entry, is 0.0 J.
+
+        A node is safe when its residual exceeds its beacon plus one
+        reception per live neighbour by SAFE_MARGIN: it cannot die this
+        round and funds its beacon.  A round in which every live node is
+        safe is batched whole: every node goes on air, and no battery is
+        touched but by its owner or read before the round ends, so each node
+        settles its round at its turn.  It subtracts its debits in order in
+        a local float (never multiplied: r - c - c is not r - 2c in floating
+        point) and books its receivers' receptions as one prefix sum.
+        Receptions all cost the same, so only their number before and after
+        a node's own beacon matters, and the floats equal the exact path's.
+        Any other round runs whole on the exact path (_broadcast), node by
+        node, which debits each receiver in turn."""
         cfg = self.cfg
-        if not (cfg.beacon_energy and self._beacon_round(time)):
-            for node in self.nodes.values():
-                if node.alive:
-                    self._broadcast(node, time, has_sinkward=self._clears_void(node))
+        tx, rx = self._beacon_price
+        margin = self.SAFE_MARGIN
+        live = [n for n in self.nodes.values() if n.alive]
+        if all(n.battery.residual > margin * (tx + (n.live_below + n.live_above) * rx)
+               for n in live):
+            rx_totals = self._rx_totals
+            ledger_add = self.ledger.add
+            on_air = self._on_air
+            for node in live:
+                battery = node.battery
+                r = battery.residual
+                below, above = node.live_below, node.live_above
+                for _ in range(below):
+                    r -= rx
+                on_air(node, r, time)
+                r -= tx
+                for _ in range(above):
+                    r -= rx
+                battery.residual = r
+                ledger_add("beacon_tx", tx)
+                ledger_add("beacon_rx", rx_totals[below + above])
+        else:
+            for node in live:
+                if node.alive:  # a reception earlier in the round may kill it
+                    self._broadcast(node, time)
         nxt = time + cfg.beacon_interval_s
         if nxt <= cfg.horizon_s and not self._traffic_complete():
             self._schedule(nxt, self._do_beacons)
-
-    def _beacon_round(self, time: float) -> bool:
-        """Batch a beacon round, with beacon energy on, if every live node is
-        safe; returns whether it did.  A node is safe when its residual
-        exceeds its beacon plus one reception per live neighbour by
-        SAFE_MARGIN: it cannot die this round and funds its beacon.  Then
-        every node goes on air, and no battery is touched but by its owner or
-        read before the round ends, so each node settles its round at its
-        turn: it subtracts its debits in order in a local float (never
-        multiplied: r - c - c is not r - 2c in floating point) and books its
-        receivers' receptions as one prefix sum.  Receptions all cost the
-        same, so only their number before and after a node's own beacon
-        matters, and the floats equal the exact path's."""
-        cfg = self.cfg
-        bits = cfg.beacon_bits
-        tx = tx_energy(bits, cfg.radio_range, cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
-        rx = rx_energy(bits, cfg.e_elec_j_per_bit)
-        margin = self.SAFE_MARGIN
-        live = [n for n in self.nodes.values() if n.alive]
-        if not all(n.battery.residual > margin * (tx + (n.live_below + n.live_above) * rx)
-                   for n in live):
-            return False
-        rx_totals = self._rx_totals
-        ledger_add = self.ledger.add
-        on_air = self._on_air
-        for node in live:
-            has_sinkward = self._clears_void(node)
-            battery = node.battery
-            r = battery.residual
-            below, above = node.live_below, node.live_above
-            for _ in range(below):
-                r -= rx
-            on_air(node, r, time, False, has_sinkward)
-            r -= tx
-            for _ in range(above):
-                r -= rx
-            battery.residual = r
-            ledger_add("beacon_tx", tx)
-            ledger_add("beacon_rx", rx_totals[below + above])
-        return True
 
     # -- traffic ------------------------------------------------------------
 

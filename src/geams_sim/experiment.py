@@ -10,21 +10,11 @@ from dataclasses import dataclass, field
 
 from .engine import run_scenario
 from .metrics import (MetricsReport, PACKET_COLUMNS, REGIONAL_COLUMNS,
-                      SUMMARY_COLUMNS, packet_rows, regional_rows, summary_row,
-                      write_csv)
+                      SUMMARY_COLUMNS, SUMMARY_FIGURES, float_sum, packet_rows,
+                      regional_rows, summary_row, write_csv)
 from .scenario import PROTOCOLS, ScenarioConfig, ScenarioError
 
 DEFAULT_NODE_COUNTS = (30, 50, 80, 100)
-
-COMPARISON_METRICS = (
-    ("dead", lambda r: float(r.dead_nodes)),
-    ("mean_e", lambda r: r.mean_energy),
-    ("var_e", lambda r: r.energy_variance),
-    ("delay_mean", lambda r: r.delay_mean),
-    ("delay_var", lambda r: r.delay_variance),
-    ("delivered", lambda r: float(r.delivered)),
-    ("lost_total", lambda r: float(r.lost_total)),
-)
 
 COMPARISON_COLUMNS = ["n", "metric", "mean_delta", "min_delta", "max_delta"]
 
@@ -123,17 +113,17 @@ def _comparison_rows(plan, cells, reports) -> list[list[str]]:
     by_cell = {(c.protocol, c.n_sensors, c.seed): r for c, r in zip(cells, reports)}
     rows = []
     for n in plan.node_counts:
-        for name, get in COMPARISON_METRICS:
+        for name, get in SUMMARY_FIGURES:
             deltas = []
             for s in plan.seeds:
                 a = get(by_cell[("geams", n, s)])
                 b = get(by_cell[("gpsr", n, s)])
                 if a is None or b is None:
                     continue
-                deltas.append(a - b)
+                deltas.append(float(a) - float(b))
             if not deltas:
                 rows.append([str(n), name, "", "", ""])
                 continue
-            mean = sum(deltas) / len(deltas)
+            mean = float_sum(deltas) / len(deltas)
             rows.append([str(n), name, repr(mean), repr(min(deltas)), repr(max(deltas))])
     return rows

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .energy import rx_energy
+from .metrics import float_sum
 from .neighbors import NeighborRecord, NeighborTable
 
 # (neighbor id, score) pairs, descending by score, ties by ascending id
@@ -67,7 +68,7 @@ def average_score_index(s: BestNeighborSet) -> int:
     """1-based rank of the entry of a nonempty set whose score is nearest
     the mean score; equidistant candidates resolve to the better (smaller)
     rank."""
-    mean = sum(v for _, v in s) / len(s)
+    mean = float_sum(v for _, v in s) / len(s)
     best_rank, best_gap = 1, abs(s[0][1] - mean)
     for rank, (_, v) in enumerate(s[1:], start=2):
         gap = abs(v - mean)

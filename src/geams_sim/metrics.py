@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, attrgetter
 
 from .topology import Position
 
@@ -55,12 +57,19 @@ def dead_node_count(residuals: list[float]) -> int:
     return sum(1 for r in residuals if r == 0.0)
 
 
+def float_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float sum.  sum() compensates float sums from
+    Python 3.12 on, so a figure summed with it would differ between
+    supported Pythons."""
+    return reduce(add, values, 0.0)
+
+
 def energy_stats(values: list[float]) -> tuple[float, float]:
     """Population mean and population variance of sensor residual energies."""
     if not values:
         return 0.0, 0.0
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / len(values)
+    mean = float_sum(values) / len(values)
+    var = float_sum((v - mean) ** 2 for v in values) / len(values)
     return mean, var
 
 
@@ -109,9 +118,20 @@ def delay_and_loss(
     return mean, var, lost
 
 
+# the report's figures, one summary.csv column each, in column order;
+# comparison.csv compares the same figures
+SUMMARY_FIGURES = (
+    ("dead", attrgetter("dead_nodes")),
+    ("mean_e", attrgetter("mean_energy")),
+    ("var_e", attrgetter("energy_variance")),
+    ("delay_mean", attrgetter("delay_mean")),
+    ("delay_var", attrgetter("delay_variance")),
+    ("delivered", attrgetter("delivered")),
+    ("lost_total", attrgetter("lost_total")),
+)
+
 SUMMARY_COLUMNS = (
-    ["protocol", "seed", "n", "dead", "mean_e", "var_e", "delay_mean", "delay_var",
-     "delivered", "lost_total"]
+    ["protocol", "seed", "n"] + [name for name, _ in SUMMARY_FIGURES]
     + [f"lost_{r}" for r in LOSS_REASONS]
 )
 
@@ -129,12 +149,8 @@ def _fmt(v) -> str:
 
 
 def summary_row(report: MetricsReport, protocol: str, seed: int, n: int) -> list[str]:
-    row = [
-        protocol, seed, n,
-        report.dead_nodes, report.mean_energy, report.energy_variance,
-        report.delay_mean, report.delay_variance,
-        report.delivered, report.lost_total,
-    ] + [report.lost[r] for r in LOSS_REASONS]
+    row = ([protocol, seed, n] + [get(report) for _, get in SUMMARY_FIGURES]
+           + [report.lost[r] for r in LOSS_REASONS])
     return [_fmt(v) for v in row]
 
 

@@ -22,19 +22,9 @@ only the shared states.  An overlay is stamped with the sender's last beacon
 time and stands until its next: a sender beacons at most once a round,
 rounds run at strictly increasing times, and a void announcement keeps it.
 
-A round (`engine.Simulation._do_beacons`) gives each live node its turn in
-ascending id order.  With beacon energy on, a node's debits in a round are
-one reception per on-air sender below it, then its own beacon, which reports
-the residual left at that point, then one reception per on-air sender above
-it.  A node is safe when its residual exceeds its beacon plus a reception
-from every live neighbour by a small relative margin: it can neither die
-nor fail to fund its beacon.  A round in which every live node is safe,
-the t = 0 round included, is batched whole, each node's debits subtracted
-in that order in one local float at its turn; any other round runs whole
-on the exact path, which debits each receiver in turn.  Either way a sender
-books one beacon_tx and one beacon_rx ledger entry, in sender order, and its
-shared state changes at its turn, so a table reads the same states on both
-paths.
+A sender's shared state changes at its turn in a beacon round, on the
+batched and the exact path alike, so a table reads the same states on both
+(`engine.Simulation._do_beacons` describes a round).
 """
 from __future__ import annotations
 

@@ -193,26 +193,29 @@ class ReplaySimulation(Simulation):
         self.rx_deaths = self.walkbacks = 0
         self._hearers = []
 
-    def _on_air(self, node, reported, time, void=False, has_sinkward=False):
+    def _on_air(self, node, reported, time, void=False):
         # no receiver has been debited yet, so the nodes alive now are the
         # ones that hear the broadcast
         self._hearers = hearers = [o for o in self.range_neighbors[node.id] if o.alive]
+        # the oracle's own void check, from the flag standing before the
+        # beacon: an unflagged sender has nothing to clear
+        flagged = node.beacon_state.void_flagged
+        has_sinkward = not flagged or self._has_sinkward(node)
         for other in hearers:
             table = self.oracle[other.id]
             if void:
                 table.mark_void(node.id)
             else:
                 table.handle_beacon(Beacon(node.id, node.position, reported, has_sinkward, time))
-        flagged = node.beacon_state.void_flagged
         self.void_announcements += void
         self.void_clears += flagged and not void and has_sinkward
-        super()._on_air(node, reported, time, void, has_sinkward)
+        super()._on_air(node, reported, time, void)
 
-    def _broadcast(self, node, time, void=False, has_sinkward=False):
+    def _broadcast(self, node, time, void=False):
         # only the exact path debits receivers one by one, so only it can
         # kill one with a reception
         self._hearers = []
-        super()._broadcast(node, time, void, has_sinkward)
+        super()._broadcast(node, time, void)
         self.rx_deaths += sum(not other.alive for other in self._hearers)
 
     def _do_beacons(self, time):

@@ -55,6 +55,14 @@ def test_energy_stats_empty():
     assert energy_stats([]) == (0.0, 0.0)
 
 
+def test_energy_stats_sum_left_to_right_on_every_python():
+    """Python 3.12's sum() compensates float sums (it gives 1.0 here), which
+    would move report figures between interpreters; the statistics add in
+    plain left-to-right floats."""
+    mean, var = energy_stats([1e16, 1.0, -1e16])
+    assert (mean, var) == (0.0, ((1e16 ** 2 + 1.0) + 1e16 ** 2) / 3)
+
+
 @given(values=st.lists(st.floats(0, 10), min_size=1, max_size=20), seed=st.integers())
 def test_variance_invariant_under_relabeling(values, seed):
     shuffled = list(values)

@@ -108,16 +108,24 @@ def test_a_sender_never_heard_has_a_record_that_is_never_live(topo_builder):
 
 
 def test_void_flag_survives_until_sender_has_sinkward(topo_builder):
+    """A beacon clears its sender's void flag only when the sender has a
+    usable sink-ward neighbour again: node 3's only one, node 2, falls
+    silent past the expiry, then beacons again."""
     sim = Simulation(ScenarioConfig(n_sensors=2, beacon_energy=False), _line(topo_builder))
     sim._do_beacons(0.0)
-    sim._fill_table(sim.nodes[2])
-    node = sim.nodes[3]
-    record = sim.nodes[2].table.records[3]
+    node, relay = sim.nodes[3], sim.nodes[2]
+    for n in (node, relay):
+        sim._fill_table(n)
+    record = relay.table.records[3]
     sim._broadcast(node, 0.5, void=True)
     assert record.state.void_flagged
-    sim._broadcast(node, 1.0, has_sinkward=False)
+    sim.now = late = sim.cfg.neighbor_expiry_s + 1.0
+    assert not sim._has_sinkward(node)
+    sim._broadcast(node, late)
     assert record.state.void_flagged
-    sim._broadcast(node, 2.0, has_sinkward=True)
+    sim._broadcast(relay, late)
+    assert sim._has_sinkward(node)
+    sim._broadcast(node, late)
     assert not record.state.void_flagged
 
 
@@ -151,7 +159,7 @@ def test_broadcast_debits_like_battery_debit_and_books_one_entry(topo_builder):
     before = {i: n.battery.residual for i, n in sim.nodes.items()}
     booked = sim.ledger.total
     entries.clear()
-    sim._broadcast(node, 1.0, has_sinkward=True)
+    sim._broadcast(node, 1.0)
     assert entries == ["beacon_tx", "beacon_rx"]
     assert victim.battery.residual == 0.0 and not victim.alive
     source.debit(rx_cost)
@@ -238,14 +246,18 @@ class VoidCheckCounter(Simulation):
 
 
 class CheckEveryNode(Simulation):
-    """Runs the void check for every live node in every beacon round, on a
-    table filled through the engine's fill: the reference that checking
-    only nodes whose void flag stands must agree with.  A beacon's check
-    result changes only a standing flag."""
+    """Runs the void check for every beacon on air, on a table filled
+    through the engine's fill, and clears the sender's flag when it finds a
+    sink-ward neighbour: the reference that checking only nodes whose void
+    flag stands must agree with.  A check result changes only a standing
+    flag."""
 
-    def _clears_void(self, node):
-        self._fill_table(node)
-        return self._has_sinkward(node)
+    def _on_air(self, node, reported, time, void=False):
+        if not void:
+            self._fill_table(node)
+            if self._has_sinkward(node):
+                node.beacon_state.void_flagged = False
+        super()._on_air(node, reported, time, void)
 
 
 class FillAtFirstRound(Simulation):
@@ -307,12 +319,12 @@ class PathCounter(Simulation):
         self.round_paths: dict[float, set[str]] = {}
         self._exact = False
 
-    def _broadcast(self, node, time, void=False, has_sinkward=False):
+    def _broadcast(self, node, time, void=False):
         self._exact = True
-        super()._broadcast(node, time, void, has_sinkward)
+        super()._broadcast(node, time, void)
         self._exact = False
 
-    def _on_air(self, node, reported, time, void=False, has_sinkward=False):
+    def _on_air(self, node, reported, time, void=False):
         if not void:
             if self._exact:
                 self.exact_beacons += 1
@@ -320,7 +332,7 @@ class PathCounter(Simulation):
                 self.batched_beacons += 1
             self.round_paths.setdefault(time, set()).add(
                 "exact" if self._exact else "batched")
-        super()._on_air(node, reported, time, void, has_sinkward)
+        super()._on_air(node, reported, time, void)
 
 
 class ExactRounds(PathCounter):
@@ -366,6 +378,9 @@ def test_batched_rounds_equal_the_exact_path_bit_for_bit():
         assert batched.ledger.totals == exact.ledger.totals
         assert exact.batched_beacons == 0
         assert batched.batched_beacons + batched.exact_beacons == exact.exact_beacons
+        if not cfg.beacon_energy:
+            # unpriced beacons cost 0.0 J: every round is safe and batched
+            assert batched.exact_beacons == 0 < batched.batched_beacons
         # a round is batched whole or run exact whole, and a cell sees both
         assert all(len(paths) == 1 for paths in batched.round_paths.values())
         both += batched.batched_beacons > 0 and batched.exact_beacons > 0
