@@ -24,8 +24,8 @@ from .metrics import LOSS_REASONS, MetricsReport, PacketOutcome, delay_and_loss,
     dead_node_count, energy_stats, regional_energy
 from .neighbors import BeaconState, NeighborTable
 from .scenario import ScenarioConfig
-from .topology import SINK_ID, SOURCE_ID, Position, Topology, check_nodes, distance, \
-    generate_topology, range_neighbor_lists
+from .topology import SINK_ID, SOURCE_ID, Topology, check_nodes, generate_topology, \
+    range_neighbor_lists
 
 
 @dataclass
@@ -44,14 +44,14 @@ class DataPacket:
 @dataclass(slots=True)
 class NodeRuntime:
     id: int
-    position: Position
     battery: Battery
     death_exempt: bool
     table: NeighborTable
     alive: bool = True
     queue: list = field(default_factory=list)
     transmitting: bool = False
-    source_states: dict[int, geams.SourceState] = field(default_factory=dict)
+    # GEAMS forwarding memory: one stream, as every packet starts at the source
+    stream: geams.SourceState | None = None
     # what this node's beacons told its neighbours: never live until one
     # goes on air
     beacon_state: BeaconState = field(default_factory=BeaconState)
@@ -103,7 +103,6 @@ class Simulation:
             initial = cfg.gateway_energy_j if gateway else cfg.initial_energy_j
             self.nodes[node_id] = NodeRuntime(
                 id=node_id,
-                position=pos,
                 battery=Battery(residual=initial, initial=initial),
                 death_exempt=gateway,
                 table=NeighborTable(my_position=pos, sink_position=sink),
@@ -419,14 +418,14 @@ class Simulation:
         table = node.table
         if not table.records:
             for other in self.range_neighbors[node.id]:
-                table.handle_beacon(other.id, other.position, other.beacon_state,
+                table.handle_beacon(other.id, other.table.my_position, other.beacon_state,
                                     other.table.my_sink_distance)
 
     def _route(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
         self._fill_table(node)
         if self.cfg.protocol == "geams":
             return self._route_geams(node, pk)
-        return self._route_gpsr(node, pk)
+        return gpsr.next_hop(node.table, pk, self.now, self.cfg.neighbor_expiry_s)
 
     def _route_geams(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
         cfg = self.cfg
@@ -434,9 +433,8 @@ class Simulation:
             node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits,
             cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
         if entries:
-            source = pk.path[0]
-            next_hop, node.source_states[source] = geams.select_next_hop(
-                node.source_states.get(source), entries, len(pk.path) - 1)
+            next_hop, node.stream = geams.select_next_hop(
+                node.stream, entries, len(pk.path) - 1)
         else:
             # walking back: announce the void unless it stands, then delegate
             # sink-ward-most
@@ -463,33 +461,6 @@ class Simulation:
         r.pending_time = r.state.last_beacon_time
         return next_hop, None
 
-    def _route_gpsr(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
-        cfg = self.cfg
-        table = node.table
-        state = pk.perimeter
-        if state is not None and table.my_sink_distance < distance(
-                state.entry_point, table.sink_position):
-            pk.perimeter = state = None  # past the void: resume greedy
-        if state is None:
-            choice = gpsr.greedy_next_hop(table, self.now, cfg.neighbor_expiry_s)
-            if choice is not None:
-                return choice, None
-            planar = gpsr.planar_neighbors(table, self.now, cfg.neighbor_expiry_s)
-            first = gpsr.perimeter_first_hop(node.position, table.sink_position, planar)
-            if first is None:
-                return None, "perimeter_exhausted"
-            pk.perimeter = gpsr.PerimeterState(
-                entry_point=node.position, first_edge=(node.id, first))
-            return first, None
-        planar = gpsr.planar_neighbors(table, self.now, cfg.neighbor_expiry_s)
-        prev_pos = self.nodes[pk.path[-2]].position
-        nxt = gpsr.perimeter_next_hop(node.position, prev_pos, planar)
-        if nxt is None:
-            return None, "perimeter_exhausted"
-        if (node.id, nxt) == state.first_edge:
-            return None, "perimeter_exhausted"  # walked the whole face
-        return nxt, None
-
     # -- reporting ----------------------------------------------------------
 
     def energy_drawdown(self) -> tuple[float, float]:
@@ -510,7 +481,8 @@ class Simulation:
             mean_energy=mean_e,
             energy_variance=var_e,
             regional_mean_energy=regional_energy(
-                [(n.position, n.battery.residual) for n in sensors], self.cfg.field_width),
+                [(n.table.my_position, n.battery.residual) for n in sensors],
+                self.cfg.field_width),
             delay_mean=delay_mean,
             delay_variance=delay_var,
             delivered=len(log) - sum(lost.values()),

@@ -1,19 +1,24 @@
 """GPSR baseline: greedy forwarding with perimeter-mode recovery.
 
-Perimeter mode walks the Gabriel-planarized radio graph with the right-hand
-rule (next edge counterclockwise from the incoming edge), resuming greedy as
-soon as the packet reaches a node strictly closer to the sink than where it
-entered perimeter mode, and dropping when the traversal would retrace the
-first perimeter edge.
+`next_hop` is the one place GPSR's forwarding rule lives.  Perimeter mode
+walks the Gabriel-planarized radio graph with the right-hand rule (next edge
+counterclockwise from the incoming edge), resuming greedy as soon as the
+packet reaches a node strictly closer to the sink than where it entered
+perimeter mode, and dropping when no planar edge is left or the traversal
+would retrace the first perimeter edge.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .neighbors import NeighborRecord, NeighborTable
 from .topology import Position
+
+if TYPE_CHECKING:
+    from .engine import DataPacket
 
 TWO_PI = 2.0 * math.pi
 
@@ -22,8 +27,33 @@ TWO_PI = 2.0 * math.pi
 class PerimeterState:
     """Carried in the packet while in perimeter mode."""
 
-    entry_point: Position
+    entry_distance: float  # the entry node's distance to the sink
     first_edge: tuple[int, int]
+
+
+def next_hop(t: NeighborTable, pk: DataPacket, now: float,
+             expiry_s: float) -> tuple[int | None, str | None]:
+    """(next hop, None) or (None, loss reason) for `pk` at the last node on
+    its path, whose table is `t`.  The hop it came from, pk.path[-2],
+    reached that node, so `t` holds its record."""
+    state = pk.perimeter
+    if state is not None and t.my_sink_distance < state.entry_distance:
+        pk.perimeter = state = None  # past the void: resume greedy
+    if state is None:
+        choice = greedy_next_hop(t, now, expiry_s)
+        if choice is not None:
+            return choice, None
+        first = perimeter_first_hop(t.my_position, t.sink_position,
+                                    planar_neighbors(t, now, expiry_s))
+        if first is None:
+            return None, "perimeter_exhausted"
+        pk.perimeter = PerimeterState(t.my_sink_distance, (pk.path[-1], first))
+        return first, None
+    nxt = perimeter_next_hop(t.my_position, t.records[pk.path[-2]].position,
+                             planar_neighbors(t, now, expiry_s))
+    if nxt is None or (pk.path[-1], nxt) == state.first_edge:
+        return None, "perimeter_exhausted"  # stranded, or walked the whole face
+    return nxt, None
 
 
 def greedy_next_hop(t: NeighborTable, now: float, expiry_s: float) -> int | None:
@@ -80,8 +110,9 @@ def _bearing(frm: Position, to: Position) -> float:
 
 def _next_ccw(
     me: Position, ref_angle: float, candidates: Sequence[NeighborRecord], zero_wraps: bool
-) -> int:
-    """Candidate whose bearing is the first counterclockwise from ref_angle.
+) -> int | None:
+    """Candidate whose bearing is the first counterclockwise from ref_angle;
+    None when there is none.
 
     With zero_wraps, a candidate lying exactly along the reference direction
     (typically the node the packet came from) counts as a full turn, so it is
@@ -104,8 +135,6 @@ def perimeter_first_hop(
 ) -> int | None:
     """Edge to start the perimeter walk on: first counterclockwise from the
     straight line toward the sink."""
-    if not planar:
-        return None
     return _next_ccw(me, _bearing(me, sink), planar, zero_wraps=False)
 
 
@@ -114,6 +143,4 @@ def perimeter_next_hop(
 ) -> int | None:
     """Right-hand rule step: next planar edge counterclockwise from the edge
     the packet arrived on.  A degree-one node sends the packet back."""
-    if not planar:
-        return None
     return _next_ccw(me, _bearing(me, prev), planar, zero_wraps=True)

@@ -206,7 +206,8 @@ class ReplaySimulation(Simulation):
             if void:
                 table.mark_void(node.id)
             else:
-                table.handle_beacon(Beacon(node.id, node.position, reported, has_sinkward, time))
+                table.handle_beacon(Beacon(node.id, node.table.my_position, reported,
+                                           has_sinkward, time))
         self.void_announcements += void
         self.void_clears += flagged and not void and has_sinkward
         super()._on_air(node, reported, time, void)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import PathSimulation, ReplaySimulation, assert_energy_balanced, \
     chain_positions, radio_neighbors
+from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import Simulation, run_scenario
 from geams_sim.scenario import PROTOCOLS, ScenarioConfig
 from geams_sim.topology import SINK_ID, SOURCE_ID, Position, Topology, generate_topology
@@ -163,6 +164,50 @@ def test_underfunded_sender_forfeits_and_dies(topo_builder):
     assert report.delivered == 0
     assert report.lost["sender_died"] >= 1
     assert sim.ledger.totals["death_forfeit"] > 0
+    drawn, ledger_total = sim.energy_drawdown()
+    assert_energy_balanced(drawn, ledger_total)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_relay_with_exactly_its_frame_cost_delivers_then_dies(topo_builder, protocol):
+    topo = topo_builder({0: Position(130, 90), 1: Position(10, 90), 2: Position(70, 90)})
+    cfg = ScenarioConfig(protocol=protocol, n_sensors=1, beacon_energy=False,
+                         image_bits=1_000, image_count=1)
+    bits = cfg.data_packet_bits
+    rx = rx_energy(bits, cfg.e_elec_j_per_bit)
+    cost = tx_energy(bits, 60.0, cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
+    energy = rx + cost
+    assert energy - rx == cost  # relay 2 holds exactly the forward's cost
+    sim = PathSimulation(cfg.replace(initial_energy_j=energy), topo)
+    report = sim.run()
+    assert report.delivered == 1
+    assert sim.paths[0] == [1, 2, 0]
+    relay = sim.nodes[2]
+    assert relay.battery.residual == 0.0 and not relay.alive
+    assert sim.ledger.totals["death_forfeit"] == 0.0
+
+
+def test_geams_sensor_that_cannot_fund_its_void_announcement_dies(topo_builder):
+    # the sink is out of reach.  The packet walks 1 -> 2 (a dead end, which
+    # announces its void) -> 1 (now void too) -> 3, whose only neighbour is
+    # the flagged source: after hearing the source's announcement, 3 cannot
+    # fund its own, so it dies and the packet is lost with it
+    topo = topo_builder({0: Position(390, 90), 1: Position(60, 90), 2: Position(110, 90),
+                         3: Position(10, 90)})
+    cfg = ScenarioConfig(protocol="geams", n_sensors=2, void_announcement_bits=245_000,
+                         image_bits=1_000, image_count=1)
+    announce = tx_energy(cfg.void_announcement_bits, cfg.radio_range,
+                         cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
+    hear = rx_energy(cfg.void_announcement_bits, cfg.e_elec_j_per_bit)
+    assert cfg.initial_energy_j - hear < announce < cfg.initial_energy_j - 0.01
+    sim = PathSimulation(cfg, topo)
+    report = sim.run()
+    assert report.lost == {**dict.fromkeys(report.lost, 0), "sender_died": 1}
+    assert sim.paths[0] == [1, 2, 1, 3]
+    stuck = sim.nodes[3]
+    assert not stuck.alive and stuck.battery.residual == 0.0
+    assert not stuck.beacon_state.void_flagged  # its announcement never went on air
+    assert sim.nodes[1].beacon_state.void_flagged
     drawn, ledger_total = sim.energy_drawdown()
     assert_energy_balanced(drawn, ledger_total)
 

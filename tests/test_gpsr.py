@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import RADIO_RANGE, PathSimulation, add, gabriel_planarize, table
-from geams_sim.engine import Simulation
+from geams_sim.engine import DataPacket, Simulation
 from geams_sim.gpsr import (
+    PerimeterState,
     greedy_next_hop,
+    next_hop,
     perimeter_first_hop,
     perimeter_next_hop,
     planar_neighbors,
@@ -123,6 +125,55 @@ def test_perimeter_hops_need_neighbors():
     me = Position(0, 0)
     assert perimeter_first_hop(me, Position(490, 0), []) is None
     assert perimeter_next_hop(me, Position(0, -50), []) is None
+
+
+# gpsr.next_hop at node 4, 120 m out, whose packet came from node 2 below it.
+# Greedy picks node 5; the right-hand rule from node 2 picks node 6.
+ME = Position(370, 90)
+BELOW = record(2, Position(370, 40), ME, SINK)    # about 130 m out
+GREEDY = record(5, Position(420, 90), ME, SINK)   # 70 m out
+RIGHT = record(6, Position(400, 50), ME, SINK)    # about 98.5 m out
+
+
+def packet(path, perimeter=None):
+    return DataPacket(seq=0, payload_bits=1000, created_at=0.0, path=path,
+                      perimeter=perimeter)
+
+
+def test_next_hop_enters_the_walk_at_a_local_minimum():
+    t = table(ME, SINK, [BELOW, record(3, Position(330, 110), ME, SINK)])
+    pk = packet([1, 4])
+    assert next_hop(t, pk, 0.0, 2.5) == (3, None)  # first ccw from the sink line
+    assert pk.perimeter == PerimeterState(entry_distance=120.0, first_edge=(4, 3))
+    assert pk.perimeter.entry_distance == t.my_sink_distance
+
+
+def test_next_hop_resumes_greedy_only_strictly_closer_than_the_entry():
+    t = table(ME, SINK, [BELOW, GREEDY, RIGHT])
+    assert [r.id for r in planar_neighbors(t, 0.0, 2.5)] == [2, 5, 6]
+    pk = packet([1, 2, 4], PerimeterState(entry_distance=120.5, first_edge=(9, 8)))
+    assert next_hop(t, pk, 0.0, 2.5) == (5, None)
+    assert pk.perimeter is None
+    state = PerimeterState(entry_distance=120.0, first_edge=(9, 8))
+    pk = packet([1, 2, 4], state)
+    assert next_hop(t, pk, 0.0, 2.5) == (6, None)  # as far out as the entry
+    assert pk.perimeter is state
+
+
+def test_next_hop_drops_a_walk_with_no_planar_neighbour_left():
+    state = PerimeterState(entry_distance=100.0, first_edge=(9, 8))
+    pk = packet([1, 2, 4], state)
+    t = table(ME, SINK, [record(2, BELOW.position, ME, SINK, energy=0.0)])
+    assert next_hop(t, pk, 0.0, 2.5) == (None, "perimeter_exhausted")
+    assert pk.perimeter is state  # stranded mid-walk, not at a new entry
+
+
+def test_next_hop_drops_a_walk_back_on_its_first_edge():
+    t = table(ME, SINK, [BELOW, GREEDY, RIGHT])
+    pk = packet([1, 2, 4], PerimeterState(entry_distance=100.0, first_edge=(2, 6)))
+    assert next_hop(t, pk, 0.0, 2.5) == (6, None)
+    pk = packet([1, 2, 4], PerimeterState(entry_distance=100.0, first_edge=(4, 6)))
+    assert next_hop(t, pk, 0.0, 2.5) == (None, "perimeter_exhausted")
 
 
 def _void_detour_topology(topo_builder):

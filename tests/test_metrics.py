@@ -91,6 +91,12 @@ def test_regional_omits_empty_bins():
     assert rows == [(90.0, 130.0, 1.0)]
 
 
+def test_regional_field_narrower_than_one_bin_is_one_bin():
+    sensors = [(Position(5, 90), 1.0), (Position(45, 90), 3.0)]
+    assert regional_energy(sensors, 60.0) == [(10.0, 50.0, 2.0)]
+    assert regional_energy(sensors, 59.5) == [(0.0, 59.5, 2.0)]
+
+
 def test_regional_matches_brute_force():
     rng = random.Random(4)
     sensors = [(Position(rng.uniform(0, 500), rng.uniform(0, 200)), rng.uniform(0, 3))

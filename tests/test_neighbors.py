@@ -272,7 +272,7 @@ class FillAtFirstRound(Simulation):
                 if node.alive:
                     for other in self.range_neighbors[node.id]:
                         if other.beacon_state.last_beacon_time == 0.0:
-                            node.table.handle_beacon(other.id, other.position,
+                            node.table.handle_beacon(other.id, other.table.my_position,
                                                      other.beacon_state,
                                                      other.table.my_sink_distance)
 
