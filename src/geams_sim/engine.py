@@ -6,8 +6,12 @@ The run ends as soon as every emitted packet is accounted for (delivered or
 lost), or at the horizon as a safety stop.
 
 Timing model: a hop takes exactly the serialization time of the frame at the
-link's length-dependent rate; propagation is zero.  A node serializes its
-outbound transmissions (half duplex on send) but can always receive.
+link's length-dependent rate; propagation is zero, so a frame arrives at the
+instant its transmission completes.  A node serializes its outbound
+transmissions (half duplex on send) but can always receive.  The arrival is
+handled inside the tx-complete event when no other event is due at that
+instant, and is scheduled behind the events due then otherwise, so events run
+in the order they would if every arrival were an event of its own.
 """
 from __future__ import annotations
 
@@ -137,6 +141,10 @@ class Simulation:
         # for m receptions, as the exact path sums it
         most = max(map(len, self.range_neighbors.values()), default=0)
         self._rx_totals = list(accumulate(repeat(self._beacon_price[1], most), initial=0.0))
+        # each GEAMS node's best-neighbour set, by node id, kept from the
+        # route that built it: _on_air drops them all, and _route_geams
+        # rebuilds one whose oldest entry has expired
+        self._best_sets: dict[int, geams.BestNeighborSet] = {}
 
     # -- event plumbing -----------------------------------------------------
 
@@ -202,16 +210,18 @@ class Simulation:
         cfg = self.cfg
         return bool(geams.build_best_neighbor_set(
             node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits,
-            cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2))
+            cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2).ids)
 
     def _on_air(self, node: NodeRuntime, reported: float, time: float,
                 void: bool = False) -> None:
         """A broadcast from `node`, reporting `reported` joules, has gone on
-        air at `time`: update the sender's shared BeaconState.  An
+        air at `time`: update the sender's shared BeaconState, and drop every
+        kept best-neighbour set, as the state may change any of them.  An
         announcement sets the void flag; a beacon clears a standing one when
         the sender has a sink-ward neighbour again (_has_sinkward).  Both
         beacon paths call this once per broadcast on air, before any
         receiver is debited."""
+        self._best_sets.clear()
         state = node.beacon_state
         if void:
             state.void_flagged = True
@@ -357,7 +367,13 @@ class Simulation:
 
     def _do_tx_complete(self, time: float, sender_id: int, receiver_id: int,
                         pk: DataPacket, cost: float, bits: int) -> None:
-        """`cost` is the transmit energy `_try_start` priced the frame at."""
+        """`cost` is the transmit energy `_try_start` priced the frame at.
+        A frame the sender funds arrives at once (_do_arrival).  When no
+        other event is due at this instant, the arrival runs here, after the
+        sender has moved on to its next frame: as an event it would be the
+        next one run, as whatever _try_start schedules comes after it.
+        Otherwise it is scheduled behind the events due now, which were
+        scheduled first."""
         sender = self.nodes[sender_id]
         sender.transmitting = False
         if not sender.alive:
@@ -370,11 +386,16 @@ class Simulation:
             self._record(pk, "sender_died")
             self._kill(sender)
             return
-        self._schedule(time, self._do_arrival, receiver_id, pk, bits)
+        heap = self._heap
+        in_place = not heap or heap[0][0] > time
+        if not in_place:
+            self._schedule(time, self._do_arrival, receiver_id, pk, bits)
         if died:
             self._kill(sender)
         else:
             self._try_start(sender, time)
+        if in_place:
+            self._do_arrival(time, receiver_id, pk, bits)
 
     def _do_arrival(self, time: float, receiver_id: int, pk: DataPacket,
                     bits: int) -> None:
@@ -428,13 +449,23 @@ class Simulation:
         return gpsr.next_hop(node.table, pk, self.now, self.cfg.neighbor_expiry_s)
 
     def _route_geams(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
+        """Between broadcasts a node's best-neighbour set changes only as its
+        entries expire, the oldest first, and as this node's own overlays
+        lower the scores of the hops it picks; no neighbour joins it, as only
+        a broadcast makes a record fresher, unflagged or richer.  So the set
+        is kept: built on the first route after a broadcast or once its
+        oldest entry has expired, and after each forward only the chosen hop
+        is rescored."""
         cfg = self.cfg
-        entries = geams.build_best_neighbor_set(
-            node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits,
-            cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
-        if entries:
+        best = self._best_sets.get(node.id)
+        if best is None or self.now - best.oldest > cfg.neighbor_expiry_s:
+            best = self._best_sets[node.id] = geams.build_best_neighbor_set(
+                node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits,
+                cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
+        sinkward = bool(best.ids)
+        if sinkward:
             next_hop, node.stream = geams.select_next_hop(
-                node.stream, entries, len(pk.path) - 1)
+                node.stream, best, len(pk.path) - 1)
         else:
             # walking back: announce the void unless it stands, then delegate
             # sink-ward-most
@@ -459,6 +490,9 @@ class Simulation:
         r.pending = r.residual_energy - self._pending_load_estimate(
             pk.payload_bits + cfg.header_bits)
         r.pending_time = r.state.last_beacon_time
+        if sinkward:
+            geams.rescore(best, r, cfg.data_packet_bits, cfg.e_elec_j_per_bit,
+                          cfg.eps_amp_j_per_bit_m2)
         return next_hop, None
 
     # -- reporting ----------------------------------------------------------

@@ -6,9 +6,15 @@ state (a reference hop count plus the rank whose score sits nearest the set
 average).  When no sink-ward neighbor exists the node switches to walking-back
 forwarding: it flags itself unusable and hands the packet to the neighbor
 least far from the sink.
+
+A best-neighbor set is flat (ids and scores in two parallel lists), so the
+engine can keep one per node between broadcasts and, after each forward,
+rescore only the hop it chose (rescore).
 """
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -16,8 +22,17 @@ from .energy import rx_energy
 from .metrics import float_sum
 from .neighbors import NeighborRecord, NeighborTable
 
-# (neighbor id, score) pairs, descending by score, ties by ascending id
-BestNeighborSet = list[tuple[int, float]]
+
+@dataclass(slots=True)
+class BestNeighborSet:
+    """Sink-ward neighbours by descending score, ties by ascending id, held
+    flat: `ids[i]` scores `scores[i]`.  `oldest` is the earliest last-beacon
+    time among the entries when the set was built (inf when it was empty):
+    no entry has expired while `now - oldest` is within the expiry."""
+
+    ids: list[int]
+    scores: array  # typecode "d"
+    oldest: float
 
 
 @dataclass(slots=True)
@@ -50,27 +65,55 @@ def build_best_neighbor_set(
     """
     rx = rx_energy(k_bits, e_elec)
     candidates = []
+    oldest = math.inf
     for r in t.sinkward_records():
         s = r.state
-        if s.void_flagged or not now - s.last_beacon_time <= expiry_s:
+        heard = s.last_beacon_time
+        if s.void_flagged or not now - heard <= expiry_s:
             continue
-        energy = r.pending if r.pending_time == s.last_beacon_time else s.residual_energy
+        energy = r.pending if r.pending_time == heard else s.residual_energy
         if energy > 0:
             d = r.distance_to_me
             candidates.append((r.id, (energy - k_bits * (e_elec + eps_amp * d * d)) - rx))
+            if heard < oldest:
+                oldest = heard
     # the input is in ascending id order and the sort is stable, so equal
     # scores stay in ascending id order
     candidates.sort(key=itemgetter(1), reverse=True)
-    return candidates
+    return BestNeighborSet([i for i, _ in candidates],
+                           array("d", [v for _, v in candidates]), oldest)
+
+
+def rescore(s: BestNeighborSet, r: NeighborRecord, k_bits: float, e_elec: float,
+            eps_amp: float) -> None:
+    """Bring entry `r` of `s` in step with the overlay just written on it,
+    as build_best_neighbor_set would score it: move it to its place, or drop
+    it when its energy is not positive.  An overlay only lowers a residual,
+    so the entry only moves down.  `oldest` is left as it was: at worst it
+    is earlier than the entries left, which rebuilds the set sooner."""
+    ids, scores = s.ids, s.scores
+    node_id = r.id
+    i = ids.index(node_id)
+    del ids[i], scores[i]
+    energy = r.pending
+    if energy > 0:
+        d = r.distance_to_me
+        v = (energy - k_bits * (e_elec + eps_amp * d * d)) - rx_energy(k_bits, e_elec)
+        n = len(ids)
+        while i < n and (scores[i] > v or scores[i] == v and ids[i] < node_id):
+            i += 1
+        ids.insert(i, node_id)
+        scores.insert(i, v)
 
 
 def average_score_index(s: BestNeighborSet) -> int:
     """1-based rank of the entry of a nonempty set whose score is nearest
     the mean score; equidistant candidates resolve to the better (smaller)
     rank."""
-    mean = float_sum(v for _, v in s) / len(s)
-    best_rank, best_gap = 1, abs(s[0][1] - mean)
-    for rank, (_, v) in enumerate(s[1:], start=2):
+    scores = s.scores
+    mean = float_sum(scores) / len(scores)
+    best_rank, best_gap = 1, abs(scores[0] - mean)
+    for rank, v in enumerate(scores[1:], start=2):
         gap = abs(v - mean)
         if gap < best_gap:
             best_rank, best_gap = rank, gap
@@ -80,7 +123,7 @@ def average_score_index(s: BestNeighborSet) -> int:
 def refresh_state(state: SourceState, s: BestNeighborSet) -> SourceState:
     """Recompute the balance rank in place if the set membership or order
     changed since it was last computed, and return the state."""
-    ids = tuple([node_id for node_id, _ in s])
+    ids = tuple(s.ids)
     if state.neighbor_ids != ids:
         state.balance_index = average_score_index(s)
         state.neighbor_ids = ids
@@ -100,10 +143,11 @@ def select_next_hop(
     reference hop count so the balance point tracks the traffic.  A given
     state is updated in place and returned.
     """
+    ids = s.ids
     if state is None:
-        return s[0][0], refresh_state(SourceState(hop_count, 0), s)
+        return ids[0], refresh_state(SourceState(hop_count, 0), s)
     refresh_state(state, s)
-    m = len(s)
+    m = len(ids)
     index = state.balance_index + (state.ref_hop_count - hop_count)
     if index <= 0:
         state.ref_hop_count -= index - 1
@@ -111,7 +155,7 @@ def select_next_hop(
     elif index > m:
         state.ref_hop_count -= index - m
         index = m
-    return s[index - 1][0], state
+    return ids[index - 1], state
 
 
 def walking_back_candidate(

@@ -21,6 +21,9 @@ worked out once, and the receiver works out only the hop.  Beacons change
 only the shared states.  An overlay is stamped with the sender's last beacon
 time and stands until its next: a sender beacons at most once a round,
 rounds run at strictly increasing times, and a void announcement keeps it.
+A GEAMS node's kept best-neighbour set, scored from these overlays, lasts no
+longer: the engine drops every kept set when any broadcast goes on air, and
+rescores the one hop whose overlay the node has just written.
 
 A sender's shared state changes at its turn in a beacon round, on the
 batched and the exact path alike, so a table reads the same states on both

@@ -1,10 +1,12 @@
 import math
+from array import array
 from dataclasses import dataclass
 
 import pytest
 
 from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import Simulation
+from geams_sim.geams import BestNeighborSet
 from geams_sim.neighbors import NeighborRecord, NeighborTable
 from geams_sim.scenario import ScenarioConfig
 from geams_sim.topology import Position, Topology, distance
@@ -112,6 +114,17 @@ def score(n: NeighborRecord, k_bits: float, e_elec: float, eps_amp: float) -> fl
     pushing one standard data packet through it (our transmit + its receive)."""
     return (n.residual_energy - tx_energy(k_bits, n.distance_to_me, e_elec, eps_amp)
             - rx_energy(k_bits, e_elec))
+
+
+def best_set(pairs, oldest: float = 0.0) -> BestNeighborSet:
+    """A best-neighbour set holding the (id, score) `pairs` in the order
+    given."""
+    return BestNeighborSet([i for i, _ in pairs], array("d", [v for _, v in pairs]), oldest)
+
+
+def entries(s: BestNeighborSet) -> list[tuple[int, float]]:
+    """The (id, score) pairs of a best-neighbour set, best first."""
+    return list(zip(s.ids, s.scores))
 
 
 # Hand-filled neighbour tables, filled as the engine fills them.
@@ -249,3 +262,19 @@ class ReplaySimulation(Simulation):
                                r.state.last_beacon_time)
             assert got == want, (node.id, i, got, want)
         self.checks += 1
+
+
+def low_energy_cells():
+    """Sparse low-energy cells, where beacon receptions kill sensors mid-round
+    (at 0.005 J sensors cannot fund the t = 0 round), a cell without beacon
+    energy, and cells whose gateways run too low to fund their beacons."""
+    cells = [ScenarioConfig(protocol=protocol, seed=seed, n_sensors=30,
+                            initial_energy_j=energy, image_count=10, horizon_s=20.0)
+             for protocol in ("geams", "gpsr") for seed in (1, 2, 3, 4, 5)
+             for energy in (0.005, 0.05, 0.5)]
+    cells.append(ScenarioConfig(n_sensors=30, beacon_energy=False, image_count=10,
+                                horizon_s=20.0))
+    gateways = [ScenarioConfig(protocol=protocol, n_sensors=30, gateway_energy_j=0.05,
+                               image_count=10, horizon_s=20.0)
+                for protocol in ("geams", "gpsr")]
+    return cells, gateways

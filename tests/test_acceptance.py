@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from conftest import PathSimulation, assert_energy_balanced, chain_positions
+from conftest import PathSimulation, assert_energy_balanced, best_set, chain_positions
 from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import Simulation
 from geams_sim.experiment import ExperimentPlan, run_experiment
@@ -119,8 +119,8 @@ def test_criterion_05_selection_matches_oracle_exhaustively():
     mismatches = 0
     checked = 0
     for m in range(1, 7):
-        s = [(i + 2, float(100 - i)) for i in range(m)]
-        ids = tuple(i for i, _ in s)
+        s = best_set([(i + 2, float(100 - i)) for i in range(m)])
+        ids = tuple(s.ids)
         for j in range(1, m + 1):
             for ref in range(0, 21):
                 for hop in range(0, 21):
@@ -129,7 +129,7 @@ def test_criterion_05_selection_matches_oracle_exhaustively():
                     choice, new = select_next_hop(state, s, hop)
                     index, want_ref = _selection_oracle(ref, j, m, hop)
                     checked += 1
-                    if choice != s[index - 1][0] or new.ref_hop_count != want_ref \
+                    if choice != s.ids[index - 1] or new.ref_hop_count != want_ref \
                             or new.balance_index != j:
                         mismatches += 1
     _verdict(5, mismatches == 0, f"{checked} cases, {mismatches} mismatches")

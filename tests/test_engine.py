@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import PathSimulation, ReplaySimulation, assert_energy_balanced, \
-    chain_positions, radio_neighbors
+    chain_positions, low_energy_cells, radio_neighbors
+from geams_sim import geams
 from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import Simulation, run_scenario
 from geams_sim.scenario import PROTOCOLS, ScenarioConfig
@@ -392,3 +393,162 @@ def test_small_random_scenarios_end_conserve_packets_and_balance(
     if sim.emissions_done and len(log) == sim.emitted:
         assert in_flight == 0
     assert_energy_balanced(*sim.energy_drawdown())
+
+
+# Kept best-neighbour sets and in-place arrivals against the engine without
+# them: the same floats, not close ones.
+
+class ArrivalCounter(Simulation):
+    """Counts the arrivals handled inside their tx-complete event and the
+    ones run as events of their own."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.in_place = self.scheduled = 0
+        self._in_tx_complete = False
+
+    def _do_tx_complete(self, *args):
+        self._in_tx_complete = True
+        super()._do_tx_complete(*args)
+        self._in_tx_complete = False
+
+    def _do_arrival(self, *args):
+        if self._in_tx_complete:
+            self.in_place += 1
+        else:
+            self.scheduled += 1
+        super()._do_arrival(*args)
+
+
+class EveryArrivalAnEvent(Simulation):
+    """The reference: every arrival is scheduled as an event of its own, and
+    every GEAMS route builds its best-neighbour set afresh."""
+
+    def _do_tx_complete(self, time, sender_id, receiver_id, pk, cost, bits):
+        sender = self.nodes[sender_id]
+        sender.transmitting = False
+        if not sender.alive:
+            self._record(pk, "sender_died")
+            return
+        drained, died = sender.battery.debit(cost)
+        self.ledger.add("data_tx", drained)
+        if drained < cost:
+            self._record(pk, "sender_died")
+            self._kill(sender)
+            return
+        self._schedule(time, self._do_arrival, receiver_id, pk, bits)
+        if died:
+            self._kill(sender)
+        else:
+            self._try_start(sender, time)
+
+    def _route_geams(self, node, pk):
+        self._best_sets.clear()
+        return super()._route_geams(node, pk)
+
+
+class KeptSetChecker(Simulation):
+    """Checks, after every GEAMS route, that the node's kept set (the one
+    the route used, rescored) equals a set built afresh from its table, and
+    counts the routes that used a set kept from an earlier one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checks = self.reused = 0
+
+    def _route_geams(self, node, pk):
+        before = self._best_sets.get(node.id)
+        result = super()._route_geams(node, pk)
+        kept = self._best_sets.get(node.id)
+        if kept is not None:  # None: a void announcement dropped it
+            cfg = self.cfg
+            fresh = geams.build_best_neighbor_set(
+                node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits,
+                cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
+            assert (kept.ids, kept.scores) == (fresh.ids, fresh.scores), \
+                (self.now, node.id, kept, fresh)
+            self.checks += 1
+            self.reused += kept is before
+        return result
+
+
+def _equivalence_cells():
+    """The low-energy cells, among them one without beacon energy and two
+    whose gateways cannot fund every beacon, the sparse n = 30 cells where
+    GEAMS walks back, the default cell of each protocol, and low-energy
+    n = 100 cells, one at 10 small images a second, where a kept set
+    outlives the expiry of a sensor that died before its last two beacons."""
+    cells, gateways = low_energy_cells()
+    low = dict(initial_energy_j=0.5, image_count=10, horizon_s=20.0)
+    stream = dict(initial_energy_j=0.1, packet_bits=200, image_bits=2000,
+                  image_interval_s=0.1, image_count=60, horizon_s=20.0)
+    return cells + gateways + [
+        ScenarioConfig(protocol=protocol, **kw)
+        for protocol in PROTOCOLS
+        for kw in ([dict(n_sensors=30, seed=seed) for seed in (1, 2, 3, 4, 5)]
+                   + [{}, dict(seed=1, **low), dict(seed=2, **low), dict(seed=1, **stream)])]
+
+
+def test_kept_sets_and_in_place_arrivals_equal_the_reference_bit_for_bit():
+    in_place = scheduled = 0
+    for cfg in _equivalence_cells():
+        sim, ref = ArrivalCounter(cfg), EveryArrivalAnEvent(cfg)
+        assert sim.run() == ref.run(), cfg
+        assert [(n.battery.residual, n.alive) for n in sim.nodes.values()] == \
+            [(n.battery.residual, n.alive) for n in ref.nodes.values()], cfg
+        assert sim.ledger.totals == ref.ledger.totals, cfg
+        in_place += sim.in_place
+        scheduled += sim.scheduled
+    # both paths run: frames also end at the instant of another event
+    assert in_place > 0 and scheduled > 0
+
+
+def test_every_kept_set_equals_a_fresh_build():
+    checks = reused = 0
+    for cfg in _equivalence_cells():
+        if cfg.protocol == "geams":
+            sim = KeptSetChecker(cfg)
+            sim.run()
+            checks += sim.checks
+            reused += sim.reused
+    assert 0 < reused < checks
+
+
+class EventLog(ArrivalCounter):
+    """Logs beacon rounds and arrivals in the order they run."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+
+    def _do_beacons(self, time):
+        self.log.append(("beacons", time))
+        super()._do_beacons(time)
+
+    def _do_arrival(self, time, *args):
+        self.log.append(("arrival", time))
+        super()._do_arrival(time, *args)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_an_arrival_due_with_a_beacon_round_runs_after_it(protocol):
+    """A 1 m hop at half the frame's bits per second takes exactly 2.0 s, so
+    the frame arrives at the instant of the t = 2 round, which the t = 1
+    round scheduled after the frame's tx-complete event.  The round runs
+    first, as it would if the arrival were an event of its own; the
+    delivery then completes the traffic and ends the run."""
+    cfg = ScenarioConfig(protocol=protocol, n_sensors=0, sink_x=11.0, image_bits=1_000,
+                         image_count=1, base_rate_bps=1064 / 2)
+    assert cfg.data_packet_bits == 1064
+    sim = EventLog(cfg)
+    report = sim.run()
+    assert report.delivered == 1 and report.per_packet_log[0].delay == 2.0
+    assert sim.log == [("beacons", 0.0), ("beacons", 1.0), ("beacons", 2.0),
+                       ("arrival", 2.0)]
+    assert (sim.in_place, sim.scheduled) == (0, 1)
+    assert sim.nodes[SINK_ID].beacon_state.last_beacon_time == 2.0
+    # a hop of 1.5 s arrives with no other event due: in place
+    sim = EventLog(cfg.replace(base_rate_bps=1064 / 1.5))
+    sim.run()
+    assert sim.log == [("beacons", 0.0), ("beacons", 1.0), ("arrival", 1.5)]
+    assert (sim.in_place, sim.scheduled) == (1, 0)

@@ -4,13 +4,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import add, score, table
+from conftest import add, best_set, entries, score, table
 from geams_sim.engine import Simulation
 from geams_sim.geams import (
     SourceState,
     average_score_index,
     build_best_neighbor_set,
     refresh_state,
+    rescore,
     select_next_hop,
     walking_back_candidate,
 )
@@ -41,7 +42,8 @@ def record(node_id, pos, me, sink, energy, void=False, beacon_time=0.0,
 
 def one_score(r, k_bits, me, sink):
     """The score build_best_neighbor_set gives `r` as a table's only record."""
-    [(node_id, value)] = build_best_neighbor_set(table(me, sink, [r]), 0.0, 2.5, k_bits, *RADIO)
+    [(node_id, value)] = entries(
+        build_best_neighbor_set(table(me, sink, [r]), 0.0, 2.5, k_bits, *RADIO))
     assert node_id == r.id
     return value
 
@@ -71,7 +73,7 @@ def test_best_neighbor_set_empty_when_all_farther():
         record(2, Position(60, 90), me, sink, 1.0),
         record(3, Position(80, 120), me, sink, 1.0),
     ])
-    assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO) == []
+    assert entries(build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)) == []
 
 
 def test_best_neighbor_set_orders_by_score_then_id():
@@ -82,7 +84,7 @@ def test_best_neighbor_set_orders_by_score_then_id():
         record(3, Position(160, 90), me, sink, 2.0),  # more energy: top rank
     ])
     s = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
-    assert [i for i, _ in s] == [3, 2, 5]
+    assert s.ids == [3, 2, 5]
     assert s == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
 
 
@@ -95,30 +97,30 @@ def test_best_neighbor_set_skips_dead_expired_and_flagged():
         record(5, Position(160, 80), me, sink, 1.0, void=True),     # flagged
     ])
     s = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
-    assert [i for i, _ in s] == [2]
+    assert s.ids == [2]
 
 
 def test_average_score_index_singleton():
-    assert average_score_index([(2, 10.0)]) == 1
+    assert average_score_index(best_set([(2, 10.0)])) == 1
 
 
 def test_average_score_index_equidistant_prefers_better():
-    assert average_score_index([(2, 6.0), (3, 2.0)]) == 1
+    assert average_score_index(best_set([(2, 6.0), (3, 2.0)])) == 1
 
 
 def test_average_score_index_middle():
     # mean 4.0; gaps 4, 1, 2, 3 so rank 2 is closest
-    assert average_score_index([(2, 8.0), (3, 5.0), (4, 2.0), (5, 1.0)]) == 2
+    assert average_score_index(best_set([(2, 8.0), (3, 5.0), (4, 2.0), (5, 1.0)])) == 2
 
 
 def test_refresh_state_keeps_matching_set():
-    s = [(2, 8.0), (3, 5.0)]
+    s = best_set([(2, 8.0), (3, 5.0)])
     state = SourceState(ref_hop_count=4, balance_index=2, neighbor_ids=(2, 3))
     assert refresh_state(state, s) is state
 
 
 def test_refresh_state_recomputes_on_change():
-    s = [(2, 8.0), (3, 5.0), (4, 2.0), (5, 1.0)]
+    s = best_set([(2, 8.0), (3, 5.0), (4, 2.0), (5, 1.0)])
     state = SourceState(ref_hop_count=4, balance_index=1, neighbor_ids=(2, 3))
     new = refresh_state(state, s)
     assert new is state
@@ -127,7 +129,7 @@ def test_refresh_state_recomputes_on_change():
     assert new.neighbor_ids == (2, 3, 4, 5)
 
 
-FOUR = [(2, 9.0), (3, 7.0), (4, 5.0), (5, 3.0)]
+FOUR = best_set([(2, 9.0), (3, 7.0), (4, 5.0), (5, 3.0)])
 
 
 def test_select_first_contact_takes_top_rank():
@@ -178,11 +180,11 @@ def test_select_refreshes_a_stale_state_itself():
     hop=st.integers(0, 20),
 )
 def test_select_always_stays_in_set(ref, j, m, hop):
-    s = [(i + 2, float(10 * m - i)) for i in range(m)]
+    s = best_set([(i + 2, float(10 * m - i)) for i in range(m)])
     state = SourceState(ref_hop_count=ref, balance_index=min(j, m),
-                        neighbor_ids=tuple(i for i, _ in s))
+                        neighbor_ids=tuple(s.ids))
     choice, new = select_next_hop(state, s, hop)
-    assert choice in {i for i, _ in s}
+    assert choice in set(s.ids)
     assert new.balance_index == min(j, m)
 
 
@@ -199,8 +201,8 @@ def test_order_invariant_under_energy_shift(halves, shift_halves):
     shifted = table(me, sink, [
         record(r.id, r.position, me, sink, r.residual_energy + shift) for r in recs
     ])
-    order = [i for i, _ in build_best_neighbor_set(base, 0.0, 2.5, K_BITS, *RADIO)]
-    order_shifted = [i for i, _ in build_best_neighbor_set(shifted, 0.0, 2.5, K_BITS, *RADIO)]
+    order = build_best_neighbor_set(base, 0.0, 2.5, K_BITS, *RADIO).ids
+    order_shifted = build_best_neighbor_set(shifted, 0.0, 2.5, K_BITS, *RADIO).ids
     assert order == order_shifted
 
 
@@ -210,12 +212,12 @@ def test_order_invariant_under_energy_shift(halves, shift_halves):
 def test_has_sinkward_true_with_closer_neighbor():
     me, sink = Position(100, 90), Position(490, 90)
     t = table(me, sink, [record(2, Position(160, 90), me, sink, 1.0)])
-    assert [i for i, _ in build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)] == [2]
+    assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO).ids == [2]
 
 
 def test_has_sinkward_false_on_empty_table():
     t = NeighborTable(my_position=Position(100, 90), sink_position=Position(490, 90))
-    assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO) == []
+    assert entries(build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)) == []
 
 
 @pytest.mark.parametrize("closer", [
@@ -230,14 +232,14 @@ def test_has_sinkward_ignores_unusable_closer_neighbor(closer):
         record(2, Position(60, 90), me, sink, 1.0),   # usable but farther
         record(3, Position(160, 90), me, sink, **kw),
     ])
-    assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO) == []
+    assert entries(build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)) == []
 
 
 def test_has_sinkward_expiry_boundary_is_inclusive():
     me, sink = Position(100, 90), Position(490, 90)
     t = table(me, sink, [record(2, Position(160, 90), me, sink, 1.0, beacon_time=0.5)])
-    assert [i for i, _ in build_best_neighbor_set(t, 3.0, 2.5, K_BITS, *RADIO)] == [2]
-    assert build_best_neighbor_set(t, 3.0000001, 2.5, K_BITS, *RADIO) == []
+    assert build_best_neighbor_set(t, 3.0, 2.5, K_BITS, *RADIO).ids == [2]
+    assert entries(build_best_neighbor_set(t, 3.0000001, 2.5, K_BITS, *RADIO)) == []
 
 
 @given(st.lists(
@@ -318,8 +320,50 @@ def test_best_neighbor_set_agrees_with_brute_force(specs, ids, split):
     for batch in (recs[:split], recs[split:]):
         for r in batch:
             add(t, r)
-        assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO) == \
-            reference_best_set(t, 0.0, 2.5, K_BITS, *RADIO)
+        s = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+        assert entries(s) == reference_best_set(t, 0.0, 2.5, K_BITS, *RADIO)
+        assert s.oldest == min((t.records[i].state.last_beacon_time for i in s.ids),
+                               default=math.inf)
+
+
+@given(
+    specs=st.lists(_RECORD, min_size=1, max_size=12),
+    forwards=st.lists(st.tuples(st.integers(0, 11), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+                      max_size=8),
+)
+def test_rescore_after_a_forward_agrees_with_a_fresh_build(specs, forwards):
+    """After a forward lowers the chosen hop's overlay, rescoring that one
+    entry gives the set a fresh build gives, its order and floats; a hop
+    whose energy falls to zero or below leaves the set."""
+    me, sink = Position(100, 90), Position(490, 90)
+    t = table(me, sink, [
+        record(node_id, Position(100 + dx, 90 + dy), me, sink, energy, void=void,
+               beacon_time=bt, pending=pending, stale=stale)
+        for node_id, (dx, dy, energy, void, bt, pending, stale) in enumerate(specs, start=2)])
+    kept = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+    for pick, load in forwards:
+        if not kept.ids:
+            break
+        r = t.records[kept.ids[pick % len(kept.ids)]]
+        r.pending, r.pending_time = r.residual_energy - load, r.state.last_beacon_time
+        rescore(kept, r, K_BITS, *RADIO)
+        fresh = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+        assert (kept.ids, kept.scores) == (fresh.ids, fresh.scores)
+        assert (r.id in kept.ids) == (r.pending > 0)
+
+
+def test_rescore_moves_a_hop_past_its_equals_with_lower_ids():
+    """At equal scores the lower id ranks first, whichever entry moved."""
+    me, sink = Position(100, 90), Position(490, 90)
+    t = table(me, sink, [record(i, Position(160, 90), me, sink, 1.0) for i in (2, 3, 4)])
+    t.records[3].state.residual_energy = 1.5
+    kept = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+    assert kept.ids == [3, 2, 4]
+    r = t.records[3]
+    r.pending, r.pending_time = 1.0, r.state.last_beacon_time
+    rescore(kept, r, K_BITS, *RADIO)
+    assert kept.ids == [2, 3, 4]
+    assert kept == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
 
 
 @given(steps=st.lists(st.tuples(
@@ -331,7 +375,7 @@ def test_select_sequence_same_with_or_without_reused_state(steps):
     fresh copy."""
     reused = copied = None
     for node_ids, hop in steps:
-        s = [(node_id, float(10 - rank)) for rank, node_id in enumerate(node_ids)]
+        s = best_set([(node_id, float(10 - rank)) for rank, node_id in enumerate(node_ids)])
         given = reused
         choice_a, reused = select_next_hop(reused, s, hop)
         choice_b, copied = select_next_hop(

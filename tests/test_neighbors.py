@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import ReplaySimulation, assert_energy_balanced
+from conftest import ReplaySimulation, assert_energy_balanced, low_energy_cells
 from geams_sim.energy import Battery
 from geams_sim.engine import DataPacket, EnergyLedger, Simulation
 from geams_sim.geams import build_best_neighbor_set, walking_back_candidate
@@ -101,7 +101,7 @@ def test_a_sender_never_heard_has_a_record_that_is_never_live(topo_builder):
     for now in (0.0, 1.0, 1e9):
         assert t.live_records(now, expiry) == []
         assert build_best_neighbor_set(t, now, expiry, cfg.data_packet_bits,
-                                       cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2) == []
+                                       cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2).ids == []
         assert greedy_next_hop(t, now, expiry) is None
         assert planar_neighbors(t, now, expiry) == ()
         assert walking_back_candidate(t, set(), now, expiry) is None
@@ -341,22 +341,6 @@ class ExactRounds(PathCounter):
     SAFE_MARGIN = math.inf
 
 
-def _low_energy_cells():
-    """Sparse low-energy cells, where beacon receptions kill sensors mid-round
-    (at 0.005 J sensors cannot fund the t = 0 round), a cell without beacon
-    energy, and cells whose gateways run too low to fund their beacons."""
-    cells = [ScenarioConfig(protocol=protocol, seed=seed, n_sensors=30,
-                            initial_energy_j=energy, image_count=10, horizon_s=20.0)
-             for protocol in ("geams", "gpsr") for seed in (1, 2, 3, 4, 5)
-             for energy in (0.005, 0.05, 0.5)]
-    cells.append(ScenarioConfig(n_sensors=30, beacon_energy=False, image_count=10,
-                                horizon_s=20.0))
-    gateways = [ScenarioConfig(protocol=protocol, n_sensors=30, gateway_energy_j=0.05,
-                               image_count=10, horizon_s=20.0)
-                for protocol in ("geams", "gpsr")]
-    return cells, gateways
-
-
 def assert_live_counts_hold(sim):
     """Every node's live-neighbour counts equal a recount of its alive range
     neighbours below and above it."""
@@ -367,7 +351,7 @@ def assert_live_counts_hold(sim):
 
 
 def test_batched_rounds_equal_the_exact_path_bit_for_bit():
-    cells, gateways = _low_energy_cells()
+    cells, gateways = low_energy_cells()
     unfunded = both = 0
     first_round = []
     for cfg in cells + gateways:
@@ -403,7 +387,7 @@ def test_when_a_table_is_filled_changes_nothing():
     neighbour that has not gone on air, gives the same floats as filling
     every live node's table with the senders heard when the t = 0 round
     ends."""
-    cells, gateways = _low_energy_cells()
+    cells, gateways = low_energy_cells()
     cells += gateways + [ScenarioConfig(protocol="geams"), ScenarioConfig(protocol="gpsr")]
     lazy_records = eager_records = never_heard = 0
     for cfg in cells:
