@@ -6,12 +6,15 @@ The run ends as soon as every emitted packet is accounted for (delivered or
 lost), or at the horizon as a safety stop.
 
 Timing model: a hop takes exactly the serialization time of the frame at the
-link's length-dependent rate; propagation is zero, so a frame arrives at the
-instant its transmission completes.  A node serializes its outbound
-transmissions (half duplex on send) but can always receive.  The arrival is
-handled inside the tx-complete event when no other event is due at that
-instant, and is scheduled behind the events due then otherwise, so events run
-in the order they would if every arrival were an event of its own.
+link's rate, which shrinks with the square root of the link's length:
+base_rate_bps / sqrt(length).  Links are at least 1 m long: the scenario's
+min_separation is, and every deployment is checked against it at load time.
+Propagation is zero, so a frame arrives at the instant its transmission
+completes.  A node serializes its outbound transmissions (half duplex on
+send) but can always receive.  The arrival is handled inside the tx-complete
+event when no other event is due at that instant, and is scheduled behind the
+events due then otherwise, so events run in the order they would if every
+arrival were an event of its own.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ from itertools import accumulate, repeat
 
 from . import geams, gpsr
 from .energy import Battery, rx_energy, tx_energy
-from .link import link_rate, serialization_delay
 from .metrics import LOSS_REASONS, MetricsReport, PacketOutcome, delay_and_loss, \
     dead_node_count, energy_stats, regional_energy
 from .neighbors import BeaconState, NeighborTable
@@ -141,10 +143,13 @@ class Simulation:
         # for m receptions, as the exact path sums it
         most = max(map(len, self.range_neighbors.values()), default=0)
         self._rx_totals = list(accumulate(repeat(self._beacon_price[1], most), initial=0.0))
-        # each GEAMS node's best-neighbour set, by node id, kept from the
-        # route that built it: _on_air drops them all, and _route_geams
-        # rebuilds one whose oldest entry has expired
-        self._best_sets: dict[int, geams.BestNeighborSet] = {}
+        self.expiry_s = cfg.neighbor_expiry_s
+        # each node's forwarding choice, by node id, kept from the route that
+        # made it: a GEAMS node's best-neighbour set, or a GPSR node's greedy
+        # hop with that record's last beacon time ((None, inf) at a local
+        # minimum).  _on_air drops them all, and _route and _route_geams
+        # rebuild one that has expired.
+        self._kept: dict[int, geams.BestNeighborSet | tuple[int | None, float]] = {}
 
     # -- event plumbing -----------------------------------------------------
 
@@ -160,14 +165,15 @@ class Simulation:
     def run(self) -> MetricsReport:
         self._schedule(0.0, self._do_beacons)
         self._schedule(0.0, self._do_emission, 0)
-        heap = self._heap
+        heap, outcomes = self._heap, self.outcomes
+        horizon = self.cfg.horizon_s
         while heap:
             time, _, handler, args = heapq.heappop(heap)
-            if time > self.cfg.horizon_s:
+            if time > horizon:
                 break
             self.now = time
             handler(time, *args)
-            if self._traffic_complete():
+            if self.emissions_done and len(outcomes) == self.emitted:  # _traffic_complete
                 break
         # the pending handlers are bound methods, which refer back to self:
         # drop them so a finished run is freed without waiting for a gc pass
@@ -209,19 +215,20 @@ class Simulation:
         """Whether GEAMS would forward from `node` now rather than walk back."""
         cfg = self.cfg
         return bool(geams.build_best_neighbor_set(
-            node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits,
+            node.table, self.now, self.expiry_s, cfg.data_packet_bits,
             cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2).ids)
 
     def _on_air(self, node: NodeRuntime, reported: float, time: float,
                 void: bool = False) -> None:
         """A broadcast from `node`, reporting `reported` joules, has gone on
         air at `time`: update the sender's shared BeaconState, and drop every
-        kept best-neighbour set, as the state may change any of them.  An
+        kept forwarding choice (GEAMS best-neighbour sets and GPSR greedy
+        hops), as the state may change any of them.  An
         announcement sets the void flag; a beacon clears a standing one when
         the sender has a sink-ward neighbour again (_has_sinkward).  Both
         beacon paths call this once per broadcast on air, before any
         receiver is debited."""
-        self._best_sets.clear()
+        self._kept.clear()
         state = node.beacon_state
         if void:
             state.void_flagged = True
@@ -341,12 +348,18 @@ class Simulation:
             self._schedule(time + cfg.image_interval_s, self._do_emission, image_idx + 1)
         else:
             self.emissions_done = True
-        self._try_start(source, time)
+        if not source.transmitting and source.queue:
+            self._try_start(source, time)
 
     def _try_start(self, node: NodeRuntime, time: float) -> None:
+        """Route `node`'s queued frames in order, recording each one that
+        cannot be routed, until one goes on the link.  Callers skip a node
+        that is transmitting or has an empty queue; a node with a queued
+        frame is alive, as _kill empties the queue."""
         cfg = self.cfg
-        while node.alive and not node.transmitting and node.queue:
-            pk = node.queue.pop(0)
+        queue = node.queue
+        while queue:
+            pk = queue.pop(0)
             next_hop, drop_reason = self._route(node, pk)
             if next_hop is None:
                 self._record(pk, drop_reason)
@@ -355,14 +368,15 @@ class Simulation:
             # the hop length
             d = node.table.records[next_hop].distance_to_me
             bits = pk.payload_bits + cfg.header_bits
-            cost = tx_energy(bits, d, cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
+            # energy.tx_energy and the timing model's bits / (base_rate_bps /
+            # sqrt(d)), inlined: the same float expressions
+            cost = bits * (cfg.e_elec_j_per_bit + cfg.eps_amp_j_per_bit_m2 * d * d)
             if not node.death_exempt and node.battery.residual < cost:
                 self._drop_and_die(node, pk)
                 return
             node.transmitting = True
-            delay = serialization_delay(bits, link_rate(d, cfg.base_rate_bps))
-            self._schedule(time + delay, self._do_tx_complete,
-                           node.id, next_hop, pk, cost, bits)
+            self._schedule(time + bits / (cfg.base_rate_bps / math.sqrt(d)),
+                           self._do_tx_complete, node.id, next_hop, pk, cost, bits)
             return
 
     def _do_tx_complete(self, time: float, sender_id: int, receiver_id: int,
@@ -392,7 +406,7 @@ class Simulation:
             self._schedule(time, self._do_arrival, receiver_id, pk, bits)
         if died:
             self._kill(sender)
-        else:
+        elif sender.queue:
             self._try_start(sender, time)
         if in_place:
             self._do_arrival(time, receiver_id, pk, bits)
@@ -403,7 +417,8 @@ class Simulation:
         if not receiver.alive:
             self._record(pk, "next_hop_died")
             return
-        drained, died = receiver.battery.debit(rx_energy(bits, self.cfg.e_elec_j_per_bit))
+        # energy.rx_energy, inlined
+        drained, died = receiver.battery.debit(bits * self.cfg.e_elec_j_per_bit)
         self.ledger.add("data_rx", drained)
         pk.path.append(receiver_id)
         if died:
@@ -420,13 +435,8 @@ class Simulation:
             self._record(pk, "buffer_overflow")
             return
         receiver.queue.append(pk)
-        self._try_start(receiver, time)
-
-    def _pending_load_estimate(self, bits: int) -> float:
-        """Relay cost a forwarded frame will impose on the chosen neighbor:
-        its receive plus the electronics part of its own transmit (the
-        amplifier term depends on a hop we cannot know)."""
-        return 2.0 * self.cfg.e_elec_j_per_bit * bits
+        if not receiver.transmitting:
+            self._try_start(receiver, time)
 
     # -- routing ------------------------------------------------------------
 
@@ -443,10 +453,28 @@ class Simulation:
                                     other.table.my_sink_distance)
 
     def _route(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
-        self._fill_table(node)
+        """(next hop, None) or (None, loss reason) for `pk` at `node`, whose
+        empty table is filled first (_fill_table).  A GPSR node's greedy
+        choice changes only when a broadcast goes on air or the chosen record
+        expires: GPSR writes no overlay and a death changes no BeaconState,
+        so between broadcasts no record becomes live or closer, and a record
+        other than the chosen one expiring leaves the nearest one chosen.  So
+        the choice is kept, (None, inf) at a local minimum, and made afresh
+        (gpsr.greedy_next_hop) on the first route after a broadcast or once
+        the chosen record has expired; gpsr.next_hop applies GPSR's rule to
+        it."""
+        table = node.table
+        if not table.records:
+            self._fill_table(node)
         if self.cfg.protocol == "geams":
             return self._route_geams(node, pk)
-        return gpsr.next_hop(node.table, pk, self.now, self.cfg.neighbor_expiry_s)
+        now, expiry = self.now, self.expiry_s
+        kept = self._kept.get(node.id)
+        if kept is None or now - kept[1] > expiry:
+            hop = gpsr.greedy_next_hop(table, now, expiry)
+            kept = self._kept[node.id] = (
+                hop, math.inf if hop is None else table.records[hop].state.last_beacon_time)
+        return gpsr.next_hop(table, pk, kept[0], now, expiry)
 
     def _route_geams(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
         """Between broadcasts a node's best-neighbour set changes only as its
@@ -457,10 +485,10 @@ class Simulation:
         oldest entry has expired, and after each forward only the chosen hop
         is rescored."""
         cfg = self.cfg
-        best = self._best_sets.get(node.id)
-        if best is None or self.now - best.oldest > cfg.neighbor_expiry_s:
-            best = self._best_sets[node.id] = geams.build_best_neighbor_set(
-                node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits,
+        best = self._kept.get(node.id)
+        if best is None or self.now - best.oldest > self.expiry_s:
+            best = self._kept[node.id] = geams.build_best_neighbor_set(
+                node.table, self.now, self.expiry_s, cfg.data_packet_bits,
                 cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
         sinkward = bool(best.ids)
         if sinkward:
@@ -475,21 +503,24 @@ class Simulation:
                     return None, "sender_died"
             pk.excluded.add(node.id)
             next_hop = geams.walking_back_candidate(
-                node.table, pk.excluded, self.now, cfg.neighbor_expiry_s)
+                node.table, pk.excluded, self.now, self.expiry_s)
             if next_hop is None:
                 return None, "void_unresolvable"
         # Account for the relay cost this forward imposes on the neighbor
         # before its next beacon refreshes the record, otherwise every score
         # stays stale for a whole beacon interval and the burst hammers a
         # single neighbor.  The estimate is the electronics-only relay cost
-        # (its receive plus its transmit, amplifier term unknown), kept in
-        # this node's overlay on the record; the neighbor's next beacon
-        # supersedes it with ground truth.  A sender that then cannot afford
-        # the frame dies, and a dead node's table is never read again.
+        # of the frame, 2 * e_elec * bits (its receive plus its transmit,
+        # amplifier term unknown), taken from the record's residual
+        # (NeighborRecord.residual_energy, inlined) and kept in this node's
+        # overlay on the record; the neighbor's next beacon supersedes it
+        # with ground truth.  A sender that then cannot afford the frame
+        # dies, and a dead node's table is never read again.
         r = node.table.records[next_hop]
-        r.pending = r.residual_energy - self._pending_load_estimate(
-            pk.payload_bits + cfg.header_bits)
-        r.pending_time = r.state.last_beacon_time
+        heard = r.state.last_beacon_time
+        r.pending = (r.pending if r.pending_time == heard else r.state.residual_energy) \
+            - 2.0 * cfg.e_elec_j_per_bit * (pk.payload_bits + cfg.header_bits)
+        r.pending_time = heard
         if sinkward:
             geams.rescore(best, r, cfg.data_packet_bits, cfg.e_elec_j_per_bit,
                           cfg.eps_amp_j_per_bit_m2)

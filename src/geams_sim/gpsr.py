@@ -1,6 +1,8 @@
 """GPSR baseline: greedy forwarding with perimeter-mode recovery.
 
-`next_hop` is the one place GPSR's forwarding rule lives.  Perimeter mode
+`next_hop` is the one place GPSR's forwarding rule lives.  It is given the
+node's greedy choice (`greedy_next_hop`), which the engine keeps between
+broadcasts rather than rescanning the table on every hop.  Perimeter mode
 walks the Gabriel-planarized radio graph with the right-hand rule (next edge
 counterclockwise from the incoming edge), resuming greedy as soon as the
 packet reaches a node strictly closer to the sink than where it entered
@@ -31,18 +33,19 @@ class PerimeterState:
     first_edge: tuple[int, int]
 
 
-def next_hop(t: NeighborTable, pk: DataPacket, now: float,
+def next_hop(t: NeighborTable, pk: DataPacket, greedy: int | None, now: float,
              expiry_s: float) -> tuple[int | None, str | None]:
     """(next hop, None) or (None, loss reason) for `pk` at the last node on
-    its path, whose table is `t`.  The hop it came from, pk.path[-2],
-    reached that node, so `t` holds its record."""
+    its path, whose table is `t` and whose greedy choice, what
+    greedy_next_hop(t, now, expiry_s) returns, is `greedy` (None at a local
+    minimum).  The hop it came from, pk.path[-2], reached that node, so `t`
+    holds its record."""
     state = pk.perimeter
     if state is not None and t.my_sink_distance < state.entry_distance:
         pk.perimeter = state = None  # past the void: resume greedy
     if state is None:
-        choice = greedy_next_hop(t, now, expiry_s)
-        if choice is not None:
-            return choice, None
+        if greedy is not None:
+            return greedy, None
         first = perimeter_first_hop(t.my_position, t.sink_position,
                                     planar_neighbors(t, now, expiry_s))
         if first is None:

@@ -242,8 +242,9 @@ class ReplaySimulation(Simulation):
         self.check_table(node)
         hop, reason = super()._route(node, pk)
         if hop is not None and self.cfg.protocol == "geams":
+            # the pending-load estimate: the frame's electronics-only relay cost
             self.oracle[node.id].records[hop].residual_energy -= \
-                self._pending_load_estimate(pk.payload_bits + self.cfg.header_bits)
+                2.0 * self.cfg.e_elec_j_per_bit * (pk.payload_bits + self.cfg.header_bits)
         self.walkbacks += node.id in pk.excluded
         self.check_table(node)
         return hop, reason
@@ -262,6 +263,30 @@ class ReplaySimulation(Simulation):
                                r.state.last_beacon_time)
             assert got == want, (node.id, i, got, want)
         self.checks += 1
+
+
+class HopLog(Simulation):
+    """A Simulation that also logs (time, frame bits) of every tx-complete
+    event, in the order they run."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.hops: list[tuple[float, int]] = []
+
+    def _do_tx_complete(self, time, sender_id, receiver_id, pk, cost, bits):
+        self.hops.append((time, bits))
+        super()._do_tx_complete(time, sender_id, receiver_id, pk, cost, bits)
+
+
+def first_hop(length_m: float, **overrides) -> tuple[float, int]:
+    """(time, bits) of the first tx-complete event when the source sends
+    straight to a sink `length_m` metres east.  The frame goes on air at
+    t = 0, so the time is the hop's serialization time."""
+    cfg = ScenarioConfig(n_sensors=0, sink_x=ScenarioConfig.source_x + length_m,
+                         image_count=1, **overrides)
+    sim = HopLog(cfg)
+    sim.run()
+    return sim.hops[0]
 
 
 def low_energy_cells():

@@ -11,12 +11,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from conftest import PathSimulation, assert_energy_balanced, best_set, chain_positions
+from conftest import PathSimulation, assert_energy_balanced, best_set, chain_positions, \
+    first_hop
 from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import Simulation
 from geams_sim.experiment import ExperimentPlan, run_experiment
 from geams_sim.geams import SourceState, select_next_hop
-from geams_sim.link import link_rate
 from geams_sim.scenario import ScenarioConfig
 
 SEEDS = tuple(range(1, 21))
@@ -145,9 +145,11 @@ def test_criterion_06_energy_model_values():
 
 
 def test_criterion_07_link_model_values():
-    ok = (link_rate(1) == 250_000.0
-          and math.isclose(link_rate(25), 50_000.0, rel_tol=1e-15))
-    _verdict(7, ok, f"rate(1)={link_rate(1)!r} rate(25)={link_rate(25)!r}")
+    # the hop time the engine schedules for one frame at the link's rate
+    (t1, bits), (t25, _) = first_hop(1.0), first_hop(25.0)
+    ok = (t1 == bits / 250_000.0
+          and math.isclose(t25, bits / 50_000.0, rel_tol=1e-15))
+    _verdict(7, ok, f"hop(1 m)={t1!r} hop(25 m)={t25!r} for {bits} bits")
 
 
 def test_criterion_08_conservation_and_accounting(matrix):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import PathSimulation, ReplaySimulation, assert_energy_balanced, \
-    chain_positions, low_energy_cells, radio_neighbors
-from geams_sim import geams
+    chain_positions, first_hop, low_energy_cells, radio_neighbors
+from geams_sim import geams, gpsr
 from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import Simulation, run_scenario
 from geams_sim.scenario import PROTOCOLS, ScenarioConfig
@@ -42,6 +42,23 @@ def test_two_node_energy_ledger_matches_hand_values():
     assert math.isclose(sim.ledger.totals["data_rx"], 300 * per_rx, rel_tol=1e-9)
     drawn, ledger_total = sim.energy_drawdown()
     assert_energy_balanced(drawn, ledger_total)
+
+
+@pytest.mark.parametrize("length, overrides, seconds", [
+    (1.0, {}, 1064 / 250_000),
+    (25.0, {}, 1064 / 50_000),
+    (64.0, {}, 1064 / 31_250),
+    (25.0, dict(packet_bits=936, image_bits=936), 0.02),
+    (1.0, dict(packet_bits=9_936, image_bits=9_936), 0.04),
+], ids=["rate at 1 m", "rate at 25 m", "rate at 64 m", "1000 bits over 25 m",
+        "10000 bits over 1 m"])
+def test_a_hop_takes_its_frame_at_the_links_rate(length, overrides, seconds):
+    """The link rate is base_rate_bps / sqrt(length), 250 kb/s at 1 m, and a
+    hop takes its frame's bits at that rate: the source's first frame, on
+    air at t = 0, completes at exactly that time."""
+    time, bits = first_hop(length, **overrides)
+    assert bits == ScenarioConfig(**overrides).data_packet_bits
+    assert time == seconds
 
 
 def test_disconnected_source_drops_all():
@@ -119,23 +136,33 @@ def test_every_packet_has_a_path_that_counts_its_hops(protocol):
             assert path[-1] == SINK_ID
 
 
+class _CheckedQueue(list):
+    """A node queue that checks its length at every enqueue, so it sees
+    every queue length the run reaches."""
+
+    def __init__(self, capacity):
+        super().__init__()
+        self.capacity = capacity
+        self.enqueued = 0
+
+    def append(self, pk):
+        super().append(pk)
+        assert len(self) <= self.capacity
+        self.enqueued += 1
+
+
 class _QueueCheckingSimulation(Simulation):
-    """Every enqueue is followed by a _try_start on that node, so checking
-    the queue there sees every queue length the run reaches."""
-
-    starts = 0
-
-    def _try_start(self, node, time):
-        assert len(node.queue) <= self.cfg.queue_capacity
-        self.starts += 1
-        super()._try_start(node, time)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for node in self.nodes.values():
+            node.queue = _CheckedQueue(self.cfg.queue_capacity)
 
 
 def test_queue_never_exceeds_capacity():
     cfg = ScenarioConfig(protocol="geams", n_sensors=50, seed=3)
     sim = _QueueCheckingSimulation(cfg)
     sim.run()
-    assert sim.starts > 0
+    assert sum(n.queue.enqueued for n in sim.nodes.values()) > 0
 
 
 @pytest.mark.parametrize("protocol", ["geams", "gpsr"])
@@ -422,7 +449,8 @@ class ArrivalCounter(Simulation):
 
 class EveryArrivalAnEvent(Simulation):
     """The reference: every arrival is scheduled as an event of its own, and
-    every GEAMS route builds its best-neighbour set afresh."""
+    every route makes its forwarding choice afresh: a GEAMS route builds its
+    best-neighbour set, and a GPSR route its greedy choice."""
 
     def _do_tx_complete(self, time, sender_id, receiver_id, pk, cost, bits):
         sender = self.nodes[sender_id]
@@ -442,9 +470,9 @@ class EveryArrivalAnEvent(Simulation):
         else:
             self._try_start(sender, time)
 
-    def _route_geams(self, node, pk):
-        self._best_sets.clear()
-        return super()._route_geams(node, pk)
+    def _route(self, node, pk):
+        self._kept.clear()
+        return super()._route(node, pk)
 
 
 class KeptSetChecker(Simulation):
@@ -457,9 +485,9 @@ class KeptSetChecker(Simulation):
         self.checks = self.reused = 0
 
     def _route_geams(self, node, pk):
-        before = self._best_sets.get(node.id)
+        before = self._kept.get(node.id)
         result = super()._route_geams(node, pk)
-        kept = self._best_sets.get(node.id)
+        kept = self._kept.get(node.id)
         if kept is not None:  # None: a void announcement dropped it
             cfg = self.cfg
             fresh = geams.build_best_neighbor_set(
@@ -469,6 +497,30 @@ class KeptSetChecker(Simulation):
                 (self.now, node.id, kept, fresh)
             self.checks += 1
             self.reused += kept is before
+        return result
+
+
+class KeptGreedyChecker(Simulation):
+    """Checks, at every GPSR route, that the node's kept greedy choice
+    equals a fresh greedy_next_hop and carries its record's last beacon
+    time, and counts the routes that reused a choice kept from an earlier
+    one and the rebuilds made because the kept choice had expired, not
+    because a broadcast dropped it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checks = self.reused = self.expired = 0
+
+    def _route(self, node, pk):
+        before = self._kept.get(node.id)
+        result = super()._route(node, pk)
+        hop, heard = kept = self._kept[node.id]
+        t = node.table
+        assert hop == gpsr.greedy_next_hop(t, self.now, self.expiry_s), (self.now, node.id)
+        assert heard == (math.inf if hop is None else t.records[hop].state.last_beacon_time)
+        self.checks += 1
+        self.reused += kept is before
+        self.expired += before is not None and kept is not before
         return result
 
 
@@ -512,6 +564,22 @@ def test_every_kept_set_equals_a_fresh_build():
             checks += sim.checks
             reused += sim.reused
     assert 0 < reused < checks
+
+
+def test_every_kept_greedy_choice_equals_a_fresh_one():
+    """A kept choice expires only when its hop has fallen silent before a
+    broadcast dropped it, which only the low-energy cell at 10 small images
+    a second shows (twice)."""
+    checks = reused = expired = 0
+    for cfg in _equivalence_cells():
+        if cfg.protocol == "gpsr":
+            sim = KeptGreedyChecker(cfg)
+            sim.run()
+            checks += sim.checks
+            reused += sim.reused
+            expired += sim.expired
+    assert 0 < reused < checks
+    assert expired > 0
 
 
 class EventLog(ArrivalCounter):

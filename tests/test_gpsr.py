@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import RADIO_RANGE, PathSimulation, add, gabriel_planarize, table
+from geams_sim import gpsr
 from geams_sim.engine import DataPacket, Simulation
 from geams_sim.gpsr import (
     PerimeterState,
@@ -140,10 +143,16 @@ def packet(path, perimeter=None):
                       perimeter=perimeter)
 
 
+def route(t, pk):
+    """gpsr.next_hop at time 0 with the greedy choice the engine keeps for
+    `t`."""
+    return next_hop(t, pk, greedy_next_hop(t, 0.0, 2.5), 0.0, 2.5)
+
+
 def test_next_hop_enters_the_walk_at_a_local_minimum():
     t = table(ME, SINK, [BELOW, record(3, Position(330, 110), ME, SINK)])
     pk = packet([1, 4])
-    assert next_hop(t, pk, 0.0, 2.5) == (3, None)  # first ccw from the sink line
+    assert route(t, pk) == (3, None)  # first ccw from the sink line
     assert pk.perimeter == PerimeterState(entry_distance=120.0, first_edge=(4, 3))
     assert pk.perimeter.entry_distance == t.my_sink_distance
 
@@ -152,11 +161,11 @@ def test_next_hop_resumes_greedy_only_strictly_closer_than_the_entry():
     t = table(ME, SINK, [BELOW, GREEDY, RIGHT])
     assert [r.id for r in planar_neighbors(t, 0.0, 2.5)] == [2, 5, 6]
     pk = packet([1, 2, 4], PerimeterState(entry_distance=120.5, first_edge=(9, 8)))
-    assert next_hop(t, pk, 0.0, 2.5) == (5, None)
+    assert route(t, pk) == (5, None)
     assert pk.perimeter is None
     state = PerimeterState(entry_distance=120.0, first_edge=(9, 8))
     pk = packet([1, 2, 4], state)
-    assert next_hop(t, pk, 0.0, 2.5) == (6, None)  # as far out as the entry
+    assert route(t, pk) == (6, None)  # as far out as the entry
     assert pk.perimeter is state
 
 
@@ -164,16 +173,46 @@ def test_next_hop_drops_a_walk_with_no_planar_neighbour_left():
     state = PerimeterState(entry_distance=100.0, first_edge=(9, 8))
     pk = packet([1, 2, 4], state)
     t = table(ME, SINK, [record(2, BELOW.position, ME, SINK, energy=0.0)])
-    assert next_hop(t, pk, 0.0, 2.5) == (None, "perimeter_exhausted")
+    assert route(t, pk) == (None, "perimeter_exhausted")
     assert pk.perimeter is state  # stranded mid-walk, not at a new entry
 
 
 def test_next_hop_drops_a_walk_back_on_its_first_edge():
     t = table(ME, SINK, [BELOW, GREEDY, RIGHT])
     pk = packet([1, 2, 4], PerimeterState(entry_distance=100.0, first_edge=(2, 6)))
-    assert next_hop(t, pk, 0.0, 2.5) == (6, None)
+    assert route(t, pk) == (6, None)
     pk = packet([1, 2, 4], PerimeterState(entry_distance=100.0, first_edge=(4, 6)))
-    assert next_hop(t, pk, 0.0, 2.5) == (None, "perimeter_exhausted")
+    assert route(t, pk) == (None, "perimeter_exhausted")
+
+
+def test_a_kept_local_minimum_stands_until_a_broadcast_goes_on_air(topo_builder,
+                                                                   monkeypatch):
+    """Source 1's one neighbour, relay 2, is sink-ward but has not gone on
+    air, so the source is at a local minimum.  Its kept (None, inf) never
+    expires and stands, with no new greedy scan, even once 2's shared state
+    reads live, until a broadcast goes on air and drops it."""
+    topo = topo_builder({0: Position(130, 90), 1: Position(10, 90), 2: Position(70, 90)})
+    sim = Simulation(ScenarioConfig(protocol="gpsr", n_sensors=1), topo)
+    source, relay = sim.nodes[1], sim.nodes[2]
+    scans = []
+    monkeypatch.setattr(gpsr, "greedy_next_hop",
+                        lambda *args: scans.append(args) or greedy_next_hop(*args))
+    assert sim._route(source, packet([1])) == (None, "perimeter_exhausted")
+    assert sim._kept[1] == (None, math.inf) and len(scans) == 1
+    sim.now = 1e9
+    assert sim._route(source, packet([1])) == (None, "perimeter_exhausted")
+    relay.beacon_state.residual_energy = 1.0
+    relay.beacon_state.last_beacon_time = sim.now  # live, but no broadcast went on air
+    pk = packet([1])
+    assert sim._route(source, pk) == (2, None)  # the perimeter walk's first hop
+    assert pk.perimeter is not None
+    assert sim._kept[1] == (None, math.inf) and len(scans) == 1
+    sim._on_air(relay, 1.0, sim.now)
+    assert 1 not in sim._kept
+    pk = packet([1])
+    assert sim._route(source, pk) == (2, None)  # greedy
+    assert pk.perimeter is None
+    assert sim._kept[1] == (2, 1e9) and len(scans) == 2
 
 
 def _void_detour_topology(topo_builder):

@@ -180,7 +180,8 @@ def test_pending_load_estimate_is_overwritten_by_next_beacon(topo_builder):
     source.queue.append(pk)
     sim._try_start(source, 0.0)
     bits = 1000 + sim.cfg.header_bits
-    estimate = reported - sim._pending_load_estimate(bits)
+    # the relay's receive plus its transmit electronics
+    estimate = reported - 2.0 * sim.cfg.e_elec_j_per_bit * bits
     assert source.table.records[2].residual_energy == estimate
     # a void announcement is no beacon: the overlay still stands
     sim._broadcast(relay, 0.5, void=True)
