@@ -28,7 +28,7 @@ from . import geams, gpsr
 from .energy import Battery, rx_energy, tx_energy
 from .metrics import LOSS_REASONS, MetricsReport, PacketOutcome, delay_and_loss, \
     dead_node_count, energy_stats, regional_energy
-from .neighbors import BeaconState, NeighborTable
+from .neighbors import BeaconState, NeighborRecord, NeighborTable
 from .scenario import ScenarioConfig
 from .topology import SINK_ID, SOURCE_ID, Topology, check_nodes, generate_topology, \
     range_neighbor_lists
@@ -147,9 +147,11 @@ class Simulation:
         # each node's forwarding choice, by node id, kept from the route that
         # made it: a GEAMS node's best-neighbour set, or a GPSR node's greedy
         # hop with that record's last beacon time ((None, inf) at a local
-        # minimum).  _on_air drops them all, and _route and _route_geams
-        # rebuild one that has expired.
-        self._kept: dict[int, geams.BestNeighborSet | tuple[int | None, float]] = {}
+        # minimum), then its Gabriel set with the oldest last beacon time it
+        # was computed from ((None, inf) until one is needed).  _on_air drops
+        # them all, and _route, _route_geams and _gabriel rebuild one that
+        # has expired.
+        self._kept: dict[int, geams.BestNeighborSet | tuple] = {}
 
     # -- event plumbing -----------------------------------------------------
 
@@ -222,8 +224,8 @@ class Simulation:
                 void: bool = False) -> None:
         """A broadcast from `node`, reporting `reported` joules, has gone on
         air at `time`: update the sender's shared BeaconState, and drop every
-        kept forwarding choice (GEAMS best-neighbour sets and GPSR greedy
-        hops), as the state may change any of them.  An
+        kept forwarding choice (GEAMS best-neighbour sets, GPSR greedy hops
+        and Gabriel sets), as the state may change any of them.  An
         announcement sets the void flag; a beacon clears a standing one when
         the sender has a sink-ward neighbour again (_has_sinkward).  Both
         beacon paths call this once per broadcast on air, before any
@@ -441,16 +443,39 @@ class Simulation:
     # -- routing ------------------------------------------------------------
 
     def _fill_table(self, node: NodeRuntime) -> None:
-        """Fill an empty table with a record of every range neighbour, in
-        ascending id order.  Every record refers to its sender's shared
-        state, which exists from the start, so the fill may come at any time:
-        _route makes it on the table's first read, and a sender that has
-        never gone on air has a record that is never live."""
+        """Fill an empty table with the records of the range neighbours
+        closer to the sink than its node, in ascending id order: all that
+        smart greedy forwarding and GPSR's greedy mode read.  Every record
+        refers to its sender's shared state, which exists from the start, so
+        the fill may come at any time: _route makes it on the table's first
+        read, and a sender that has never gone on air has a record that is
+        never live.  _complete_table adds the rest."""
         table = node.table
         if not table.records:
+            mine = table.my_sink_distance
             for other in self.range_neighbors[node.id]:
-                table.handle_beacon(other.id, other.table.my_position, other.beacon_state,
-                                    other.table.my_sink_distance)
+                theirs = other.table
+                if theirs.my_sink_distance < mine:
+                    table.handle_beacon(other.id, theirs.my_position, other.beacon_state,
+                                        theirs.my_sink_distance)
+
+    def _complete_table(self, node: NodeRuntime) -> None:
+        """Make a table whole: a record of every range neighbour, in
+        ascending id order.  The sink-ward records stay the same objects, so
+        the overlays on them stand.  A node needs the rest only once it
+        walks back or routes a GPSR packet in perimeter mode."""
+        table = node.table
+        sinkward = table.records
+        table.records = records = {}
+        for other in self.range_neighbors[node.id]:
+            r = sinkward.get(other.id)
+            if r is None:
+                theirs = other.table
+                table.handle_beacon(other.id, theirs.my_position, other.beacon_state,
+                                    theirs.my_sink_distance)
+            else:
+                records[other.id] = r
+        table.whole = True
 
     def _route(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
         """(next hop, None) or (None, loss reason) for `pk` at `node`, whose
@@ -462,7 +487,8 @@ class Simulation:
         the choice is kept, (None, inf) at a local minimum, and made afresh
         (gpsr.greedy_next_hop) on the first route after a broadcast or once
         the chosen record has expired; gpsr.next_hop applies GPSR's rule to
-        it."""
+        it, and takes the node's Gabriel set (_gabriel) only in perimeter
+        mode."""
         table = node.table
         if not table.records:
             self._fill_table(node)
@@ -473,8 +499,29 @@ class Simulation:
         if kept is None or now - kept[1] > expiry:
             hop = gpsr.greedy_next_hop(table, now, expiry)
             kept = self._kept[node.id] = (
-                hop, math.inf if hop is None else table.records[hop].state.last_beacon_time)
-        return gpsr.next_hop(table, pk, kept[0], now, expiry)
+                hop, math.inf if hop is None else table.records[hop].state.last_beacon_time,
+                None, math.inf)
+        return gpsr.next_hop(table, pk, kept[0], self._gabriel)
+
+    def _gabriel(self, node_id: int) -> tuple[NeighborRecord, ...]:
+        """The Gabriel set of GPSR node `node_id`, on its whole table
+        (_complete_table), kept next to the greedy choice _route has just
+        given it.  Between broadcasts a record only stops being live, by
+        expiring (gpsr.planar_neighbors), so the set stands until the oldest
+        live record it was computed from expires, a witness outside the set
+        included.  A rebuilt greedy choice drops it, which loses nothing:
+        the chosen record was live when the set was computed, so the set
+        has expired with it."""
+        node = self.nodes[node_id]
+        table = node.table
+        if not table.whole:
+            self._complete_table(node)
+        now = self.now
+        hop, heard, planar, oldest = self._kept[node_id]
+        if planar is None or now - oldest > self.expiry_s:
+            planar, oldest = gpsr.planar_neighbors(table, now, self.expiry_s)
+            self._kept[node_id] = hop, heard, planar, oldest
+        return planar
 
     def _route_geams(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
         """Between broadcasts a node's best-neighbour set changes only as its
@@ -502,6 +549,8 @@ class Simulation:
                 if not node.alive:
                     return None, "sender_died"
             pk.excluded.add(node.id)
+            if not node.table.whole:
+                self._complete_table(node)
             next_hop = geams.walking_back_candidate(
                 node.table, pk.excluded, self.now, self.expiry_s)
             if next_hop is None:

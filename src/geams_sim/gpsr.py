@@ -1,7 +1,8 @@
 """GPSR baseline: greedy forwarding with perimeter-mode recovery.
 
 `next_hop` is the one place GPSR's forwarding rule lives.  It is given the
-node's greedy choice (`greedy_next_hop`), which the engine keeps between
+node's greedy choice (`greedy_next_hop`) and a way to take its Gabriel
+neighbours (`planar_neighbors`), both of which the engine keeps between
 broadcasts rather than rescanning the table on every hop.  Perimeter mode
 walks the Gabriel-planarized radio graph with the right-hand rule (next edge
 counterclockwise from the incoming edge), resuming greedy as soon as the
@@ -12,7 +13,7 @@ would retrace the first perimeter edge.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -33,27 +34,29 @@ class PerimeterState:
     first_edge: tuple[int, int]
 
 
-def next_hop(t: NeighborTable, pk: DataPacket, greedy: int | None, now: float,
-             expiry_s: float) -> tuple[int | None, str | None]:
+def next_hop(t: NeighborTable, pk: DataPacket, greedy: int | None,
+             gabriel: Callable[[int], Sequence[NeighborRecord]]) -> tuple[int | None, str | None]:
     """(next hop, None) or (None, loss reason) for `pk` at the last node on
-    its path, whose table is `t` and whose greedy choice, what
-    greedy_next_hop(t, now, expiry_s) returns, is `greedy` (None at a local
-    minimum).  The hop it came from, pk.path[-2], reached that node, so `t`
-    holds its record."""
+    its path, pk.path[-1], whose table is `t` and whose greedy choice, what
+    greedy_next_hop returns, is `greedy` (None at a local minimum).
+    `gabriel(pk.path[-1])` gives that node's Gabriel neighbours, as
+    planar_neighbors computes them.  It is called only in perimeter mode,
+    and before any record but the greedy choice is read: `t` may hold only
+    its sink-ward records until then.  The hop the packet came from,
+    pk.path[-2], reached that node, so the whole table holds its record."""
     state = pk.perimeter
     if state is not None and t.my_sink_distance < state.entry_distance:
         pk.perimeter = state = None  # past the void: resume greedy
     if state is None:
         if greedy is not None:
             return greedy, None
-        first = perimeter_first_hop(t.my_position, t.sink_position,
-                                    planar_neighbors(t, now, expiry_s))
+        first = perimeter_first_hop(t.my_position, t.sink_position, gabriel(pk.path[-1]))
         if first is None:
             return None, "perimeter_exhausted"
         pk.perimeter = PerimeterState(t.my_sink_distance, (pk.path[-1], first))
         return first, None
-    nxt = perimeter_next_hop(t.my_position, t.records[pk.path[-2]].position,
-                             planar_neighbors(t, now, expiry_s))
+    planar = gabriel(pk.path[-1])  # first: it may fill the rest of the table
+    nxt = perimeter_next_hop(t.my_position, t.records[pk.path[-2]].position, planar)
     if nxt is None or (pk.path[-1], nxt) == state.first_edge:
         return None, "perimeter_exhausted"  # stranded, or walked the whole face
     return nxt, None
@@ -77,20 +80,26 @@ def greedy_next_hop(t: NeighborTable, now: float, expiry_s: float) -> int | None
 
 def planar_neighbors(
     t: NeighborTable, now: float, expiry_s: float
-) -> tuple[NeighborRecord, ...]:
-    """Gabriel-graph neighbors computed from the local table: the link to v
-    survives iff no other live neighbor sits inside or on the circle with
-    diameter (me, v).  Any witness for an in-range link is itself in range,
-    so the local test agrees with the global planarization.
+) -> tuple[tuple[NeighborRecord, ...], float]:
+    """Gabriel-graph neighbors computed from the whole local table, and the
+    earliest last-beacon time among the live records they were computed
+    from (inf when none is live).  The link to v survives iff no other live
+    neighbor sits inside or on the circle with diameter (me, v).  Any
+    witness for an in-range link is itself in range, so the local test
+    agrees with the global planarization.
 
-    Positions are static, so the result depends only on which neighbors are
-    live; it is cached on the table per set of live ids, and shared between
-    calls as a tuple."""
+    Positions are static, so the neighbors depend only on which records are
+    live.  They are cached on the table per set of live ids, and shared
+    between calls as a tuple.  Between broadcasts, as GPSR writes no
+    overlay, a record only stops being live by expiring, the oldest first,
+    witness or not: the neighbors stand while now - oldest is within the
+    expiry."""
     live = t.live_records(now, expiry_s)
+    oldest = min([r.state.last_beacon_time for r in live], default=math.inf)
     key = tuple([r.id for r in live])
     cached = t.planar_cache
     if cached is not None and cached[0] == key:
-        return cached[1]
+        return cached[1], oldest
     me = t.my_position
     kept = []
     for r in live:
@@ -104,7 +113,7 @@ def planar_neighbors(
             kept.append(r)
     kept = tuple(kept)
     t.planar_cache = (key, kept)
-    return kept
+    return kept, oldest
 
 
 def _bearing(frm: Position, to: Position) -> float:

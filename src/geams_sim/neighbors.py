@@ -11,10 +11,13 @@ a receiver still alive has heard every broadcast its senders made since their
 first beacon, and a dead node's table is never read again.
 
 Positions never change, and each sender's state exists from the start, so a
-table holds a record of every range neighbour however late it is filled.
-The engine fills a table from the static range list the first time the
-table is read, in ascending id order, so records are kept in that order by
-appending alone; a sender that has not yet gone on air has a record that is
+table may be filled at any time and reads the same.  The engine fills it
+from the static range list in two steps, each in ascending id order: the
+records of the sink-ward range neighbours the first time the table is read,
+as smart greedy forwarding and GPSR's greedy mode read nothing else, and
+the rest the first time the node walks back or routes a GPSR packet in
+perimeter mode.  Until then the table is not `whole`, and live_records
+refuses it.  A sender that has not yet gone on air has a record that is
 never live.  A record holds only static geometry, the shared state and the
 GEAMS pending-load overlay; the sender's distance to the sink is its own,
 worked out once, and the receiver works out only the hop.  Beacons change
@@ -72,17 +75,23 @@ class NeighborRecord:
 
 @dataclass
 class NeighborTable:
-    """One node's records of its range neighbours.  Senders arrive in
-    ascending id order (see the module docstring), and a caller that fills a
-    table itself must keep that order."""
+    """One node's records of its range neighbours, in ascending id order: a
+    caller that fills a table itself must keep that order.  A table that is
+    not `whole` holds only the records of the neighbours closer to the sink
+    than it is (see the module docstring)."""
 
     my_position: Position
     sink_position: Position
-    # by sender id, ascending; filled only by handle_beacon
+    # by sender id, ascending; every record is made by handle_beacon
     records: dict[int, NeighborRecord] = field(default_factory=dict)
+    # whether `records` holds every range neighbour, not only the sink-ward
+    # ones; set by whoever fills the rest
+    whole: bool = False
     my_sink_distance: float = field(init=False)
     # GPSR's Gabriel neighbours, keyed by the tuple of live ids they were
-    # computed from; positions are static, so only liveness can change them
+    # computed from; positions are static, so only liveness can change them.
+    # It outlives the engine's kept Gabriel sets, which every broadcast
+    # drops, as a beacon round seldom changes which records are live
     planar_cache: tuple[tuple[int, ...], tuple[NeighborRecord, ...]] | None = field(
         default=None, init=False, repr=False)
     _sinkward: list[NeighborRecord] = field(default_factory=list, init=False, repr=False)
@@ -95,7 +104,7 @@ class NeighborTable:
         """Add the record of a sender, whose id is above every id this table
         holds; `distance_to_sink` is the sender's own (its table's
         `my_sink_distance`).  The engine calls this once per range neighbour
-        when it fills a table; beacons update only the shared `state`.
+        as it fills a table; beacons update only the shared `state`.
         Load-time checks keep every pair at least 1 m apart, so the hop
         needs no link check."""
         me = self.my_position
@@ -113,8 +122,13 @@ class NeighborTable:
 
     def live_records(self, now: float, expiry_s: float) -> list[NeighborRecord]:
         """Records fresh enough to be trusted, from nodes with energy left,
-        in ascending id order.  The hot loops over sinkward_records() in
-        geams.py and gpsr.py inline this test; keep them in step."""
+        in ascending id order, of a whole table: raises RuntimeError on one
+        that holds only its sink-ward records.  The hot loops over
+        sinkward_records() in geams.py and gpsr.py inline this test; keep
+        them in step."""
+        if not self.whole:
+            raise RuntimeError("live_records: the table holds only its sink-ward "
+                               "records; fill the rest first")
         live = []
         for r in self.records.values():
             s = r.state

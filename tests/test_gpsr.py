@@ -78,9 +78,10 @@ def test_planar_removes_witnessed_edge():
         record(2, Position(40, 0), me, Position(490, 0)),
         record(3, Position(80, 0), me, Position(490, 0)),
     ])
-    kept = planar_neighbors(t, 0.0, 2.5)
+    kept, oldest = planar_neighbors(t, 0.0, 2.5)
     # node 2 sits on the (me, 3) diameter circle, so only the near link survives
     assert [r.id for r in kept] == [2]
+    assert oldest == 0.0
 
 
 def test_planar_keeps_clear_edges():
@@ -89,8 +90,9 @@ def test_planar_keeps_clear_edges():
         record(2, Position(60, 0), me, Position(490, 0)),
         record(3, Position(0, 60), me, Position(490, 0)),
     ])
-    kept = planar_neighbors(t, 0.0, 2.5)
+    kept, oldest = planar_neighbors(t, 0.0, 2.5)
     assert sorted(r.id for r in kept) == [2, 3]
+    assert oldest == 0.0
 
 
 def test_right_hand_rule_turns_counterclockwise_from_incoming():
@@ -144,9 +146,10 @@ def packet(path, perimeter=None):
 
 
 def route(t, pk):
-    """gpsr.next_hop at time 0 with the greedy choice the engine keeps for
-    `t`."""
-    return next_hop(t, pk, greedy_next_hop(t, 0.0, 2.5), 0.0, 2.5)
+    """gpsr.next_hop at time 0 with the greedy choice and the Gabriel set
+    the engine keeps for `t`."""
+    return next_hop(t, pk, greedy_next_hop(t, 0.0, 2.5),
+                    lambda node: planar_neighbors(t, 0.0, 2.5)[0])
 
 
 def test_next_hop_enters_the_walk_at_a_local_minimum():
@@ -159,7 +162,7 @@ def test_next_hop_enters_the_walk_at_a_local_minimum():
 
 def test_next_hop_resumes_greedy_only_strictly_closer_than_the_entry():
     t = table(ME, SINK, [BELOW, GREEDY, RIGHT])
-    assert [r.id for r in planar_neighbors(t, 0.0, 2.5)] == [2, 5, 6]
+    assert [r.id for r in planar_neighbors(t, 0.0, 2.5)[0]] == [2, 5, 6]
     pk = packet([1, 2, 4], PerimeterState(entry_distance=120.5, first_edge=(9, 8)))
     assert route(t, pk) == (5, None)
     assert pk.perimeter is None
@@ -190,7 +193,10 @@ def test_a_kept_local_minimum_stands_until_a_broadcast_goes_on_air(topo_builder,
     """Source 1's one neighbour, relay 2, is sink-ward but has not gone on
     air, so the source is at a local minimum.  Its kept (None, inf) never
     expires and stands, with no new greedy scan, even once 2's shared state
-    reads live, until a broadcast goes on air and drops it."""
+    reads live, until a broadcast goes on air and drops it.  So does its
+    kept Gabriel set, empty and computed from no live record; once that
+    alone is dropped, the perimeter walk finds relay 2.  A greedy route
+    takes no Gabriel set."""
     topo = topo_builder({0: Position(130, 90), 1: Position(10, 90), 2: Position(70, 90)})
     sim = Simulation(ScenarioConfig(protocol="gpsr", n_sensors=1), topo)
     source, relay = sim.nodes[1], sim.nodes[2]
@@ -198,21 +204,49 @@ def test_a_kept_local_minimum_stands_until_a_broadcast_goes_on_air(topo_builder,
     monkeypatch.setattr(gpsr, "greedy_next_hop",
                         lambda *args: scans.append(args) or greedy_next_hop(*args))
     assert sim._route(source, packet([1])) == (None, "perimeter_exhausted")
-    assert sim._kept[1] == (None, math.inf) and len(scans) == 1
+    assert sim._kept[1] == (None, math.inf, (), math.inf) and len(scans) == 1
     sim.now = 1e9
     assert sim._route(source, packet([1])) == (None, "perimeter_exhausted")
     relay.beacon_state.residual_energy = 1.0
     relay.beacon_state.last_beacon_time = sim.now  # live, but no broadcast went on air
+    assert sim._route(source, packet([1])) == (None, "perimeter_exhausted")
+    sim._kept[1] = (None, math.inf, None, math.inf)  # drop the Gabriel set only
     pk = packet([1])
     assert sim._route(source, pk) == (2, None)  # the perimeter walk's first hop
     assert pk.perimeter is not None
-    assert sim._kept[1] == (None, math.inf) and len(scans) == 1
+    assert sim._kept[1][:2] == (None, math.inf) and len(scans) == 1
     sim._on_air(relay, 1.0, sim.now)
     assert 1 not in sim._kept
     pk = packet([1])
     assert sim._route(source, pk) == (2, None)  # greedy
     assert pk.perimeter is None
-    assert sim._kept[1] == (2, 1e9) and len(scans) == 2
+    assert sim._kept[1] == (2, 1e9, None, math.inf) and len(scans) == 2
+
+
+def test_next_hop_takes_the_gabriel_set_only_in_perimeter_mode_and_first():
+    """A greedy hop never takes the Gabriel set.  A perimeter hop takes it
+    before it reads the record of the hop the packet came from, which a
+    table holding only its sink-ward records lacks: here node 2, farther
+    out than node 4, gets its record only as the set is taken, as the
+    engine fills the rest of a table then."""
+    whole = table(ME, SINK, [BELOW, GREEDY, RIGHT])
+    half = table(ME, SINK, [GREEDY, RIGHT])
+    half.whole = False  # the sink-ward part alone
+
+    def no_set(node):
+        raise AssertionError("a greedy hop took the Gabriel set")
+
+    assert next_hop(half, packet([1, 2, 4]), 5, no_set) == (5, None)
+    pk = packet([1, 2, 4], PerimeterState(entry_distance=120.5, first_edge=(9, 8)))
+    assert next_hop(half, pk, 5, no_set) == (5, None)  # past the void: greedy
+
+    def gabriel(node):
+        assert node == 4
+        half.records, half.whole = whole.records, True
+        return planar_neighbors(half, 0.0, 2.5)[0]
+
+    pk = packet([1, 2, 4], PerimeterState(entry_distance=100.0, first_edge=(9, 8)))
+    assert next_hop(half, pk, 5, gabriel) == (6, None)
 
 
 def _void_detour_topology(topo_builder):
@@ -299,7 +333,7 @@ def reference_planar(t, now, expiry_s):
 )
 def test_greedy_agrees_with_brute_force(specs, ids):
     me = Position(370, 90)
-    t = NeighborTable(my_position=me, sink_position=SINK)
+    t = NeighborTable(my_position=me, sink_position=SINK, whole=True)
     for node_id, (dx, dy, energy, bt, pending) in sorted(zip(ids, specs)):
         add(t, record(node_id, Position(370 + dx, 90 + dy), me, SINK,
                       energy=energy, beacon_time=bt, pending=pending))
@@ -316,7 +350,7 @@ def test_planar_cache_follows_liveness(offsets, gone):
     """Cached Gabriel neighbours equal a fresh computation after a neighbour
     expires and again after it beacons back."""
     me, expiry = Position(200, 90), 2.5
-    t = NeighborTable(my_position=me, sink_position=SINK)
+    t = NeighborTable(my_position=me, sink_position=SINK, whole=True)
     senders = {node_id: Position(200 + dx, 90 + dy)
                for node_id, (dx, dy) in enumerate(offsets, start=2)}
     gone = 2 + gone % len(senders)
@@ -331,15 +365,17 @@ def test_planar_cache_follows_liveness(offsets, gone):
                 state.last_beacon_time = time
 
     beacon_round(0.0)
-    first = planar_neighbors(t, 0.0, expiry)
-    assert first == reference_planar(t, 0.0, expiry)
-    assert planar_neighbors(t, 0.0, expiry) is first  # same live set: cached
+    first, oldest = planar_neighbors(t, 0.0, expiry)
+    assert first == reference_planar(t, 0.0, expiry) and oldest == 0.0
+    assert planar_neighbors(t, 0.0, expiry)[0] is first  # same live set: cached
     beacon_round(3.0, skip=gone)                         # `gone` expires
     assert gone not in [r.id for r in t.live_records(3.0, expiry)]
-    assert planar_neighbors(t, 3.0, expiry) == reference_planar(t, 3.0, expiry)
+    # the oldest live record's time: inf when `gone` was the only one
+    assert planar_neighbors(t, 3.0, expiry) == (
+        reference_planar(t, 3.0, expiry), 3.0 if len(senders) > 1 else math.inf)
     beacon_round(4.0)                                    # and beacons back
-    assert planar_neighbors(t, 4.0, expiry) == reference_planar(t, 4.0, expiry)
-    assert planar_neighbors(t, 4.0, expiry) == first
+    assert planar_neighbors(t, 4.0, expiry) == (reference_planar(t, 4.0, expiry), 4.0)
+    assert planar_neighbors(t, 4.0, expiry)[0] == first
 
 
 @pytest.mark.parametrize("n", [30, 60, 120])
@@ -351,9 +387,10 @@ def test_planar_neighbors_agree_with_global_gabriel(n):
         positions = dict(topo.nodes)
         gabriel = gabriel_planarize(topo)
         for u, neighbours in range_neighbor_lists(topo, RADIO_RANGE).items():
-            t = NeighborTable(my_position=positions[u], sink_position=positions[SINK_ID])
+            t = NeighborTable(my_position=positions[u], sink_position=positions[SINK_ID],
+                              whole=True)
             for v in neighbours:
                 t.handle_beacon(v, positions[v], BeaconState(1.0, 0.0),
                                 distance(positions[v], t.sink_position))
-            local = {r.id for r in planar_neighbors(t, 0.0, 2.5)}
+            local = {r.id for r in planar_neighbors(t, 0.0, 2.5)[0]}
             assert local == {b if a == u else a for a, b in gabriel if u in (a, b)}, (seed, u)

@@ -42,7 +42,7 @@ def test_topology_listed_in_descending_id_order_changes_nothing():
 
 
 def test_later_beacons_refresh_energy_and_time_only():
-    t = NeighborTable(my_position=ME, sink_position=SINK)
+    t = NeighborTable(my_position=ME, sink_position=SINK, whole=True)
     state = hear(t, 2, 160, energy=1.0, time=0.0)
     # a later beacon updates only the sender's shared state
     state.residual_energy, state.last_beacon_time = 0.7, 1.0
@@ -75,6 +75,10 @@ def test_one_state_per_sender_shared_by_every_receiver(topo_builder):
     for node in sim.nodes.values():
         sim._fill_table(node)
     state = sim.nodes[3].beacon_state
+    # the first fill: only the source has node 3 sink-ward
+    assert [i for i, n in sim.nodes.items() if 3 in n.table.records] == [1]
+    for node in sim.nodes.values():
+        sim._complete_table(node)
     holders = [i for i, n in sim.nodes.items() if 3 in n.table.records]
     assert holders == [1, 2]
     assert all(sim.nodes[i].table.records[3].state is state for i in holders)
@@ -93,6 +97,7 @@ def test_a_sender_never_heard_has_a_record_that_is_never_live(topo_builder):
     poor, source = sim.nodes[3], sim.nodes[1]
     assert not poor.alive
     sim._fill_table(source)
+    sim._complete_table(source)
     t = source.table
     assert list(t.records) == [3] and [r.id for r in t.sinkward_records()] == [3]
     assert t.records[3].state is poor.beacon_state
@@ -103,8 +108,33 @@ def test_a_sender_never_heard_has_a_record_that_is_never_live(topo_builder):
         assert build_best_neighbor_set(t, now, expiry, cfg.data_packet_bits,
                                        cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2).ids == []
         assert greedy_next_hop(t, now, expiry) is None
-        assert planar_neighbors(t, now, expiry) == ()
+        assert planar_neighbors(t, now, expiry) == ((), math.inf)
         assert walking_back_candidate(t, set(), now, expiry) is None
+
+
+def test_a_table_is_filled_sink_ward_first_and_completed_in_place(topo_builder):
+    """The first fill makes only the sink-ward records, which live_records
+    refuses to read as a table.  Completing the table keeps those very
+    records, overlays and all, and puts every range neighbour's record in
+    ascending id order."""
+    sim = Simulation(ScenarioConfig(n_sensors=2), _line(topo_builder))
+    sim._do_beacons(0.0)
+    relay = sim.nodes[2]  # hears 3 (farther out) and the sink
+    sim._fill_table(relay)
+    t = relay.table
+    assert not t.whole and list(t.records) == [0]
+    assert t.sinkward_records() == [t.records[0]]
+    with pytest.raises(RuntimeError, match="only its sink-ward records"):
+        t.live_records(0.0, sim.expiry_s)
+    sink = t.records[0]
+    sink.pending, sink.pending_time = 0.5, 0.0
+    sim._complete_table(relay)
+    assert t.whole and list(t.records) == [0, 3]
+    assert t.records[0] is sink and sink.residual_energy == 0.5
+    assert t.sinkward_records() == [sink]
+    assert [r.id for r in t.live_records(0.0, sim.expiry_s)] == [0, 3]
+    sim._fill_table(relay)  # a filled table is left as it is
+    assert list(t.records) == [0, 3] and t.records[0] is sink
 
 
 def test_void_flag_survives_until_sender_has_sinkward(topo_builder):
@@ -116,6 +146,7 @@ def test_void_flag_survives_until_sender_has_sinkward(topo_builder):
     node, relay = sim.nodes[3], sim.nodes[2]
     for n in (node, relay):
         sim._fill_table(n)
+        sim._complete_table(n)
     record = relay.table.records[3]
     sim._broadcast(node, 0.5, void=True)
     assert record.state.void_flagged
@@ -213,6 +244,9 @@ def test_shared_state_replays_private_tables_in_sparse_low_energy_cells(protocol
         sim.run()
         assert sim.checks > 0
     assert sum(s.rx_deaths for s in sims) > 0
+    # tables are checked both while they hold only their sink-ward records
+    # and once they are whole
+    assert 0 < sum(s.sinkward_checks for s in sims) < sum(s.checks for s in sims)
     if protocol == "geams":
         assert sum(s.walkbacks for s in sims) > 0
         assert sum(s.void_announcements for s in sims) > 0
@@ -262,8 +296,8 @@ class CheckEveryNode(Simulation):
 
 
 class FillAtFirstRound(Simulation):
-    """Fills every live node's table when the t = 0 round ends, with the
-    range neighbours that went on air in it: the eager reference that a
+    """Fills every live node's table whole when the t = 0 round ends, with
+    the range neighbours that went on air in it: the eager reference that a
     fill on first read must agree with."""
 
     def _do_beacons(self, time):
@@ -276,6 +310,7 @@ class FillAtFirstRound(Simulation):
                             node.table.handle_beacon(other.id, other.table.my_position,
                                                      other.beacon_state,
                                                      other.table.my_sink_distance)
+                    node.table.whole = True
 
 
 def _void_scenarios(topo_builder):
