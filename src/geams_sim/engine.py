@@ -398,9 +398,12 @@ class Simulation:
         drained, died = sender.battery.debit(cost)
         self.ledger.add("data_tx", drained)
         if drained < cost:
-            # a mid-transmission debit (beacon traffic) starved the battery
+            # a mid-transmission debit (beacon traffic) starved the battery;
+            # a gateway outlives it and goes on with its queue
             self._record(pk, "sender_died")
             self._kill(sender)
+            if sender.queue:
+                self._try_start(sender, time)
             return
         heap = self._heap
         in_place = not heap or heap[0][0] > time
@@ -560,16 +563,11 @@ class Simulation:
         # stays stale for a whole beacon interval and the burst hammers a
         # single neighbor.  The estimate is the electronics-only relay cost
         # of the frame, 2 * e_elec * bits (its receive plus its transmit,
-        # amplifier term unknown), taken from the record's residual
-        # (NeighborRecord.residual_energy, inlined) and kept in this node's
-        # overlay on the record; the neighbor's next beacon supersedes it
+        # amplifier term unknown); the neighbor's next beacon supersedes it
         # with ground truth.  A sender that then cannot afford the frame
         # dies, and a dead node's table is never read again.
         r = node.table.records[next_hop]
-        heard = r.state.last_beacon_time
-        r.pending = (r.pending if r.pending_time == heard else r.state.residual_energy) \
-            - 2.0 * cfg.e_elec_j_per_bit * (pk.payload_bits + cfg.header_bits)
-        r.pending_time = heard
+        r.add_load(2.0 * cfg.e_elec_j_per_bit * (pk.payload_bits + cfg.header_bits))
         if sinkward:
             geams.rescore(best, r, cfg.data_packet_bits, cfg.e_elec_j_per_bit,
                           cfg.eps_amp_j_per_bit_m2)

@@ -20,7 +20,7 @@ from operator import itemgetter
 
 from .energy import rx_energy
 from .metrics import float_sum
-from .neighbors import NeighborRecord, NeighborTable
+from .neighbors import NeighborRecord, NeighborTable, live
 
 
 @dataclass(slots=True)
@@ -60,23 +60,18 @@ def build_best_neighbor_set(
     A neighbor's score is its fitness in joules: its remaining energy minus
     the cost of pushing one k-bit packet through it (our transmit to it, then
     its receive), priced with the radio constants `e_elec` and `eps_amp`.
-    The liveness test and the residual are live_records' and
-    NeighborRecord.residual_energy's, inlined.
     """
     rx = rx_energy(k_bits, e_elec)
     candidates = []
     oldest = math.inf
-    for r in t.sinkward_records():
+    for r, energy in live(t.sinkward_records(), now, expiry_s):
         s = r.state
-        heard = s.last_beacon_time
-        if s.void_flagged or not now - heard <= expiry_s:
+        if s.void_flagged:
             continue
-        energy = r.pending if r.pending_time == heard else s.residual_energy
-        if energy > 0:
-            d = r.distance_to_me
-            candidates.append((r.id, (energy - k_bits * (e_elec + eps_amp * d * d)) - rx))
-            if heard < oldest:
-                oldest = heard
+        d = r.distance_to_me
+        candidates.append((r.id, (energy - k_bits * (e_elec + eps_amp * d * d)) - rx))
+        if s.last_beacon_time < oldest:
+            oldest = s.last_beacon_time
     # the input is in ascending id order and the sort is stable, so equal
     # scores stay in ascending id order
     candidates.sort(key=itemgetter(1), reverse=True)
@@ -95,7 +90,7 @@ def rescore(s: BestNeighborSet, r: NeighborRecord, k_bits: float, e_elec: float,
     node_id = r.id
     i = ids.index(node_id)
     del ids[i], scores[i]
-    energy = r.pending
+    energy = r.residual_energy
     if energy > 0:
         d = r.distance_to_me
         v = (energy - k_bits * (e_elec + eps_amp * d * d)) - rx_energy(k_bits, e_elec)

@@ -17,7 +17,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .neighbors import NeighborRecord, NeighborTable
+from .neighbors import NeighborRecord, NeighborTable, live
 from .topology import Position
 
 if TYPE_CHECKING:
@@ -67,13 +67,8 @@ def greedy_next_hop(t: NeighborTable, now: float, expiry_s: float) -> int | None
     None signals a local minimum (perimeter trigger).  Ties by ascending id."""
     best: NeighborRecord | None = None
     # ascending id order: on equal distances the first record seen wins
-    for r in t.sinkward_records():
-        if best is not None and not r.distance_to_sink < best.distance_to_sink:
-            continue
-        # live_records' liveness test, inlined
-        s = r.state
-        if now - s.last_beacon_time <= expiry_s and (
-                r.pending if r.pending_time == s.last_beacon_time else s.residual_energy) > 0:
+    for r, _ in live(t.sinkward_records(), now, expiry_s):
+        if best is None or r.distance_to_sink < best.distance_to_sink:
             best = r
     return None if best is None else best.id
 

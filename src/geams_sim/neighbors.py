@@ -1,14 +1,22 @@
 """Beacon-maintained one-hop neighbor tables shared by both protocols.
 
-A record is considered live while its last beacon is recent enough and it
-reported positive energy; expired records are treated as dead nodes.
+The one liveness rule of both protocols lives here (live): a record is live
+while its sender's last beacon is no older than the expiry and its routing
+residual is positive.  The routing residual is the GEAMS pending-load
+overlay while it stands, else the last beacon's; an expired record is a
+dead node.  An overlay (NeighborRecord.add_load) is this node's estimate of
+the load it has put on a neighbour since that neighbour's last beacon, so
+it stands until the next one, which supersedes it with ground truth: a
+sender beacons at most once a round, rounds run at strictly increasing
+times, and a void announcement is no beacon.
 
 What a sender's beacons say is the same for every node that hears them, so
 each sender keeps one BeaconState and every receiver's record refers to it: a
 broadcast updates that state once, not once per receiver.  This holds because
 no node joins after the first beacon round and a dead node never comes back:
 a receiver still alive has heard every broadcast its senders made since their
-first beacon, and a dead node's table is never read again.
+first beacon, and a dead node's table is never read again.  A sender that
+has not yet gone on air has a record that is never live.
 
 Positions never change, and each sender's state exists from the start, so a
 table may be filled at any time and reads the same.  The engine fills it
@@ -17,24 +25,16 @@ records of the sink-ward range neighbours the first time the table is read,
 as smart greedy forwarding and GPSR's greedy mode read nothing else, and
 the rest the first time the node walks back or routes a GPSR packet in
 perimeter mode.  Until then the table is not `whole`, and live_records
-refuses it.  A sender that has not yet gone on air has a record that is
-never live.  A record holds only static geometry, the shared state and the
-GEAMS pending-load overlay; the sender's distance to the sink is its own,
-worked out once, and the receiver works out only the hop.  Beacons change
-only the shared states.  An overlay is stamped with the sender's last beacon
-time and stands until its next: a sender beacons at most once a round,
-rounds run at strictly increasing times, and a void announcement keeps it.
-A GEAMS node's kept best-neighbour set, scored from these overlays, lasts no
-longer: the engine drops every kept set when any broadcast goes on air, and
-rescores the one hop whose overlay the node has just written.
-
-A sender's shared state changes at its turn in a beacon round, on the
-batched and the exact path alike, so a table reads the same states on both
-(`engine.Simulation._do_beacons` describes a round).
+refuses it.  A record holds only static geometry, the shared state and the
+overlay; the sender's distance to the sink is its own, worked out once, and
+the receiver works out only the hop.  A sender's shared state changes at its
+turn in a beacon round, on the batched and the exact path alike, so a table
+reads the same states on both (`engine.Simulation._do_beacons`).
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .topology import Position, distance
@@ -59,18 +59,34 @@ class NeighborRecord:
     distance_to_me: float
     distance_to_sink: float
     state: BeaconState
-    # GEAMS pending-load overlay: this node's estimate of the neighbor's
-    # residual after the frames sent since its beacon at `pending_time`
-    # (-1.0 is no beacon's time), standing until the sender's next beacon
+    # the pending-load overlay (add_load) and the sender's last beacon time
+    # it stands for (-1.0 is no beacon's time)
     pending: float = 0.0
     pending_time: float = -1.0
 
     @property
     def residual_energy(self) -> float:
         """The residual routing sees: the overlay while it stands, else the
-        last beacon's.  The hot loops in geams.py and gpsr.py inline this."""
+        last beacon's."""
         s = self.state
         return self.pending if self.pending_time == s.last_beacon_time else s.residual_energy
+
+    def add_load(self, joules: float) -> None:
+        """Take `joules` off the residual routing sees, until the sender's
+        next beacon."""
+        self.pending = self.residual_energy - joules
+        self.pending_time = self.state.last_beacon_time
+
+
+def live(records: Iterable[NeighborRecord], now: float,
+         expiry_s: float) -> list[tuple[NeighborRecord, float]]:
+    """(record, residual routing sees) of each live record, in the order
+    given: heard no longer than `expiry_s` before `now`, and with a positive
+    residual."""
+    return [(r, e) for r in records
+            if now - (s := r.state).last_beacon_time <= expiry_s
+            and (e := r.pending if r.pending_time == s.last_beacon_time
+                 else s.residual_energy) > 0]
 
 
 @dataclass
@@ -121,18 +137,9 @@ class NeighborTable:
         return self._sinkward
 
     def live_records(self, now: float, expiry_s: float) -> list[NeighborRecord]:
-        """Records fresh enough to be trusted, from nodes with energy left,
-        in ascending id order, of a whole table: raises RuntimeError on one
-        that holds only its sink-ward records.  The hot loops over
-        sinkward_records() in geams.py and gpsr.py inline this test; keep
-        them in step."""
+        """The live records (live) of a whole table, in ascending id order:
+        raises RuntimeError on one that holds only its sink-ward records."""
         if not self.whole:
             raise RuntimeError("live_records: the table holds only its sink-ward "
                                "records; fill the rest first")
-        live = []
-        for r in self.records.values():
-            s = r.state
-            if now - s.last_beacon_time <= expiry_s and (
-                    r.pending if r.pending_time == s.last_beacon_time else s.residual_energy) > 0:
-                live.append(r)
-        return live
+        return [r for r, _ in live(self.records.values(), now, expiry_s)]

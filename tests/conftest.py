@@ -7,7 +7,7 @@ import pytest
 from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import Simulation
 from geams_sim.geams import BestNeighborSet
-from geams_sim.neighbors import NeighborRecord, NeighborTable
+from geams_sim.neighbors import NeighborRecord, NeighborTable, live
 from geams_sim.scenario import ScenarioConfig
 from geams_sim.topology import Position, Topology, distance
 
@@ -260,15 +260,14 @@ class ReplaySimulation(Simulation):
         now, expiry = self.now, self.cfg.neighbor_expiry_s
         held = sorted(oracle.records)
         if table.whole:
-            live = [r.id for r in table.live_records(now, expiry)]
+            live_ids = [r.id for r in table.live_records(now, expiry)]
         else:
             with pytest.raises(RuntimeError, match="only its sink-ward records"):
                 table.live_records(now, expiry)
             held = [i for i in held
                     if self.nodes[i].table.my_sink_distance < table.my_sink_distance]
-            live = [r.id for r in table.sinkward_records()
-                    if now - r.state.last_beacon_time <= expiry and r.residual_energy > 0]
-        assert live == [i for i in oracle.live_ids(now, expiry) if i in held]
+            live_ids = [r.id for r, _ in live(table.sinkward_records(), now, expiry)]
+        assert live_ids == [i for i in oracle.live_ids(now, expiry) if i in held]
         assert list(table.records) == held
         assert [r.id for r in table.sinkward_records()] == [
             i for i, r in table.records.items() if r.distance_to_sink < table.my_sink_distance]

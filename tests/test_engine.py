@@ -346,6 +346,21 @@ def test_gateways_never_die():
     assert sim.nodes[SOURCE_ID].alive
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_an_underfunded_gateway_goes_on_with_its_queue(protocol):
+    """A gateway that cannot fund a frame loses it and lives on, so it goes
+    on to its next frame rather than leaving its queue idle: every frame
+    is lost as the source's 0.01 J runs out, long before the horizon."""
+    cfg = ScenarioConfig(protocol=protocol, gateway_energy_j=0.01, image_count=3,
+                         horizon_s=30.0)
+    sim = Simulation(cfg)
+    report = sim.run()
+    source = sim.nodes[SOURCE_ID]
+    assert source.alive and source.queue == []
+    assert sim.now < 5.0
+    assert report.lost["sender_died"] == sim.emitted == 30
+
+
 def test_report_statistics_recomputable():
     cfg = ScenarioConfig(protocol="geams", n_sensors=50, seed=2)
     sim = Simulation(cfg)
@@ -463,6 +478,8 @@ class EveryArrivalAnEvent(Simulation):
         if drained < cost:
             self._record(pk, "sender_died")
             self._kill(sender)
+            if sender.queue:
+                self._try_start(sender, time)
             return
         self._schedule(time, self._do_arrival, receiver_id, pk, bits)
         if died:

@@ -345,11 +345,11 @@ def test_rescore_after_a_forward_agrees_with_a_fresh_build(specs, forwards):
         if not kept.ids:
             break
         r = t.records[kept.ids[pick % len(kept.ids)]]
-        r.pending, r.pending_time = r.residual_energy - load, r.state.last_beacon_time
+        r.add_load(load)
         rescore(kept, r, K_BITS, *RADIO)
         fresh = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
         assert (kept.ids, kept.scores) == (fresh.ids, fresh.scores)
-        assert (r.id in kept.ids) == (r.pending > 0)
+        assert (r.id in kept.ids) == (r.residual_energy > 0)
 
 
 def test_rescore_moves_a_hop_past_its_equals_with_lower_ids():

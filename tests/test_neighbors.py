@@ -1,14 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import ReplaySimulation, assert_energy_balanced, low_energy_cells
+from conftest import ReplaySimulation, assert_energy_balanced, low_energy_cells, table
 from geams_sim.energy import Battery
 from geams_sim.engine import DataPacket, EnergyLedger, Simulation
 from geams_sim.geams import build_best_neighbor_set, walking_back_candidate
 from geams_sim.gpsr import greedy_next_hop, planar_neighbors
 from geams_sim.metrics import regional_rows, summary_row
-from geams_sim.neighbors import BeaconState, NeighborTable
+from geams_sim.neighbors import BeaconState, NeighborRecord, NeighborTable, live
 from geams_sim.scenario import ScenarioConfig
 from geams_sim.topology import Position, Topology, distance, generate_topology
 
@@ -56,10 +57,62 @@ def test_pending_overlay_stands_until_the_next_beacon():
     t = NeighborTable(my_position=ME, sink_position=SINK)
     state = hear(t, 2, 160, energy=1.0)
     r = t.records[2]
-    r.pending, r.pending_time = 0.25, state.last_beacon_time
+    r.add_load(0.75)
     assert r.residual_energy == 0.25
     state.last_beacon_time = 1.0
     assert r.residual_energy == 1.0
+
+
+# A record as the generator describes it: the residual its sender's last
+# beacon reported, that beacon's age at NOW (None: never heard), and its
+# overlay, if any: (residual, whether it was taken since that beacon).
+NOW, EXPIRY = 8.0, 2.5
+_RECORD = st.tuples(
+    st.sampled_from([-0.5, 0.0, 5e-324, 0.5, 1.0]),
+    st.sampled_from([None, 0.0, 1.0, EXPIRY, 2.625, 4.0]),  # EXPIRY: the boundary
+    st.one_of(st.none(), st.tuples(st.sampled_from([-0.25, 0.0, 0.25, 0.75]), st.booleans())))
+
+
+def _record(node_id, beacon, age, overlay):
+    """The NeighborRecord a spec describes; every age and time is exact."""
+    heard = -math.inf if age is None else NOW - age
+    r = NeighborRecord(node_id, Position(100 + node_id, 90), float(node_id), 300.0,
+                       BeaconState(beacon, heard))
+    if overlay is not None:
+        r.pending, standing = overlay
+        # a stale overlay was taken before the last beacon, at t = 0 when
+        # the sender was never heard
+        r.pending_time = heard if standing else (heard - 1.0 if age is not None else 0.0)
+    return r
+
+
+@given(specs=st.lists(_RECORD, max_size=8),
+       loads=st.lists(st.sampled_from([0.0, 0.125, 0.5]), min_size=3, max_size=3))
+def test_live_and_add_load_follow_the_rule(specs, loads):
+    """A record is live when its sender was heard no longer than the expiry
+    ago (inclusive) and the residual routing sees is positive: an overlay
+    taken since the last beacon, else the beacon's.  add_load lowers that
+    residual until the next beacon, which the next load starts from."""
+    records = [_record(i, *spec) for i, spec in enumerate(specs)]
+    seen = [overlay[0] if overlay is not None and overlay[1] else beacon
+            for beacon, _, overlay in specs]
+    want = [(r, e) for r, e, (_, age, _) in zip(records, seen, specs)
+            if age is not None and age <= EXPIRY and e > 0]
+    assert live(records, NOW, EXPIRY) == want
+    assert [r.id for r in table(ME, SINK, records).live_records(NOW, EXPIRY)] == \
+        [r.id for r, _ in want]
+    a, b, c = loads
+    for r, e in zip(records, seen):
+        r.add_load(a)
+        r.add_load(b)
+        assert r.residual_energy == (e - a) - b
+        assert r.pending_time == r.state.last_beacon_time
+        # the sender's next beacon, which the next load starts from
+        r.state.residual_energy, r.state.last_beacon_time = 0.625, NOW + 1.0
+        assert r.residual_energy == 0.625
+        r.add_load(c)
+        assert r.residual_energy == 0.625 - c
+    assert live(records, NOW + 1.0, EXPIRY) == [(r, 0.625 - c) for r in records]
 
 
 def _line(topo_builder):
