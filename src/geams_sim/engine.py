@@ -144,6 +144,10 @@ class Simulation:
         most = max(map(len, self.range_neighbors.values()), default=0)
         self._rx_totals = list(accumulate(repeat(self._beacon_price[1], most), initial=0.0))
         self.expiry_s = cfg.neighbor_expiry_s
+        # a GEAMS forward's constants: the bits a score prices, and the
+        # relay price per bit of a frame (_route_geams)
+        self._data_bits = cfg.data_packet_bits
+        self._relay_j_per_bit = 2.0 * e_elec
         # each node's forwarding choice, by node id, kept from the route that
         # made it: a GEAMS node's best-neighbour set, or a GPSR node's greedy
         # hop with that record's last beacon time ((None, inf) at a local
@@ -538,7 +542,7 @@ class Simulation:
         best = self._kept.get(node.id)
         if best is None or self.now - best.oldest > self.expiry_s:
             best = self._kept[node.id] = geams.build_best_neighbor_set(
-                node.table, self.now, self.expiry_s, cfg.data_packet_bits,
+                node.table, self.now, self.expiry_s, self._data_bits,
                 cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
         sinkward = bool(best.ids)
         if sinkward:
@@ -567,9 +571,9 @@ class Simulation:
         # with ground truth.  A sender that then cannot afford the frame
         # dies, and a dead node's table is never read again.
         r = node.table.records[next_hop]
-        r.add_load(2.0 * cfg.e_elec_j_per_bit * (pk.payload_bits + cfg.header_bits))
+        energy = r.add_load(self._relay_j_per_bit * (pk.payload_bits + cfg.header_bits))
         if sinkward:
-            geams.rescore(best, r, cfg.data_packet_bits, cfg.e_elec_j_per_bit,
+            geams.rescore(best, r, energy, self._data_bits, cfg.e_elec_j_per_bit,
                           cfg.eps_amp_j_per_bit_m2)
         return next_hop, None
 

@@ -9,13 +9,16 @@ least far from the sink.
 
 A best-neighbor set is flat (ids and scores in two parallel lists), so the
 engine can keep one per node between broadcasts and, after each forward,
-rescore only the hop it chose (rescore).
+rescore only the hop it chose (rescore).  A rescore that moves or drops the
+hop bumps the set's version, and a source's balance rank is recomputed
+only when the order of the set it steers by has changed (refresh_state):
+after a rescore that kept the hop in place, the next pick does not even
+compare the order.
 """
 from __future__ import annotations
 
 import math
-from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .energy import rx_energy
@@ -28,11 +31,14 @@ class BestNeighborSet:
     """Sink-ward neighbours by descending score, ties by ascending id, held
     flat: `ids[i]` scores `scores[i]`.  `oldest` is the earliest last-beacon
     time among the entries when the set was built (inf when it was empty):
-    no entry has expired while `now - oldest` is within the expiry."""
+    no entry has expired while `now - oldest` is within the expiry.
+    `version` counts the rescores that moved or dropped an entry: while it
+    stands, so does the order of `ids`."""
 
     ids: list[int]
-    scores: array  # typecode "d"
+    scores: list[float]
     oldest: float
+    version: int = field(default=0, compare=False)
 
 
 @dataclass(slots=True)
@@ -41,13 +47,17 @@ class SourceState:
 
     ref_hop_count: running reference hop count for packets of this source.
     balance_index: 1-based rank in the best-neighbor set whose score is
-        nearest the set average, recomputed when the set changes.
+        nearest the set average, recomputed when the set's order changes.
     neighbor_ids: the set ordering balance_index was computed against.
+    seen, seen_version: the set, and its version, that neighbor_ids was
+        last checked against (refresh_state).
     """
 
     ref_hop_count: int
     balance_index: int
     neighbor_ids: tuple[int, ...] = ()
+    seen: BestNeighborSet | None = field(default=None, compare=False)
+    seen_version: int = field(default=0, compare=False)
 
 
 def build_best_neighbor_set(
@@ -75,30 +85,38 @@ def build_best_neighbor_set(
     # the input is in ascending id order and the sort is stable, so equal
     # scores stay in ascending id order
     candidates.sort(key=itemgetter(1), reverse=True)
-    return BestNeighborSet([i for i, _ in candidates],
-                           array("d", [v for _, v in candidates]), oldest)
+    return BestNeighborSet([i for i, _ in candidates], [v for _, v in candidates], oldest)
 
 
-def rescore(s: BestNeighborSet, r: NeighborRecord, k_bits: float, e_elec: float,
-            eps_amp: float) -> None:
+def rescore(s: BestNeighborSet, r: NeighborRecord, energy: float, k_bits: float,
+            e_elec: float, eps_amp: float) -> None:
     """Bring entry `r` of `s` in step with the overlay just written on it,
-    as build_best_neighbor_set would score it: move it to its place, or drop
-    it when its energy is not positive.  An overlay only lowers a residual,
-    so the entry only moves down.  `oldest` is left as it was: at worst it
-    is earlier than the entries left, which rebuilds the set sooner."""
+    which left `energy` (NeighborRecord.add_load's return), as
+    build_best_neighbor_set would score it: overwrite its score where it
+    stays in place, move it down to its place, or drop it when its energy is
+    not positive; a move or a drop bumps `version`.  An overlay only
+    lowers a residual, so the entry only moves down.  `oldest` is left as it
+    was: at worst it is earlier than the entries left, which rebuilds the
+    set sooner."""
     ids, scores = s.ids, s.scores
     node_id = r.id
     i = ids.index(node_id)
-    del ids[i], scores[i]
-    energy = r.residual_energy
     if energy > 0:
         d = r.distance_to_me
-        v = (energy - k_bits * (e_elec + eps_amp * d * d)) - rx_energy(k_bits, e_elec)
-        n = len(ids)
-        while i < n and (scores[i] > v or scores[i] == v and ids[i] < node_id):
-            i += 1
-        ids.insert(i, node_id)
-        scores.insert(i, v)
+        # rx_energy(k_bits, e_elec), inlined
+        v = (energy - k_bits * (e_elec + eps_amp * d * d)) - k_bits * e_elec
+        j, n = i + 1, len(ids)
+        while j < n and (scores[j] > v or scores[j] == v and ids[j] < node_id):
+            j += 1
+        if j == i + 1:
+            scores[i] = v
+            return
+        del ids[i], scores[i]
+        ids.insert(j - 1, node_id)
+        scores.insert(j - 1, v)
+    else:
+        del ids[i], scores[i]
+    s.version += 1
 
 
 def average_score_index(s: BestNeighborSet) -> int:
@@ -117,11 +135,14 @@ def average_score_index(s: BestNeighborSet) -> int:
 
 def refresh_state(state: SourceState, s: BestNeighborSet) -> SourceState:
     """Recompute the balance rank in place if the set membership or order
-    changed since it was last computed, and return the state."""
+    changed since it was last computed, note the set and its version as
+    seen, and return the state.  Only the order counts: a rescore that keeps
+    every entry in place leaves the rank as it was."""
     ids = tuple(s.ids)
     if state.neighbor_ids != ids:
         state.balance_index = average_score_index(s)
         state.neighbor_ids = ids
+    state.seen, state.seen_version = s, s.version
     return state
 
 
@@ -130,18 +151,20 @@ def select_next_hop(
 ) -> tuple[int, SourceState]:
     """Smart greedy choice among the sorted sink-ward neighbors.
 
-    The state is first refreshed against the set (refresh_state).  The first
-    packet from a source goes to the top-ranked neighbor and seeds a new
-    state, which has no ids, so its balance rank is computed.  Later packets
-    pick rank (balance_index + ref_hop_count - hop_count), clamping
-    out-of-range picks to the best or worst rank while shifting the
-    reference hop count so the balance point tracks the traffic.  A given
-    state is updated in place and returned.
+    The state is first refreshed against the set (refresh_state), unless it
+    has seen this set at its current version, whose order it then holds in
+    neighbor_ids already.  The first packet from a source goes to the
+    top-ranked neighbor and seeds a new state, which has no ids, so its
+    balance rank is computed.  Later packets pick rank (balance_index +
+    ref_hop_count - hop_count), clamping out-of-range picks to the best or
+    worst rank while shifting the reference hop count so the balance point
+    tracks the traffic.  A given state is updated in place and returned.
     """
     ids = s.ids
     if state is None:
         return ids[0], refresh_state(SourceState(hop_count, 0), s)
-    refresh_state(state, s)
+    if state.seen is not s or state.seen_version != s.version:
+        refresh_state(state, s)
     m = len(ids)
     index = state.balance_index + (state.ref_hop_count - hop_count)
     if index <= 0:

@@ -71,11 +71,12 @@ class NeighborRecord:
         s = self.state
         return self.pending if self.pending_time == s.last_beacon_time else s.residual_energy
 
-    def add_load(self, joules: float) -> None:
+    def add_load(self, joules: float) -> float:
         """Take `joules` off the residual routing sees, until the sender's
-        next beacon."""
-        self.pending = self.residual_energy - joules
+        next beacon, and return the residual it leaves."""
+        e = self.pending = self.residual_energy - joules
         self.pending_time = self.state.last_beacon_time
+        return e
 
 
 def live(records: Iterable[NeighborRecord], now: float,

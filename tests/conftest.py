@@ -1,5 +1,4 @@
 import math
-from array import array
 from dataclasses import dataclass
 
 import pytest
@@ -119,7 +118,7 @@ def score(n: NeighborRecord, k_bits: float, e_elec: float, eps_amp: float) -> fl
 def best_set(pairs, oldest: float = 0.0) -> BestNeighborSet:
     """A best-neighbour set holding the (id, score) `pairs` in the order
     given."""
-    return BestNeighborSet([i for i, _ in pairs], array("d", [v for _, v in pairs]), oldest)
+    return BestNeighborSet([i for i, _ in pairs], [v for _, v in pairs], oldest)
 
 
 def entries(s: BestNeighborSet) -> list[tuple[int, float]]:

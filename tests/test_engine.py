@@ -495,14 +495,21 @@ class EveryArrivalAnEvent(Simulation):
 class KeptSetChecker(Simulation):
     """Checks, after every GEAMS route, that the node's kept set (the one
     the route used, rescored) equals a set built afresh from its table, and
-    counts the routes that used a set kept from an earlier one."""
+    that the node's source state, when it has seen that set at its current
+    version, holds the set's order.  It counts the routes that used a set
+    kept from an earlier one, and the picks that skipped the state's
+    refresh, as the state had seen the set at its version."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.checks = self.reused = 0
+        self.checks = self.reused = self.skipped = 0
 
     def _route_geams(self, node, pk):
         before = self._kept.get(node.id)
+        state = node.stream
+        # a pick from a set the state has seen at its version skips the refresh
+        skips = (before is not None and bool(before.ids) and state is not None
+                 and state.seen is before and state.seen_version == before.version)
         result = super()._route_geams(node, pk)
         kept = self._kept.get(node.id)
         if kept is not None:  # None: a void announcement dropped it
@@ -512,8 +519,12 @@ class KeptSetChecker(Simulation):
                 cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
             assert (kept.ids, kept.scores) == (fresh.ids, fresh.scores), \
                 (self.now, node.id, kept, fresh)
+            state = node.stream
+            if state is not None and state.seen is kept and state.seen_version == kept.version:
+                assert state.neighbor_ids == tuple(kept.ids), (self.now, node.id, state, kept)
             self.checks += 1
             self.reused += kept is before
+            self.skipped += skips and kept is before
         return result
 
 
@@ -625,14 +636,16 @@ def test_kept_sets_and_in_place_arrivals_equal_the_reference_bit_for_bit():
 
 
 def test_every_kept_set_equals_a_fresh_build():
-    checks = reused = 0
+    checks = reused = skipped = 0
     for cfg in _equivalence_cells():
         if cfg.protocol == "geams":
             sim = KeptSetChecker(cfg)
             sim.run()
             checks += sim.checks
             reused += sim.reused
+            skipped += sim.skipped
     assert 0 < reused < checks
+    assert 0 < skipped < reused
 
 
 def test_every_kept_greedy_choice_equals_a_fresh_one():

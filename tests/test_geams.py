@@ -345,11 +345,15 @@ def test_rescore_after_a_forward_agrees_with_a_fresh_build(specs, forwards):
         if not kept.ids:
             break
         r = t.records[kept.ids[pick % len(kept.ids)]]
-        r.add_load(load)
-        rescore(kept, r, K_BITS, *RADIO)
+        order, version = list(kept.ids), kept.version
+        energy = r.add_load(load)
+        assert energy == r.residual_energy
+        rescore(kept, r, energy, K_BITS, *RADIO)
         fresh = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
         assert (kept.ids, kept.scores) == (fresh.ids, fresh.scores)
         assert (r.id in kept.ids) == (r.residual_energy > 0)
+        # the version moves exactly when the order does
+        assert kept.version == version + (kept.ids != order)
 
 
 def test_rescore_moves_a_hop_past_its_equals_with_lower_ids():
@@ -361,8 +365,31 @@ def test_rescore_moves_a_hop_past_its_equals_with_lower_ids():
     assert kept.ids == [3, 2, 4]
     r = t.records[3]
     r.pending, r.pending_time = 1.0, r.state.last_beacon_time
-    rescore(kept, r, K_BITS, *RADIO)
+    version = kept.version
+    rescore(kept, r, r.residual_energy, K_BITS, *RADIO)
     assert kept.ids == [2, 3, 4]
+    assert kept.version != version
+    assert kept == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+
+
+def test_rescore_keeps_an_entry_that_stays_in_place():
+    """A hop whose new score ties the next entry, whose id is higher, keeps
+    its rank: its score is overwritten and the order and version stand.  A
+    hop that drops out of the set bumps the version."""
+    me, sink = Position(100, 90), Position(490, 90)
+    t = table(me, sink, [record(i, Position(160, 90), me, sink, 1.0) for i in (2, 3, 4)])
+    t.records[2].state.residual_energy = 1.5
+    kept = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+    assert kept.ids == [2, 3, 4] and kept.scores[0] > kept.scores[1]
+    r, version = t.records[2], kept.version
+    rescore(kept, r, r.add_load(0.5), K_BITS, *RADIO)
+    assert kept.ids == [2, 3, 4]
+    assert kept.version == version
+    assert kept.scores[0] == kept.scores[1]  # 3 ties it, just below
+    assert kept == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+    rescore(kept, r, r.add_load(1.0), K_BITS, *RADIO)
+    assert kept.ids == [3, 4]
+    assert kept.version != version
     assert kept == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
 
 
@@ -383,3 +410,72 @@ def test_select_sequence_same_with_or_without_reused_state(steps):
         assert given is None or reused is given
         assert choice_a == choice_b
         assert reused == copied
+
+
+def reference_select(state, s, hop_count):
+    """select_next_hop written out on a [ref_hop_count, balance_index,
+    neighbor_ids] list, comparing tuple(s.ids) on every call, whatever set or
+    version the state last saw."""
+    ids = tuple(s.ids)
+    if state is None:
+        return ids[0], [hop_count, average_score_index(s), ids]
+    if state[2] != ids:
+        state[1], state[2] = average_score_index(s), ids
+    index = state[1] + state[0] - hop_count
+    if index <= 0:
+        state[0] -= index - 1
+        index = 1
+    elif index > len(ids):
+        state[0] -= index - len(ids)
+        index = len(ids)
+    return ids[index - 1], state
+
+
+_STEP = st.one_of(
+    # a beacon from sender a with residual b, then a rebuild (b None: the
+    # rebuild alone, which may give the order the set had)
+    st.tuples(st.just("beacon"), st.integers(0, 7), st.sampled_from([None, 0.25, 0.5, 1.0])),
+    # source a's packet at hop count b, forwarded to the chosen hop with a
+    # load of c joules (c None: no forward)
+    st.tuples(st.just("select"), st.integers(0, 1), st.integers(0, 12),
+              st.sampled_from([None, 0.0, 0.125, 0.25, 0.5])),
+)
+
+
+@given(
+    # every record sink-ward of ME; mirrored dy give equal links, and so
+    # ties at equal energy
+    specs=st.lists(st.tuples(st.sampled_from([10, 20, 30, 40]),
+                             st.sampled_from([-30, -15, 15, 30]),
+                             st.sampled_from([0.5, 0.75, 1.0])), min_size=1, max_size=8),
+    steps=st.lists(_STEP, max_size=30),
+)
+def test_select_skips_a_refresh_only_where_the_order_stands(specs, steps):
+    """Two sources steer by one kept set, which forwards rescore and
+    beacons rebuild.  select_next_hop, which refreshes a state only when it
+    has not seen that set at its current version, makes the choices and
+    leaves the ranks, reference hop counts and ids of reference_select."""
+    me, sink = Position(100, 90), Position(490, 90)
+    t = table(me, sink, [record(node_id, Position(100 + dx, 90 + dy), me, sink, energy)
+                         for node_id, (dx, dy, energy) in enumerate(specs, start=2)])
+    now = 0.0
+    kept = build_best_neighbor_set(t, now, 2.5, K_BITS, *RADIO)
+    states, refs = [None, None], [None, None]
+    for op, a, b, *load in steps:
+        if op == "beacon":
+            if b is not None:
+                now += 0.5
+                s = t.records[a % len(specs) + 2].state
+                s.residual_energy, s.last_beacon_time = b, now
+            kept = build_best_neighbor_set(t, now, 2.5, K_BITS, *RADIO)
+        elif kept.ids:
+            held = states[a]
+            choice, state = select_next_hop(held, kept, b)
+            states[a] = state
+            expected, refs[a] = reference_select(refs[a], kept, b)
+            assert held is None or state is held
+            assert choice == expected
+            assert [state.ref_hop_count, state.balance_index, state.neighbor_ids] == refs[a]
+            if load[0] is not None:
+                r = t.records[choice]
+                rescore(kept, r, r.add_load(load[0]), K_BITS, *RADIO)
