@@ -9,11 +9,10 @@ least far from the sink.
 
 A best-neighbor set is flat (ids and scores in two parallel lists), so the
 engine can keep one per node between broadcasts and, after each forward,
-rescore only the hop it chose (rescore).  A rescore that moves or drops the
-hop bumps the set's version, and a source's balance rank is recomputed
-only when the order of the set it steers by has changed (refresh_state):
-after a rescore that kept the hop in place, the next pick does not even
-compare the order.
+rescore only the hop it chose (rescore).  The set records the order it was
+last checked against (`order`), which a rescore that moves or drops the hop
+clears, so a pick skips the refresh (refresh_state) while that order is
+still the state's own neighbor_ids.
 """
 from __future__ import annotations
 
@@ -32,13 +31,14 @@ class BestNeighborSet:
     flat: `ids[i]` scores `scores[i]`.  `oldest` is the earliest last-beacon
     time among the entries when the set was built (inf when it was empty):
     no entry has expired while `now - oldest` is within the expiry.
-    `version` counts the rescores that moved or dropped an entry: while it
-    stands, so does the order of `ids`."""
+    `order` is the neighbor_ids of the state it was last checked against
+    (refresh_state), None when built and after a rescore moved or dropped
+    an entry: while it is set, it equals `tuple(ids)`."""
 
     ids: list[int]
     scores: list[float]
     oldest: float
-    version: int = field(default=0, compare=False)
+    order: tuple[int, ...] | None = field(default=None, compare=False)
 
 
 @dataclass(slots=True)
@@ -49,15 +49,11 @@ class SourceState:
     balance_index: 1-based rank in the best-neighbor set whose score is
         nearest the set average, recomputed when the set's order changes.
     neighbor_ids: the set ordering balance_index was computed against.
-    seen, seen_version: the set, and its version, that neighbor_ids was
-        last checked against (refresh_state).
     """
 
     ref_hop_count: int
     balance_index: int
     neighbor_ids: tuple[int, ...] = ()
-    seen: BestNeighborSet | None = field(default=None, compare=False)
-    seen_version: int = field(default=0, compare=False)
 
 
 def build_best_neighbor_set(
@@ -94,7 +90,7 @@ def rescore(s: BestNeighborSet, r: NeighborRecord, energy: float, k_bits: float,
     which left `energy` (NeighborRecord.add_load's return), as
     build_best_neighbor_set would score it: overwrite its score where it
     stays in place, move it down to its place, or drop it when its energy is
-    not positive; a move or a drop bumps `version`.  An overlay only
+    not positive; a move or a drop clears `order`.  An overlay only
     lowers a residual, so the entry only moves down.  `oldest` is left as it
     was: at worst it is earlier than the entries left, which rebuilds the
     set sooner."""
@@ -116,7 +112,7 @@ def rescore(s: BestNeighborSet, r: NeighborRecord, energy: float, k_bits: float,
         scores.insert(j - 1, v)
     else:
         del ids[i], scores[i]
-    s.version += 1
+    s.order = None
 
 
 def average_score_index(s: BestNeighborSet) -> int:
@@ -135,14 +131,14 @@ def average_score_index(s: BestNeighborSet) -> int:
 
 def refresh_state(state: SourceState, s: BestNeighborSet) -> SourceState:
     """Recompute the balance rank in place if the set membership or order
-    changed since it was last computed, note the set and its version as
-    seen, and return the state.  Only the order counts: a rescore that keeps
-    every entry in place leaves the rank as it was."""
+    changed since it was last computed, record the state's neighbor_ids as
+    the set's order, and return the state.  Only the order counts: a
+    rescore that keeps every entry in place leaves the rank as it was."""
     ids = tuple(s.ids)
     if state.neighbor_ids != ids:
         state.balance_index = average_score_index(s)
         state.neighbor_ids = ids
-    state.seen, state.seen_version = s, s.version
+    s.order = state.neighbor_ids
     return state
 
 
@@ -151,9 +147,9 @@ def select_next_hop(
 ) -> tuple[int, SourceState]:
     """Smart greedy choice among the sorted sink-ward neighbors.
 
-    The state is first refreshed against the set (refresh_state), unless it
-    has seen this set at its current version, whose order it then holds in
-    neighbor_ids already.  The first packet from a source goes to the
+    The state is first refreshed against the set (refresh_state), unless
+    the set's recorded order is the state's own neighbor_ids, which then
+    equal the set's order.  The first packet from a source goes to the
     top-ranked neighbor and seeds a new state, which has no ids, so its
     balance rank is computed.  Later packets pick rank (balance_index +
     ref_hop_count - hop_count), clamping out-of-range picks to the best or
@@ -163,7 +159,7 @@ def select_next_hop(
     ids = s.ids
     if state is None:
         return ids[0], refresh_state(SourceState(hop_count, 0), s)
-    if state.seen is not s or state.seen_version != s.version:
+    if s.order is not state.neighbor_ids:
         refresh_state(state, s)
     m = len(ids)
     index = state.balance_index + (state.ref_hop_count - hop_count)

@@ -66,14 +66,14 @@ class ScenarioConfig:
         if self.ttl is not None and self.ttl < 1:
             raise ScenarioError("ttl must be positive when given")
         # NaN fails too; a zero beacon interval never reaches the horizon
-        for name in ("beacon_interval_s", "horizon_s", "base_rate_bps",
-                     "neighbor_expiry_intervals"):
+        for name in ("beacon_interval_s", "base_rate_bps", "neighbor_expiry_intervals"):
             if not getattr(self, name) > 0:
                 raise ScenarioError(f"{name} must be positive")
-        # an infinite field never finishes placement, and an infinite radio
-        # constant or range drains every sensor at t = 0
+        # an infinite field never finishes placement, an infinite radio
+        # constant or range drains every sensor at t = 0, and an infinite
+        # horizon schedules beacon rounds forever once traffic cannot finish
         for name in ("field_width", "field_height", "radio_range", "e_elec_j_per_bit",
-                     "eps_amp_j_per_bit_m2"):
+                     "eps_amp_j_per_bit_m2", "horizon_s"):
             if not 0 < getattr(self, name) < math.inf:  # NaN fails too
                 label = name.replace("field_", "field ")  # "field width", "radio_range"
                 raise ScenarioError(f"{label} must be positive and finite")

@@ -495,10 +495,10 @@ class EveryArrivalAnEvent(Simulation):
 class KeptSetChecker(Simulation):
     """Checks, after every GEAMS route, that the node's kept set (the one
     the route used, rescored) equals a set built afresh from its table, and
-    that the node's source state, when it has seen that set at its current
-    version, holds the set's order.  It counts the routes that used a set
+    that the node's source state, when its neighbor_ids is the order the set
+    recorded, holds the set's order.  It counts the routes that used a set
     kept from an earlier one, and the picks that skipped the state's
-    refresh, as the state had seen the set at its version."""
+    refresh, as the set had recorded the state's neighbor_ids."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -507,9 +507,9 @@ class KeptSetChecker(Simulation):
     def _route_geams(self, node, pk):
         before = self._kept.get(node.id)
         state = node.stream
-        # a pick from a set the state has seen at its version skips the refresh
+        # a pick from a set that recorded the state's ids skips the refresh
         skips = (before is not None and bool(before.ids) and state is not None
-                 and state.seen is before and state.seen_version == before.version)
+                 and state.neighbor_ids is before.order)
         result = super()._route_geams(node, pk)
         kept = self._kept.get(node.id)
         if kept is not None:  # None: a void announcement dropped it
@@ -520,7 +520,7 @@ class KeptSetChecker(Simulation):
             assert (kept.ids, kept.scores) == (fresh.ids, fresh.scores), \
                 (self.now, node.id, kept, fresh)
             state = node.stream
-            if state is not None and state.seen is kept and state.seen_version == kept.version:
+            if state is not None and state.neighbor_ids is kept.order:
                 assert state.neighbor_ids == tuple(kept.ids), (self.now, node.id, state, kept)
             self.checks += 1
             self.reused += kept is before
@@ -745,6 +745,40 @@ def test_a_finished_run_frees_its_tables_without_gc(protocol):
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+def _best_sets_alive():
+    gc.collect()
+    return sum(isinstance(o, geams.BestNeighborSet) for o in gc.get_objects())
+
+
+class SetCounter(Simulation):
+    """Counts the best-neighbour sets this run holds alive just before and
+    just after each beacon round: those alive in the process, less those
+    alive when the run was built."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.before, self.after = [], []
+        self.others = _best_sets_alive()
+
+    def _do_beacons(self, time):
+        self.before.append(_best_sets_alive() - self.others)
+        super()._do_beacons(time)
+        self.after.append(_best_sets_alive() - self.others)
+
+
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(protocol="geams"),
+    ScenarioConfig(protocol="geams", n_sensors=300, image_count=4),
+], ids=["default", "n300"])
+def test_a_beacon_round_frees_every_dropped_best_neighbour_set(cfg):
+    """A beacon round drops every kept best-neighbour set (_on_air), and no
+    source state refers to a set, so none is left alive after the round."""
+    sim = SetCounter(cfg)
+    sim.run()
+    assert max(sim.before) > 0
+    assert sim.after == [0] * len(sim.after)
 
 
 class EventLog(ArrivalCounter):

@@ -114,6 +114,7 @@ def test_accepts_zero_energy_and_sizes():
     ("horizon_s", 0.0),
     ("horizon_s", -5.0),
     ("horizon_s", float("nan")),
+    ("horizon_s", float("inf")),
     ("base_rate_bps", 0.0),
     ("base_rate_bps", -1.0),
     ("base_rate_bps", float("nan")),
@@ -148,8 +149,10 @@ def test_rejects_traffic_and_engine_values_that_run_wrongly(key, value):
     # NaN radio constants ran to a NaN report, a negative expiry left no
     # neighbour live, a sub-metre separation failed mid-run on a crowded field
     # and a negative range failed only when the Simulation was built; an
-    # infinite range or radio constant killed every sensor at t = 0, and an
-    # infinite battery wrote NaN into the reports and the ledger check
+    # infinite range or radio constant killed every sensor at t = 0, an
+    # infinite battery wrote NaN into the reports and the ledger check, and an
+    # infinite horizon behind an infinite image interval scheduled beacon
+    # rounds forever, as the second image never came
     with pytest.raises(ScenarioError, match=key):
         config_from_dict({key: value})
 
