@@ -96,31 +96,33 @@ class Simulation:
         self.cfg = cfg
         if topology is None:
             topology = generate_topology(cfg)
-        elif topology.checked_for != cfg:  # not placed or checked for cfg
+        else:
             check_nodes(topology.nodes, cfg)
         self.topology = topology
 
         # ascending by id whatever the row order: beacon rounds rely on it
         positions = dict(sorted(topology.nodes))  # ids are unique
         sink = positions[SINK_ID]  # every table steers to node 0's row
+        # static radio adjacency, ascending by id, held by each node's table;
+        # liveness is handled at delivery time
+        range_ids = range_neighbor_lists(topology, cfg.radio_range)
+        # what every table makes its records from; it refers to no node
+        senders: dict[int, tuple] = {}
         self.nodes: dict[int, NodeRuntime] = {}
         for node_id, pos in positions.items():
             gateway = node_id in (SINK_ID, SOURCE_ID)
             initial = cfg.gateway_energy_j if gateway else cfg.initial_energy_j
-            self.nodes[node_id] = NodeRuntime(
+            vs = range_ids[node_id]
+            below = bisect_left(vs, node_id)
+            node = self.nodes[node_id] = NodeRuntime(
                 id=node_id,
                 battery=Battery(residual=initial, initial=initial),
                 death_exempt=gateway,
-                table=NeighborTable(my_position=pos, sink_position=sink),
+                table=NeighborTable(pos, sink, vs, senders),
+                live_below=below,
+                live_above=len(vs) - below,
             )
-        # static radio adjacency, ascending by id; liveness is handled at
-        # delivery time
-        self.range_neighbors: dict[int, list[NodeRuntime]] = {}
-        for u, vs in range_neighbor_lists(topology, cfg.radio_range).items():
-            self.range_neighbors[u] = [self.nodes[v] for v in vs]
-            node = self.nodes[u]
-            node.live_below = below = bisect_left(vs, u)
-            node.live_above = len(vs) - below
+            senders[node_id] = (pos, node.beacon_state, node.table.my_sink_distance)
 
         self.ttl0 = cfg.effective_ttl(len(topology))
         self.now = 0.0
@@ -141,7 +143,7 @@ class Simulation:
             for bits in (cfg.beacon_bits, cfg.void_announcement_bits)]
         # S[m] = S[m - 1] + beacon hear price, S[0] = 0.0: the ledger entry
         # for m receptions, as the exact path sums it
-        most = max(map(len, self.range_neighbors.values()), default=0)
+        most = max((len(n.table.range_ids) for n in self.nodes.values()), default=0)
         self._rx_totals = list(accumulate(repeat(self._beacon_price[1], most), initial=0.0))
         self.expiry_s = cfg.neighbor_expiry_s
         # a GEAMS forward's constants: the bits a score prices, and the
@@ -201,12 +203,12 @@ class Simulation:
             self._record(pk, "sender_died")
         node.queue.clear()
         # take it out of its neighbours' live-neighbour counts
-        nid = node.id
-        for other in self.range_neighbors[nid]:
-            if nid < other.id:
-                other.live_below -= 1
+        nid, nodes = node.id, self.nodes
+        for v in node.table.range_ids:
+            if nid < v:
+                nodes[v].live_below -= 1
             else:
-                other.live_above -= 1
+                nodes[v].live_above -= 1
 
     def _drop_and_die(self, node: NodeRuntime, pk: DataPacket) -> None:
         """Node cannot afford a pending transmission: forfeit the remaining
@@ -262,19 +264,15 @@ class Simulation:
             if drained < tx:
                 return  # underfunded broadcast never goes on air
         self._on_air(node, reported, time, void)
-        # Battery.debit, inlined: the same float expressions and death test,
-        # and one ledger entry for the whole broadcast's receptions
-        total = 0.0
-        for other in self.range_neighbors[node.id]:
-            if not other.alive:
-                continue
-            receiver = other.battery
-            residual = receiver.residual
-            drained = residual if residual < rx else rx
-            receiver.residual = left = residual - drained
-            total += drained
-            if residual > 0 and left == 0.0 and rx > 0:
-                self._kill(other)
+        # one ledger entry for the whole broadcast's receptions
+        total, nodes = 0.0, self.nodes
+        for v in node.table.range_ids:
+            other = nodes[v]
+            if other.alive:
+                drained, died = other.battery.debit(rx)
+                total += drained
+                if died:
+                    self._kill(other)
         self.ledger.add(rx_cat, total)
 
     def _do_beacons(self, time: float) -> None:
@@ -449,58 +447,21 @@ class Simulation:
 
     # -- routing ------------------------------------------------------------
 
-    def _fill_table(self, node: NodeRuntime) -> None:
-        """Fill an empty table with the records of the range neighbours
-        closer to the sink than its node, in ascending id order: all that
-        smart greedy forwarding and GPSR's greedy mode read.  Every record
-        refers to its sender's shared state, which exists from the start, so
-        the fill may come at any time: _route makes it on the table's first
-        read, and a sender that has never gone on air has a record that is
-        never live.  _complete_table adds the rest."""
-        table = node.table
-        if not table.records:
-            mine = table.my_sink_distance
-            for other in self.range_neighbors[node.id]:
-                theirs = other.table
-                if theirs.my_sink_distance < mine:
-                    table.handle_beacon(other.id, theirs.my_position, other.beacon_state,
-                                        theirs.my_sink_distance)
-
-    def _complete_table(self, node: NodeRuntime) -> None:
-        """Make a table whole: a record of every range neighbour, in
-        ascending id order.  The sink-ward records stay the same objects, so
-        the overlays on them stand.  A node needs the rest only once it
-        walks back or routes a GPSR packet in perimeter mode."""
-        table = node.table
-        sinkward = table.records
-        table.records = records = {}
-        for other in self.range_neighbors[node.id]:
-            r = sinkward.get(other.id)
-            if r is None:
-                theirs = other.table
-                table.handle_beacon(other.id, theirs.my_position, other.beacon_state,
-                                    theirs.my_sink_distance)
-            else:
-                records[other.id] = r
-        table.whole = True
-
     def _route(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
         """(next hop, None) or (None, loss reason) for `pk` at `node`, whose
-        empty table is filled first (_fill_table).  A GPSR node's greedy
-        choice changes only when a broadcast goes on air or the chosen record
-        expires: GPSR writes no overlay and a death changes no BeaconState,
-        so between broadcasts no record becomes live or closer, and a record
-        other than the chosen one expiring leaves the nearest one chosen.  So
-        the choice is kept, (None, inf) at a local minimum, and made afresh
-        (gpsr.greedy_next_hop) on the first route after a broadcast or once
-        the chosen record has expired; gpsr.next_hop applies GPSR's rule to
-        it, and takes the node's Gabriel set (_gabriel) only in perimeter
-        mode."""
-        table = node.table
-        if not table.records:
-            self._fill_table(node)
+        table makes its records as routing reads them (NeighborTable).  A
+        GPSR node's greedy choice changes only when a broadcast goes on air
+        or the chosen record expires: GPSR writes no overlay and a death
+        changes no BeaconState, so between broadcasts no record becomes live
+        or closer, and a record other than the chosen one expiring leaves
+        the nearest one chosen.  So the choice is kept, (None, inf) at a
+        local minimum, and made afresh (gpsr.greedy_next_hop) on the first
+        route after a broadcast or once the chosen record has expired;
+        gpsr.next_hop applies GPSR's rule to it, and takes the node's
+        Gabriel set (_gabriel) only in perimeter mode."""
         if self.cfg.protocol == "geams":
             return self._route_geams(node, pk)
+        table = node.table
         now, expiry = self.now, self.expiry_s
         kept = self._kept.get(node.id)
         if kept is None or now - kept[1] > expiry:
@@ -511,18 +472,16 @@ class Simulation:
         return gpsr.next_hop(table, pk, kept[0], self._gabriel)
 
     def _gabriel(self, node_id: int) -> tuple[NeighborRecord, ...]:
-        """The Gabriel set of GPSR node `node_id`, on its whole table
-        (_complete_table), kept next to the greedy choice _route has just
-        given it.  Between broadcasts a record only stops being live, by
-        expiring (gpsr.planar_neighbors), so the set stands until the oldest
-        live record it was computed from expires, a witness outside the set
-        included.  A rebuilt greedy choice drops it, which loses nothing:
-        the chosen record was live when the set was computed, so the set
-        has expired with it."""
-        node = self.nodes[node_id]
-        table = node.table
-        if not table.whole:
-            self._complete_table(node)
+        """The Gabriel set of GPSR node `node_id`, computed on every record
+        of its table (the first such read makes the records of its range
+        neighbours farther from the sink), kept next to the greedy choice
+        _route has just given it.  Between broadcasts a record only stops
+        being live, by expiring (gpsr.planar_neighbors), so the set stands
+        until the oldest live record it was computed from expires, a witness
+        outside the set included.  A rebuilt greedy choice drops it, which
+        loses nothing: the chosen record was live when the set was computed,
+        so the set has expired with it."""
+        table = self.nodes[node_id].table
         now = self.now
         hop, heard, planar, oldest = self._kept[node_id]
         if planar is None or now - oldest > self.expiry_s:
@@ -556,8 +515,6 @@ class Simulation:
                 if not node.alive:
                     return None, "sender_died"
             pk.excluded.add(node.id)
-            if not node.table.whole:
-                self._complete_table(node)
             next_hop = geams.walking_back_candidate(
                 node.table, pk.excluded, self.now, self.expiry_s)
             if next_hop is None:

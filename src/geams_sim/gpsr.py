@@ -41,9 +41,10 @@ def next_hop(t: NeighborTable, pk: DataPacket, greedy: int | None,
     greedy_next_hop returns, is `greedy` (None at a local minimum).
     `gabriel(pk.path[-1])` gives that node's Gabriel neighbours, as
     planar_neighbors computes them.  It is called only in perimeter mode,
-    and before any record but the greedy choice is read: `t` may hold only
-    its sink-ward records until then.  The hop the packet came from,
-    pk.path[-2], reached that node, so the whole table holds its record."""
+    and before any record but the greedy choice is read, as its read of
+    every live record makes the records a sink-ward read does not
+    (NeighborTable).  The hop the packet came from, pk.path[-2], reached
+    that node, so it is in range and then has a record."""
     state = pk.perimeter
     if state is not None and t.my_sink_distance < state.entry_distance:
         pk.perimeter = state = None  # past the void: resume greedy
@@ -55,7 +56,7 @@ def next_hop(t: NeighborTable, pk: DataPacket, greedy: int | None,
             return None, "perimeter_exhausted"
         pk.perimeter = PerimeterState(t.my_sink_distance, (pk.path[-1], first))
         return first, None
-    planar = gabriel(pk.path[-1])  # first: it may fill the rest of the table
+    planar = gabriel(pk.path[-1])  # first: it may make the rest of the records
     nxt = perimeter_next_hop(t.my_position, t.records[pk.path[-2]].position, planar)
     if nxt is None or (pk.path[-1], nxt) == state.first_edge:
         return None, "perimeter_exhausted"  # stranded, or walked the whole face

@@ -19,17 +19,21 @@ first beacon, and a dead node's table is never read again.  A sender that
 has not yet gone on air has a record that is never live.
 
 Positions never change, and each sender's state exists from the start, so a
-table may be filled at any time and reads the same.  The engine fills it
-from the static range list in two steps, each in ascending id order: the
-records of the sink-ward range neighbours the first time the table is read,
-as smart greedy forwarding and GPSR's greedy mode read nothing else, and
-the rest the first time the node walks back or routes a GPSR packet in
-perimeter mode.  Until then the table is not `whole`, and live_records
-refuses it.  A record holds only static geometry, the shared state and the
-overlay; the sender's distance to the sink is its own, worked out once, and
-the receiver works out only the hop.  A sender's shared state changes at its
-turn in a beacon round, on the batched and the exact path alike, so a table
-reads the same states on both (`engine.Simulation._do_beacons`).
+record may be made at any time and reads the same.  So a table fills itself
+from its node's range list, in two steps, each in ascending id order, out of
+the run's one lookup of every sender's position, state and distance to the
+sink, which refers to no node or engine: the records of the sink-ward range
+neighbours on the first sinkward_records, as smart greedy forwarding and
+GPSR's greedy mode read nothing else, and the rest on the first
+live_records, as a node walks back or routes a GPSR packet in perimeter
+mode.  The sink-ward records stay the same objects, so their overlays
+stand.  `records` holds what the reads have made so far: routing reads a
+record there only once a read has returned it.  A record holds only static
+geometry, the shared state and the overlay; the sender's distance to the
+sink is its own, worked out once, and the receiver works out only the hop.
+A sender's shared state changes at its turn in a beacon round, on the
+batched and the exact path alike, so a table reads the same states on both
+(`engine.Simulation._do_beacons`).
 """
 from __future__ import annotations
 
@@ -92,18 +96,21 @@ def live(records: Iterable[NeighborRecord], now: float,
 
 @dataclass
 class NeighborTable:
-    """One node's records of its range neighbours, in ascending id order: a
-    caller that fills a table itself must keep that order.  A table that is
-    not `whole` holds only the records of the neighbours closer to the sink
-    than it is (see the module docstring)."""
+    """One node's records of its range neighbours, in ascending id order.
+    With the run's `senders` lookup it fills itself from `range_ids` (see the
+    module docstring); without one it is filled by hand (handle_beacon),
+    which must keep that order, and its reads leave it as it is."""
 
     my_position: Position
     sink_position: Position
+    # this node's range neighbours, ascending (topology.range_neighbor_lists)
+    range_ids: list[int] = field(default_factory=list)
+    # sender id -> (position, shared state, the sender's own sink distance),
+    # one lookup per run; let go once every record is made
+    senders: dict[int, tuple[Position, BeaconState, float]] | None = field(
+        default=None, repr=False)
     # by sender id, ascending; every record is made by handle_beacon
     records: dict[int, NeighborRecord] = field(default_factory=dict)
-    # whether `records` holds every range neighbour, not only the sink-ward
-    # ones; set by whoever fills the rest
-    whole: bool = False
     my_sink_distance: float = field(init=False)
     # GPSR's Gabriel neighbours, keyed by the tuple of live ids they were
     # computed from; positions are static, so only liveness can change them.
@@ -111,17 +118,19 @@ class NeighborTable:
     # drops, as a beacon round seldom changes which records are live
     planar_cache: tuple[tuple[int, ...], tuple[NeighborRecord, ...]] | None = field(
         default=None, init=False, repr=False)
-    _sinkward: list[NeighborRecord] = field(default_factory=list, init=False, repr=False)
+    # None until the first sinkward_records of a table that fills itself
+    _sinkward: list[NeighborRecord] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.my_sink_distance = distance(self.my_position, self.sink_position)
+        if self.senders is None:
+            self._sinkward = []
 
     def handle_beacon(self, sender: int, position: Position, state: BeaconState,
                       distance_to_sink: float) -> None:
         """Add the record of a sender, whose id is above every id this table
         holds; `distance_to_sink` is the sender's own (its table's
-        `my_sink_distance`).  The engine calls this once per range neighbour
-        as it fills a table; beacons update only the shared `state`.
+        `my_sink_distance`).  Beacons update only the shared `state`.
         Load-time checks keep every pair at least 1 m apart, so the hop
         needs no link check."""
         me = self.my_position
@@ -134,13 +143,30 @@ class NeighborTable:
 
     def sinkward_records(self) -> list[NeighborRecord]:
         """Every record strictly closer to the sink than this node, live or
-        not, in ascending id order.  The list is shared: do not mutate it."""
-        return self._sinkward
+        not, in ascending id order; a table that fills itself makes them on
+        the first call.  The list is shared: do not mutate it."""
+        s = self._sinkward
+        if s is None:
+            s = self._sinkward = []
+            mine, senders = self.my_sink_distance, self.senders
+            for v in self.range_ids:
+                position, state, theirs = senders[v]
+                if theirs < mine:
+                    self.handle_beacon(v, position, state, theirs)
+        return s
 
     def live_records(self, now: float, expiry_s: float) -> list[NeighborRecord]:
-        """The live records (live) of a whole table, in ascending id order:
-        raises RuntimeError on one that holds only its sink-ward records."""
-        if not self.whole:
-            raise RuntimeError("live_records: the table holds only its sink-ward "
-                               "records; fill the rest first")
+        """The live records (live), in ascending id order.  A table that
+        fills itself first makes the records of every range neighbour it
+        has not made yet."""
+        senders = self.senders
+        if senders is not None:
+            self.sinkward_records()  # made first, kept as they are
+            made, self.records, self.senders = self.records, {}, None
+            for v in self.range_ids:
+                r = made.get(v)
+                if r is None:
+                    self.handle_beacon(v, *senders[v])
+                else:
+                    self.records[v] = r
         return [r for r, _ in live(self.records.values(), now, expiry_s)]

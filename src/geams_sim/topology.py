@@ -3,17 +3,16 @@ neighborhoods both routing protocols rely on, found by testing each node
 pair once on a grid of cells.
 
 A topology is its node rows: the field and the radio range belong to the
-scenario that runs it, which a placed or loaded topology names only so that
-a run on that scenario need not check the rows again.  Topologies are
-immutable and fully determined by the scenario's seed, sensor count and
-field, so they can be shared read-only between runs.
+scenario that runs it, and a run checks the rows against that scenario.
+Topologies are immutable and fully determined by the scenario's seed,
+sensor count and field, so they can be shared read-only between runs.
 """
 from __future__ import annotations
 
 import csv
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .scenario import ScenarioConfig
 
@@ -44,8 +43,6 @@ class Topology:
     """A static deployment: node 0 is the sink, node 1 the source, the rest sensors."""
 
     nodes: tuple[tuple[int, Position], ...]
-    # the scenario the rows were placed for or checked against; None if built by hand
-    checked_for: ScenarioConfig | None = field(default=None, compare=False, repr=False)
 
     @property
     def sensor_ids(self) -> list[int]:
@@ -123,7 +120,7 @@ def generate_topology(cfg: ScenarioConfig) -> Topology:
             raise PlacementError(
                 f"could not place sensor {node_id} after {MAX_PLACEMENT_ATTEMPTS} attempts"
             )
-    return Topology(nodes=tuple(placed), checked_for=cfg)
+    return Topology(nodes=tuple(placed))
 
 
 def range_neighbor_lists(t: Topology, r: float) -> dict[int, list[int]]:
@@ -189,7 +186,7 @@ def check_nodes(nodes, cfg: ScenarioConfig, origin: str = "topology",
     if SINK_ID not in positions or SOURCE_ID not in positions:
         raise ValueError(f"{origin}: topology must contain nodes {SINK_ID} (sink) "
                          f"and {SOURCE_ID} (source)")
-    return Topology(nodes=tuple(positions.items()), checked_for=cfg)
+    return Topology(nodes=tuple(positions.items()))
 
 
 def load_topology_csv(path, cfg: ScenarioConfig) -> Topology:

@@ -139,9 +139,9 @@ def add(t: NeighborTable, r: NeighborRecord) -> None:
 
 
 def table(me: Position, sink: Position, records) -> NeighborTable:
-    """A whole table at `me` that heard `records`' senders in ascending id
-    order."""
-    t = NeighborTable(my_position=me, sink_position=sink, whole=True)
+    """A table at `me`, filled by hand, that heard `records`' senders in
+    ascending id order."""
+    t = NeighborTable(my_position=me, sink_position=sink)
     for r in sorted(records, key=lambda r: r.id):
         add(t, r)
     return t
@@ -194,15 +194,14 @@ class ReplaySimulation(Simulation):
     broadcast that goes on air (through the `_on_air` hook, which the exact
     and the batched beacon paths both call), and checks the routing node's
     table against its oracle before and after every route, and every live
-    node's table after every beacon round, filling a table through the
-    engine's own fill before its first check.  It counts what it saw, so a
-    test can tell which paths a scenario took, and how many checks found a
-    table that held only its sink-ward records."""
+    node's table after every beacon round, reading its sink-ward records
+    first, as every route does.  It counts what it saw, so a test can tell
+    which paths a scenario took, and how many checks found a table that held
+    only its sink-ward records."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.oracle = {i: OracleTable([o.id for o in self.range_neighbors[i]])
-                       for i in self.nodes}
+        self.oracle = {i: OracleTable(n.table.range_ids) for i, n in self.nodes.items()}
         self.checks = self.sinkward_checks = self.void_announcements = self.void_clears = 0
         self.rx_deaths = self.walkbacks = 0
         self._hearers = []
@@ -210,7 +209,8 @@ class ReplaySimulation(Simulation):
     def _on_air(self, node, reported, time, void=False):
         # no receiver has been debited yet, so the nodes alive now are the
         # ones that hear the broadcast
-        self._hearers = hearers = [o for o in self.range_neighbors[node.id] if o.alive]
+        self._hearers = hearers = [o for o in map(self.nodes.get, node.table.range_ids)
+                                   if o.alive]
         # the oracle's own void check, from the flag standing before the
         # beacon: an unflagged sender has nothing to clear
         flagged = node.beacon_state.void_flagged
@@ -252,17 +252,16 @@ class ReplaySimulation(Simulation):
 
     def check_table(self, node) -> None:
         """Check the table against its oracle: the whole oracle once the
-        table is whole, and its sink-ward part while the table holds only
-        that, which live_records refuses to read."""
-        self._fill_table(node)  # the fill _route makes on a table's first read
+        table has made every record, and its sink-ward part while it holds
+        only that, which a read of every live record would complete."""
         table, oracle = node.table, self.oracle[node.id]
+        table.sinkward_records()  # the read every route makes first
         now, expiry = self.now, self.cfg.neighbor_expiry_s
         held = sorted(oracle.records)
-        if table.whole:
+        whole = table.senders is None  # let go once every record is made
+        if whole:
             live_ids = [r.id for r in table.live_records(now, expiry)]
         else:
-            with pytest.raises(RuntimeError, match="only its sink-ward records"):
-                table.live_records(now, expiry)
             held = [i for i in held
                     if self.nodes[i].table.my_sink_distance < table.my_sink_distance]
             live_ids = [r.id for r, _ in live(table.sinkward_records(), now, expiry)]
@@ -277,7 +276,7 @@ class ReplaySimulation(Simulation):
                                r.state.last_beacon_time)
             assert got == want, (node.id, i, got, want)
         self.checks += 1
-        self.sinkward_checks += not table.whole
+        self.sinkward_checks += not whole
 
 
 class HopLog(Simulation):

@@ -113,20 +113,24 @@ def test_topology_roundtrip_reproduces_run(tmp_path):
     assert (out_a / "regional.csv").read_bytes() == (out_b / "regional.csv").read_bytes()
 
 
-def test_run_topology_in_checks_the_rows_once(tmp_path, monkeypatch):
+def test_run_topology_in_checks_the_rows_at_load_and_at_set_up(tmp_path, monkeypatch):
+    """The loader checks the file's rows, naming the line of a bad one, and
+    the Simulation checks every topology it is given; a generated placement
+    is not checked again."""
     topo = tmp_path / "topo.csv"
     args = ["run", "--nodes", "10", "--seed", "3"]
-    assert main(args + ["--topology-out", str(topo), "--out-dir", str(tmp_path / "a")]) == 0
     check, calls = topology.check_nodes, []
 
     def counting_check(*a, **kw):
-        calls.append(a)
+        calls.append(a[2:3])  # the origin an error names, if any
         return check(*a, **kw)
 
     monkeypatch.setattr(topology, "check_nodes", counting_check)
     monkeypatch.setattr(engine, "check_nodes", counting_check)
+    assert main(args + ["--topology-out", str(topo), "--out-dir", str(tmp_path / "a")]) == 0
+    assert calls == []
     assert main(args + ["--topology-in", str(topo), "--out-dir", str(tmp_path / "b")]) == 0
-    assert len(calls) == 1
+    assert calls == [(str(topo),), ()]
 
 
 def test_run_topology_in_reports_its_own_sensor_count(tmp_path, capsys):

@@ -271,7 +271,7 @@ def test_a_run_takes_its_radio_range_from_the_scenario():
     topo = generate_topology(cfg)
     short = cfg.replace(radio_range=40.0)
     sim = Simulation(short, topo)
-    assert {u: [v.id for v in vs] for u, vs in sim.range_neighbors.items()} == \
+    assert {u: n.table.range_ids for u, n in sim.nodes.items()} == \
         {u: sorted(radio_neighbors(topo, u, 40.0)) for u, _ in topo.nodes}
     assert sim.run() != run_scenario(cfg, topo)
     assert run_scenario(short, topo) == run_scenario(short)
@@ -557,7 +557,8 @@ class KeptGreedyChecker(Simulation):
 
 class KeptPlanarChecker(Simulation):
     """Checks, every time a GPSR route takes its node's Gabriel set (every
-    route in perimeter mode), that the table is whole and that the kept set
+    route in perimeter mode), that the table holds a record of every range
+    neighbour, in ascending id order, and that the kept set
     and its oldest beacon time equal a fresh planar_neighbors, with the
     table's cache bypassed.  It counts the routes that reused a set kept
     from an earlier one, and the rebuilds made because a record the set was
@@ -573,7 +574,7 @@ class KeptPlanarChecker(Simulation):
         planar = super()._gabriel(node_id)
         kept = self._kept[node_id]
         t = self.nodes[node_id].table
-        assert t.whole
+        assert list(t.records) == t.range_ids
         cache, t.planar_cache = t.planar_cache, None
         assert kept[2:] == gpsr.planar_neighbors(t, self.now, self.expiry_s), \
             (self.now, node_id)
@@ -586,17 +587,14 @@ class KeptPlanarChecker(Simulation):
 
 
 class WholeTableSimulation(Simulation):
-    """The reference for lazy tables and kept Gabriel sets: a table is
-    filled whole on its first read, and every perimeter route computes its
-    Gabriel set afresh, with no cache."""
+    """The reference for lazy tables and kept Gabriel sets: every table
+    makes a record of each of its range neighbours before the run, and
+    every perimeter route computes its Gabriel set afresh, with no cache."""
 
-    def _fill_table(self, node):
-        table = node.table
-        if not table.records:
-            for other in self.range_neighbors[node.id]:
-                table.handle_beacon(other.id, other.table.my_position, other.beacon_state,
-                                    other.table.my_sink_distance)
-        table.whole = True
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for node in self.nodes.values():
+            node.table.live_records(0.0, self.expiry_s)
 
     def _gabriel(self, node_id):
         table = self.nodes[node_id].table
@@ -681,8 +679,9 @@ def test_lazy_tables_and_kept_gabriel_sets_equal_the_reference_bit_for_bit():
             [(n.battery.residual, n.alive) for n in ref.nodes.values()], cfg
         assert sim.ledger.totals == ref.ledger.totals, cfg
         tables = [n.table for n in sim.nodes.values()]
-        completed += sum(t.whole for t in tables)
-        sinkward_only += sum(not t.whole and bool(t.records) for t in tables)
+        # a table lets go of the run's lookup once it has made every record
+        completed += sum(t.senders is None for t in tables)
+        sinkward_only += sum(t.senders is not None and bool(t.records) for t in tables)
         checks += sim.checks
         reused += sim.reused
     assert completed > 0 and sinkward_only > 0
@@ -726,22 +725,26 @@ def test_an_expiring_witness_outside_the_gabriel_set_rebuilds_it(topo_builder):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_a_finished_run_frees_its_tables_without_gc(protocol):
-    """A run's neighbour tables, whole or sink-ward-only, and the Gabriel
-    sets kept from them, refer back to no node or engine, so they are freed
-    with the Simulation and no gc pass is needed.  Sparse n = 30 cells walk
-    back (GEAMS) and enter perimeter mode (GPSR), so tables get completed."""
+    """A run's neighbour tables, whole, sink-ward-only or never read, the
+    lookup they make their records from and the Gabriel sets kept from them
+    refer back to no node or engine, so they are freed with the Simulation
+    and no gc pass is needed.  Sparse n = 30 cells walk back (GEAMS) and
+    enter perimeter mode (GPSR), so tables get completed: a completed table
+    has let go of the lookup."""
     gc.collect()
     gc.disable()
     try:
-        refs, whole = [], 0
+        refs, whole, sinkward_only, unread = [], 0, 0, 0
         for seed in (1, 2, 3, 4, 5):
             sim = Simulation(ScenarioConfig(protocol=protocol, n_sensors=30, seed=seed))
             sim.run()
-            tables = [n.table for n in sim.nodes.values() if n.table.records]
-            whole += sum(t.whole for t in tables)
+            tables = [n.table for n in sim.nodes.values()]
+            whole += sum(t.senders is None for t in tables)
+            sinkward_only += sum(t.senders is not None and bool(t.records) for t in tables)
+            unread += sum(not t.records for t in tables)
             refs += [weakref.ref(t) for t in tables]
             del sim, tables
-        assert whole > 0 and len(refs) > whole
+        assert whole > 0 and sinkward_only > 0 and unread > 0
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()

@@ -315,7 +315,7 @@ def test_best_neighbor_set_agrees_with_brute_force(specs, ids, split):
                    void=void, beacon_time=bt, pending=pending, stale=stale)
             for node_id, (dx, dy, energy, void, bt, pending, stale) in zip(ids, specs)]
     recs.sort(key=lambda r: r.id)
-    t = NeighborTable(my_position=me, sink_position=sink, whole=True)
+    t = NeighborTable(my_position=me, sink_position=sink)
     # senders arrive in two batches, in ascending id order, with a call between
     for batch in (recs[:split], recs[split:]):
         for r in batch:

@@ -228,10 +228,13 @@ def test_next_hop_takes_the_gabriel_set_only_in_perimeter_mode_and_first():
     before it reads the record of the hop the packet came from, which a
     table holding only its sink-ward records lacks: here node 2, farther
     out than node 4, gets its record only as the set is taken, as the
-    engine fills the rest of a table then."""
+    table makes the rest of its records then."""
     whole = table(ME, SINK, [BELOW, GREEDY, RIGHT])
-    half = table(ME, SINK, [GREEDY, RIGHT])
-    half.whole = False  # the sink-ward part alone
+    # a table that fills itself, as the engine's do
+    senders = {r.id: (r.position, r.state, r.distance_to_sink) for r in (BELOW, GREEDY, RIGHT)}
+    half = NeighborTable(ME, SINK, sorted(senders), senders)
+    half.sinkward_records()  # the sink-ward part alone
+    assert list(half.records) == [5, 6]
 
     def no_set(node):
         raise AssertionError("a greedy hop took the Gabriel set")
@@ -242,11 +245,11 @@ def test_next_hop_takes_the_gabriel_set_only_in_perimeter_mode_and_first():
 
     def gabriel(node):
         assert node == 4
-        half.records, half.whole = whole.records, True
         return planar_neighbors(half, 0.0, 2.5)[0]
 
     pk = packet([1, 2, 4], PerimeterState(entry_distance=100.0, first_edge=(9, 8)))
     assert next_hop(half, pk, 5, gabriel) == (6, None)
+    assert half.records == whole.records
 
 
 def _void_detour_topology(topo_builder):
@@ -333,7 +336,7 @@ def reference_planar(t, now, expiry_s):
 )
 def test_greedy_agrees_with_brute_force(specs, ids):
     me = Position(370, 90)
-    t = NeighborTable(my_position=me, sink_position=SINK, whole=True)
+    t = NeighborTable(my_position=me, sink_position=SINK)
     for node_id, (dx, dy, energy, bt, pending) in sorted(zip(ids, specs)):
         add(t, record(node_id, Position(370 + dx, 90 + dy), me, SINK,
                       energy=energy, beacon_time=bt, pending=pending))
@@ -350,7 +353,7 @@ def test_planar_cache_follows_liveness(offsets, gone):
     """Cached Gabriel neighbours equal a fresh computation after a neighbour
     expires and again after it beacons back."""
     me, expiry = Position(200, 90), 2.5
-    t = NeighborTable(my_position=me, sink_position=SINK, whole=True)
+    t = NeighborTable(my_position=me, sink_position=SINK)
     senders = {node_id: Position(200 + dx, 90 + dy)
                for node_id, (dx, dy) in enumerate(offsets, start=2)}
     gone = 2 + gone % len(senders)
@@ -387,8 +390,7 @@ def test_planar_neighbors_agree_with_global_gabriel(n):
         positions = dict(topo.nodes)
         gabriel = gabriel_planarize(topo)
         for u, neighbours in range_neighbor_lists(topo, RADIO_RANGE).items():
-            t = NeighborTable(my_position=positions[u], sink_position=positions[SINK_ID],
-                              whole=True)
+            t = NeighborTable(my_position=positions[u], sink_position=positions[SINK_ID])
             for v in neighbours:
                 t.handle_beacon(v, positions[v], BeaconState(1.0, 0.0),
                                 distance(positions[v], t.sink_position))

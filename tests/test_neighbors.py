@@ -43,7 +43,7 @@ def test_topology_listed_in_descending_id_order_changes_nothing():
 
 
 def test_later_beacons_refresh_energy_and_time_only():
-    t = NeighborTable(my_position=ME, sink_position=SINK, whole=True)
+    t = NeighborTable(my_position=ME, sink_position=SINK)
     state = hear(t, 2, 160, energy=1.0, time=0.0)
     # a later beacon updates only the sender's shared state
     state.residual_energy, state.last_beacon_time = 0.7, 1.0
@@ -126,12 +126,12 @@ def test_one_state_per_sender_shared_by_every_receiver(topo_builder):
     sim = Simulation(ScenarioConfig(n_sensors=2), _line(topo_builder))
     sim._do_beacons(0.0)
     for node in sim.nodes.values():
-        sim._fill_table(node)
+        node.table.sinkward_records()
     state = sim.nodes[3].beacon_state
     # the first fill: only the source has node 3 sink-ward
     assert [i for i, n in sim.nodes.items() if 3 in n.table.records] == [1]
     for node in sim.nodes.values():
-        sim._complete_table(node)
+        node.table.live_records(0.0, sim.expiry_s)
     holders = [i for i, n in sim.nodes.items() if 3 in n.table.records]
     assert holders == [1, 2]
     assert all(sim.nodes[i].table.records[3].state is state for i in holders)
@@ -149,9 +149,8 @@ def test_a_sender_never_heard_has_a_record_that_is_never_live(topo_builder):
     sim._do_beacons(0.0)
     poor, source = sim.nodes[3], sim.nodes[1]
     assert not poor.alive
-    sim._fill_table(source)
-    sim._complete_table(source)
     t = source.table
+    t.live_records(0.0, cfg.neighbor_expiry_s)
     assert list(t.records) == [3] and [r.id for r in t.sinkward_records()] == [3]
     assert t.records[3].state is poor.beacon_state
     assert poor.beacon_state.last_beacon_time == -math.inf
@@ -166,28 +165,67 @@ def test_a_sender_never_heard_has_a_record_that_is_never_live(topo_builder):
 
 
 def test_a_table_is_filled_sink_ward_first_and_completed_in_place(topo_builder):
-    """The first fill makes only the sink-ward records, which live_records
-    refuses to read as a table.  Completing the table keeps those very
-    records, overlays and all, and puts every range neighbour's record in
-    ascending id order."""
+    """The first read of the sink-ward records makes only those.  The first
+    read of every live record keeps those very records, overlays and all,
+    and puts every range neighbour's record in ascending id order."""
     sim = Simulation(ScenarioConfig(n_sensors=2), _line(topo_builder))
     sim._do_beacons(0.0)
     relay = sim.nodes[2]  # hears 3 (farther out) and the sink
-    sim._fill_table(relay)
     t = relay.table
-    assert not t.whole and list(t.records) == [0]
+    assert t.range_ids == [0, 3] and t.records == {}
     assert t.sinkward_records() == [t.records[0]]
-    with pytest.raises(RuntimeError, match="only its sink-ward records"):
-        t.live_records(0.0, sim.expiry_s)
+    assert list(t.records) == [0]
     sink = t.records[0]
     sink.pending, sink.pending_time = 0.5, 0.0
-    sim._complete_table(relay)
-    assert t.whole and list(t.records) == [0, 3]
-    assert t.records[0] is sink and sink.residual_energy == 0.5
-    assert t.sinkward_records() == [sink]
     assert [r.id for r in t.live_records(0.0, sim.expiry_s)] == [0, 3]
-    sim._fill_table(relay)  # a filled table is left as it is
+    assert list(t.records) == [0, 3]
+    assert t.records[0] is sink and sink.residual_energy == 0.5
+    assert t.sinkward_records() == [sink]  # a filled table is left as it is
     assert list(t.records) == [0, 3] and t.records[0] is sink
+
+
+def test_a_table_fills_itself_from_its_range_list_and_the_shared_lookup():
+    """Given a range list and the run's lookup, a table makes only its
+    sink-ward records on the first read of those, completes in ascending id
+    order on the first read of every live record, keeping the sink-ward
+    objects and their overlays, and later reads leave it as it is, whichever
+    read comes first.  A table given no range list keeps exactly what
+    handle_beacon put in."""
+    positions = {2: Position(60, 90), 3: Position(150, 90), 4: Position(90, 90),
+                 5: Position(140, 120)}  # 3 and 5 are closer to the sink than ME
+    states = {i: BeaconState(1.0, 0.0) for i in positions}
+    senders = {i: (p, states[i], distance(p, SINK)) for i, p in positions.items()}
+    t = NeighborTable(ME, SINK, [2, 3, 4, 5], senders)
+    assert t.records == {}
+    sinkward = t.sinkward_records()
+    assert [r.id for r in sinkward] == [3, 5] and list(t.records) == [3, 5]
+    assert t.sinkward_records() is sinkward and list(t.records) == [3, 5]
+    three = t.records[3]
+    three.add_load(0.75)
+    assert [r.id for r in t.live_records(0.0, 2.5)] == [2, 3, 4, 5]
+    assert list(t.records) == [2, 3, 4, 5]
+    assert t.records[3] is three and three.residual_energy == 0.25
+    assert t.sinkward_records() is sinkward and sinkward == [three, t.records[5]]
+    assert all(r.state is states[i] and r.distance_to_sink == senders[i][2]
+               for i, r in t.records.items())
+    made = dict(t.records)
+    assert [r.id for r in t.live_records(3.0, 2.5)] == []
+    assert t.sinkward_records() is sinkward
+    assert list(t.records) == list(made) and all(t.records[i] is made[i] for i in made)
+    # the read of every live record first makes the sink-ward ones too
+    first = NeighborTable(ME, SINK, [2, 3, 4, 5], senders)
+    assert [r.id for r in first.live_records(0.0, 2.5)] == [2, 3, 4, 5]
+    assert [r.id for r in first.sinkward_records()] == [3, 5]
+    assert first.sinkward_records() == [first.records[3], first.records[5]]
+
+    by_hand = NeighborTable(ME, SINK)
+    hear(by_hand, 3, 150)
+    hear(by_hand, 4, 90)
+    held = dict(by_hand.records)
+    assert [r.id for r in by_hand.sinkward_records()] == [3]
+    assert [r.id for r in by_hand.live_records(0.0, 2.5)] == [3, 4]
+    assert list(by_hand.records) == list(held)
+    assert all(by_hand.records[i] is held[i] for i in held)
 
 
 def test_void_flag_survives_until_sender_has_sinkward(topo_builder):
@@ -198,8 +236,7 @@ def test_void_flag_survives_until_sender_has_sinkward(topo_builder):
     sim._do_beacons(0.0)
     node, relay = sim.nodes[3], sim.nodes[2]
     for n in (node, relay):
-        sim._fill_table(n)
-        sim._complete_table(n)
+        n.table.live_records(0.0, sim.expiry_s)
     record = relay.table.records[3]
     sim._broadcast(node, 0.5, void=True)
     assert record.state.void_flagged
@@ -257,7 +294,7 @@ def test_pending_load_estimate_is_overwritten_by_next_beacon(topo_builder):
     sim = Simulation(ScenarioConfig(protocol="geams", n_sensors=1, beacon_energy=False), topo)
     sim._do_beacons(0.0)
     source, relay = sim.nodes[1], sim.nodes[2]
-    sim._fill_table(source)
+    source.table.sinkward_records()
     reported = relay.battery.residual
     assert source.table.records[2].residual_energy == reported
     pk = DataPacket(seq=0, payload_bits=1000, created_at=0.0, path=[1])
@@ -334,36 +371,38 @@ class VoidCheckCounter(Simulation):
 
 
 class CheckEveryNode(Simulation):
-    """Runs the void check for every beacon on air, on a table filled
-    through the engine's fill, and clears the sender's flag when it finds a
-    sink-ward neighbour: the reference that checking only nodes whose void
-    flag stands must agree with.  A check result changes only a standing
-    flag."""
+    """Runs the void check for every beacon on air, which makes the sender's
+    sink-ward records as a route would, and clears the sender's flag when it
+    finds a sink-ward neighbour: the reference that checking only nodes
+    whose void flag stands must agree with.  A check result changes only a
+    standing flag."""
 
     def _on_air(self, node, reported, time, void=False):
         if not void:
-            self._fill_table(node)
             if self._has_sinkward(node):
                 node.beacon_state.void_flagged = False
         super()._on_air(node, reported, time, void)
 
 
 class FillAtFirstRound(Simulation):
-    """Fills every live node's table whole when the t = 0 round ends, with
-    the range neighbours that went on air in it: the eager reference that a
-    fill on first read must agree with."""
+    """Gives every live node, when the t = 0 round ends, a table filled by
+    hand with the range neighbours that went on air in it, which keeps the
+    node's range list: the eager reference that a fill on first read must
+    agree with."""
 
     def _do_beacons(self, time):
         super()._do_beacons(time)
         if time == 0.0:
             for node in self.nodes.values():
                 if node.alive:
-                    for other in self.range_neighbors[node.id]:
+                    old = node.table
+                    node.table = t = NeighborTable(old.my_position, old.sink_position,
+                                                   old.range_ids)
+                    for other in map(self.nodes.get, old.range_ids):
                         if other.beacon_state.last_beacon_time == 0.0:
-                            node.table.handle_beacon(other.id, other.table.my_position,
-                                                     other.beacon_state,
-                                                     other.table.my_sink_distance)
-                    node.table.whole = True
+                            t.handle_beacon(other.id, other.table.my_position,
+                                            other.beacon_state,
+                                            other.table.my_sink_distance)
 
 
 def _void_scenarios(topo_builder):
@@ -434,7 +473,7 @@ def assert_live_counts_hold(sim):
     """Every node's live-neighbour counts equal a recount of its alive range
     neighbours below and above it."""
     for node in sim.nodes.values():
-        alive = [o.id for o in sim.range_neighbors[node.id] if o.alive]
+        alive = [v for v in node.table.range_ids if sim.nodes[v].alive]
         below = sum(i < node.id for i in alive)
         assert (node.live_below, node.live_above) == (below, len(alive) - below), node.id
 
