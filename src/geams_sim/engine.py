@@ -28,7 +28,7 @@ from . import geams, gpsr
 from .energy import Battery, rx_energy, tx_energy
 from .metrics import LOSS_REASONS, MetricsReport, PacketOutcome, delay_and_loss, \
     dead_node_count, energy_stats, regional_energy
-from .neighbors import BeaconState, NeighborRecord, NeighborTable
+from .neighbors import BeaconState, NeighborTable
 from .scenario import ScenarioConfig
 from .topology import SINK_ID, SOURCE_ID, Topology, check_nodes, generate_topology, \
     range_neighbor_lists
@@ -150,14 +150,10 @@ class Simulation:
         # relay price per bit of a frame (_route_geams)
         self._data_bits = cfg.data_packet_bits
         self._relay_j_per_bit = 2.0 * e_elec
-        # each node's forwarding choice, by node id, kept from the route that
-        # made it: a GEAMS node's best-neighbour set, or a GPSR node's greedy
-        # hop with that record's last beacon time ((None, inf) at a local
-        # minimum), then its Gabriel set with the oldest last beacon time it
-        # was computed from ((None, inf) until one is needed).  _on_air drops
-        # them all, and _route, _route_geams and _gabriel rebuild one that
-        # has expired.
-        self._kept: dict[int, geams.BestNeighborSet | tuple] = {}
+        # each node's forwarding memory, by node id, from its first route
+        # since the last broadcast: a GEAMS node's best-neighbour set, or a
+        # GPSR node's gpsr.KeptRoute.  _on_air drops them all.
+        self._kept: dict[int, geams.BestNeighborSet | gpsr.KeptRoute] = {}
 
     # -- event plumbing -----------------------------------------------------
 
@@ -230,8 +226,7 @@ class Simulation:
                 void: bool = False) -> None:
         """A broadcast from `node`, reporting `reported` joules, has gone on
         air at `time`: update the sender's shared BeaconState, and drop every
-        kept forwarding choice (GEAMS best-neighbour sets, GPSR greedy hops
-        and Gabriel sets), as the state may change any of them.  An
+        node's kept forwarding memory, as the state may change any of it.  An
         announcement sets the void flag; a beacon clears a standing one when
         the sender has a sink-ward neighbour again (_has_sinkward).  Both
         beacon paths call this once per broadcast on air, before any
@@ -449,45 +444,13 @@ class Simulation:
 
     def _route(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
         """(next hop, None) or (None, loss reason) for `pk` at `node`, whose
-        table makes its records as routing reads them (NeighborTable).  A
-        GPSR node's greedy choice changes only when a broadcast goes on air
-        or the chosen record expires: GPSR writes no overlay and a death
-        changes no BeaconState, so between broadcasts no record becomes live
-        or closer, and a record other than the chosen one expiring leaves
-        the nearest one chosen.  So the choice is kept, (None, inf) at a
-        local minimum, and made afresh (gpsr.greedy_next_hop) on the first
-        route after a broadcast or once the chosen record has expired;
-        gpsr.next_hop applies GPSR's rule to it, and takes the node's
-        Gabriel set (_gabriel) only in perimeter mode."""
+        table makes its records as routing reads them (NeighborTable)."""
         if self.cfg.protocol == "geams":
             return self._route_geams(node, pk)
-        table = node.table
-        now, expiry = self.now, self.expiry_s
         kept = self._kept.get(node.id)
-        if kept is None or now - kept[1] > expiry:
-            hop = gpsr.greedy_next_hop(table, now, expiry)
-            kept = self._kept[node.id] = (
-                hop, math.inf if hop is None else table.records[hop].state.last_beacon_time,
-                None, math.inf)
-        return gpsr.next_hop(table, pk, kept[0], self._gabriel)
-
-    def _gabriel(self, node_id: int) -> tuple[NeighborRecord, ...]:
-        """The Gabriel set of GPSR node `node_id`, computed on every record
-        of its table (the first such read makes the records of its range
-        neighbours farther from the sink), kept next to the greedy choice
-        _route has just given it.  Between broadcasts a record only stops
-        being live, by expiring (gpsr.planar_neighbors), so the set stands
-        until the oldest live record it was computed from expires, a witness
-        outside the set included.  A rebuilt greedy choice drops it, which
-        loses nothing: the chosen record was live when the set was computed,
-        so the set has expired with it."""
-        table = self.nodes[node_id].table
-        now = self.now
-        hop, heard, planar, oldest = self._kept[node_id]
-        if planar is None or now - oldest > self.expiry_s:
-            planar, oldest = gpsr.planar_neighbors(table, now, self.expiry_s)
-            self._kept[node_id] = hop, heard, planar, oldest
-        return planar
+        if kept is None:
+            kept = self._kept[node.id] = gpsr.KeptRoute()
+        return gpsr.next_hop(node.table, pk, kept, self.now, self.expiry_s)
 
     def _route_geams(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
         """Between broadcasts a node's best-neighbour set changes only as its

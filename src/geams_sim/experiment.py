@@ -68,7 +68,8 @@ class _PacketRows:
 def write_reports(out_dir, keyed_reports, write_packets: bool) -> None:
     """Write summary.csv and regional.csv (plus packets.csv when asked, else
     remove an old one) under the existing out_dir: the rows of each
-    (protocol, seed, n) key and its report, in the order given.
+    (protocol, seed, n) key and its report, in the order given.  An old
+    comparison.csv is removed: these reports do not match it.
     `keyed_reports` is read once per file."""
     write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS,
               [summary_row(rep, *key) for key, rep in keyed_reports])
@@ -79,6 +80,9 @@ def write_reports(out_dir, keyed_reports, write_packets: bool) -> None:
         write_csv(packets, PACKET_COLUMNS, _PacketRows(keyed_reports))
     elif os.path.exists(packets):
         os.remove(packets)  # an earlier run's, which these reports do not match
+    comparison = os.path.join(out_dir, "comparison.csv")
+    if os.path.exists(comparison):
+        os.remove(comparison)
 
 
 def run_experiment(plan: ExperimentPlan, out_dir, jobs: int = 1,
@@ -98,11 +102,9 @@ def run_experiment(plan: ExperimentPlan, out_dir, jobs: int = 1,
         reports = [run_scenario(c) for c in cells]
     write_reports(out_dir, [((c.protocol, c.seed, c.n_sensors), r)
                             for c, r in zip(cells, reports)], write_packets)
-    comparison = os.path.join(out_dir, "comparison.csv")
     if "geams" in plan.protocols and "gpsr" in plan.protocols:
-        write_csv(comparison, COMPARISON_COLUMNS, _comparison_rows(plan, cells, reports))
-    elif os.path.exists(comparison):
-        os.remove(comparison)  # an earlier run's, which these reports do not match
+        write_csv(os.path.join(out_dir, "comparison.csv"), COMPARISON_COLUMNS,
+                  _comparison_rows(plan, cells, reports))
     return reports
 
 

@@ -1,19 +1,20 @@
 """GPSR baseline: greedy forwarding with perimeter-mode recovery.
 
-`next_hop` is the one place GPSR's forwarding rule lives.  It is given the
-node's greedy choice (`greedy_next_hop`) and a way to take its Gabriel
-neighbours (`planar_neighbors`), both of which the engine keeps between
-broadcasts rather than rescanning the table on every hop.  Perimeter mode
-walks the Gabriel-planarized radio graph with the right-hand rule (next edge
-counterclockwise from the incoming edge), resuming greedy as soon as the
-packet reaches a node strictly closer to the sink than where it entered
-perimeter mode, and dropping when no planar edge is left or the traversal
-would retrace the first perimeter edge.
+`next_hop` is the one place GPSR's forwarding rule lives, and this module
+owns a node's forwarding memory (`KeptRoute`): its greedy choice
+(`greedy_next_hop`) and its Gabriel neighbours (`planar_neighbors`), kept
+between routes rather than rescanning the table on every hop.  The engine
+holds one record per node and drops them all when a broadcast goes on air.
+Perimeter mode walks the Gabriel-planarized radio graph with the right-hand
+rule (next edge counterclockwise from the incoming edge), resuming greedy as
+soon as the packet reaches a node strictly closer to the sink than where it
+entered perimeter mode, and dropping when no planar edge is left or the
+traversal would retrace the first perimeter edge.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -34,30 +35,55 @@ class PerimeterState:
     first_edge: tuple[int, int]
 
 
-def next_hop(t: NeighborTable, pk: DataPacket, greedy: int | None,
-             gabriel: Callable[[int], Sequence[NeighborRecord]]) -> tuple[int | None, str | None]:
-    """(next hop, None) or (None, loss reason) for `pk` at the last node on
-    its path, pk.path[-1], whose table is `t` and whose greedy choice, what
-    greedy_next_hop returns, is `greedy` (None at a local minimum).
-    `gabriel(pk.path[-1])` gives that node's Gabriel neighbours, as
-    planar_neighbors computes them.  It is called only in perimeter mode,
-    and before any record but the greedy choice is read, as its read of
-    every live record makes the records a sink-ward read does not
-    (NeighborTable).  The hop the packet came from, pk.path[-2], reached
+@dataclass(slots=True)
+class KeptRoute:
+    """A node's greedy choice and Gabriel set, valid until the next broadcast
+    goes on air, which the caller marks by starting from a fresh record.  The
+    defaults keep nothing: a time of -inf has always expired.
+
+    Between broadcasts GPSR writes no overlay and a death changes no
+    BeaconState, so a record only stops being live by expiring, the oldest
+    first, and none becomes live or closer.  So the greedy choice stands
+    until its own record expires, as another expiring leaves the nearest one
+    chosen, and a local minimum (heard = inf) stands until the broadcast.
+    The Gabriel set stands until the oldest live record it was computed from
+    expires, a witness outside the set included."""
+
+    greedy: int | None = None  # None at a local minimum
+    heard: float = -math.inf  # the greedy hop's last beacon time
+    gabriel: tuple[NeighborRecord, ...] = ()
+    # the oldest last beacon time of the live records `gabriel` was
+    # computed from (inf when none was live)
+    oldest: float = -math.inf
+
+
+def next_hop(t: NeighborTable, pk: DataPacket, kept: KeptRoute, now: float,
+             expiry_s: float) -> tuple[int | None, str | None]:
+    """(next hop, None) or (None, loss reason) at `now` for `pk` at the last
+    node on its path, pk.path[-1], whose table is `t` and whose forwarding
+    memory is `kept`, which it rebuilds where it has expired.  Every route
+    takes the greedy choice; only a route in perimeter mode takes the
+    Gabriel set, and before it reads any record but the greedy choice, as
+    its read of every live record makes the records a sink-ward read does
+    not (NeighborTable).  The hop the packet came from, pk.path[-2], reached
     that node, so it is in range and then has a record."""
+    if now - kept.heard > expiry_s:
+        hop = kept.greedy = greedy_next_hop(t, now, expiry_s)
+        kept.heard = math.inf if hop is None else t.records[hop].state.last_beacon_time
     state = pk.perimeter
     if state is not None and t.my_sink_distance < state.entry_distance:
         pk.perimeter = state = None  # past the void: resume greedy
+    if state is None and kept.greedy is not None:
+        return kept.greedy, None
+    if now - kept.oldest > expiry_s:
+        kept.gabriel, kept.oldest = planar_neighbors(t, now, expiry_s)
     if state is None:
-        if greedy is not None:
-            return greedy, None
-        first = perimeter_first_hop(t.my_position, t.sink_position, gabriel(pk.path[-1]))
+        first = perimeter_first_hop(t.my_position, t.sink_position, kept.gabriel)
         if first is None:
             return None, "perimeter_exhausted"
         pk.perimeter = PerimeterState(t.my_sink_distance, (pk.path[-1], first))
         return first, None
-    planar = gabriel(pk.path[-1])  # first: it may make the rest of the records
-    nxt = perimeter_next_hop(t.my_position, t.records[pk.path[-2]].position, planar)
+    nxt = perimeter_next_hop(t.my_position, t.records[pk.path[-2]].position, kept.gabriel)
     if nxt is None or (pk.path[-1], nxt) == state.first_edge:
         return None, "perimeter_exhausted"  # stranded, or walked the whole face
     return nxt, None
@@ -86,10 +112,7 @@ def planar_neighbors(
 
     Positions are static, so the neighbors depend only on which records are
     live.  They are cached on the table per set of live ids, and shared
-    between calls as a tuple.  Between broadcasts, as GPSR writes no
-    overlay, a record only stops being live by expiring, the oldest first,
-    witness or not: the neighbors stand while now - oldest is within the
-    expiry."""
+    between calls as a tuple."""
     live = t.live_records(now, expiry_s)
     oldest = min([r.state.last_beacon_time for r in live], default=math.inf)
     key = tuple([r.id for r in live])

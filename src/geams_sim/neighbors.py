@@ -114,8 +114,9 @@ class NeighborTable:
     my_sink_distance: float = field(init=False)
     # GPSR's Gabriel neighbours, keyed by the tuple of live ids they were
     # computed from; positions are static, so only liveness can change them.
-    # It outlives the engine's kept Gabriel sets, which every broadcast
-    # drops, as a beacon round seldom changes which records are live
+    # It outlives the Gabriel set a node keeps (gpsr.KeptRoute), which
+    # every broadcast drops, as a beacon round seldom changes which records
+    # are live
     planar_cache: tuple[tuple[int, ...], tuple[NeighborRecord, ...]] | None = field(
         default=None, init=False, repr=False)
     # None until the first sinkward_records of a table that fills itself

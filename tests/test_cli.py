@@ -289,3 +289,12 @@ def test_single_protocol_experiment_removes_an_older_comparison(tmp_path):
     assert main(argv + ["--protocols", "gpsr"]) == 0
     assert {row[0] for row in read_rows(out / "summary.csv")[1:]} == {"gpsr"}
     assert not (out / "comparison.csv").exists()
+
+
+def test_run_removes_an_experiments_comparison(tmp_path):
+    out = tmp_path / "out"
+    assert main(["experiment", "--nodes", "10", "--seeds", "1", "--out-dir", str(out)]) == 0
+    assert (out / "comparison.csv").exists()
+    assert main(["run", "--nodes", "10", "--out-dir", str(out)]) == 0
+    assert len(read_rows(out / "summary.csv")) == 2
+    assert not (out / "comparison.csv").exists()

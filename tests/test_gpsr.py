@@ -7,6 +7,7 @@ from conftest import RADIO_RANGE, PathSimulation, add, gabriel_planarize, table
 from geams_sim import gpsr
 from geams_sim.engine import DataPacket, Simulation
 from geams_sim.gpsr import (
+    KeptRoute,
     PerimeterState,
     greedy_next_hop,
     next_hop,
@@ -146,10 +147,15 @@ def packet(path, perimeter=None):
 
 
 def route(t, pk):
-    """gpsr.next_hop at time 0 with the greedy choice and the Gabriel set
-    the engine keeps for `t`."""
-    return next_hop(t, pk, greedy_next_hop(t, 0.0, 2.5),
-                    lambda node: planar_neighbors(t, 0.0, 2.5)[0])
+    """gpsr.next_hop at time 0 at `t`'s node, with nothing kept yet."""
+    return next_hop(t, pk, KeptRoute(), 0.0, 2.5)
+
+
+def filling_table(me, records):
+    """A table at `me` that fills itself, as the engine's do, from the
+    senders of `records`, sharing their states."""
+    senders = {r.id: (r.position, r.state, r.distance_to_sink) for r in records}
+    return NeighborTable(me, SINK, sorted(senders), senders)
 
 
 def test_next_hop_enters_the_walk_at_a_local_minimum():
@@ -190,37 +196,42 @@ def test_next_hop_drops_a_walk_back_on_its_first_edge():
 
 def test_a_kept_local_minimum_stands_until_a_broadcast_goes_on_air(topo_builder,
                                                                    monkeypatch):
-    """Source 1's one neighbour, relay 2, is sink-ward but has not gone on
-    air, so the source is at a local minimum.  Its kept (None, inf) never
-    expires and stands, with no new greedy scan, even once 2's shared state
-    reads live, until a broadcast goes on air and drops it.  So does its
-    kept Gabriel set, empty and computed from no live record; once that
-    alone is dropped, the perimeter walk finds relay 2.  A greedy route
-    takes no Gabriel set."""
-    topo = topo_builder({0: Position(130, 90), 1: Position(10, 90), 2: Position(70, 90)})
-    sim = Simulation(ScenarioConfig(protocol="gpsr", n_sensors=1), topo)
-    source, relay = sim.nodes[1], sim.nodes[2]
+    """Node 4's one neighbour, relay 5, is sink-ward but has not gone on
+    air, so node 4 is at a local minimum.  Its kept (None, inf) never
+    expires and stands, with no new greedy scan, even once 5's shared state
+    reads live, until a broadcast goes on air and the engine drops the
+    record.  So does its kept Gabriel set, empty and computed from no live
+    record; once that alone is dropped, the perimeter walk finds relay 5.
+    A greedy route takes no Gabriel set."""
+    relay = record(5, GREEDY.position, ME, SINK, energy=0.0, beacon_time=-math.inf)
+    t = filling_table(ME, [relay])
+    kept = KeptRoute()
     scans = []
     monkeypatch.setattr(gpsr, "greedy_next_hop",
                         lambda *args: scans.append(args) or greedy_next_hop(*args))
-    assert sim._route(source, packet([1])) == (None, "perimeter_exhausted")
-    assert sim._kept[1] == (None, math.inf, (), math.inf) and len(scans) == 1
-    sim.now = 1e9
-    assert sim._route(source, packet([1])) == (None, "perimeter_exhausted")
-    relay.beacon_state.residual_energy = 1.0
-    relay.beacon_state.last_beacon_time = sim.now  # live, but no broadcast went on air
-    assert sim._route(source, packet([1])) == (None, "perimeter_exhausted")
-    sim._kept[1] = (None, math.inf, None, math.inf)  # drop the Gabriel set only
-    pk = packet([1])
-    assert sim._route(source, pk) == (2, None)  # the perimeter walk's first hop
+    assert next_hop(t, packet([4]), kept, 0.0, 2.5) == (None, "perimeter_exhausted")
+    assert kept == KeptRoute(None, math.inf, (), math.inf) and len(scans) == 1
+    assert next_hop(t, packet([4]), kept, 1e9, 2.5) == (None, "perimeter_exhausted")
+    relay.state.residual_energy = 1.0
+    relay.state.last_beacon_time = 1e9  # live, but no broadcast went on air
+    assert next_hop(t, packet([4]), kept, 1e9, 2.5) == (None, "perimeter_exhausted")
+    kept.oldest = -math.inf  # drop the Gabriel set only
+    pk = packet([4])
+    assert next_hop(t, pk, kept, 1e9, 2.5) == (5, None)  # the perimeter walk's first hop
     assert pk.perimeter is not None
-    assert sim._kept[1][:2] == (None, math.inf) and len(scans) == 1
-    sim._on_air(relay, 1.0, sim.now)
-    assert 1 not in sim._kept
-    pk = packet([1])
-    assert sim._route(source, pk) == (2, None)  # greedy
+    assert (kept.greedy, kept.heard) == (None, math.inf) and len(scans) == 1
+    kept = KeptRoute()  # the record a route starts from after a broadcast
+    pk = packet([4])
+    assert next_hop(t, pk, kept, 1e9, 2.5) == (5, None)  # greedy
     assert pk.perimeter is None
-    assert sim._kept[1] == (2, 1e9, None, math.inf) and len(scans) == 2
+    assert kept == KeptRoute(5, 1e9) and len(scans) == 2
+    # the engine drops every kept record when a broadcast goes on air
+    topo = topo_builder({0: Position(130, 90), 1: Position(10, 90), 2: Position(70, 90)})
+    sim = Simulation(ScenarioConfig(protocol="gpsr", n_sensors=1), topo)
+    assert sim._route(sim.nodes[1], packet([1])) == (None, "perimeter_exhausted")
+    assert sim._kept[1] == KeptRoute(None, math.inf, (), math.inf)
+    sim._on_air(sim.nodes[2], 1.0, sim.now)
+    assert 1 not in sim._kept
 
 
 def test_next_hop_takes_the_gabriel_set_only_in_perimeter_mode_and_first():
@@ -230,26 +241,56 @@ def test_next_hop_takes_the_gabriel_set_only_in_perimeter_mode_and_first():
     out than node 4, gets its record only as the set is taken, as the
     table makes the rest of its records then."""
     whole = table(ME, SINK, [BELOW, GREEDY, RIGHT])
-    # a table that fills itself, as the engine's do
-    senders = {r.id: (r.position, r.state, r.distance_to_sink) for r in (BELOW, GREEDY, RIGHT)}
-    half = NeighborTable(ME, SINK, sorted(senders), senders)
+    half = filling_table(ME, [BELOW, GREEDY, RIGHT])
     half.sinkward_records()  # the sink-ward part alone
     assert list(half.records) == [5, 6]
-
-    def no_set(node):
-        raise AssertionError("a greedy hop took the Gabriel set")
-
-    assert next_hop(half, packet([1, 2, 4]), 5, no_set) == (5, None)
+    kept = KeptRoute()
+    assert next_hop(half, packet([1, 2, 4]), kept, 0.0, 2.5) == (5, None)
     pk = packet([1, 2, 4], PerimeterState(entry_distance=120.5, first_edge=(9, 8)))
-    assert next_hop(half, pk, 5, no_set) == (5, None)  # past the void: greedy
-
-    def gabriel(node):
-        assert node == 4
-        return planar_neighbors(half, 0.0, 2.5)[0]
-
+    assert next_hop(half, pk, kept, 0.0, 2.5) == (5, None)  # past the void: greedy
+    assert kept == KeptRoute(5, 0.0) and list(half.records) == [5, 6]  # no set taken
     pk = packet([1, 2, 4], PerimeterState(entry_distance=100.0, first_edge=(9, 8)))
-    assert next_hop(half, pk, 5, gabriel) == (6, None)
+    assert next_hop(half, pk, kept, 0.0, 2.5) == (6, None)
+    assert [r.id for r in kept.gabriel] == [2, 5, 6] and kept.oldest == 0.0
     assert half.records == whole.records
+
+
+def test_an_expiring_witness_outside_the_gabriel_set_rebuilds_it(monkeypatch):
+    """Node 1 is at a local minimum: its neighbours 2, 3 and 4 are all
+    farther from the sink.  Node 3 witnesses against the link to 2, and
+    node 4 against the link to 3, so the Gabriel set is {4}, and 3 is a
+    witness outside it.  Node 3 last beaconed at t = 0, the others at 2.
+    Between broadcasts, the kept set stands until 3 expires after t = 2.5,
+    and then the link to 2 appears: the set's oldest time is 3's, not that
+    of its own member 4."""
+    me = Position(300, 90)
+    t = filling_table(me, [record(2, Position(240, 90), me, SINK, beacon_time=2.0),
+                           record(3, Position(270, 119), me, SINK, beacon_time=0.0),
+                           record(4, Position(285, 124.5), me, SINK, beacon_time=2.0)])
+    kept = KeptRoute()
+    builds = []
+    monkeypatch.setattr(gpsr, "planar_neighbors",
+                        lambda *args: builds.append(args[1]) or planar_neighbors(*args))
+
+    def route(now):
+        # arrived back from node 4 on a perimeter walk that entered here
+        pk = packet([1, 4, 1], PerimeterState(t.my_sink_distance, (9, 8)))
+        hop = next_hop(t, pk, kept, now, 2.5)
+        # every record is made, and the kept set is a fresh one
+        assert list(t.records) == t.range_ids
+        cache, t.planar_cache = t.planar_cache, None
+        assert (kept.gabriel, kept.oldest) == planar_neighbors(t, now, 2.5), now
+        t.planar_cache = cache
+        return hop
+
+    assert route(2.2) == (4, None)  # the set is {4}: back the way it came
+    gabriel = kept.gabriel
+    assert [r.id for r in gabriel] == [4] and kept.oldest == 0.0
+    assert route(2.5) == (4, None)
+    assert kept.gabriel is gabriel and builds == [2.2]  # 3 is still live: the set stands
+    assert route(2.6) == (2, None)  # 3 has expired: the link to 2 is back
+    assert [r.id for r in kept.gabriel] == [2, 4] and kept.oldest == 2.0
+    assert builds == [2.2, 2.6]
 
 
 def _void_detour_topology(topo_builder):
