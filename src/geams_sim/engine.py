@@ -30,8 +30,7 @@ from .metrics import LOSS_REASONS, MetricsReport, PacketOutcome, delay_and_loss,
     dead_node_count, energy_stats, regional_energy
 from .neighbors import BeaconState, NeighborTable
 from .scenario import ScenarioConfig
-from .topology import SINK_ID, SOURCE_ID, Topology, check_nodes, generate_topology, \
-    range_neighbor_lists
+from .topology import SINK_ID, SOURCE_ID, Topology, check_nodes, generate_topology
 
 
 @dataclass
@@ -103,9 +102,10 @@ class Simulation:
         # ascending by id whatever the row order: beacon rounds rely on it
         positions = dict(sorted(topology.nodes))  # ids are unique
         sink = positions[SINK_ID]  # every table steers to node 0's row
-        # static radio adjacency, ascending by id, held by each node's table;
+        # static radio adjacency, ascending by id, held by each node's table
+        # and shared with every run on this placement and radio range;
         # liveness is handled at delivery time
-        range_ids = range_neighbor_lists(topology, cfg.radio_range)
+        range_ids = topology.range_lists(cfg.radio_range)
         # what every table makes its records from; it refers to no node
         senders: dict[int, tuple] = {}
         self.nodes: dict[int, NodeRuntime] = {}

@@ -1,6 +1,6 @@
 """Experiment matrix runner: every (protocol, node count, seed) cell once,
-with CSV outputs written in deterministic plan order regardless of how the
-cells were scheduled.
+each deployment placed once for all its protocols, with CSV outputs written
+in deterministic plan order regardless of how the cells were scheduled.
 """
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .engine import run_scenario
+from .engine import Simulation, run_scenario
 from .metrics import (MetricsReport, PACKET_COLUMNS, REGIONAL_COLUMNS,
                       SUMMARY_COLUMNS, SUMMARY_FIGURES, float_sum, packet_rows,
                       regional_rows, summary_row, write_csv)
@@ -85,21 +85,48 @@ def write_reports(out_dir, keyed_reports, write_packets: bool) -> None:
         os.remove(comparison)
 
 
+def _run_group(cells: list[ScenarioConfig]) -> list[MetricsReport]:
+    """Run cells of one (n_sensors, seed) deployment in the order given, on
+    one placement: the first cell places it, and every later one reuses its
+    topology and so its range lists.  No finished Simulation outlives its
+    run, and the topology goes when this returns."""
+    sim = Simulation(cells[0])
+    topology = sim.topology
+    reports = [sim.run()]
+    del sim  # freed before the next run is set up
+    return reports + [run_scenario(cfg, topology) for cfg in cells[1:]]
+
+
 def run_experiment(plan: ExperimentPlan, out_dir, jobs: int = 1,
                    write_packets: bool = False) -> list[MetricsReport]:
     """Run the full matrix and write summary.csv, regional.csv and, when the
     plan has both protocols, comparison.csv (plus packets.csv when asked)
     under out_dir; an old comparison.csv or packets.csv this run does not
-    write is removed.  A cell the scenario rejects leaves out_dir as it was."""
+    write is removed.  A cell the scenario rejects leaves out_dir as it was.
+
+    Execution order: the cells are grouped by deployment (n_sensors, seed),
+    the groups in the order of their first cell in plan order, and the cells
+    of a group in plan order (the plan's protocol order).  A group's cells
+    share one placement and its range lists; groups run one after another,
+    or are shared out among the pool's workers.  Reports and CSV rows are in
+    plan order either way."""
     cells = plan.cells()  # validates every cell
     os.makedirs(out_dir, exist_ok=True)
-    # a fork pool starts every worker at once: none beyond one per cell
-    workers = min(jobs, len(cells))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, c in enumerate(cells):
+        groups.setdefault((c.n_sensors, c.seed), []).append(i)
+    group_cells = [[cells[i] for i in members] for members in groups.values()]
+    # a fork pool starts every worker at once: none beyond one per deployment
+    workers = min(jobs, len(group_cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_scenario, cells))
+            runs = list(pool.map(_run_group, group_cells))
     else:
-        reports = [run_scenario(c) for c in cells]
+        runs = list(map(_run_group, group_cells))
+    reports = [None] * len(cells)
+    for members, group_reports in zip(groups.values(), runs):
+        for i, rep in zip(members, group_reports):
+            reports[i] = rep
     write_reports(out_dir, [((c.protocol, c.seed, c.n_sensors), r)
                             for c, r in zip(cells, reports)], write_packets)
     if "geams" in plan.protocols and "gpsr" in plan.protocols:

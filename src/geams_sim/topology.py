@@ -4,15 +4,17 @@ pair once on a grid of cells.
 
 A topology is its node rows: the field and the radio range belong to the
 scenario that runs it, and a run checks the rows against that scenario.
-Topologies are immutable and fully determined by the scenario's seed,
-sensor count and field, so they can be shared read-only between runs.
+Topologies are immutable rows, plus a read-only range-list memo: the rows are
+fully determined by the scenario's seed, sensor count and field, and a
+radio range's lists are built once, on first use, so one placement can be
+shared read-only between runs.
 """
 from __future__ import annotations
 
 import csv
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .scenario import ScenarioConfig
 
@@ -40,9 +42,15 @@ def distance(a: Position, b: Position) -> float:
 
 @dataclass(frozen=True)
 class Topology:
-    """A static deployment: node 0 is the sink, node 1 the source, the rest sensors."""
+    """A static deployment: node 0 is the sink, node 1 the source, the rest
+    sensors.  Immutable rows, plus a read-only range-list memo, which takes
+    no part in equality, hashing or repr."""
 
     nodes: tuple[tuple[int, Position], ...]
+    # radio range -> range_neighbor_lists(self, range); every run on this
+    # placement shares them, and none may write to them
+    _range_lists: dict[float, dict[int, list[int]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def sensor_ids(self) -> list[int]:
@@ -50,6 +58,14 @@ class Topology:
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    def range_lists(self, r: float) -> dict[int, list[int]]:
+        """range_neighbor_lists(self, r), built on the first call for `r`
+        and shared by every later one: do not mutate it."""
+        lists = self._range_lists.get(r)
+        if lists is None:
+            lists = self._range_lists[r] = range_neighbor_lists(self, r)
+        return lists
 
 
 class CellGrid:

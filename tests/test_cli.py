@@ -1,12 +1,14 @@
 import csv
+import gc
 import json
+import weakref
 
 import pytest
 
 from geams_sim import engine, topology
 from geams_sim.cli import _parse_seeds, main
 from geams_sim.experiment import ExperimentPlan, run_experiment
-from geams_sim.metrics import SUMMARY_COLUMNS
+from geams_sim.metrics import SUMMARY_COLUMNS, write_csv
 from geams_sim.scenario import ScenarioConfig, ScenarioError
 
 
@@ -200,9 +202,10 @@ def test_experiment_is_deterministic_and_parallel_safe(tmp_path):
         assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_experiment_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
-    # a fork pool starts all its workers at once, so an oversized --jobs
-    # must not reach it; the fake pool runs the cells in this process
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the fork pool with one that runs the groups in this process;
+    the list gets the size of every pool made."""
     sizes = []
 
     class RecordingPool:
@@ -215,18 +218,80 @@ def test_experiment_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, cells):
-            return map(fn, cells)
+        def map(self, fn, groups):
+            return map(fn, groups)
 
     monkeypatch.setattr("geams_sim.experiment.ProcessPoolExecutor", RecordingPool)
-    plan = ExperimentPlan(seeds=(1,), node_counts=(10,))  # 2 cells
+    return sizes
+
+
+def test_experiment_pool_has_at_most_one_worker_per_deployment(tmp_path, pool_sizes):
+    # a fork pool starts all its workers at once, so an oversized --jobs
+    # must not reach it
+    plan = ExperimentPlan(seeds=(1, 2), node_counts=(10,))  # 4 cells, 2 deployments
     serial, pooled = tmp_path / "serial", tmp_path / "pooled"
     run_experiment(plan, serial, jobs=1)
-    assert sizes == []
+    assert pool_sizes == []
     run_experiment(plan, pooled, jobs=10**6)
-    assert sizes == [2]
+    assert pool_sizes == [2]
     for name in ("summary.csv", "regional.csv", "comparison.csv"):
         assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_experiment_places_each_deployment_once(tmp_path, monkeypatch, pool_sizes, jobs):
+    """Both protocols' cells of one (n, seed) run on one placement and one
+    set of range lists, serially and in the pool; Simulation.__init__ still
+    places the topology of the first."""
+    calls = {"placed": 0, "range lists": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(engine, "generate_topology",
+                        counted("placed", engine.generate_topology))
+    monkeypatch.setattr(topology, "range_neighbor_lists",
+                        counted("range lists", topology.range_neighbor_lists))
+    plan = ExperimentPlan(seeds=(1, 2), node_counts=(10, 20))  # 8 cells
+    reports = run_experiment(plan, tmp_path, jobs=jobs)
+    assert len(reports) == 8
+    assert calls == {"placed": 4, "range lists": 4}
+    assert pool_sizes == ([] if jobs == 1 else [4])
+
+
+def test_experiment_frees_each_run_before_the_next_is_set_up(tmp_path, monkeypatch):
+    """No finished Simulation is alive while the next is set up, and no
+    deployment's topology while the CSVs are written; both go without a gc
+    pass."""
+    events = []
+    init = engine.Simulation.__init__
+
+    def recorded_init(sim, cfg, topo=None):
+        init(sim, cfg, topo)
+        weakref.finalize(sim, events.append, f"{cfg.protocol} run freed")
+        if topo is None:
+            weakref.finalize(sim.topology, events.append, f"n={cfg.n_sensors} placement freed")
+        events.append(f"{cfg.protocol} set up")
+
+    def recorded_write_csv(path, *args):
+        events.append("CSV written")
+        return write_csv(path, *args)
+
+    monkeypatch.setattr(engine.Simulation, "__init__", recorded_init)
+    monkeypatch.setattr("geams_sim.experiment.write_csv", recorded_write_csv)
+    gc.collect()
+    gc.disable()
+    try:
+        run_experiment(ExperimentPlan(seeds=(1,), node_counts=(10, 20)), tmp_path)
+    finally:
+        gc.enable()
+    assert events == ["geams set up", "geams run freed", "gpsr set up", "gpsr run freed",
+                      "n=10 placement freed",
+                      "geams set up", "geams run freed", "gpsr set up", "gpsr run freed",
+                      "n=20 placement freed"] + ["CSV written"] * 3
 
 
 def test_experiment_rejects_unknown_protocol(tmp_path, capsys):

@@ -11,7 +11,8 @@ from geams_sim import geams, gpsr
 from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import Simulation, run_scenario
 from geams_sim.scenario import PROTOCOLS, ScenarioConfig
-from geams_sim.topology import SINK_ID, SOURCE_ID, Position, Topology, generate_topology
+from geams_sim.topology import SINK_ID, SOURCE_ID, Position, Topology, generate_topology, \
+    range_neighbor_lists
 
 TWO_NODE = dict(n_sensors=0, sink_x=35.0)  # sink 25 m east of the source
 
@@ -275,6 +276,32 @@ def test_a_run_takes_its_radio_range_from_the_scenario():
         {u: sorted(radio_neighbors(topo, u, 40.0)) for u, _ in topo.nodes}
     assert sim.run() != run_scenario(cfg, topo)
     assert run_scenario(short, topo) == run_scenario(short)
+
+
+@pytest.mark.parametrize("n, seed", [(30, s) for s in range(1, 6)] + [(100, 1)])
+def test_runs_sharing_a_placement_equal_runs_placing_their_own(n, seed):
+    """Both protocols on one placement, as an experiment runs them: each run
+    reports what a run that places its own topology reports, and every run
+    reads the one set of range lists the first built.  Sparse n = 30 cells
+    walk back, enter perimeter mode and lose nodes."""
+    shared = generate_topology(ScenarioConfig(n_sensors=n, seed=seed))
+    r = ScenarioConfig().radio_range
+    lists = None
+    for protocol in PROTOCOLS:
+        cfg = ScenarioConfig(protocol=protocol, n_sensors=n, seed=seed)
+        sim = Simulation(cfg, shared)
+        assert sim.run() == run_scenario(cfg)
+        if lists is None:
+            lists = shared.range_lists(r)
+        assert shared.range_lists(r) is lists
+        assert all(node.table.range_ids is lists[u] for u, node in sim.nodes.items())
+    assert lists == range_neighbor_lists(shared, r)
+    # another radio range on the same placement gets lists of its own
+    short = Simulation(cfg.replace(radio_range=r / 2), shared)
+    own = shared.range_lists(r / 2)
+    assert own is not lists and own == range_neighbor_lists(shared, r / 2) != lists
+    assert all(node.table.range_ids is own[u] for u, node in short.nodes.items())
+    assert shared.range_lists(r) is lists
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
