@@ -87,8 +87,7 @@ class EnergyLedger:
 class Simulation:
     # a node is safe in a beacon round when its residual exceeds the most the
     # round can debit by this factor, far above the float rounding of the
-    # round's subtractions; a subclass that sets it to inf runs every round
-    # on the exact path
+    # round's subtractions
     SAFE_MARGIN = 1.0 + 1e-9
 
     def __init__(self, cfg: ScenarioConfig, topology: Topology | None = None):

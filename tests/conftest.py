@@ -1,13 +1,12 @@
 import math
-from dataclasses import dataclass
 
 import pytest
 
 from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import Simulation
 from geams_sim.geams import BestNeighborSet
-from geams_sim.neighbors import NeighborRecord, NeighborTable, live
-from geams_sim.scenario import ScenarioConfig
+from geams_sim.neighbors import NeighborRecord, NeighborTable
+from geams_sim.scenario import PROTOCOLS, ScenarioConfig
 from geams_sim.topology import Position, Topology, distance
 
 
@@ -147,138 +146,6 @@ def table(me: Position, sink: Position, records) -> NeighborTable:
     return t
 
 
-# Beacon-table oracle: one private table per receiver, updated once per
-# reception, which the shared per-sender BeaconState must agree with.
-
-@dataclass(frozen=True)
-class Beacon:
-    sender: int
-    position: Position
-    residual_energy: float
-    # a true value clears any standing void flag for the sender
-    has_sinkward: bool
-    time: float
-
-
-@dataclass
-class OracleRecord:
-    residual_energy: float
-    void_flagged: bool
-    last_beacon_time: float
-
-
-class OracleTable:
-    """A receiver's own copy of every range neighbour, heard or not: a
-    sender never heard has residual 0.0 and last beacon time -inf."""
-
-    def __init__(self, senders):
-        self.records = {i: OracleRecord(0.0, False, -math.inf) for i in senders}
-
-    def handle_beacon(self, b: Beacon) -> None:
-        r = self.records[b.sender]
-        r.residual_energy = b.residual_energy
-        r.last_beacon_time = b.time
-        if b.has_sinkward:
-            r.void_flagged = False
-
-    def mark_void(self, node_id: int) -> None:
-        self.records[node_id].void_flagged = True
-
-    def live_ids(self, now: float, expiry_s: float) -> list[int]:
-        return sorted(i for i, r in self.records.items()
-                      if now - r.last_beacon_time <= expiry_s and r.residual_energy > 0)
-
-
-class ReplaySimulation(Simulation):
-    """A Simulation that also keeps an OracleTable per node, fed by every
-    broadcast that goes on air (through the `_on_air` hook, which the exact
-    and the batched beacon paths both call), and checks the routing node's
-    table against its oracle before and after every route, and every live
-    node's table after every beacon round, reading its sink-ward records
-    first, as every route does.  It counts what it saw, so a test can tell
-    which paths a scenario took, and how many checks found a table that held
-    only its sink-ward records."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.oracle = {i: OracleTable(n.table.range_ids) for i, n in self.nodes.items()}
-        self.checks = self.sinkward_checks = self.void_announcements = self.void_clears = 0
-        self.rx_deaths = self.walkbacks = 0
-        self._hearers = []
-
-    def _on_air(self, node, reported, time, void=False):
-        # no receiver has been debited yet, so the nodes alive now are the
-        # ones that hear the broadcast
-        self._hearers = hearers = [o for o in map(self.nodes.get, node.table.range_ids)
-                                   if o.alive]
-        # the oracle's own void check, from the flag standing before the
-        # beacon: an unflagged sender has nothing to clear
-        flagged = node.beacon_state.void_flagged
-        has_sinkward = not flagged or self._has_sinkward(node)
-        for other in hearers:
-            table = self.oracle[other.id]
-            if void:
-                table.mark_void(node.id)
-            else:
-                table.handle_beacon(Beacon(node.id, node.table.my_position, reported,
-                                           has_sinkward, time))
-        self.void_announcements += void
-        self.void_clears += flagged and not void and has_sinkward
-        super()._on_air(node, reported, time, void)
-
-    def _broadcast(self, node, time, void=False):
-        # only the exact path debits receivers one by one, so only it can
-        # kill one with a reception
-        self._hearers = []
-        super()._broadcast(node, time, void)
-        self.rx_deaths += sum(not other.alive for other in self._hearers)
-
-    def _do_beacons(self, time):
-        super()._do_beacons(time)
-        for node in self.nodes.values():
-            if node.alive:
-                self.check_table(node)
-
-    def _route(self, node, pk):
-        self.check_table(node)
-        hop, reason = super()._route(node, pk)
-        if hop is not None and self.cfg.protocol == "geams":
-            # the pending-load estimate: the frame's electronics-only relay cost
-            self.oracle[node.id].records[hop].residual_energy -= \
-                2.0 * self.cfg.e_elec_j_per_bit * (pk.payload_bits + self.cfg.header_bits)
-        self.walkbacks += node.id in pk.excluded
-        self.check_table(node)
-        return hop, reason
-
-    def check_table(self, node) -> None:
-        """Check the table against its oracle: the whole oracle once the
-        table has made every record, and its sink-ward part while it holds
-        only that, which a read of every live record would complete."""
-        table, oracle = node.table, self.oracle[node.id]
-        table.sinkward_records()  # the read every route makes first
-        now, expiry = self.now, self.cfg.neighbor_expiry_s
-        held = sorted(oracle.records)
-        whole = table.senders is None  # let go once every record is made
-        if whole:
-            live_ids = [r.id for r in table.live_records(now, expiry)]
-        else:
-            held = [i for i in held
-                    if self.nodes[i].table.my_sink_distance < table.my_sink_distance]
-            live_ids = [r.id for r, _ in live(table.sinkward_records(), now, expiry)]
-        assert live_ids == [i for i in oracle.live_ids(now, expiry) if i in held]
-        assert list(table.records) == held
-        assert [r.id for r in table.sinkward_records()] == [
-            i for i, r in table.records.items() if r.distance_to_sink < table.my_sink_distance]
-        for i in held:
-            want = oracle.records[i]
-            r = table.records[i]
-            got = OracleRecord(r.residual_energy, r.state.void_flagged,
-                               r.state.last_beacon_time)
-            assert got == want, (node.id, i, got, want)
-        self.checks += 1
-        self.sinkward_checks += not whole
-
-
 class HopLog(Simulation):
     """A Simulation that also logs (time, frame bits) of every tx-complete
     event, in the order they run."""
@@ -306,14 +173,43 @@ def first_hop(length_m: float, **overrides) -> tuple[float, int]:
 def low_energy_cells():
     """Sparse low-energy cells, where beacon receptions kill sensors mid-round
     (at 0.005 J sensors cannot fund the t = 0 round), a cell without beacon
-    energy, and cells whose gateways run too low to fund their beacons."""
+    energy, and cells whose gateways run too low to fund their beacons: two
+    whose source runs dry, and four whose source stays funded while the sink
+    (in one cell the source too) stops going on air."""
     cells = [ScenarioConfig(protocol=protocol, seed=seed, n_sensors=30,
                             initial_energy_j=energy, image_count=10, horizon_s=20.0)
-             for protocol in ("geams", "gpsr") for seed in (1, 2, 3, 4, 5)
+             for protocol in PROTOCOLS for seed in (1, 2, 3, 4, 5)
              for energy in (0.005, 0.05, 0.5)]
     cells.append(ScenarioConfig(n_sensors=30, beacon_energy=False, image_count=10,
                                 horizon_s=20.0))
     gateways = [ScenarioConfig(protocol=protocol, n_sensors=30, gateway_energy_j=0.05,
                                image_count=10, horizon_s=20.0)
-                for protocol in ("geams", "gpsr")]
+                for protocol in PROTOCOLS]
+    sparse = dict(image_bits=1000, image_count=6, image_interval_s=6.0, horizon_s=30.0)
+    gateways += [
+        ScenarioConfig(protocol="geams", seed=22, n_sensors=60, gateway_energy_j=0.15, **sparse),
+        ScenarioConfig(protocol="gpsr", seed=15, n_sensors=60, gateway_energy_j=0.15, **sparse),
+        ScenarioConfig(protocol="geams", seed=22, gateway_energy_j=0.1,
+                       **dict(sparse, image_count=4, image_interval_s=2.0)),
+        ScenarioConfig(protocol="gpsr", seed=2, n_sensors=30, radio_range=40.0,
+                       initial_energy_j=0.1, gateway_energy_j=0.005, image_count=5,
+                       horizon_s=20.0)]
     return cells, gateways
+
+
+def equivalence_cells():
+    """The cells that the kept-choice checkers and the differential test
+    share: the low-energy cells, among them one without beacon energy and
+    the gateway cells, the sparse n = 30 cells where GEAMS walks back, the
+    default cell of each protocol, and low-energy n = 100 cells, one at 10
+    small images a second, where a kept set outlives the expiry of a sensor
+    that died before its last two beacons."""
+    cells, gateways = low_energy_cells()
+    low = dict(initial_energy_j=0.5, image_count=10, horizon_s=20.0)
+    stream = dict(initial_energy_j=0.1, packet_bits=200, image_bits=2000,
+                  image_interval_s=0.1, image_count=60, horizon_s=20.0)
+    return cells + gateways + [
+        ScenarioConfig(protocol=protocol, **kw)
+        for protocol in PROTOCOLS
+        for kw in ([dict(n_sensors=30, seed=seed) for seed in (1, 2, 3, 4, 5)]
+                   + [{}, dict(seed=1, **low), dict(seed=2, **low), dict(seed=1, **stream)])]

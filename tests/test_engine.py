@@ -3,10 +3,9 @@ import math
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from conftest import PathSimulation, ReplaySimulation, assert_energy_balanced, \
-    chain_positions, first_hop, low_energy_cells, radio_neighbors
+from conftest import PathSimulation, assert_energy_balanced, chain_positions, \
+    equivalence_cells, first_hop, low_energy_cells, radio_neighbors
 from geams_sim import geams, gpsr
 from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import Simulation, run_scenario
@@ -428,44 +427,9 @@ def test_finished_simulation_is_freed_without_gc(protocol, horizon_s):
         gc.enable()
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    protocol=st.sampled_from(PROTOCOLS),
-    n=st.integers(0, 30),
-    seed=st.integers(1, 10_000),
-    horizon_s=st.floats(0.05, 12.0),
-    image_count=st.integers(1, 6),
-    initial_energy_j=st.sampled_from([0.0, 0.002, 0.01, 0.03, 0.1, 0.5]),
-    gateway_energy_j=st.sampled_from([0.0, 0.002, 1e6]),
-    beacon_energy=st.booleans(),
-    radio_range=st.sampled_from([40.0, 80.0, 150.0]),
-)
-def test_small_random_scenarios_end_conserve_packets_and_balance(
-        protocol, n, seed, horizon_s, image_count, initial_energy_j, gateway_energy_j,
-        beacon_energy, radio_range):
-    """Any small scenario runs to an end, accounts for every packet it
-    emitted and books every joule drawn.  The replay also checks every
-    routing node's table against its per-receiver oracle, underfunded
-    gateways that announce a void again included."""
-    cfg = ScenarioConfig(protocol=protocol, n_sensors=n, seed=seed, horizon_s=horizon_s,
-                         image_count=image_count, initial_energy_j=initial_energy_j,
-                         gateway_energy_j=gateway_energy_j, beacon_energy=beacon_energy,
-                         radio_range=radio_range)
-    sim = ReplaySimulation(cfg)
-    report = sim.run()
-    assert sim.now <= horizon_s
-    log = report.per_packet_log
-    assert len({p.seq for p in log}) == len(log)
-    in_flight = sim.emitted - report.delivered - report.lost_total
-    assert in_flight >= 0
-    assert report.delivered + report.lost_total + in_flight == sim.emitted
-    if sim.emissions_done and len(log) == sim.emitted:
-        assert in_flight == 0
-    assert_energy_balanced(*sim.energy_drawdown())
-
-
-# Kept best-neighbour sets and in-place arrivals against the engine without
-# them: the same floats, not close ones.
+# Kept forwarding choices against fresh ones, and which arrival path runs.
+# That kept choices and in-place arrivals leave every float as the original
+# engine computed it is checked by test_differential.py.
 
 class ArrivalCounter(Simulation):
     """Counts the arrivals handled inside their tx-complete event and the
@@ -487,36 +451,6 @@ class ArrivalCounter(Simulation):
         else:
             self.scheduled += 1
         super()._do_arrival(*args)
-
-
-class EveryArrivalAnEvent(Simulation):
-    """The reference: every arrival is scheduled as an event of its own, and
-    every route makes its forwarding choice afresh: a GEAMS route builds its
-    best-neighbour set, and a GPSR route its greedy choice."""
-
-    def _do_tx_complete(self, time, sender_id, receiver_id, pk, cost, bits):
-        sender = self.nodes[sender_id]
-        sender.transmitting = False
-        if not sender.alive:
-            self._record(pk, "sender_died")
-            return
-        drained, died = sender.battery.debit(cost)
-        self.ledger.add("data_tx", drained)
-        if drained < cost:
-            self._record(pk, "sender_died")
-            self._kill(sender)
-            if sender.queue:
-                self._try_start(sender, time)
-            return
-        self._schedule(time, self._do_arrival, receiver_id, pk, bits)
-        if died:
-            self._kill(sender)
-        else:
-            self._try_start(sender, time)
-
-    def _route(self, node, pk):
-        self._kept.clear()
-        return super()._route(node, pk)
 
 
 class KeptSetChecker(Simulation):
@@ -591,13 +525,11 @@ class KeptPlanarChecker(Simulation):
     every range neighbour, in ascending id order, that the kept set and its
     oldest beacon time equal a fresh planar_neighbors, with the table's
     cache bypassed, and that the hop was taken from the set.  It counts the
-    routes that reused a set kept from an earlier one, and the rebuilds made
-    because a record the set was computed from expired, not because a
-    broadcast dropped it."""
+    routes that reused a set kept from an earlier one."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.checks = self.reused = self.expired = 0
+        self.checks = self.reused = 0
 
     def _route(self, node, pk):
         if self.cfg.protocol != "gpsr":
@@ -617,65 +549,27 @@ class KeptPlanarChecker(Simulation):
         assert result[0] is None or result[0] in [r.id for r in kept.gabriel]
         self.checks += 1
         # a rebuild always moves the oldest beacon time on
-        reused = before == (kept.gabriel, kept.oldest)
-        self.reused += reused
-        self.expired += before is not None and before[1] > -math.inf and not reused
+        self.reused += before == (kept.gabriel, kept.oldest)
         return result
 
 
-class WholeTableSimulation(Simulation):
-    """The reference for lazy tables and kept Gabriel sets: every table
-    makes a record of each of its range neighbours before the run, and
-    every perimeter route computes its Gabriel set afresh, with no cache."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        for node in self.nodes.values():
-            node.table.live_records(0.0, self.expiry_s)
-
-    def _route(self, node, pk):
-        if self.cfg.protocol == "gpsr":
-            kept = self._kept.get(node.id)
-            if kept is not None:
-                kept.oldest = -math.inf  # drop the kept Gabriel set
-            node.table.planar_cache = None
-        return super()._route(node, pk)
-
-
-def _equivalence_cells():
-    """The low-energy cells, among them one without beacon energy and two
-    whose gateways cannot fund every beacon, the sparse n = 30 cells where
-    GEAMS walks back, the default cell of each protocol, and low-energy
-    n = 100 cells, one at 10 small images a second, where a kept set
-    outlives the expiry of a sensor that died before its last two beacons."""
-    cells, gateways = low_energy_cells()
-    low = dict(initial_energy_j=0.5, image_count=10, horizon_s=20.0)
-    stream = dict(initial_energy_j=0.1, packet_bits=200, image_bits=2000,
-                  image_interval_s=0.1, image_count=60, horizon_s=20.0)
-    return cells + gateways + [
-        ScenarioConfig(protocol=protocol, **kw)
-        for protocol in PROTOCOLS
-        for kw in ([dict(n_sensors=30, seed=seed) for seed in (1, 2, 3, 4, 5)]
-                   + [{}, dict(seed=1, **low), dict(seed=2, **low), dict(seed=1, **stream)])]
-
-
-def test_kept_sets_and_in_place_arrivals_equal_the_reference_bit_for_bit():
+def test_arrivals_run_in_place_and_as_events_of_their_own():
+    """Both arrival paths run in the low-energy cells, which the
+    differential test compares: frames also end at the instant of another
+    event."""
     in_place = scheduled = 0
-    for cfg in _equivalence_cells():
-        sim, ref = ArrivalCounter(cfg), EveryArrivalAnEvent(cfg)
-        assert sim.run() == ref.run(), cfg
-        assert [(n.battery.residual, n.alive) for n in sim.nodes.values()] == \
-            [(n.battery.residual, n.alive) for n in ref.nodes.values()], cfg
-        assert sim.ledger.totals == ref.ledger.totals, cfg
+    cells, gateways = low_energy_cells()
+    for cfg in cells + gateways:
+        sim = ArrivalCounter(cfg)
+        sim.run()
         in_place += sim.in_place
         scheduled += sim.scheduled
-    # both paths run: frames also end at the instant of another event
     assert in_place > 0 and scheduled > 0
 
 
 def test_every_kept_set_equals_a_fresh_build():
     checks = reused = skipped = 0
-    for cfg in _equivalence_cells():
+    for cfg in equivalence_cells():
         if cfg.protocol == "geams":
             sim = KeptSetChecker(cfg)
             sim.run()
@@ -691,7 +585,7 @@ def test_every_kept_greedy_choice_equals_a_fresh_one():
     broadcast dropped it, which only the low-energy cell at 10 small images
     a second shows (twice)."""
     checks = reused = expired = 0
-    for cfg in _equivalence_cells():
+    for cfg in equivalence_cells():
         if cfg.protocol == "gpsr":
             sim = KeptGreedyChecker(cfg)
             sim.run()
@@ -702,22 +596,17 @@ def test_every_kept_greedy_choice_equals_a_fresh_one():
     assert expired > 0
 
 
-def test_lazy_tables_and_kept_gabriel_sets_equal_the_reference_bit_for_bit():
-    """Tables filled sink-ward first and made whole only when a node walks
-    back or enters perimeter mode, and Gabriel sets kept between broadcasts,
-    give the reports, batteries and ledger of whole tables and fresh sets.
-    The engine side also checks every kept set it takes (KeptPlanarChecker).
-    The cells include low_energy_cells() and the sparse n = 30 cells of
-    seeds 1-5, where GEAMS walks back and GPSR enters perimeter mode.  Some
-    tables are completed and some stay sink-ward-only, and kept sets are
-    reused, so the comparison covers what changed."""
+def test_every_kept_gabriel_set_equals_a_fresh_one():
+    """Tables are filled sink-ward first and made whole only when a node
+    walks back or enters perimeter mode, and Gabriel sets are kept between
+    broadcasts; every kept set a route takes equals a fresh one
+    (KeptPlanarChecker).  The cells' sparse n = 30 cells, seeds 1-5, walk
+    back (GEAMS) and enter perimeter mode (GPSR), so some tables are
+    completed, some stay sink-ward-only, and kept sets are reused."""
     completed = sinkward_only = checks = reused = 0
-    for cfg in _equivalence_cells():
-        sim, ref = KeptPlanarChecker(cfg), WholeTableSimulation(cfg)
-        assert sim.run() == ref.run(), cfg
-        assert [(n.battery.residual, n.alive) for n in sim.nodes.values()] == \
-            [(n.battery.residual, n.alive) for n in ref.nodes.values()], cfg
-        assert sim.ledger.totals == ref.ledger.totals, cfg
+    for cfg in equivalence_cells():
+        sim = KeptPlanarChecker(cfg)
+        sim.run()
         tables = [n.table for n in sim.nodes.values()]
         # a table lets go of the run's lookup once it has made every record
         completed += sum(t.senders is None for t in tables)

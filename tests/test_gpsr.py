@@ -392,7 +392,8 @@ def test_greedy_agrees_with_brute_force(specs, ids):
 )
 def test_planar_cache_follows_liveness(offsets, gone):
     """Cached Gabriel neighbours equal a fresh computation after a neighbour
-    expires and again after it beacons back."""
+    expires, after it beacons back as another expires, which leaves a live
+    set of the same size, and after every neighbour beacons again."""
     me, expiry = Position(200, 90), 2.5
     t = NeighborTable(my_position=me, sink_position=SINK)
     senders = {node_id: Position(200 + dx, 90 + dy)
@@ -417,9 +418,14 @@ def test_planar_cache_follows_liveness(offsets, gone):
     # the oldest live record's time: inf when `gone` was the only one
     assert planar_neighbors(t, 3.0, expiry) == (
         reference_planar(t, 3.0, expiry), 3.0 if len(senders) > 1 else math.inf)
-    beacon_round(4.0)                                    # and beacons back
-    assert planar_neighbors(t, 4.0, expiry) == (reference_planar(t, 4.0, expiry), 4.0)
-    assert planar_neighbors(t, 4.0, expiry)[0] == first
+    if len(senders) > 1:
+        # `gone` beacons back as `other` expires: as many live, not the same
+        other = min(i for i in senders if i != gone)
+        beacon_round(6.0, skip=other)
+        assert planar_neighbors(t, 6.0, expiry) == (reference_planar(t, 6.0, expiry), 6.0)
+    beacon_round(7.0)                                    # every one beacons
+    assert planar_neighbors(t, 7.0, expiry) == (reference_planar(t, 7.0, expiry), 7.0)
+    assert planar_neighbors(t, 7.0, expiry)[0] == first
 
 
 @pytest.mark.parametrize("n", [30, 60, 120])

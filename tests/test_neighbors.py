@@ -1,9 +1,8 @@
 import math
 
-import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ReplaySimulation, assert_energy_balanced, low_energy_cells, table
+from conftest import assert_energy_balanced, low_energy_cells, table
 from geams_sim.energy import Battery
 from geams_sim.engine import DataPacket, EnergyLedger, Simulation
 from geams_sim.geams import build_best_neighbor_set, walking_back_candidate
@@ -26,16 +25,18 @@ def hear(t, sender, x, energy=1.0, time=0.0):
 
 def test_topology_listed_in_descending_id_order_changes_nothing():
     """Nodes beacon in ascending id order whatever the topology's row order,
-    so every table is in ascending id order (ReplaySimulation checks it) and
-    the reports match byte for byte."""
+    so every table is in ascending id order and the reports match byte for
+    byte."""
     for protocol in ("gpsr", "geams"):
         cfg = ScenarioConfig(protocol=protocol, n_sensors=60, seed=3)
         topo = generate_topology(cfg)
         reverse = Topology(nodes=topo.nodes[::-1])
-        sims = [ReplaySimulation(cfg, t) for t in (topo, reverse)]
+        sims = [Simulation(cfg, t) for t in (topo, reverse)]
         a, b = [sim.run() for sim in sims]
         assert list(sims[1].nodes) == sorted(sims[1].nodes)
-        assert sims[1].checks > 0
+        tables = [n.table for n in sims[1].nodes.values()]
+        assert all(list(t.records) == sorted(t.records) for t in tables)
+        assert any(t.records for t in tables)
         assert a.per_packet_log == b.per_packet_log
         key = (protocol, cfg.seed, cfg.n_sensors)
         assert summary_row(a, *key) == summary_row(b, *key)
@@ -311,63 +312,30 @@ def test_pending_load_estimate_is_overwritten_by_next_beacon(topo_builder):
     assert source.table.records[2].residual_energy == relay.battery.residual
 
 
-# Replays against per-receiver oracle tables (conftest.ReplaySimulation): the
-# shared states must give every routing node the view it would have had from
-# tables of its own.
-
-@pytest.mark.parametrize("protocol", ["geams", "gpsr"])
-def test_shared_state_replays_private_tables_on_the_default_scenario(protocol):
-    sim = ReplaySimulation(ScenarioConfig(protocol=protocol))
-    sim.run()
-    assert sim.checks > 1000
-
-
-# sparse, low-energy cells: beacon receptions kill nodes mid-broadcast, and
-# GEAMS walks back and announces voids
-@pytest.mark.parametrize("protocol", ["geams", "gpsr"])
-def test_shared_state_replays_private_tables_in_sparse_low_energy_cells(protocol):
-    sims = [ReplaySimulation(ScenarioConfig(
-                protocol=protocol, seed=seed, n_sensors=30, initial_energy_j=energy,
-                image_count=10, horizon_s=20.0))
-            for seed in (1, 2, 3, 4, 5) for energy in (0.05, 0.5)]
-    for sim in sims:
-        sim.run()
-        assert sim.checks > 0
-    assert sum(s.rx_deaths for s in sims) > 0
-    # tables are checked both while they hold only their sink-ward records
-    # and once they are whole
-    assert 0 < sum(s.sinkward_checks for s in sims) < sum(s.checks for s in sims)
-    if protocol == "geams":
-        assert sum(s.walkbacks for s in sims) > 0
-        assert sum(s.void_announcements for s in sims) > 0
-
-
-def test_replay_sees_a_void_flag_cleared(topo_builder):
-    """A void flag clears only when its sender has a usable sink-ward
-    neighbour again, which random deployments hardly ever produce: here the
-    source's pending-load estimates make the low-energy sink look drained
-    within one beacon interval, so the source announces a void and walks
-    packets back to node 2, and the sink's next beacon shows it alive."""
-    topo = topo_builder({0: Position(35, 90), 1: Position(10, 90), 2: Position(5, 130)})
-    cfg = ScenarioConfig(protocol="geams", n_sensors=1, gateway_energy_j=0.1,
-                         beacon_energy=False, image_bits=20_000, image_count=3,
-                         queue_capacity=30)
-    sim = ReplaySimulation(cfg, topo)
-    sim.run()
-    assert sim.void_announcements > 0 and sim.walkbacks > 0
-    assert sim.void_clears > 0
-
-
 class VoidCheckCounter(Simulation):
-    """Records, for every void check, whether its node's void flag stood."""
+    """Records, for every void check, whether its node's void flag stood,
+    and counts the checks that found a sink-ward neighbour, which clears the
+    standing flag, the void announcements and the GEAMS walk-backs."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.void_checks: list[bool] = []
+        self.clears = self.announcements = self.walkbacks = 0
 
     def _has_sinkward(self, node):
         self.void_checks.append(node.beacon_state.void_flagged)
-        return super()._has_sinkward(node)
+        found = super()._has_sinkward(node)
+        self.clears += found
+        return found
+
+    def _on_air(self, node, reported, time, void=False):
+        self.announcements += void
+        super()._on_air(node, reported, time, void)
+
+    def _route_geams(self, node, pk):
+        result = super()._route_geams(node, pk)
+        self.walkbacks += node.id in pk.excluded
+        return result
 
 
 class CheckEveryNode(Simulation):
@@ -384,30 +352,9 @@ class CheckEveryNode(Simulation):
         super()._on_air(node, reported, time, void)
 
 
-class FillAtFirstRound(Simulation):
-    """Gives every live node, when the t = 0 round ends, a table filled by
-    hand with the range neighbours that went on air in it, which keeps the
-    node's range list: the eager reference that a fill on first read must
-    agree with."""
-
-    def _do_beacons(self, time):
-        super()._do_beacons(time)
-        if time == 0.0:
-            for node in self.nodes.values():
-                if node.alive:
-                    old = node.table
-                    node.table = t = NeighborTable(old.my_position, old.sink_position,
-                                                   old.range_ids)
-                    for other in map(self.nodes.get, old.range_ids):
-                        if other.beacon_state.last_beacon_time == 0.0:
-                            t.handle_beacon(other.id, other.table.my_position,
-                                            other.beacon_state,
-                                            other.table.my_sink_distance)
-
-
 def _void_scenarios(topo_builder):
-    """Sparse low-energy GEAMS cells, which announce voids, and the one
-    hand-built scenario known to clear a void flag."""
+    """Sparse low-energy GEAMS cells, which announce voids, and, last, the
+    one hand-built scenario known to clear a void flag."""
     cells = [(ScenarioConfig(protocol="geams", seed=seed, n_sensors=30,
                              initial_energy_j=energy, image_count=10, horizon_s=20.0), None)
              for seed in (1, 2, 3, 4, 5) for energy in (0.05, 0.5)]
@@ -419,6 +366,12 @@ def _void_scenarios(topo_builder):
 
 
 def test_void_check_runs_only_for_nodes_that_announced_a_void(topo_builder):
+    """A void flag clears only when its sender has a usable sink-ward
+    neighbour again, which random deployments hardly ever produce.  In the
+    hand-built scenario the source's pending-load estimates make the
+    low-energy sink look drained within one beacon interval, so the source
+    announces a void and walks packets back to node 2, and the sink's next
+    beacon shows it alive."""
     gpsr = VoidCheckCounter(ScenarioConfig(protocol="gpsr"))
     gpsr.run()
     assert gpsr.void_checks == []
@@ -427,6 +380,8 @@ def test_void_check_runs_only_for_nodes_that_announced_a_void(topo_builder):
         sim.run()
         assert all(sim.void_checks)
     assert sum(len(sim.void_checks) for sim in sims) > 0
+    clear = sims[-1]
+    assert clear.announcements > 0 and clear.walkbacks > 0 and clear.clears > 0
 
 
 def test_checking_every_node_for_a_void_changes_no_report(topo_builder):
@@ -434,23 +389,28 @@ def test_checking_every_node_for_a_void_changes_no_report(topo_builder):
         assert Simulation(cfg, topo).run() == CheckEveryNode(cfg, topo).run()
 
 
-# Batched beacon rounds against the exact path: the same floats, not close ones.
+# Batched beacon rounds and the exact path.  That the two give the same
+# floats is checked against the frozen original engine, which has only the
+# exact path (test_differential.py).
 
 class PathCounter(Simulation):
-    """Counts beacons by the path they took, and records the paths each round
-    took: the exact path goes through _broadcast, a batched beacon calls the
-    on-air hook directly."""
+    """Counts beacons by the path they took, records the paths each round
+    took, and counts the nodes a reception killed: the exact path goes
+    through _broadcast, which debits each receiver in turn, and a batched
+    beacon calls the on-air hook directly."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.exact_beacons = self.batched_beacons = 0
+        self.exact_beacons = self.batched_beacons = self.rx_deaths = 0
         self.round_paths: dict[float, set[str]] = {}
         self._exact = False
 
     def _broadcast(self, node, time, void=False):
+        hearers = [o for o in map(self.nodes.get, node.table.range_ids) if o.alive]
         self._exact = True
         super()._broadcast(node, time, void)
         self._exact = False
+        self.rx_deaths += sum(not o.alive for o in hearers)
 
     def _on_air(self, node, reported, time, void=False):
         if not void:
@@ -463,12 +423,6 @@ class PathCounter(Simulation):
         super()._on_air(node, reported, time, void)
 
 
-class ExactRounds(PathCounter):
-    """No node is ever safe, so every round takes the exact path."""
-
-    SAFE_MARGIN = math.inf
-
-
 def assert_live_counts_hold(sim):
     """Every node's live-neighbour counts equal a recount of its alive range
     neighbours below and above it."""
@@ -478,57 +432,36 @@ def assert_live_counts_hold(sim):
         assert (node.live_below, node.live_above) == (below, len(alive) - below), node.id
 
 
-def test_batched_rounds_equal_the_exact_path_bit_for_bit():
+def test_each_beacon_round_takes_one_path_and_both_are_taken():
+    """A round is batched whole or run exact whole, and the low-energy cells
+    take both, the t = 0 round included; receptions kill nodes there, and
+    some senders never go on air (0.005 J sensors cannot fund the t = 0
+    round).  Tables make fewer records than their range lists name, and a
+    gateway alive but too low to fund its beacon stops going on air."""
     cells, gateways = low_energy_cells()
-    unfunded = both = 0
+    unfunded = both = rx_deaths = never_heard = made = named = 0
     first_round = []
     for cfg in cells + gateways:
-        batched, exact = PathCounter(cfg), ExactRounds(cfg)
-        assert batched.run() == exact.run()
-        assert [(n.battery.residual, n.alive) for n in batched.nodes.values()] == \
-            [(n.battery.residual, n.alive) for n in exact.nodes.values()]
-        assert batched.ledger.totals == exact.ledger.totals
-        assert exact.batched_beacons == 0
-        assert batched.batched_beacons + batched.exact_beacons == exact.exact_beacons
+        sim = PathCounter(cfg)
+        sim.run()
         if not cfg.beacon_energy:
             # unpriced beacons cost 0.0 J: every round is safe and batched
-            assert batched.exact_beacons == 0 < batched.batched_beacons
-        # a round is batched whole or run exact whole, and a cell sees both
-        assert all(len(paths) == 1 for paths in batched.round_paths.values())
-        both += batched.batched_beacons > 0 and batched.exact_beacons > 0
-        first_round += batched.round_paths[0.0]
-        assert_live_counts_hold(batched)
-        assert_live_counts_hold(exact)
+            assert sim.exact_beacons == 0 < sim.batched_beacons
+        assert all(len(paths) == 1 for paths in sim.round_paths.values())
+        both += sim.batched_beacons > 0 and sim.exact_beacons > 0
+        first_round += sim.round_paths[0.0]
+        assert_live_counts_hold(sim)
+        rx_deaths += sim.rx_deaths
+        nodes = sim.nodes.values()
+        never_heard += sum(n.beacon_state.last_beacon_time == -math.inf for n in nodes)
+        made += sum(len(n.table.records) for n in nodes)
+        named += sum(len(n.table.range_ids) for n in nodes)
         if cfg in gateways:
-            # a gateway alive but too low to fund its beacon stops going on air
-            last = batched.now - batched.now % cfg.beacon_interval_s
-            unfunded += any(batched.nodes[g].beacon_state.last_beacon_time < last
+            last = sim.now - sim.now % cfg.beacon_interval_s
+            unfunded += any(sim.nodes[g].beacon_state.last_beacon_time < last
                             for g in (0, 1))
     assert both > len(cells) // 2
-    assert unfunded == len(gateways)
-    # the t = 0 round takes either path, like any other
     assert {"batched", "exact"} <= set(first_round)
-
-
-def test_when_a_table_is_filled_changes_nothing():
-    """Filling tables on first read, with a never-live record for each range
-    neighbour that has not gone on air, gives the same floats as filling
-    every live node's table with the senders heard when the t = 0 round
-    ends."""
-    cells, gateways = low_energy_cells()
-    cells += gateways + [ScenarioConfig(protocol="geams"), ScenarioConfig(protocol="gpsr")]
-    lazy_records = eager_records = never_heard = 0
-    for cfg in cells:
-        lazy, eager = Simulation(cfg), FillAtFirstRound(cfg)
-        assert lazy.run() == eager.run()
-        assert [(n.battery.residual, n.alive) for n in lazy.nodes.values()] == \
-            [(n.battery.residual, n.alive) for n in eager.nodes.values()]
-        assert lazy.ledger.totals == eager.ledger.totals
-        lazy_records += sum(len(n.table.records) for n in lazy.nodes.values())
-        eager_records += sum(len(n.table.records) for n in eager.nodes.values())
-        never_heard += sum(n.beacon_state.last_beacon_time == -math.inf
-                           for n in lazy.nodes.values())
-    # the cells read fewer tables than they hold, and some senders never go
-    # on air (0.005 J sensors cannot fund the t = 0 round)
-    assert lazy_records < eager_records
-    assert never_heard > 0
+    assert rx_deaths > 0 and never_heard > 0
+    assert made < named
+    assert unfunded == len(gateways)
