@@ -28,7 +28,7 @@ from . import geams, gpsr
 from .energy import Battery, rx_energy, tx_energy
 from .metrics import LOSS_REASONS, MetricsReport, PacketOutcome, delay_and_loss, \
     dead_node_count, energy_stats, regional_energy
-from .neighbors import BeaconState, NeighborTable
+from .neighbors import BeaconState, NeighborTable, live
 from .scenario import ScenarioConfig
 from .topology import SINK_ID, SOURCE_ID, Topology, check_nodes, generate_topology
 
@@ -215,11 +215,11 @@ class Simulation:
     # -- beacons ------------------------------------------------------------
 
     def _has_sinkward(self, node: NodeRuntime) -> bool:
-        """Whether GEAMS would forward from `node` now rather than walk back."""
-        cfg = self.cfg
-        return bool(geams.build_best_neighbor_set(
-            node.table, self.now, self.expiry_s, cfg.data_packet_bits,
-            cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2).ids)
+        """Whether GEAMS would forward from `node` now rather than walk back:
+        it has a live sink-ward neighbour whose void flag does not stand,
+        exactly when geams.build_best_neighbor_set's set is not empty."""
+        return any(not r.state.void_flagged
+                   for r, _ in live(node.table.sinkward_records(), self.now, self.expiry_s))
 
     def _on_air(self, node: NodeRuntime, reported: float, time: float,
                 void: bool = False) -> None:

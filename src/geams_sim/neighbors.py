@@ -26,11 +26,12 @@ sink, which refers to no node or engine: the records of the sink-ward range
 neighbours on the first sinkward_records, as smart greedy forwarding and
 GPSR's greedy mode read nothing else, and the rest on the first
 live_records, as a node walks back or routes a GPSR packet in perimeter
-mode.  The sink-ward records stay the same objects, so their overlays
-stand.  `records` holds what the reads have made so far: routing reads a
-record there only once a read has returned it.  A record holds only static
-geometry, the shared state and the overlay; the sender's distance to the
-sink is its own, worked out once, and the receiver works out only the hop.
+mode.  That fill is the only way a table gets records.  The sink-ward
+records stay the same objects, so their overlays stand.  `records` holds
+what the reads have made so far: routing reads a record there only once a
+read has returned it.  A record holds only static geometry, the shared
+state and the overlay; the sender's distance to the sink is its own, worked
+out once, and the receiver works out only the hop.
 A sender's shared state changes at its turn in a beacon round, on the
 batched and the exact path alike, so a table reads the same states on both
 (`engine.Simulation._do_beacons`).
@@ -96,19 +97,17 @@ def live(records: Iterable[NeighborRecord], now: float,
 
 @dataclass
 class NeighborTable:
-    """One node's records of its range neighbours, in ascending id order.
-    With the run's `senders` lookup it fills itself from `range_ids` (see the
-    module docstring); without one it is filled by hand (handle_beacon),
-    which must keep that order, and its reads leave it as it is."""
+    """One node's records of its range neighbours, in ascending id order,
+    which it makes itself from `range_ids` and the run's `senders` lookup
+    (see the module docstring)."""
 
     my_position: Position
     sink_position: Position
     # this node's range neighbours, ascending (topology.range_neighbor_lists)
-    range_ids: list[int] = field(default_factory=list)
+    range_ids: list[int]
     # sender id -> (position, shared state, the sender's own sink distance),
     # one lookup per run; let go once every record is made
-    senders: dict[int, tuple[Position, BeaconState, float]] | None = field(
-        default=None, repr=False)
+    senders: dict[int, tuple[Position, BeaconState, float]] | None = field(repr=False)
     # by sender id, ascending; every record is made by handle_beacon
     records: dict[int, NeighborRecord] = field(default_factory=dict)
     my_sink_distance: float = field(init=False)
@@ -119,21 +118,19 @@ class NeighborTable:
     # are live
     planar_cache: tuple[tuple[int, ...], tuple[NeighborRecord, ...]] | None = field(
         default=None, init=False, repr=False)
-    # None until the first sinkward_records of a table that fills itself
+    # None until the first sinkward_records
     _sinkward: list[NeighborRecord] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.my_sink_distance = distance(self.my_position, self.sink_position)
-        if self.senders is None:
-            self._sinkward = []
 
     def handle_beacon(self, sender: int, position: Position, state: BeaconState,
                       distance_to_sink: float) -> None:
         """Add the record of a sender, whose id is above every id this table
         holds; `distance_to_sink` is the sender's own (its table's
-        `my_sink_distance`).  Beacons update only the shared `state`.
-        Load-time checks keep every pair at least 1 m apart, so the hop
-        needs no link check."""
+        `my_sink_distance`).  Only the table's own fill calls it.  Beacons
+        update only the shared `state`.  Load-time checks keep every pair at
+        least 1 m apart, so the hop needs no link check."""
         me = self.my_position
         # topology.distance, inlined
         r = self.records[sender] = NeighborRecord(
@@ -144,8 +141,8 @@ class NeighborTable:
 
     def sinkward_records(self) -> list[NeighborRecord]:
         """Every record strictly closer to the sink than this node, live or
-        not, in ascending id order; a table that fills itself makes them on
-        the first call.  The list is shared: do not mutate it."""
+        not, in ascending id order, made on the first call.  The list is
+        shared: do not mutate it."""
         s = self._sinkward
         if s is None:
             s = self._sinkward = []
@@ -157,9 +154,8 @@ class NeighborTable:
         return s
 
     def live_records(self, now: float, expiry_s: float) -> list[NeighborRecord]:
-        """The live records (live), in ascending id order.  A table that
-        fills itself first makes the records of every range neighbour it
-        has not made yet."""
+        """The live records (live), in ascending id order.  The first call
+        makes the records of every range neighbour not made yet."""
         senders = self.senders
         if senders is not None:
             self.sinkward_records()  # made first, kept as they are

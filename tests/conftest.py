@@ -5,7 +5,7 @@ import pytest
 from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import Simulation
 from geams_sim.geams import BestNeighborSet
-from geams_sim.neighbors import NeighborRecord, NeighborTable
+from geams_sim.neighbors import BeaconState, NeighborRecord, NeighborTable
 from geams_sim.scenario import PROTOCOLS, ScenarioConfig
 from geams_sim.topology import Position, Topology, distance
 
@@ -125,24 +125,40 @@ def entries(s: BestNeighborSet) -> list[tuple[int, float]]:
     return list(zip(s.ids, s.scores))
 
 
-# Hand-filled neighbour tables, filled as the engine fills them.
+# Neighbour tables, made as a run makes them.
 
-def add(t: NeighborTable, r: NeighborRecord) -> None:
-    """Give `t` the record of r's sender, heard for the first time, through
-    handle_beacon; its id must be above every id `t` holds.  r's pending-load
-    overlay is copied onto the new record."""
-    assert not t.records or r.id > max(t.records), (r.id, list(t.records))
-    t.handle_beacon(r.id, r.position, r.state, distance(r.position, t.sink_position))
-    heard = t.records[r.id]
-    heard.pending, heard.pending_time = r.pending, r.pending_time
+def record(node_id, pos, me, sink, energy=1.0, void=False, beacon_time=0.0,
+           pending=None, stale=False) -> NeighborRecord:
+    """The record, at `me`, of a sender at `pos` whose last beacon reported
+    `energy`; `pending` puts a pending-load overlay on it, taken before that
+    beacon when `stale`."""
+    r = NeighborRecord(
+        id=node_id,
+        position=pos,
+        distance_to_me=distance(me, pos),
+        distance_to_sink=distance(pos, sink),
+        state=BeaconState(energy, beacon_time, void_flagged=void),
+    )
+    if pending is not None:
+        r.pending, r.pending_time = pending, beacon_time - 1.0 if stale else beacon_time
+    return r
+
+
+def filling_table(me: Position, sink: Position, records) -> NeighborTable:
+    """A table at `me` that fills itself, as a run's do, from the senders of
+    `records`, sharing their states; no read has made a record yet."""
+    senders = {r.id: (r.position, r.state, distance(r.position, sink)) for r in records}
+    return NeighborTable(me, sink, sorted(senders), senders)
 
 
 def table(me: Position, sink: Position, records) -> NeighborTable:
-    """A table at `me`, filled by hand, that heard `records`' senders in
-    ascending id order."""
-    t = NeighborTable(my_position=me, sink_position=sink)
-    for r in sorted(records, key=lambda r: r.id):
-        add(t, r)
+    """A filling_table with every record made, each carrying the pending-load
+    overlay of its record in `records`."""
+    t = filling_table(me, sink, records)
+    t.live_records(0.0, 0.0)  # the first read of every record makes them all
+    for r in records:
+        made = t.records[r.id]
+        made.pending, made.pending_time = r.pending, r.pending_time
     return t
 
 
@@ -201,9 +217,9 @@ def equivalence_cells():
     """The cells that the kept-choice checkers and the differential test
     share: the low-energy cells, among them one without beacon energy and
     the gateway cells, the sparse n = 30 cells where GEAMS walks back, the
-    default cell of each protocol, and low-energy n = 100 cells, one at 10
-    small images a second, where a kept set outlives the expiry of a sensor
-    that died before its last two beacons."""
+    default cell of each protocol cut to 5 images, and low-energy n = 100
+    cells, one at 10 small images a second, where a kept set outlives the
+    expiry of a sensor that died before its last two beacons."""
     cells, gateways = low_energy_cells()
     low = dict(initial_energy_j=0.5, image_count=10, horizon_s=20.0)
     stream = dict(initial_energy_j=0.1, packet_bits=200, image_bits=2000,
@@ -212,4 +228,5 @@ def equivalence_cells():
         ScenarioConfig(protocol=protocol, **kw)
         for protocol in PROTOCOLS
         for kw in ([dict(n_sensors=30, seed=seed) for seed in (1, 2, 3, 4, 5)]
-                   + [{}, dict(seed=1, **low), dict(seed=2, **low), dict(seed=1, **stream)])]
+                   + [dict(image_count=5), dict(seed=1, **low), dict(seed=2, **low),
+                      dict(seed=1, **stream)])]

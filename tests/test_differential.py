@@ -102,7 +102,9 @@ def test_fixed_cells_equal_refsim():
     horizon_s=st.floats(0.05, 12.0),
     image_count=st.integers(1, 6),
     initial_energy_j=st.sampled_from([0.0, 0.002, 0.01, 0.03, 0.1, 0.5]),
-    gateway_energy_j=st.sampled_from([0.0, 0.002, 1e6]),
+    # funded five times in six: an underfunded gateway mostly runs the
+    # source dry, which is checked but not compared
+    gateway_energy_j=st.sampled_from([1e6] * 10 + [0.0, 0.002]),
     beacon_energy=st.booleans(),
     radio_range=st.sampled_from([40.0, 80.0, 150.0]),
 )

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import add, best_set, entries, score, table
+from conftest import best_set, entries, record, score, table
 from geams_sim.engine import Simulation
 from geams_sim.geams import (
     SourceState,
@@ -15,29 +15,12 @@ from geams_sim.geams import (
     select_next_hop,
     walking_back_candidate,
 )
-from geams_sim.neighbors import BeaconState, NeighborRecord, NeighborTable
 from geams_sim.scenario import ScenarioConfig
-from geams_sim.topology import Position, distance
+from geams_sim.topology import Position
 
 # the scenario's radio constants, e_elec and eps_amp
 RADIO = (ScenarioConfig().e_elec_j_per_bit, ScenarioConfig().eps_amp_j_per_bit_m2)
 K_BITS = 1064
-
-
-def record(node_id, pos, me, sink, energy, void=False, beacon_time=0.0,
-           pending=None, stale=False):
-    """A record whose sender's last beacon reported `energy`; `pending` puts
-    a pending-load overlay on it, taken before that beacon when `stale`."""
-    r = NeighborRecord(
-        id=node_id,
-        position=pos,
-        distance_to_me=distance(me, pos),
-        distance_to_sink=distance(pos, sink),
-        state=BeaconState(energy, beacon_time, void_flagged=void),
-    )
-    if pending is not None:
-        r.pending, r.pending_time = pending, beacon_time - 1.0 if stale else beacon_time
-    return r
 
 
 def one_score(r, k_bits, me, sink):
@@ -216,7 +199,7 @@ def test_has_sinkward_true_with_closer_neighbor():
 
 
 def test_has_sinkward_false_on_empty_table():
-    t = NeighborTable(my_position=Position(100, 90), sink_position=Position(490, 90))
+    t = table(Position(100, 90), Position(490, 90), [])
     assert entries(build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)) == []
 
 
@@ -307,23 +290,17 @@ _RECORD = st.tuples(
 @given(
     specs=st.lists(_RECORD, min_size=0, max_size=12),
     ids=st.permutations(range(2, 14)),
-    split=st.integers(0, 12),
 )
-def test_best_neighbor_set_agrees_with_brute_force(specs, ids, split):
+def test_best_neighbor_set_agrees_with_brute_force(specs, ids):
     me, sink = Position(100, 90), Position(490, 90)
-    recs = [record(node_id, Position(100 + dx, 90 + dy), me, sink, energy,
-                   void=void, beacon_time=bt, pending=pending, stale=stale)
-            for node_id, (dx, dy, energy, void, bt, pending, stale) in zip(ids, specs)]
-    recs.sort(key=lambda r: r.id)
-    t = NeighborTable(my_position=me, sink_position=sink)
-    # senders arrive in two batches, in ascending id order, with a call between
-    for batch in (recs[:split], recs[split:]):
-        for r in batch:
-            add(t, r)
-        s = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
-        assert entries(s) == reference_best_set(t, 0.0, 2.5, K_BITS, *RADIO)
-        assert s.oldest == min((t.records[i].state.last_beacon_time for i in s.ids),
-                               default=math.inf)
+    t = table(me, sink, [
+        record(node_id, Position(100 + dx, 90 + dy), me, sink, energy, void=void,
+               beacon_time=bt, pending=pending, stale=stale)
+        for node_id, (dx, dy, energy, void, bt, pending, stale) in zip(ids, specs)])
+    s = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+    assert entries(s) == reference_best_set(t, 0.0, 2.5, K_BITS, *RADIO)
+    assert s.oldest == min((t.records[i].state.last_beacon_time for i in s.ids),
+                           default=math.inf)
 
 
 @given(

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import RADIO_RANGE, PathSimulation, add, gabriel_planarize, table
+from conftest import RADIO_RANGE, PathSimulation, filling_table, gabriel_planarize, \
+    record, table
 from geams_sim import gpsr
 from geams_sim.engine import DataPacket, Simulation
 from geams_sim.gpsr import (
@@ -15,25 +16,10 @@ from geams_sim.gpsr import (
     perimeter_next_hop,
     planar_neighbors,
 )
-from geams_sim.neighbors import BeaconState, NeighborRecord, NeighborTable
+from geams_sim.neighbors import BeaconState, NeighborTable
 from geams_sim.scenario import ScenarioConfig
 from geams_sim.topology import SINK_ID, Position, distance, generate_topology, \
     range_neighbor_lists
-
-
-def record(node_id, pos, me, sink, energy=1.0, beacon_time=0.0, pending=None):
-    """A record whose sender's last beacon reported `energy`; `pending` puts
-    a standing pending-load overlay on it."""
-    r = NeighborRecord(
-        id=node_id,
-        position=pos,
-        distance_to_me=distance(me, pos),
-        distance_to_sink=distance(pos, sink),
-        state=BeaconState(energy, beacon_time),
-    )
-    if pending is not None:
-        r.pending, r.pending_time = pending, r.state.last_beacon_time
-    return r
 
 
 SINK = Position(490, 90)
@@ -151,13 +137,6 @@ def route(t, pk):
     return next_hop(t, pk, KeptRoute(), 0.0, 2.5)
 
 
-def filling_table(me, records):
-    """A table at `me` that fills itself, as the engine's do, from the
-    senders of `records`, sharing their states."""
-    senders = {r.id: (r.position, r.state, r.distance_to_sink) for r in records}
-    return NeighborTable(me, SINK, sorted(senders), senders)
-
-
 def test_next_hop_enters_the_walk_at_a_local_minimum():
     t = table(ME, SINK, [BELOW, record(3, Position(330, 110), ME, SINK)])
     pk = packet([1, 4])
@@ -204,7 +183,7 @@ def test_a_kept_local_minimum_stands_until_a_broadcast_goes_on_air(topo_builder,
     record; once that alone is dropped, the perimeter walk finds relay 5.
     A greedy route takes no Gabriel set."""
     relay = record(5, GREEDY.position, ME, SINK, energy=0.0, beacon_time=-math.inf)
-    t = filling_table(ME, [relay])
+    t = filling_table(ME, SINK, [relay])
     kept = KeptRoute()
     scans = []
     monkeypatch.setattr(gpsr, "greedy_next_hop",
@@ -241,7 +220,7 @@ def test_next_hop_takes_the_gabriel_set_only_in_perimeter_mode_and_first():
     out than node 4, gets its record only as the set is taken, as the
     table makes the rest of its records then."""
     whole = table(ME, SINK, [BELOW, GREEDY, RIGHT])
-    half = filling_table(ME, [BELOW, GREEDY, RIGHT])
+    half = filling_table(ME, SINK, [BELOW, GREEDY, RIGHT])
     half.sinkward_records()  # the sink-ward part alone
     assert list(half.records) == [5, 6]
     kept = KeptRoute()
@@ -264,9 +243,9 @@ def test_an_expiring_witness_outside_the_gabriel_set_rebuilds_it(monkeypatch):
     and then the link to 2 appears: the set's oldest time is 3's, not that
     of its own member 4."""
     me = Position(300, 90)
-    t = filling_table(me, [record(2, Position(240, 90), me, SINK, beacon_time=2.0),
-                           record(3, Position(270, 119), me, SINK, beacon_time=0.0),
-                           record(4, Position(285, 124.5), me, SINK, beacon_time=2.0)])
+    t = filling_table(me, SINK, [record(2, Position(240, 90), me, SINK, beacon_time=2.0),
+                                 record(3, Position(270, 119), me, SINK, beacon_time=0.0),
+                                 record(4, Position(285, 124.5), me, SINK, beacon_time=2.0)])
     kept = KeptRoute()
     builds = []
     monkeypatch.setattr(gpsr, "planar_neighbors",
@@ -377,11 +356,10 @@ def reference_planar(t, now, expiry_s):
 )
 def test_greedy_agrees_with_brute_force(specs, ids):
     me = Position(370, 90)
-    t = NeighborTable(my_position=me, sink_position=SINK)
-    for node_id, (dx, dy, energy, bt, pending) in sorted(zip(ids, specs)):
-        add(t, record(node_id, Position(370 + dx, 90 + dy), me, SINK,
-                      energy=energy, beacon_time=bt, pending=pending))
-        assert greedy_next_hop(t, 0.0, 2.5) == reference_greedy(t, 0.0, 2.5)
+    t = table(me, SINK, [record(node_id, Position(370 + dx, 90 + dy), me, SINK,
+                                energy=energy, beacon_time=bt, pending=pending)
+                         for node_id, (dx, dy, energy, bt, pending) in zip(ids, specs)])
+    assert greedy_next_hop(t, 0.0, 2.5) == reference_greedy(t, 0.0, 2.5)
 
 
 @given(
@@ -395,14 +373,11 @@ def test_planar_cache_follows_liveness(offsets, gone):
     expires, after it beacons back as another expires, which leaves a live
     set of the same size, and after every neighbour beacons again."""
     me, expiry = Position(200, 90), 2.5
-    t = NeighborTable(my_position=me, sink_position=SINK)
-    senders = {node_id: Position(200 + dx, 90 + dy)
-               for node_id, (dx, dy) in enumerate(offsets, start=2)}
-    gone = 2 + gone % len(senders)
-
-    states = {node_id: BeaconState(1.0, 0.0) for node_id in senders}
-    for node_id, pos in senders.items():
-        t.handle_beacon(node_id, pos, states[node_id], distance(pos, SINK))
+    records = [record(node_id, Position(200 + dx, 90 + dy), me, SINK)
+               for node_id, (dx, dy) in enumerate(offsets, start=2)]
+    t = table(me, SINK, records)
+    states = {r.id: r.state for r in records}
+    gone = 2 + gone % len(states)
 
     def beacon_round(time, skip=None):
         for node_id, state in states.items():
@@ -417,10 +392,10 @@ def test_planar_cache_follows_liveness(offsets, gone):
     assert gone not in [r.id for r in t.live_records(3.0, expiry)]
     # the oldest live record's time: inf when `gone` was the only one
     assert planar_neighbors(t, 3.0, expiry) == (
-        reference_planar(t, 3.0, expiry), 3.0 if len(senders) > 1 else math.inf)
-    if len(senders) > 1:
+        reference_planar(t, 3.0, expiry), 3.0 if len(states) > 1 else math.inf)
+    if len(states) > 1:
         # `gone` beacons back as `other` expires: as many live, not the same
-        other = min(i for i in senders if i != gone)
+        other = min(i for i in states if i != gone)
         beacon_round(6.0, skip=other)
         assert planar_neighbors(t, 6.0, expiry) == (reference_planar(t, 6.0, expiry), 6.0)
     beacon_round(7.0)                                    # every one beacons
@@ -435,11 +410,10 @@ def test_planar_neighbors_agree_with_global_gabriel(n):
     for seed in range(1, 11):
         topo = generate_topology(ScenarioConfig(seed=seed, n_sensors=n))
         positions = dict(topo.nodes)
+        sink = positions[SINK_ID]
+        senders = {v: (p, BeaconState(1.0, 0.0), distance(p, sink)) for v, p in positions.items()}
         gabriel = gabriel_planarize(topo)
         for u, neighbours in range_neighbor_lists(topo, RADIO_RANGE).items():
-            t = NeighborTable(my_position=positions[u], sink_position=positions[SINK_ID])
-            for v in neighbours:
-                t.handle_beacon(v, positions[v], BeaconState(1.0, 0.0),
-                                distance(positions[v], t.sink_position))
+            t = NeighborTable(positions[u], sink, neighbours, senders)
             local = {r.id for r in planar_neighbors(t, 0.0, 2.5)[0]}
             assert local == {b if a == u else a for a, b in gabriel if u in (a, b)}, (seed, u)

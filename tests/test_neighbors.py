@@ -2,7 +2,7 @@ import math
 
 from hypothesis import given, strategies as st
 
-from conftest import assert_energy_balanced, low_energy_cells, table
+from conftest import assert_energy_balanced, low_energy_cells, record, table
 from geams_sim.energy import Battery
 from geams_sim.engine import DataPacket, EnergyLedger, Simulation
 from geams_sim.geams import build_best_neighbor_set, walking_back_candidate
@@ -13,14 +13,6 @@ from geams_sim.scenario import ScenarioConfig
 from geams_sim.topology import Position, Topology, distance, generate_topology
 
 ME, SINK = Position(100, 90), Position(490, 90)
-
-
-def hear(t, sender, x, energy=1.0, time=0.0):
-    """Give `t` the record of a sender first heard at (x, 90); returns the
-    sender's shared state."""
-    state, position = BeaconState(energy, time), Position(x, 90)
-    t.handle_beacon(sender, position, state, distance(position, SINK))
-    return state
 
 
 def test_topology_listed_in_descending_id_order_changes_nothing():
@@ -44,8 +36,8 @@ def test_topology_listed_in_descending_id_order_changes_nothing():
 
 
 def test_later_beacons_refresh_energy_and_time_only():
-    t = NeighborTable(my_position=ME, sink_position=SINK)
-    state = hear(t, 2, 160, energy=1.0, time=0.0)
+    heard = record(2, Position(160, 90), ME, SINK)
+    t, state = table(ME, SINK, [heard]), heard.state
     # a later beacon updates only the sender's shared state
     state.residual_energy, state.last_beacon_time = 0.7, 1.0
     (r,) = t.live_records(1.0, 2.5)
@@ -55,8 +47,8 @@ def test_later_beacons_refresh_energy_and_time_only():
 
 
 def test_pending_overlay_stands_until_the_next_beacon():
-    t = NeighborTable(my_position=ME, sink_position=SINK)
-    state = hear(t, 2, 160, energy=1.0)
+    heard = record(2, Position(160, 90), ME, SINK)
+    t, state = table(ME, SINK, [heard]), heard.state
     r = t.records[2]
     r.add_load(0.75)
     assert r.residual_energy == 0.25
@@ -190,8 +182,7 @@ def test_a_table_fills_itself_from_its_range_list_and_the_shared_lookup():
     sink-ward records on the first read of those, completes in ascending id
     order on the first read of every live record, keeping the sink-ward
     objects and their overlays, and later reads leave it as it is, whichever
-    read comes first.  A table given no range list keeps exactly what
-    handle_beacon put in."""
+    read comes first."""
     positions = {2: Position(60, 90), 3: Position(150, 90), 4: Position(90, 90),
                  5: Position(140, 120)}  # 3 and 5 are closer to the sink than ME
     states = {i: BeaconState(1.0, 0.0) for i in positions}
@@ -218,15 +209,6 @@ def test_a_table_fills_itself_from_its_range_list_and_the_shared_lookup():
     assert [r.id for r in first.live_records(0.0, 2.5)] == [2, 3, 4, 5]
     assert [r.id for r in first.sinkward_records()] == [3, 5]
     assert first.sinkward_records() == [first.records[3], first.records[5]]
-
-    by_hand = NeighborTable(ME, SINK)
-    hear(by_hand, 3, 150)
-    hear(by_hand, 4, 90)
-    held = dict(by_hand.records)
-    assert [r.id for r in by_hand.sinkward_records()] == [3]
-    assert [r.id for r in by_hand.live_records(0.0, 2.5)] == [3, 4]
-    assert list(by_hand.records) == list(held)
-    assert all(by_hand.records[i] is held[i] for i in held)
 
 
 def test_void_flag_survives_until_sender_has_sinkward(topo_builder):
