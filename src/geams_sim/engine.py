@@ -27,10 +27,10 @@ from itertools import accumulate, repeat
 from . import geams, gpsr
 from .energy import Battery, rx_energy, tx_energy
 from .metrics import LOSS_REASONS, MetricsReport, PacketOutcome, delay_and_loss, \
-    dead_node_count, energy_stats, regional_energy
+    dead_node_count, energy_stats, float_sum, regional_energy
 from .neighbors import BeaconState, NeighborTable, live
 from .scenario import ScenarioConfig
-from .topology import SINK_ID, SOURCE_ID, Topology, check_nodes, generate_topology
+from .topology import SINK_ID, SOURCE_ID, Topology, generate_topology
 
 
 @dataclass
@@ -81,7 +81,7 @@ class EnergyLedger:
 
     @property
     def total(self) -> float:
-        return sum(self.totals.values())
+        return float_sum(self.totals.values())  # in CATEGORIES order
 
 
 class Simulation:
@@ -95,7 +95,7 @@ class Simulation:
         if topology is None:
             topology = generate_topology(cfg)
         else:
-            check_nodes(topology.nodes, cfg)
+            topology.check(cfg)
         self.topology = topology
 
         # ascending by id whatever the row order: beacon rounds rely on it
@@ -499,9 +499,10 @@ class Simulation:
     # -- reporting ----------------------------------------------------------
 
     def energy_drawdown(self) -> tuple[float, float]:
-        """(sum of initial-minus-residual over all nodes, ledger total);
-        the two must agree up to float rounding."""
-        drawn = sum(n.battery.initial - n.battery.residual for n in self.nodes.values())
+        """(sum of initial-minus-residual over all nodes, in ascending id
+        order, and the ledger total); the two must agree up to float
+        rounding."""
+        drawn = float_sum(n.battery.initial - n.battery.residual for n in self.nodes.values())
         return drawn, self.ledger.total
 
     def report(self) -> MetricsReport:

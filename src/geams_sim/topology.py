@@ -3,11 +3,13 @@ neighborhoods both routing protocols rely on, found by testing each node
 pair once on a grid of cells.
 
 A topology is its node rows: the field and the radio range belong to the
-scenario that runs it, and a run checks the rows against that scenario.
-Topologies are immutable rows, plus a read-only range-list memo: the rows are
-fully determined by the scenario's seed, sensor count and field, and a
-radio range's lists are built once, on first use, so one placement can be
-shared read-only between runs.
+scenario that runs it, and the rows must fit that scenario's geometry, its
+field size and min_separation.  They are checked once per geometry: at load
+(check_nodes), at placement (generate_topology, whose rejection sampling
+makes the same tests), or at their first run under a geometry not yet
+checked.  Topologies are immutable rows, plus two memos: the geometries the
+rows are known to fit, and each radio range's lists, built on first use.  So
+one placement can be shared between runs, checked and listed once.
 """
 from __future__ import annotations
 
@@ -43,10 +45,15 @@ def distance(a: Position, b: Position) -> float:
 @dataclass(frozen=True)
 class Topology:
     """A static deployment: node 0 is the sink, node 1 the source, the rest
-    sensors.  Immutable rows, plus a read-only range-list memo, which takes
-    no part in equality, hashing or repr."""
+    sensors.  Immutable rows, plus the memos of the geometries they are known
+    to fit and of their range lists, which take no part in equality, hashing
+    or repr.  A topology is checked once per field size and min_separation:
+    at load, at placement, or at its first run under a new geometry."""
 
     nodes: tuple[tuple[int, Position], ...]
+    # _geometry(cfg) of every scenario the rows are known to fit
+    _fits: set[tuple[float, float, float]] = field(
+        default_factory=set, init=False, compare=False, repr=False)
     # radio range -> range_neighbor_lists(self, range); every run on this
     # placement shares them, and none may write to them
     _range_lists: dict[float, dict[int, list[int]]] = field(
@@ -59,6 +66,14 @@ class Topology:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def check(self, cfg: ScenarioConfig) -> None:
+        """Raise check_nodes's ValueError unless the rows fit cfg's geometry;
+        a geometry they are known to fit is not checked again."""
+        key = _geometry(cfg)
+        if key not in self._fits:
+            check_nodes(self.nodes, cfg)
+            self._fits.add(key)
+
     def range_lists(self, r: float) -> dict[int, list[int]]:
         """range_neighbor_lists(self, r), built on the first call for `r`
         and shared by every later one: do not mutate it."""
@@ -66,6 +81,19 @@ class Topology:
         if lists is None:
             lists = self._range_lists[r] = range_neighbor_lists(self, r)
         return lists
+
+
+def _geometry(cfg: ScenarioConfig) -> tuple[float, float, float]:
+    """What check_nodes reads of cfg: (field width, field height,
+    min_separation)."""
+    return cfg.field_width, cfg.field_height, cfg.min_separation
+
+
+def _fitting(nodes, cfg: ScenarioConfig) -> Topology:
+    """The topology of `nodes`, known to fit cfg's geometry."""
+    t = Topology(nodes=tuple(nodes))
+    t._fits.add(_geometry(cfg))
+    return t
 
 
 class CellGrid:
@@ -109,7 +137,8 @@ class CellGrid:
 def generate_topology(cfg: ScenarioConfig) -> Topology:
     """Place the sink and source at cfg's designated positions and
     cfg.n_sensors sensors uniformly at random on cfg's field, seeded by
-    cfg.seed, keeping every pairwise distance >= cfg.min_separation.
+    cfg.seed, keeping every pairwise distance >= cfg.min_separation.  These
+    are check_nodes's tests, so the topology is known to fit cfg's geometry.
 
     Raises PlacementError if any sensor cannot be placed within
     MAX_PLACEMENT_ATTEMPTS rejection-sampling attempts.
@@ -136,7 +165,7 @@ def generate_topology(cfg: ScenarioConfig) -> Topology:
             raise PlacementError(
                 f"could not place sensor {node_id} after {MAX_PLACEMENT_ATTEMPTS} attempts"
             )
-    return Topology(nodes=tuple(placed))
+    return _fitting(placed, cfg)
 
 
 def range_neighbor_lists(t: Topology, r: float) -> dict[int, list[int]]:
@@ -173,7 +202,8 @@ def check_nodes(nodes, cfg: ScenarioConfig, origin: str = "topology",
     in the order given: no id twice, finite coordinates on cfg's field, and
     at least `cfg.min_separation` from every earlier node; then the sink and
     the source must be among them.  Such a deployment would otherwise fail
-    mid-run, or run on a placement no scenario can produce.
+    mid-run, or run on a placement no scenario can produce.  The topology is
+    known to fit cfg's geometry.
 
     Raises ValueError prefixed with `origin` and, when `line` is given, with
     `line()` called as the failing node is checked (a file reader's current
@@ -202,7 +232,7 @@ def check_nodes(nodes, cfg: ScenarioConfig, origin: str = "topology",
     if SINK_ID not in positions or SOURCE_ID not in positions:
         raise ValueError(f"{origin}: topology must contain nodes {SINK_ID} (sink) "
                          f"and {SOURCE_ID} (source)")
-    return Topology(nodes=tuple(positions.items()))
+    return _fitting(positions.items(), cfg)
 
 
 def load_topology_csv(path, cfg: ScenarioConfig) -> Topology:

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from geams_sim import engine, topology
+from geams_sim import cli, engine, topology
 from geams_sim.cli import _parse_seeds, main
 from geams_sim.experiment import ExperimentPlan, run_experiment
 from geams_sim.metrics import SUMMARY_COLUMNS, write_csv
@@ -116,23 +116,43 @@ def test_topology_roundtrip_reproduces_run(tmp_path):
 
 
 def test_run_topology_in_checks_the_rows_at_load_and_at_set_up(tmp_path, monkeypatch):
-    """The loader checks the file's rows, naming the line of a bad one, and
-    the Simulation checks every topology it is given; a generated placement
-    is not checked again."""
+    """The loader checks the file's rows once, naming the file.  A
+    Simulation given the loaded topology under the same scenario checks
+    nothing more; one under another field or min_separation checks the rows
+    again and rejects them as set-up always did.  A generated placement is
+    not checked at all."""
     topo = tmp_path / "topo.csv"
     args = ["run", "--nodes", "10", "--seed", "3"]
-    check, calls = topology.check_nodes, []
+    check, calls, given = topology.check_nodes, [], []
 
     def counting_check(*a, **kw):
         calls.append(a[2:3])  # the origin an error names, if any
         return check(*a, **kw)
 
+    def recording_simulation(cfg, t=None):
+        given.append((cfg, t))
+        return engine.Simulation(cfg, t)
+
     monkeypatch.setattr(topology, "check_nodes", counting_check)
-    monkeypatch.setattr(engine, "check_nodes", counting_check)
+    monkeypatch.setattr(cli, "Simulation", recording_simulation)
     assert main(args + ["--topology-out", str(topo), "--out-dir", str(tmp_path / "a")]) == 0
     assert calls == []
     assert main(args + ["--topology-in", str(topo), "--out-dir", str(tmp_path / "b")]) == 0
-    assert calls == [(str(topo),), ()]
+    assert calls == [(str(topo),)]
+    cfg, loaded = given[-1]
+    assert cfg == ScenarioConfig(n_sensors=10, seed=3)
+    engine.Simulation(cfg, loaded).run()
+    assert calls == [(str(topo),)]
+    for other, message in [
+        (cfg.replace(field_height=100.0), "topology: node 2 at (118.98231354594569, "
+         "108.84584505919037) lies outside the 500.0 x 100.0 field"),
+        (cfg.replace(min_separation=40.0), "topology: node 7 is 8.809915381083512 m "
+         "from node 0, closer than min_separation 40.0"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            engine.Simulation(other, loaded)
+        assert str(err.value) == message
+    assert calls == [(str(topo),), (), ()]
 
 
 def test_run_topology_in_reports_its_own_sensor_count(tmp_path, capsys):

@@ -94,33 +94,48 @@ def test_fixed_cells_equal_refsim():
     assert dry == [0.05, 0.05]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+_COMMON = dict(
     protocol=st.sampled_from(PROTOCOLS),
-    n=st.integers(0, 30),
     seed=st.integers(1, 10_000),
-    horizon_s=st.floats(0.05, 12.0),
-    image_count=st.integers(1, 6),
-    initial_energy_j=st.sampled_from([0.0, 0.002, 0.01, 0.03, 0.1, 0.5]),
     # funded five times in six: an underfunded gateway mostly runs the
     # source dry, which is checked but not compared
     gateway_energy_j=st.sampled_from([1e6] * 10 + [0.0, 0.002]),
     beacon_energy=st.booleans(),
-    radio_range=st.sampled_from([40.0, 80.0, 150.0]),
 )
-def test_small_random_scenarios_conserve_packets_balance_and_equal_refsim(
-        protocol, n, seed, horizon_s, image_count, initial_energy_j, gateway_energy_j,
-        beacon_energy, radio_range):
+# small scenarios at the default one image a second
+_SMALL = st.fixed_dictionaries(dict(
+    _COMMON,
+    n_sensors=st.integers(0, 30),
+    horizon_s=st.floats(0.05, 12.0),
+    image_count=st.integers(1, 6),
+    initial_energy_j=st.sampled_from([0.0, 0.002, 0.01, 0.03, 0.1, 0.5]),
+    radio_range=st.sampled_from([40.0, 80.0, 150.0]),
+))
+# dying streams: images every 0.1-0.2 s cross a well-connected field while
+# its sensors die, so that a kept choice (a GEAMS best-neighbour set, a GPSR
+# greedy hop) stands while a dead neighbour's sink-ward record expires
+_DYING_STREAM = st.fixed_dictionaries(dict(
+    _COMMON,
+    n_sensors=st.integers(10, 30),
+    horizon_s=st.floats(3.0, 12.0),
+    image_count=st.integers(10, 40),
+    image_interval_s=st.floats(0.1, 0.2),
+    image_bits=st.sampled_from([1000, 2000, 5000, 10_000]),
+    initial_energy_j=st.sampled_from([0.01, 0.03, 0.05, 0.1]),
+    radio_range=st.sampled_from([150.0, 250.0]),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=st.one_of(_SMALL, _DYING_STREAM))
+def test_small_random_scenarios_conserve_packets_balance_and_equal_refsim(fields):
     """Any small scenario runs to an end, accounts for every packet it
     emitted and books every joule drawn, underfunded gateways included; one
     whose source stays funded equals refsim bit for bit."""
-    cfg = ScenarioConfig(protocol=protocol, n_sensors=n, seed=seed, horizon_s=horizon_s,
-                         image_count=image_count, initial_energy_j=initial_energy_j,
-                         gateway_energy_j=gateway_energy_j, beacon_energy=beacon_energy,
-                         radio_range=radio_range)
+    cfg = ScenarioConfig(**fields)
     sim = Simulation(cfg)
     report = sim.run()
-    assert sim.now <= horizon_s
+    assert sim.now <= cfg.horizon_s
     log = report.per_packet_log
     assert len({p.seq for p in log}) == len(log)
     in_flight = sim.emitted - report.delivered - report.lost_total

@@ -8,7 +8,8 @@ from conftest import PathSimulation, assert_energy_balanced, chain_positions, \
     equivalence_cells, first_hop, low_energy_cells, radio_neighbors
 from geams_sim import geams, gpsr
 from geams_sim.energy import rx_energy, tx_energy
-from geams_sim.engine import Simulation, run_scenario
+from geams_sim.engine import EnergyLedger, Simulation, run_scenario
+from geams_sim.metrics import float_sum
 from geams_sim.scenario import PROTOCOLS, ScenarioConfig
 from geams_sim.topology import SINK_ID, SOURCE_ID, Position, Topology, generate_topology, \
     range_neighbor_lists
@@ -42,6 +43,31 @@ def test_two_node_energy_ledger_matches_hand_values():
     assert math.isclose(sim.ledger.totals["data_rx"], 300 * per_rx, rel_tol=1e-9)
     drawn, ledger_total = sim.energy_drawdown()
     assert_energy_balanced(drawn, ledger_total)
+
+
+# left to right these add to 0.0; sum() from Python 3.12 on gives 2.0
+CANCELLING = [1.0, 1e100, 1.0, -1e100]
+
+
+def test_energy_totals_add_left_to_right():
+    """The ledger total adds in CATEGORIES order and the drawdown in
+    ascending node id order, left to right, as on every supported Python."""
+    ledger = EnergyLedger()
+    for category, amount in zip(EnergyLedger.CATEGORIES, CANCELLING):
+        ledger.add(category, amount)
+    assert ledger.total == 0.0
+    rows = tuple((i, Position(10.0 + 40.0 * i, 90.0)) for i in (3, 2, 1, 0))
+    sim = Simulation(ScenarioConfig(n_sensors=2, sink_x=10.0, source_x=50.0), Topology(rows))
+    assert list(sim.nodes) == [0, 1, 2, 3]
+    for node, drawn in zip(sim.nodes.values(), CANCELLING):
+        node.battery.initial, node.battery.residual = drawn, 0.0
+    assert sim.energy_drawdown() == (0.0, 0.0)
+    sim = Simulation(ScenarioConfig(n_sensors=20, image_count=3, initial_energy_j=0.01))
+    sim.run()
+    assert sim.energy_drawdown() == (
+        float_sum(sim.nodes[i].battery.initial - sim.nodes[i].battery.residual
+                  for i in sorted(sim.nodes)),
+        float_sum(sim.ledger.totals[c] for c in EnergyLedger.CATEGORIES))
 
 
 @pytest.mark.parametrize("length, overrides, seconds", [

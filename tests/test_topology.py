@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from conftest import RADIO_RANGE, gabriel_planarize, radio_edges, radio_neighbors
+from geams_sim import topology
+from geams_sim.engine import Simulation
+from geams_sim.experiment import ExperimentPlan, run_experiment
 from geams_sim.topology import (
     MAX_PLACEMENT_ATTEMPTS,
     SINK_ID,
@@ -12,6 +15,7 @@ from geams_sim.topology import (
     PlacementError,
     Position,
     Topology,
+    check_nodes,
     distance,
     generate_topology,
     load_topology_csv,
@@ -339,3 +343,74 @@ def test_csv_accepts_nodes_exactly_min_separation_apart_and_on_the_edge(tmp_path
     path = _write_topology(tmp_path, ["0,500,200", "1,0,0", "2,100,90", "3,101,90"])
     t = load_topology_csv(path, DEFAULT)
     assert [i for i, _ in t.nodes] == [0, 1, 2, 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.floats(5.0, 100.0), height=st.floats(5.0, 100.0),
+       min_separation=st.floats(1.0, 5.0),
+       sides=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       n_sensors=st.integers(0, 40), seed=st.integers(0, 10_000))
+def test_check_nodes_accepts_every_generated_placement(width, height, min_separation, sides,
+                                                       n_sensors, seed):
+    """A placement is known to fit the geometry it was placed for, so no run
+    checks it again: rejection sampling makes check_nodes's tests.  The
+    designated nodes lie anywhere on the field, its edges included; there
+    is at most one sensor per 2 min_separation^2 of field, short of where
+    random placement jams."""
+    sink_x, sink_y, source_x, source_y = (f * size for f, size in
+                                          zip(sides, (width, height) * 2))
+    try:
+        cfg = ScenarioConfig(
+            n_sensors=min(n_sensors, int(width * height / (2 * min_separation ** 2))),
+            seed=seed, field_width=width, field_height=height,
+            min_separation=min_separation, sink_x=sink_x, sink_y=sink_y,
+            source_x=source_x, source_y=source_y)
+        t = generate_topology(cfg)
+    except (ScenarioError, PlacementError):  # designated nodes too close, or a crowded field
+        reject()
+    assert t._fits == {(width, height, min_separation)}
+    assert check_nodes(t.nodes, cfg) == t
+
+
+def _counted_checks(monkeypatch) -> list:
+    """The cfg of every check_nodes call from here on, the topology module's
+    own calls included."""
+    check, cfgs = topology.check_nodes, []
+
+    def counting_check(nodes, cfg, *a, **kw):
+        cfgs.append(cfg)
+        return check(nodes, cfg, *a, **kw)
+
+    monkeypatch.setattr(topology, "check_nodes", counting_check)
+    return cfgs
+
+
+def test_a_hand_built_topology_is_checked_at_its_first_run_only(monkeypatch):
+    checks = _counted_checks(monkeypatch)
+    t = Topology(nodes=((0, Position(490, 90)), (1, Position(10, 90)), (2, Position(250, 90))))
+    cfg = ScenarioConfig(n_sensors=1, image_count=1)
+    Simulation(cfg, t).run()
+    assert checks == [cfg]
+    # another protocol, seed and radio range, but the same field and min_separation
+    Simulation(cfg.replace(protocol="gpsr", seed=2, radio_range=150.0), t).run()
+    assert checks == [cfg]
+
+
+def test_equality_hash_and_repr_ignore_the_memos():
+    generated = placed(4, 10)
+    generated.range_lists(RADIO_RANGE)
+    bare = Topology(nodes=generated.nodes)
+    assert generated._fits and generated._range_lists
+    assert not bare._fits and not bare._range_lists
+    assert generated == bare
+    assert hash(generated) == hash(bare)
+    assert repr(generated) == repr(bare)
+
+
+def test_a_two_protocol_experiment_checks_no_placement(tmp_path, monkeypatch):
+    """Each deployment is placed once and run by both protocols; neither run
+    checks the placement again."""
+    checks = _counted_checks(monkeypatch)
+    plan = ExperimentPlan(seeds=(1, 2), node_counts=(10, 20), base=ScenarioConfig(image_count=2))
+    assert len(run_experiment(plan, tmp_path)) == 8
+    assert checks == []
