@@ -9,15 +9,12 @@ least far from the sink.
 
 A best-neighbor set is flat (ids and scores in two parallel lists), so the
 engine can keep one per node between broadcasts and, after each forward,
-rescore only the hop it chose (rescore).  The set records the order it was
-last checked against (`order`), which a rescore that moves or drops the hop
-clears, so a pick skips the refresh (refresh_state) while that order is
-still the state's own neighbor_ids.
+rescore only the hop it chose (rescore).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .energy import rx_energy
@@ -30,15 +27,11 @@ class BestNeighborSet:
     """Sink-ward neighbours by descending score, ties by ascending id, held
     flat: `ids[i]` scores `scores[i]`.  `oldest` is the earliest last-beacon
     time among the entries when the set was built (inf when it was empty):
-    no entry has expired while `now - oldest` is within the expiry.
-    `order` is the neighbor_ids of the state it was last checked against
-    (refresh_state), None when built and after a rescore moved or dropped
-    an entry: while it is set, it equals `tuple(ids)`."""
+    no entry has expired while `now - oldest` is within the expiry."""
 
     ids: list[int]
     scores: list[float]
     oldest: float
-    order: tuple[int, ...] | None = field(default=None, compare=False)
 
 
 @dataclass(slots=True)
@@ -90,10 +83,9 @@ def rescore(s: BestNeighborSet, r: NeighborRecord, energy: float, k_bits: float,
     which left `energy` (NeighborRecord.add_load's return), as
     build_best_neighbor_set would score it: overwrite its score where it
     stays in place, move it down to its place, or drop it when its energy is
-    not positive; a move or a drop clears `order`.  An overlay only
-    lowers a residual, so the entry only moves down.  `oldest` is left as it
-    was: at worst it is earlier than the entries left, which rebuilds the
-    set sooner."""
+    not positive.  An overlay only lowers a residual, so the entry only
+    moves down.  `oldest` is left as it was: at worst it is earlier than the
+    entries left, which rebuilds the set sooner."""
     ids, scores = s.ids, s.scores
     node_id = r.id
     i = ids.index(node_id)
@@ -112,7 +104,6 @@ def rescore(s: BestNeighborSet, r: NeighborRecord, energy: float, k_bits: float,
         scores.insert(j - 1, v)
     else:
         del ids[i], scores[i]
-    s.order = None
 
 
 def average_score_index(s: BestNeighborSet) -> int:
@@ -131,14 +122,13 @@ def average_score_index(s: BestNeighborSet) -> int:
 
 def refresh_state(state: SourceState, s: BestNeighborSet) -> SourceState:
     """Recompute the balance rank in place if the set membership or order
-    changed since it was last computed, record the state's neighbor_ids as
-    the set's order, and return the state.  Only the order counts: a
-    rescore that keeps every entry in place leaves the rank as it was."""
+    changed since it was last computed, and return the state.  Only the
+    order counts: a rescore that keeps every entry in place leaves the rank
+    as it was."""
     ids = tuple(s.ids)
     if state.neighbor_ids != ids:
         state.balance_index = average_score_index(s)
         state.neighbor_ids = ids
-    s.order = state.neighbor_ids
     return state
 
 
@@ -147,20 +137,18 @@ def select_next_hop(
 ) -> tuple[int, SourceState]:
     """Smart greedy choice among the sorted sink-ward neighbors.
 
-    The state is first refreshed against the set (refresh_state), unless
-    the set's recorded order is the state's own neighbor_ids, which then
-    equal the set's order.  The first packet from a source goes to the
-    top-ranked neighbor and seeds a new state, which has no ids, so its
-    balance rank is computed.  Later packets pick rank (balance_index +
-    ref_hop_count - hop_count), clamping out-of-range picks to the best or
-    worst rank while shifting the reference hop count so the balance point
-    tracks the traffic.  A given state is updated in place and returned.
+    The state is first refreshed against the set (refresh_state).  The
+    first packet from a source goes to the top-ranked neighbor and seeds a
+    new state, which has no ids, so its balance rank is computed.  Later
+    packets pick rank (balance_index + ref_hop_count - hop_count), clamping
+    out-of-range picks to the best or worst rank while shifting the
+    reference hop count so the balance point tracks the traffic.  A given
+    state is updated in place and returned.
     """
     ids = s.ids
     if state is None:
         return ids[0], refresh_state(SourceState(hop_count, 0), s)
-    if s.order is not state.neighbor_ids:
-        refresh_state(state, s)
+    refresh_state(state, s)
     m = len(ids)
     index = state.balance_index + (state.ref_hop_count - hop_count)
     if index <= 0:

@@ -108,17 +108,9 @@ def planar_neighbors(
     from (inf when none is live).  The link to v survives iff no other live
     neighbor sits inside or on the circle with diameter (me, v).  Any
     witness for an in-range link is itself in range, so the local test
-    agrees with the global planarization.
-
-    Positions are static, so the neighbors depend only on which records are
-    live.  They are cached on the table per set of live ids, and shared
-    between calls as a tuple."""
+    agrees with the global planarization."""
     live = t.live_records(now, expiry_s)
     oldest = min([r.state.last_beacon_time for r in live], default=math.inf)
-    key = tuple([r.id for r in live])
-    cached = t.planar_cache
-    if cached is not None and cached[0] == key:
-        return cached[1], oldest
     me = t.my_position
     kept = []
     for r in live:
@@ -130,9 +122,7 @@ def planar_neighbors(
             if w.id != r.id
         ):
             kept.append(r)
-    kept = tuple(kept)
-    t.planar_cache = (key, kept)
-    return kept, oldest
+    return tuple(kept), oldest
 
 
 def _bearing(frm: Position, to: Position) -> float:

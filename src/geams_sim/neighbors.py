@@ -111,13 +111,6 @@ class NeighborTable:
     # by sender id, ascending; every record is made by handle_beacon
     records: dict[int, NeighborRecord] = field(default_factory=dict)
     my_sink_distance: float = field(init=False)
-    # GPSR's Gabriel neighbours, keyed by the tuple of live ids they were
-    # computed from; positions are static, so only liveness can change them.
-    # It outlives the Gabriel set a node keeps (gpsr.KeptRoute), which
-    # every broadcast drops, as a beacon round seldom changes which records
-    # are live
-    planar_cache: tuple[tuple[int, ...], tuple[NeighborRecord, ...]] | None = field(
-        default=None, init=False, repr=False)
     # None until the first sinkward_records
     _sinkward: list[NeighborRecord] | None = field(default=None, init=False, repr=False)
 

@@ -66,6 +66,7 @@ class Topology:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    # kept: with no memo, perfbench setup_s rose 11-17% on every workload
     def check(self, cfg: ScenarioConfig) -> None:
         """Raise check_nodes's ValueError unless the rows fit cfg's geometry;
         a geometry they are known to fit is not checked again."""

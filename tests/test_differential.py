@@ -113,7 +113,8 @@ _SMALL = st.fixed_dictionaries(dict(
 ))
 # dying streams: images every 0.1-0.2 s cross a well-connected field while
 # its sensors die, so that a kept choice (a GEAMS best-neighbour set, a GPSR
-# greedy hop) stands while a dead neighbour's sink-ward record expires
+# greedy hop) stands while a dead neighbour's sink-ward record expires; an
+# expiry down to just over one beacon interval lets it expire mid-round
 _DYING_STREAM = st.fixed_dictionaries(dict(
     _COMMON,
     n_sensors=st.integers(10, 30),
@@ -123,6 +124,7 @@ _DYING_STREAM = st.fixed_dictionaries(dict(
     image_bits=st.sampled_from([1000, 2000, 5000, 10_000]),
     initial_energy_j=st.sampled_from([0.01, 0.03, 0.05, 0.1]),
     radio_range=st.sampled_from([150.0, 250.0]),
+    neighbor_expiry_intervals=st.floats(1.01, 2.5),
 ))
 
 

@@ -1,3 +1,4 @@
+import builtins
 import gc
 import math
 import weakref
@@ -49,22 +50,33 @@ def test_two_node_energy_ledger_matches_hand_values():
 CANCELLING = [1.0, 1e100, 1.0, -1e100]
 
 
-def test_energy_totals_add_left_to_right():
+def test_energy_totals_add_left_to_right(monkeypatch):
     """The ledger total adds in CATEGORIES order and the drawdown in
-    ascending node id order, left to right, as on every supported Python."""
+    ascending node id order, left to right, as on every supported Python.
+    Neither calls sum(), which compensates only from Python 3.12 on, so
+    the cancelling terms alone would not show it on 3.10 or 3.11."""
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("sum() called")
+
+    def totals(f):
+        with monkeypatch.context() as m:
+            m.setattr(builtins, "sum", no_sum)
+            return f()
+
     ledger = EnergyLedger()
     for category, amount in zip(EnergyLedger.CATEGORIES, CANCELLING):
         ledger.add(category, amount)
-    assert ledger.total == 0.0
+    assert totals(lambda: ledger.total) == 0.0
     rows = tuple((i, Position(10.0 + 40.0 * i, 90.0)) for i in (3, 2, 1, 0))
     sim = Simulation(ScenarioConfig(n_sensors=2, sink_x=10.0, source_x=50.0), Topology(rows))
     assert list(sim.nodes) == [0, 1, 2, 3]
     for node, drawn in zip(sim.nodes.values(), CANCELLING):
         node.battery.initial, node.battery.residual = drawn, 0.0
-    assert sim.energy_drawdown() == (0.0, 0.0)
+    assert totals(sim.energy_drawdown) == (0.0, 0.0)
     sim = Simulation(ScenarioConfig(n_sensors=20, image_count=3, initial_energy_j=0.01))
     sim.run()
-    assert sim.energy_drawdown() == (
+    assert totals(sim.energy_drawdown) == (
         float_sum(sim.nodes[i].battery.initial - sim.nodes[i].battery.residual
                   for i in sorted(sim.nodes)),
         float_sum(sim.ledger.totals[c] for c in EnergyLedger.CATEGORIES))
@@ -482,21 +494,14 @@ class ArrivalCounter(Simulation):
 class KeptSetChecker(Simulation):
     """Checks, after every GEAMS route, that the node's kept set (the one
     the route used, rescored) equals a set built afresh from its table, and
-    that the node's source state, when its neighbor_ids is the order the set
-    recorded, holds the set's order.  It counts the routes that used a set
-    kept from an earlier one, and the picks that skipped the state's
-    refresh, as the set had recorded the state's neighbor_ids."""
+    counts the routes that used a set kept from an earlier one."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.checks = self.reused = self.skipped = 0
+        self.checks = self.reused = 0
 
     def _route_geams(self, node, pk):
         before = self._kept.get(node.id)
-        state = node.stream
-        # a pick from a set that recorded the state's ids skips the refresh
-        skips = (before is not None and bool(before.ids) and state is not None
-                 and state.neighbor_ids is before.order)
         result = super()._route_geams(node, pk)
         kept = self._kept.get(node.id)
         if kept is not None:  # None: a void announcement dropped it
@@ -506,12 +511,8 @@ class KeptSetChecker(Simulation):
                 cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
             assert (kept.ids, kept.scores) == (fresh.ids, fresh.scores), \
                 (self.now, node.id, kept, fresh)
-            state = node.stream
-            if state is not None and state.neighbor_ids is kept.order:
-                assert state.neighbor_ids == tuple(kept.ids), (self.now, node.id, state, kept)
             self.checks += 1
             self.reused += kept is before
-            self.skipped += skips and kept is before
         return result
 
 
@@ -549,9 +550,9 @@ class KeptPlanarChecker(Simulation):
     (every route in perimeter mode: the packet is in it after the route, or
     was dropped as perimeter_exhausted), that the table holds a record of
     every range neighbour, in ascending id order, that the kept set and its
-    oldest beacon time equal a fresh planar_neighbors, with the table's
-    cache bypassed, and that the hop was taken from the set.  It counts the
-    routes that reused a set kept from an earlier one."""
+    oldest beacon time equal a fresh planar_neighbors, and that the hop was
+    taken from the set.  It counts the routes that reused a set kept from
+    an earlier one."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -568,10 +569,8 @@ class KeptPlanarChecker(Simulation):
         kept = self._kept[node.id]
         t = node.table
         assert list(t.records) == t.range_ids
-        cache, t.planar_cache = t.planar_cache, None
         assert (kept.gabriel, kept.oldest) == gpsr.planar_neighbors(
             t, self.now, self.expiry_s), (self.now, node.id)
-        t.planar_cache = cache
         assert result[0] is None or result[0] in [r.id for r in kept.gabriel]
         self.checks += 1
         # a rebuild always moves the oldest beacon time on
@@ -594,16 +593,14 @@ def test_arrivals_run_in_place_and_as_events_of_their_own():
 
 
 def test_every_kept_set_equals_a_fresh_build():
-    checks = reused = skipped = 0
+    checks = reused = 0
     for cfg in equivalence_cells():
         if cfg.protocol == "geams":
             sim = KeptSetChecker(cfg)
             sim.run()
             checks += sim.checks
             reused += sim.reused
-            skipped += sim.skipped
     assert 0 < reused < checks
-    assert 0 < skipped < reused
 
 
 def test_every_kept_greedy_choice_equals_a_fresh_one():

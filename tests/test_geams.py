@@ -322,15 +322,12 @@ def test_rescore_after_a_forward_agrees_with_a_fresh_build(specs, forwards):
         if not kept.ids:
             break
         r = t.records[kept.ids[pick % len(kept.ids)]]
-        order = kept.order = tuple(kept.ids)  # as refresh_state records it
         energy = r.add_load(load)
         assert energy == r.residual_energy
         rescore(kept, r, energy, K_BITS, *RADIO)
         fresh = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
         assert (kept.ids, kept.scores) == (fresh.ids, fresh.scores)
         assert (r.id in kept.ids) == (r.residual_energy > 0)
-        # the recorded order is cleared exactly when the order moves
-        assert kept.order is (order if kept.ids == list(order) else None)
 
 
 def test_rescore_moves_a_hop_past_its_equals_with_lower_ids():
@@ -342,33 +339,27 @@ def test_rescore_moves_a_hop_past_its_equals_with_lower_ids():
     assert kept.ids == [3, 2, 4]
     r = t.records[3]
     r.pending, r.pending_time = 1.0, r.state.last_beacon_time
-    kept.order = tuple(kept.ids)
     rescore(kept, r, r.residual_energy, K_BITS, *RADIO)
     assert kept.ids == [2, 3, 4]
-    assert kept.order is None
     assert kept == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
 
 
 def test_rescore_keeps_an_entry_that_stays_in_place():
     """A hop whose new score ties the next entry, whose id is higher, keeps
-    its rank: its score is overwritten and the order, and the order the set
-    recorded, stand.  A hop that drops out of the set clears the recorded
-    order."""
+    its rank: its score is overwritten and the order stands.  A hop whose
+    energy runs out drops out of the set."""
     me, sink = Position(100, 90), Position(490, 90)
     t = table(me, sink, [record(i, Position(160, 90), me, sink, 1.0) for i in (2, 3, 4)])
     t.records[2].state.residual_energy = 1.5
     kept = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
     assert kept.ids == [2, 3, 4] and kept.scores[0] > kept.scores[1]
-    r, order = t.records[2], tuple(kept.ids)
-    kept.order = order
+    r = t.records[2]
     rescore(kept, r, r.add_load(0.5), K_BITS, *RADIO)
     assert kept.ids == [2, 3, 4]
-    assert kept.order is order
     assert kept.scores[0] == kept.scores[1]  # 3 ties it, just below
     assert kept == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
     rescore(kept, r, r.add_load(1.0), K_BITS, *RADIO)
     assert kept.ids == [3, 4]
-    assert kept.order is None
     assert kept == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
 
 
@@ -393,8 +384,7 @@ def test_select_sequence_same_with_or_without_reused_state(steps):
 
 def reference_select(state, s, hop_count):
     """select_next_hop written out on a [ref_hop_count, balance_index,
-    neighbor_ids] list, comparing tuple(s.ids) on every call, whatever order
-    the set recorded."""
+    neighbor_ids] list, comparing tuple(s.ids) on every call."""
     ids = tuple(s.ids)
     if state is None:
         return ids[0], [hop_count, average_score_index(s), ids]
@@ -429,11 +419,12 @@ _STEP = st.one_of(
                              st.sampled_from([0.5, 0.75, 1.0])), min_size=1, max_size=8),
     steps=st.lists(_STEP, max_size=30),
 )
-def test_select_skips_a_refresh_only_where_the_order_stands(specs, steps):
+def test_select_refreshes_only_when_the_order_changed(specs, steps):
     """Two sources steer by one kept set, which forwards rescore and
-    beacons rebuild.  select_next_hop, which refreshes a state only when the
-    set's recorded order is not the state's neighbor_ids, makes the choices
-    and leaves the ranks, reference hop counts and ids of reference_select."""
+    beacons rebuild.  select_next_hop, which recomputes a state's balance
+    rank only when the set's order is not the state's neighbor_ids, makes
+    the choices and leaves the ranks, reference hop counts and ids of
+    reference_select."""
     me, sink = Position(100, 90), Position(490, 90)
     t = table(me, sink, [record(node_id, Position(100 + dx, 90 + dy), me, sink, energy)
                          for node_id, (dx, dy, energy) in enumerate(specs, start=2)])

@@ -257,9 +257,7 @@ def test_an_expiring_witness_outside_the_gabriel_set_rebuilds_it(monkeypatch):
         hop = next_hop(t, pk, kept, now, 2.5)
         # every record is made, and the kept set is a fresh one
         assert list(t.records) == t.range_ids
-        cache, t.planar_cache = t.planar_cache, None
         assert (kept.gabriel, kept.oldest) == planar_neighbors(t, now, 2.5), now
-        t.planar_cache = cache
         return hop
 
     assert route(2.2) == (4, None)  # the set is {4}: back the way it came
@@ -328,7 +326,7 @@ def reference_greedy(t, now, expiry_s):
 
 
 def reference_planar(t, now, expiry_s):
-    """Gabriel neighbours of a table by brute force, with no cache."""
+    """Gabriel neighbours of a table by brute force."""
     live = t.live_records(now, expiry_s)
     me = t.my_position
     kept = []
@@ -368,10 +366,10 @@ def test_greedy_agrees_with_brute_force(specs, ids):
                      min_size=1, max_size=10, unique=True),
     gone=st.integers(0, 9),
 )
-def test_planar_cache_follows_liveness(offsets, gone):
-    """Cached Gabriel neighbours equal a fresh computation after a neighbour
-    expires, after it beacons back as another expires, which leaves a live
-    set of the same size, and after every neighbour beacons again."""
+def test_planar_neighbors_follow_liveness(offsets, gone):
+    """Gabriel neighbours equal the reference's after a neighbour expires,
+    after it beacons back as another expires, which leaves a live set of the
+    same size, and after every neighbour beacons again."""
     me, expiry = Position(200, 90), 2.5
     records = [record(node_id, Position(200 + dx, 90 + dy), me, SINK)
                for node_id, (dx, dy) in enumerate(offsets, start=2)]
@@ -387,7 +385,6 @@ def test_planar_cache_follows_liveness(offsets, gone):
     beacon_round(0.0)
     first, oldest = planar_neighbors(t, 0.0, expiry)
     assert first == reference_planar(t, 0.0, expiry) and oldest == 0.0
-    assert planar_neighbors(t, 0.0, expiry)[0] is first  # same live set: cached
     beacon_round(3.0, skip=gone)                         # `gone` expires
     assert gone not in [r.id for r in t.live_records(3.0, expiry)]
     # the oldest live record's time: inf when `gone` was the only one
