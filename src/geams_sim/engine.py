@@ -7,14 +7,15 @@ lost), or at the horizon as a safety stop.
 
 Timing model: a hop takes exactly the serialization time of the frame at the
 link's rate, which shrinks with the square root of the link's length:
-base_rate_bps / sqrt(length).  Links are at least 1 m long: the scenario's
-min_separation is, and every deployment is checked against it at load time.
-Propagation is zero, so a frame arrives at the instant its transmission
-completes.  A node serializes its outbound transmissions (half duplex on
-send) but can always receive.  The arrival is handled inside the tx-complete
-event when no other event is due at that instant, and is scheduled behind the
-events due then otherwise, so events run in the order they would if every
-arrival were an event of its own.
+base_rate_bps / sqrt(length), worked out with the link's transmit price per
+bit when a neighbour record is made (neighbors.NeighborTable.handle_beacon).
+Links are at least 1 m long: the scenario's min_separation is, and every
+deployment is checked against it at load time.  Propagation is zero, so a
+frame arrives at the instant its transmission completes.  A node serializes
+its outbound transmissions (half duplex on send) but can always receive.  The
+arrival is handled inside the tx-complete event when no other event is due at
+that instant, and is scheduled behind the events due then otherwise, so
+events run in the order they would if every arrival were an event of its own.
 """
 from __future__ import annotations
 
@@ -117,7 +118,7 @@ class Simulation:
                 id=node_id,
                 battery=Battery(residual=initial, initial=initial),
                 death_exempt=gateway,
-                table=NeighborTable(pos, sink, vs, senders),
+                table=NeighborTable(pos, sink, vs, senders, cfg),
                 live_below=below,
                 live_above=len(vs) - below,
             )
@@ -145,9 +146,10 @@ class Simulation:
         most = max((len(n.table.range_ids) for n in self.nodes.values()), default=0)
         self._rx_totals = list(accumulate(repeat(self._beacon_price[1], most), initial=0.0))
         self.expiry_s = cfg.neighbor_expiry_s
-        # a GEAMS forward's constants: the bits a score prices, and the
-        # relay price per bit of a frame (_route_geams)
+        # a GEAMS forward's constants: the bits a score prices, their
+        # receive price, and the relay price per bit of a frame (_route_geams)
         self._data_bits = cfg.data_packet_bits
+        self._data_rx = rx_energy(cfg.data_packet_bits, e_elec)
         self._relay_j_per_bit = 2.0 * e_elec
         # each node's forwarding memory, by node id, from its first route
         # since the last broadcast: a GEAMS node's best-neighbour set, or a
@@ -362,18 +364,15 @@ class Simulation:
             if next_hop is None:
                 self._record(pk, drop_reason)
                 continue
-            # every route picks a neighbor from the table, whose record holds
-            # the hop length
-            d = node.table.records[next_hop].distance_to_me
+            # every route picks a neighbor whose record prices and times the hop
+            r = node.table.records[next_hop]
             bits = pk.payload_bits + cfg.header_bits
-            # energy.tx_energy and the timing model's bits / (base_rate_bps /
-            # sqrt(d)), inlined: the same float expressions
-            cost = bits * (cfg.e_elec_j_per_bit + cfg.eps_amp_j_per_bit_m2 * d * d)
+            cost = bits * r.j_per_bit
             if not node.death_exempt and node.battery.residual < cost:
                 self._drop_and_die(node, pk)
                 return
             node.transmitting = True
-            self._schedule(time + bits / (cfg.base_rate_bps / math.sqrt(d)),
+            self._schedule(time + bits / r.rate_bps,
                            self._do_tx_complete, node.id, next_hop, pk, cost, bits)
             return
 
@@ -463,8 +462,7 @@ class Simulation:
         best = self._kept.get(node.id)
         if best is None or self.now - best.oldest > self.expiry_s:
             best = self._kept[node.id] = geams.build_best_neighbor_set(
-                node.table, self.now, self.expiry_s, self._data_bits,
-                cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
+                node.table, self.now, self.expiry_s, self._data_bits, self._data_rx)
         sinkward = bool(best.ids)
         if sinkward:
             next_hop, node.stream = geams.select_next_hop(
@@ -492,8 +490,7 @@ class Simulation:
         r = node.table.records[next_hop]
         energy = r.add_load(self._relay_j_per_bit * (pk.payload_bits + cfg.header_bits))
         if sinkward:
-            geams.rescore(best, r, energy, self._data_bits, cfg.e_elec_j_per_bit,
-                          cfg.eps_amp_j_per_bit_m2)
+            geams.rescore(best, r, energy, self._data_bits, self._data_rx)
         return next_hop, None
 
     # -- reporting ----------------------------------------------------------

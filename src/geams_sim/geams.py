@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .energy import rx_energy
 from .metrics import float_sum
 from .neighbors import NeighborRecord, NeighborTable, live
 
@@ -50,25 +49,22 @@ class SourceState:
 
 
 def build_best_neighbor_set(
-    t: NeighborTable, now: float, expiry_s: float, k_bits: float, e_elec: float,
-    eps_amp: float
+    t: NeighborTable, now: float, expiry_s: float, k_bits: float, rx: float
 ) -> BestNeighborSet:
     """Live, non-void-flagged neighbors strictly closer to the sink than we
     are, sorted by descending score with ties broken by ascending id.
 
     A neighbor's score is its fitness in joules: its remaining energy minus
-    the cost of pushing one k-bit packet through it (our transmit to it, then
-    its receive), priced with the radio constants `e_elec` and `eps_amp`.
+    the cost of pushing one k-bit packet through it: our transmit to it, at
+    its record's price per bit, then its receive, which costs `rx` joules.
     """
-    rx = rx_energy(k_bits, e_elec)
     candidates = []
     oldest = math.inf
     for r, energy in live(t.sinkward_records(), now, expiry_s):
         s = r.state
         if s.void_flagged:
             continue
-        d = r.distance_to_me
-        candidates.append((r.id, (energy - k_bits * (e_elec + eps_amp * d * d)) - rx))
+        candidates.append((r.id, (energy - k_bits * r.j_per_bit) - rx))
         if s.last_beacon_time < oldest:
             oldest = s.last_beacon_time
     # the input is in ascending id order and the sort is stable, so equal
@@ -78,7 +74,7 @@ def build_best_neighbor_set(
 
 
 def rescore(s: BestNeighborSet, r: NeighborRecord, energy: float, k_bits: float,
-            e_elec: float, eps_amp: float) -> None:
+            rx: float) -> None:
     """Bring entry `r` of `s` in step with the overlay just written on it,
     which left `energy` (NeighborRecord.add_load's return), as
     build_best_neighbor_set would score it: overwrite its score where it
@@ -90,9 +86,7 @@ def rescore(s: BestNeighborSet, r: NeighborRecord, energy: float, k_bits: float,
     node_id = r.id
     i = ids.index(node_id)
     if energy > 0:
-        d = r.distance_to_me
-        # rx_energy(k_bits, e_elec), inlined
-        v = (energy - k_bits * (e_elec + eps_amp * d * d)) - k_bits * e_elec
+        v = (energy - k_bits * r.j_per_bit) - rx
         j, n = i + 1, len(ids)
         while j < n and (scores[j] > v or scores[j] == v and ids[j] < node_id):
             j += 1

@@ -31,7 +31,8 @@ records stay the same objects, so their overlays stand.  `records` holds
 what the reads have made so far: routing reads a record there only once a
 read has returned it.  A record holds only static geometry, the shared
 state and the overlay; the sender's distance to the sink is its own, worked
-out once, and the receiver works out only the hop.
+out once, and the receiver works out only the hop's price and rate, when it
+makes the record (handle_beacon), which routing and the engine then read.
 A sender's shared state changes at its turn in a beacon round, on the
 batched and the exact path alike, so a table reads the same states on both
 (`engine.Simulation._do_beacons`).
@@ -42,6 +43,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from .scenario import ScenarioConfig
 from .topology import Position, distance
 
 
@@ -61,7 +63,10 @@ class BeaconState:
 class NeighborRecord:
     id: int
     position: Position
-    distance_to_me: float
+    # the hop from this table's node: its transmit price per bit
+    # (energy.tx_energy) and its rate (the engine's timing model)
+    j_per_bit: float
+    rate_bps: float
     distance_to_sink: float
     state: BeaconState
     # the pending-load overlay (add_load) and the sender's last beacon time
@@ -108,6 +113,8 @@ class NeighborTable:
     # sender id -> (position, shared state, the sender's own sink distance),
     # one lookup per run; let go once every record is made
     senders: dict[int, tuple[Position, BeaconState, float]] | None = field(repr=False)
+    # the run's scenario, which prices and times each hop (handle_beacon)
+    cfg: ScenarioConfig = field(repr=False)
     # by sender id, ascending; every record is made by handle_beacon
     records: dict[int, NeighborRecord] = field(default_factory=dict)
     my_sink_distance: float = field(init=False)
@@ -122,13 +129,15 @@ class NeighborTable:
         """Add the record of a sender, whose id is above every id this table
         holds; `distance_to_sink` is the sender's own (its table's
         `my_sink_distance`).  Only the table's own fill calls it.  Beacons
-        update only the shared `state`.  Load-time checks keep every pair at
-        least 1 m apart, so the hop needs no link check."""
-        me = self.my_position
-        # topology.distance, inlined
+        update only the shared `state`.  The hop's price per bit and rate
+        are worked out here, from its length and `cfg`, and nowhere else.
+        Load-time checks keep every pair at least 1 m apart, so the hop
+        needs no link check."""
+        me, cfg = self.my_position, self.cfg
+        d = math.hypot(me.x - position.x, me.y - position.y)  # topology.distance
         r = self.records[sender] = NeighborRecord(
-            sender, position, math.hypot(me.x - position.x, me.y - position.y),
-            distance_to_sink, state)
+            sender, position, cfg.e_elec_j_per_bit + cfg.eps_amp_j_per_bit_m2 * d * d,
+            cfg.base_rate_bps / math.sqrt(d), distance_to_sink, state)
         if distance_to_sink < self.my_sink_distance:
             self._sinkward.append(r)
 

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import strategies as st
 
 from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import Simulation
@@ -106,11 +107,14 @@ def gabriel_planarize(t: Topology, r: float = RADIO_RANGE) -> set[tuple[int, int
 
 
 # GEAMS score oracle: the definition geams.build_best_neighbor_set inlines.
+# It prices the hop from the positions, not from the record's own price.
 
-def score(n: NeighborRecord, k_bits: float, e_elec: float, eps_amp: float) -> float:
-    """Neighbor fitness in joules: its remaining energy minus the cost of
-    pushing one standard data packet through it (our transmit + its receive)."""
-    return (n.residual_energy - tx_energy(k_bits, n.distance_to_me, e_elec, eps_amp)
+def score(n: NeighborRecord, me: Position, k_bits: float, e_elec: float,
+          eps_amp: float) -> float:
+    """Fitness in joules, at `me`, of neighbour `n`: its remaining energy
+    minus the cost of pushing one standard data packet through it (our
+    transmit + its receive)."""
+    return (n.residual_energy - tx_energy(k_bits, distance(me, n.position), e_elec, eps_amp)
             - rx_energy(k_bits, e_elec))
 
 
@@ -125,20 +129,22 @@ def entries(s: BestNeighborSet) -> list[tuple[int, float]]:
     return list(zip(s.ids, s.scores))
 
 
-# Neighbour tables, made as a run makes them.
+# Neighbour tables, made as a run makes them, at the default scenario's
+# radio constants and base rate.
+
+DEFAULT = ScenarioConfig()
+
 
 def record(node_id, pos, me, sink, energy=1.0, void=False, beacon_time=0.0,
            pending=None, stale=False) -> NeighborRecord:
     """The record, at `me`, of a sender at `pos` whose last beacon reported
-    `energy`; `pending` puts a pending-load overlay on it, taken before that
-    beacon when `stale`."""
-    r = NeighborRecord(
-        id=node_id,
-        position=pos,
-        distance_to_me=distance(me, pos),
-        distance_to_sink=distance(pos, sink),
-        state=BeaconState(energy, beacon_time, void_flagged=void),
-    )
+    `energy`, made by a table of its own; `pending` puts a pending-load
+    overlay on it, taken before that beacon when `stale`."""
+    state = BeaconState(energy, beacon_time, void_flagged=void)
+    t = NeighborTable(me, sink, [node_id], {node_id: (pos, state, distance(pos, sink))},
+                      DEFAULT)
+    t.live_records(0.0, 0.0)  # the first read of every record makes them all
+    r = t.records[node_id]
     if pending is not None:
         r.pending, r.pending_time = pending, beacon_time - 1.0 if stale else beacon_time
     return r
@@ -148,7 +154,7 @@ def filling_table(me: Position, sink: Position, records) -> NeighborTable:
     """A table at `me` that fills itself, as a run's do, from the senders of
     `records`, sharing their states; no read has made a record yet."""
     senders = {r.id: (r.position, r.state, distance(r.position, sink)) for r in records}
-    return NeighborTable(me, sink, sorted(senders), senders)
+    return NeighborTable(me, sink, sorted(senders), senders, DEFAULT)
 
 
 def table(me: Position, sink: Position, records) -> NeighborTable:
@@ -230,3 +236,40 @@ def equivalence_cells():
         for kw in ([dict(n_sensors=30, seed=seed) for seed in (1, 2, 3, 4, 5)]
                    + [dict(image_count=5), dict(seed=1, **low), dict(seed=2, **low),
                       dict(seed=1, **stream)])]
+
+
+# Random scenario draws, shared by the differential test and the
+# metamorphic relations.
+
+_COMMON = dict(
+    protocol=st.sampled_from(PROTOCOLS),
+    seed=st.integers(1, 10_000),
+    # funded five times in six: an underfunded gateway mostly runs the
+    # source dry, which is checked but not compared
+    gateway_energy_j=st.sampled_from([1e6] * 10 + [0.0, 0.002]),
+    beacon_energy=st.booleans(),
+)
+# small scenarios at the default one image a second
+_SMALL = st.fixed_dictionaries(dict(
+    _COMMON,
+    n_sensors=st.integers(0, 30),
+    horizon_s=st.floats(0.05, 12.0),
+    image_count=st.integers(1, 6),
+    initial_energy_j=st.sampled_from([0.0, 0.002, 0.01, 0.03, 0.1, 0.5]),
+    radio_range=st.sampled_from([40.0, 80.0, 150.0]),
+))
+# dying streams: images every 0.1-0.2 s cross a well-connected field while
+# its sensors die, so that a kept choice (a GEAMS best-neighbour set, a GPSR
+# greedy hop) stands while a dead neighbour's sink-ward record expires; an
+# expiry down to just over one beacon interval lets it expire mid-round
+_DYING_STREAM = st.fixed_dictionaries(dict(
+    _COMMON,
+    n_sensors=st.integers(10, 30),
+    horizon_s=st.floats(3.0, 12.0),
+    image_count=st.integers(10, 40),
+    image_interval_s=st.floats(0.1, 0.2),
+    image_bits=st.sampled_from([1000, 2000, 5000, 10_000]),
+    initial_energy_j=st.sampled_from([0.01, 0.03, 0.05, 0.1]),
+    radio_range=st.sampled_from([150.0, 250.0]),
+    neighbor_expiry_intervals=st.floats(1.01, 2.5),
+))

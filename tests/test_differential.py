@@ -21,11 +21,11 @@ from pathlib import Path
 
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import assert_energy_balanced, equivalence_cells
+from conftest import _DYING_STREAM, _SMALL, assert_energy_balanced, equivalence_cells
 from geams_sim.engine import Simulation
 from geams_sim.metrics import MetricsReport, PacketOutcome, dead_node_count, \
     delay_and_loss, energy_stats, regional_energy
-from geams_sim.scenario import PROTOCOLS, ScenarioConfig
+from geams_sim.scenario import ScenarioConfig
 from geams_sim.topology import SOURCE_ID
 
 REFSIM = Path(__file__).resolve().parent.parent / "perfbench" / "refsim"
@@ -92,40 +92,6 @@ def test_fixed_cells_equal_refsim():
         else:
             assert_equals_refsim(cfg, sim, report)
     assert dry == [0.05, 0.05]
-
-
-_COMMON = dict(
-    protocol=st.sampled_from(PROTOCOLS),
-    seed=st.integers(1, 10_000),
-    # funded five times in six: an underfunded gateway mostly runs the
-    # source dry, which is checked but not compared
-    gateway_energy_j=st.sampled_from([1e6] * 10 + [0.0, 0.002]),
-    beacon_energy=st.booleans(),
-)
-# small scenarios at the default one image a second
-_SMALL = st.fixed_dictionaries(dict(
-    _COMMON,
-    n_sensors=st.integers(0, 30),
-    horizon_s=st.floats(0.05, 12.0),
-    image_count=st.integers(1, 6),
-    initial_energy_j=st.sampled_from([0.0, 0.002, 0.01, 0.03, 0.1, 0.5]),
-    radio_range=st.sampled_from([40.0, 80.0, 150.0]),
-))
-# dying streams: images every 0.1-0.2 s cross a well-connected field while
-# its sensors die, so that a kept choice (a GEAMS best-neighbour set, a GPSR
-# greedy hop) stands while a dead neighbour's sink-ward record expires; an
-# expiry down to just over one beacon interval lets it expire mid-round
-_DYING_STREAM = st.fixed_dictionaries(dict(
-    _COMMON,
-    n_sensors=st.integers(10, 30),
-    horizon_s=st.floats(3.0, 12.0),
-    image_count=st.integers(10, 40),
-    image_interval_s=st.floats(0.1, 0.2),
-    image_bits=st.sampled_from([1000, 2000, 5000, 10_000]),
-    initial_energy_j=st.sampled_from([0.01, 0.03, 0.05, 0.1]),
-    radio_range=st.sampled_from([150.0, 250.0]),
-    neighbor_expiry_intervals=st.floats(1.01, 2.5),
-))
 
 
 @settings(max_examples=300, deadline=None)

@@ -88,8 +88,9 @@ def test_energy_totals_add_left_to_right(monkeypatch):
     (64.0, {}, 1064 / 31_250),
     (25.0, dict(packet_bits=936, image_bits=936), 0.02),
     (1.0, dict(packet_bits=9_936, image_bits=9_936), 0.04),
+    (25.0, dict(base_rate_bps=125_000.0), 1064 / 25_000),
 ], ids=["rate at 1 m", "rate at 25 m", "rate at 64 m", "1000 bits over 25 m",
-        "10000 bits over 1 m"])
+        "10000 bits over 1 m", "half the base rate at 25 m"])
 def test_a_hop_takes_its_frame_at_the_links_rate(length, overrides, seconds):
     """The link rate is base_rate_bps / sqrt(length), 250 kb/s at 1 m, and a
     hop takes its frame's bits at that rate: the source's first frame, on
@@ -234,11 +235,13 @@ def test_underfunded_sender_forfeits_and_dies(topo_builder):
     assert_energy_balanced(drawn, ledger_total)
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_relay_with_exactly_its_frame_cost_delivers_then_dies(topo_builder, protocol):
+@pytest.mark.parametrize("protocol, radio", [
+    (protocol, radio) for radio in ({}, dict(e_elec_j_per_bit=1e-5, eps_amp_j_per_bit_m2=4e-9))
+    for protocol in PROTOCOLS], ids=[*PROTOCOLS, *(f"{p}, other radio" for p in PROTOCOLS)])
+def test_relay_with_exactly_its_frame_cost_delivers_then_dies(topo_builder, protocol, radio):
     topo = topo_builder({0: Position(130, 90), 1: Position(10, 90), 2: Position(70, 90)})
     cfg = ScenarioConfig(protocol=protocol, n_sensors=1, beacon_energy=False,
-                         image_bits=1_000, image_count=1)
+                         image_bits=1_000, image_count=1, **radio)
     bits = cfg.data_packet_bits
     rx = rx_energy(bits, cfg.e_elec_j_per_bit)
     cost = tx_energy(bits, 60.0, cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
@@ -506,9 +509,9 @@ class KeptSetChecker(Simulation):
         kept = self._kept.get(node.id)
         if kept is not None:  # None: a void announcement dropped it
             cfg = self.cfg
+            bits = cfg.data_packet_bits
             fresh = geams.build_best_neighbor_set(
-                node.table, self.now, cfg.neighbor_expiry_s, cfg.data_packet_bits,
-                cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
+                node.table, self.now, cfg.neighbor_expiry_s, bits, bits * cfg.e_elec_j_per_bit)
             assert (kept.ids, kept.scores) == (fresh.ids, fresh.scores), \
                 (self.now, node.id, kept, fresh)
             self.checks += 1

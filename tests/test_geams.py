@@ -20,13 +20,14 @@ from geams_sim.topology import Position
 
 # the scenario's radio constants, e_elec and eps_amp
 RADIO = (ScenarioConfig().e_elec_j_per_bit, ScenarioConfig().eps_amp_j_per_bit_m2)
+E_ELEC = RADIO[0]
 K_BITS = 1064
 
 
 def one_score(r, k_bits, me, sink):
     """The score build_best_neighbor_set gives `r` as a table's only record."""
     [(node_id, value)] = entries(
-        build_best_neighbor_set(table(me, sink, [r]), 0.0, 2.5, k_bits, *RADIO))
+        build_best_neighbor_set(table(me, sink, [r]), 0.0, 2.5, k_bits, k_bits * E_ELEC))
     assert node_id == r.id
     return value
 
@@ -56,7 +57,7 @@ def test_best_neighbor_set_empty_when_all_farther():
         record(2, Position(60, 90), me, sink, 1.0),
         record(3, Position(80, 120), me, sink, 1.0),
     ])
-    assert entries(build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)) == []
+    assert entries(build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)) == []
 
 
 def test_best_neighbor_set_orders_by_score_then_id():
@@ -66,9 +67,9 @@ def test_best_neighbor_set_orders_by_score_then_id():
         record(2, Position(160, 90), me, sink, 1.0),  # tie with 5: id wins
         record(3, Position(160, 90), me, sink, 2.0),  # more energy: top rank
     ])
-    s = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+    s = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)
     assert s.ids == [3, 2, 5]
-    assert s == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+    assert s == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)
 
 
 def test_best_neighbor_set_skips_dead_expired_and_flagged():
@@ -79,7 +80,7 @@ def test_best_neighbor_set_skips_dead_expired_and_flagged():
         record(4, Position(170, 90), me, sink, 1.0, beacon_time=-5.0),  # expired
         record(5, Position(160, 80), me, sink, 1.0, void=True),     # flagged
     ])
-    s = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+    s = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)
     assert s.ids == [2]
 
 
@@ -184,8 +185,8 @@ def test_order_invariant_under_energy_shift(halves, shift_halves):
     shifted = table(me, sink, [
         record(r.id, r.position, me, sink, r.residual_energy + shift) for r in recs
     ])
-    order = build_best_neighbor_set(base, 0.0, 2.5, K_BITS, *RADIO).ids
-    order_shifted = build_best_neighbor_set(shifted, 0.0, 2.5, K_BITS, *RADIO).ids
+    order = build_best_neighbor_set(base, 0.0, 2.5, K_BITS, K_BITS * E_ELEC).ids
+    order_shifted = build_best_neighbor_set(shifted, 0.0, 2.5, K_BITS, K_BITS * E_ELEC).ids
     assert order == order_shifted
 
 
@@ -195,12 +196,12 @@ def test_order_invariant_under_energy_shift(halves, shift_halves):
 def test_has_sinkward_true_with_closer_neighbor():
     me, sink = Position(100, 90), Position(490, 90)
     t = table(me, sink, [record(2, Position(160, 90), me, sink, 1.0)])
-    assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO).ids == [2]
+    assert build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC).ids == [2]
 
 
 def test_has_sinkward_false_on_empty_table():
     t = table(Position(100, 90), Position(490, 90), [])
-    assert entries(build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)) == []
+    assert entries(build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)) == []
 
 
 @pytest.mark.parametrize("closer", [
@@ -215,14 +216,14 @@ def test_has_sinkward_ignores_unusable_closer_neighbor(closer):
         record(2, Position(60, 90), me, sink, 1.0),   # usable but farther
         record(3, Position(160, 90), me, sink, **kw),
     ])
-    assert entries(build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)) == []
+    assert entries(build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)) == []
 
 
 def test_has_sinkward_expiry_boundary_is_inclusive():
     me, sink = Position(100, 90), Position(490, 90)
     t = table(me, sink, [record(2, Position(160, 90), me, sink, 1.0, beacon_time=0.5)])
-    assert build_best_neighbor_set(t, 3.0, 2.5, K_BITS, *RADIO).ids == [2]
-    assert entries(build_best_neighbor_set(t, 3.0000001, 2.5, K_BITS, *RADIO)) == []
+    assert build_best_neighbor_set(t, 3.0, 2.5, K_BITS, K_BITS * E_ELEC).ids == [2]
+    assert entries(build_best_neighbor_set(t, 3.0000001, 2.5, K_BITS, K_BITS * E_ELEC)) == []
 
 
 @given(st.lists(
@@ -268,7 +269,8 @@ def test_walking_back_respects_exclusions_and_flags():
 
 def reference_best_set(t, now, expiry_s, k_bits, e_elec, eps_amp):
     """build_best_neighbor_set by brute force: score() over live_records."""
-    s = [(r.id, score(r, k_bits, e_elec, eps_amp)) for r in t.live_records(now, expiry_s)
+    s = [(r.id, score(r, t.my_position, k_bits, e_elec, eps_amp))
+         for r in t.live_records(now, expiry_s)
          if not r.state.void_flagged and r.distance_to_sink < t.my_sink_distance]
     s.sort(key=lambda item: (-item[1], item[0]))
     return s
@@ -297,7 +299,7 @@ def test_best_neighbor_set_agrees_with_brute_force(specs, ids):
         record(node_id, Position(100 + dx, 90 + dy), me, sink, energy, void=void,
                beacon_time=bt, pending=pending, stale=stale)
         for node_id, (dx, dy, energy, void, bt, pending, stale) in zip(ids, specs)])
-    s = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+    s = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)
     assert entries(s) == reference_best_set(t, 0.0, 2.5, K_BITS, *RADIO)
     assert s.oldest == min((t.records[i].state.last_beacon_time for i in s.ids),
                            default=math.inf)
@@ -317,15 +319,15 @@ def test_rescore_after_a_forward_agrees_with_a_fresh_build(specs, forwards):
         record(node_id, Position(100 + dx, 90 + dy), me, sink, energy, void=void,
                beacon_time=bt, pending=pending, stale=stale)
         for node_id, (dx, dy, energy, void, bt, pending, stale) in enumerate(specs, start=2)])
-    kept = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+    kept = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)
     for pick, load in forwards:
         if not kept.ids:
             break
         r = t.records[kept.ids[pick % len(kept.ids)]]
         energy = r.add_load(load)
         assert energy == r.residual_energy
-        rescore(kept, r, energy, K_BITS, *RADIO)
-        fresh = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+        rescore(kept, r, energy, K_BITS, K_BITS * E_ELEC)
+        fresh = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)
         assert (kept.ids, kept.scores) == (fresh.ids, fresh.scores)
         assert (r.id in kept.ids) == (r.residual_energy > 0)
 
@@ -335,13 +337,13 @@ def test_rescore_moves_a_hop_past_its_equals_with_lower_ids():
     me, sink = Position(100, 90), Position(490, 90)
     t = table(me, sink, [record(i, Position(160, 90), me, sink, 1.0) for i in (2, 3, 4)])
     t.records[3].state.residual_energy = 1.5
-    kept = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+    kept = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)
     assert kept.ids == [3, 2, 4]
     r = t.records[3]
     r.pending, r.pending_time = 1.0, r.state.last_beacon_time
-    rescore(kept, r, r.residual_energy, K_BITS, *RADIO)
+    rescore(kept, r, r.residual_energy, K_BITS, K_BITS * E_ELEC)
     assert kept.ids == [2, 3, 4]
-    assert kept == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+    assert kept == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)
 
 
 def test_rescore_keeps_an_entry_that_stays_in_place():
@@ -351,16 +353,16 @@ def test_rescore_keeps_an_entry_that_stays_in_place():
     me, sink = Position(100, 90), Position(490, 90)
     t = table(me, sink, [record(i, Position(160, 90), me, sink, 1.0) for i in (2, 3, 4)])
     t.records[2].state.residual_energy = 1.5
-    kept = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+    kept = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)
     assert kept.ids == [2, 3, 4] and kept.scores[0] > kept.scores[1]
     r = t.records[2]
-    rescore(kept, r, r.add_load(0.5), K_BITS, *RADIO)
+    rescore(kept, r, r.add_load(0.5), K_BITS, K_BITS * E_ELEC)
     assert kept.ids == [2, 3, 4]
     assert kept.scores[0] == kept.scores[1]  # 3 ties it, just below
-    assert kept == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
-    rescore(kept, r, r.add_load(1.0), K_BITS, *RADIO)
+    assert kept == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)
+    rescore(kept, r, r.add_load(1.0), K_BITS, K_BITS * E_ELEC)
     assert kept.ids == [3, 4]
-    assert kept == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, *RADIO)
+    assert kept == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)
 
 
 @given(steps=st.lists(st.tuples(
@@ -429,7 +431,7 @@ def test_select_refreshes_only_when_the_order_changed(specs, steps):
     t = table(me, sink, [record(node_id, Position(100 + dx, 90 + dy), me, sink, energy)
                          for node_id, (dx, dy, energy) in enumerate(specs, start=2)])
     now = 0.0
-    kept = build_best_neighbor_set(t, now, 2.5, K_BITS, *RADIO)
+    kept = build_best_neighbor_set(t, now, 2.5, K_BITS, K_BITS * E_ELEC)
     states, refs = [None, None], [None, None]
     for op, a, b, *load in steps:
         if op == "beacon":
@@ -437,7 +439,7 @@ def test_select_refreshes_only_when_the_order_changed(specs, steps):
                 now += 0.5
                 s = t.records[a % len(specs) + 2].state
                 s.residual_energy, s.last_beacon_time = b, now
-            kept = build_best_neighbor_set(t, now, 2.5, K_BITS, *RADIO)
+            kept = build_best_neighbor_set(t, now, 2.5, K_BITS, K_BITS * E_ELEC)
         elif kept.ids:
             held = states[a]
             choice, state = select_next_hop(held, kept, b)
@@ -448,4 +450,4 @@ def test_select_refreshes_only_when_the_order_changed(specs, steps):
             assert [state.ref_hop_count, state.balance_index, state.neighbor_ids] == refs[a]
             if load[0] is not None:
                 r = t.records[choice]
-                rescore(kept, r, r.add_load(load[0]), K_BITS, *RADIO)
+                rescore(kept, r, r.add_load(load[0]), K_BITS, K_BITS * E_ELEC)

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import RADIO_RANGE, PathSimulation, filling_table, gabriel_planarize, \
+from conftest import DEFAULT, RADIO_RANGE, PathSimulation, filling_table, gabriel_planarize, \
     record, table
 from geams_sim import gpsr
 from geams_sim.engine import DataPacket, Simulation
@@ -411,6 +411,6 @@ def test_planar_neighbors_agree_with_global_gabriel(n):
         senders = {v: (p, BeaconState(1.0, 0.0), distance(p, sink)) for v, p in positions.items()}
         gabriel = gabriel_planarize(topo)
         for u, neighbours in range_neighbor_lists(topo, RADIO_RANGE).items():
-            t = NeighborTable(positions[u], sink, neighbours, senders)
+            t = NeighborTable(positions[u], sink, neighbours, senders, DEFAULT)
             local = {r.id for r in planar_neighbors(t, 0.0, 2.5)[0]}
             assert local == {b if a == u else a for a, b in gabriel if u in (a, b)}, (seed, u)

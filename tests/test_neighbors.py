@@ -2,13 +2,13 @@ import math
 
 from hypothesis import given, strategies as st
 
-from conftest import assert_energy_balanced, low_energy_cells, record, table
+from conftest import DEFAULT, assert_energy_balanced, low_energy_cells, record, table
 from geams_sim.energy import Battery
 from geams_sim.engine import DataPacket, EnergyLedger, Simulation
 from geams_sim.geams import build_best_neighbor_set, walking_back_candidate
 from geams_sim.gpsr import greedy_next_hop, planar_neighbors
 from geams_sim.metrics import regional_rows, summary_row
-from geams_sim.neighbors import BeaconState, NeighborRecord, NeighborTable, live
+from geams_sim.neighbors import BeaconState, NeighborTable, live
 from geams_sim.scenario import ScenarioConfig
 from geams_sim.topology import Position, Topology, distance, generate_topology
 
@@ -42,7 +42,7 @@ def test_later_beacons_refresh_energy_and_time_only():
     state.residual_energy, state.last_beacon_time = 0.7, 1.0
     (r,) = t.live_records(1.0, 2.5)
     assert r.state is state and r.residual_energy == 0.7
-    assert (r.distance_to_me, r.distance_to_sink) == (60.0, 330.0)
+    assert r.distance_to_sink == 330.0
     assert t.my_sink_distance == 390.0
 
 
@@ -67,10 +67,10 @@ _RECORD = st.tuples(
 
 
 def _record(node_id, beacon, age, overlay):
-    """The NeighborRecord a spec describes; every age and time is exact."""
+    """The NeighborRecord a spec describes; every age and time is exact.
+    Each sits at least 1 m from ME, as every hop does."""
     heard = -math.inf if age is None else NOW - age
-    r = NeighborRecord(node_id, Position(100 + node_id, 90), float(node_id), 300.0,
-                       BeaconState(beacon, heard))
+    r = record(node_id, Position(101 + node_id, 90), ME, SINK, beacon, beacon_time=heard)
     if overlay is not None:
         r.pending, standing = overlay
         # a stale overlay was taken before the last beacon, at t = 0 when
@@ -147,11 +147,11 @@ def test_a_sender_never_heard_has_a_record_that_is_never_live(topo_builder):
     assert list(t.records) == [3] and [r.id for r in t.sinkward_records()] == [3]
     assert t.records[3].state is poor.beacon_state
     assert poor.beacon_state.last_beacon_time == -math.inf
-    expiry = cfg.neighbor_expiry_s
+    expiry, bits = cfg.neighbor_expiry_s, cfg.data_packet_bits
     for now in (0.0, 1.0, 1e9):
         assert t.live_records(now, expiry) == []
-        assert build_best_neighbor_set(t, now, expiry, cfg.data_packet_bits,
-                                       cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2).ids == []
+        assert build_best_neighbor_set(t, now, expiry, bits,
+                                       bits * cfg.e_elec_j_per_bit).ids == []
         assert greedy_next_hop(t, now, expiry) is None
         assert planar_neighbors(t, now, expiry) == ((), math.inf)
         assert walking_back_candidate(t, set(), now, expiry) is None
@@ -187,7 +187,7 @@ def test_a_table_fills_itself_from_its_range_list_and_the_shared_lookup():
                  5: Position(140, 120)}  # 3 and 5 are closer to the sink than ME
     states = {i: BeaconState(1.0, 0.0) for i in positions}
     senders = {i: (p, states[i], distance(p, SINK)) for i, p in positions.items()}
-    t = NeighborTable(ME, SINK, [2, 3, 4, 5], senders)
+    t = NeighborTable(ME, SINK, [2, 3, 4, 5], senders, DEFAULT)
     assert t.records == {}
     sinkward = t.sinkward_records()
     assert [r.id for r in sinkward] == [3, 5] and list(t.records) == [3, 5]
@@ -205,7 +205,7 @@ def test_a_table_fills_itself_from_its_range_list_and_the_shared_lookup():
     assert t.sinkward_records() is sinkward
     assert list(t.records) == list(made) and all(t.records[i] is made[i] for i in made)
     # the read of every live record first makes the sink-ward ones too
-    first = NeighborTable(ME, SINK, [2, 3, 4, 5], senders)
+    first = NeighborTable(ME, SINK, [2, 3, 4, 5], senders, DEFAULT)
     assert [r.id for r in first.live_records(0.0, 2.5)] == [2, 3, 4, 5]
     assert [r.id for r in first.sinkward_records()] == [3, 5]
     assert first.sinkward_records() == [first.records[3], first.records[5]]
