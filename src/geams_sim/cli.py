@@ -83,8 +83,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.jobs < 1:
-        raise ScenarioError(f"--jobs must be at least 1, got {args.jobs}")
     base = load_scenario(args.scenario) if args.scenario else ScenarioConfig()
     plan = ExperimentPlan(
         seeds=_parse_seeds(args.seeds),

@@ -5,7 +5,6 @@ in deterministic plan order regardless of how the cells were scheduled.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .engine import Simulation, run_scenario
@@ -102,14 +101,18 @@ def run_experiment(plan: ExperimentPlan, out_dir, jobs: int = 1,
     """Run the full matrix and write summary.csv, regional.csv and, when the
     plan has both protocols, comparison.csv (plus packets.csv when asked)
     under out_dir; an old comparison.csv or packets.csv this run does not
-    write is removed.  A cell the scenario rejects leaves out_dir as it was.
+    write is removed.  A cell the scenario rejects, or `jobs` below 1,
+    leaves out_dir as it was.
 
     Execution order: the cells are grouped by deployment (n_sensors, seed),
     the groups in the order of their first cell in plan order, and the cells
     of a group in plan order (the plan's protocol order).  A group's cells
-    share one placement and its range lists; groups run one after another,
-    or are shared out among the pool's workers.  Reports and CSV rows are in
+    share one placement and its range lists; groups run one after another
+    in this process, or, when `jobs` > 1 and there are several groups, are
+    shared out among a process pool's workers.  Reports and CSV rows are in
     plan order either way."""
+    if jobs < 1:
+        raise ScenarioError(f"jobs must be at least 1, got {jobs}")
     cells = plan.cells()  # validates every cell
     os.makedirs(out_dir, exist_ok=True)
     groups: dict[tuple[int, int], list[int]] = {}
@@ -119,6 +122,8 @@ def run_experiment(plan: ExperimentPlan, out_dir, jobs: int = 1,
     # a fork pool starts every worker at once: none beyond one per deployment
     workers = min(jobs, len(group_cells))
     if workers > 1:
+        # imported here, so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_run_group, group_cells))
     else:

@@ -1,7 +1,11 @@
 import csv
 import gc
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from geams_sim.cli import _parse_seeds, main
 from geams_sim.experiment import ExperimentPlan, run_experiment
 from geams_sim.metrics import SUMMARY_COLUMNS, write_csv
 from geams_sim.scenario import ScenarioConfig, ScenarioError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def two_node_scenario(tmp_path, **extra):
@@ -241,7 +247,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, groups):
             return map(fn, groups)
 
-    monkeypatch.setattr("geams_sim.experiment.ProcessPoolExecutor", RecordingPool)
+    # run_experiment imports the pool when it makes one, so it reads this
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -336,13 +343,41 @@ def test_plan_validation():
         ExperimentPlan(seeds=(1,), protocols=("gpsr", "geams", "gpsr"))
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_experiment_rejects_fewer_than_one_job(tmp_path, jobs):
+    out = tmp_path / "exp"
+    plan = ExperimentPlan(seeds=(1,), node_counts=(10,))
+    with pytest.raises(ScenarioError, match=f"jobs must be at least 1, got {jobs}"):
+        run_experiment(plan, out, jobs=jobs)
+    assert not out.exists()  # nothing was written
+
+
+def test_a_serial_experiment_loads_no_process_pool(tmp_path):
+    """Importing the CLI and running a jobs=1 experiment loads neither the
+    process pool nor any multiprocessing module.  It runs in a fresh
+    interpreter: other tests load the pool into this one."""
+    script = (
+        "import sys\n"
+        "import geams_sim.cli\n"
+        "from geams_sim.experiment import ExperimentPlan, run_experiment\n"
+        "run_experiment(ExperimentPlan(seeds=(1,), node_counts=(10,)), sys.argv[1], jobs=1)\n"
+        "print(sorted(m for m in sys.modules if m == 'concurrent.futures.process'\n"
+        "             or m.startswith('multiprocessing')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+    assert (tmp_path / "comparison.csv").exists()
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--seeds", "1,1"], "seed 1 is listed more than once"),
     (["--seeds", "1-3,2"], "seed 2 is listed more than once"),
     (["--nodes", "30", "30"], "node count 30 is listed more than once"),
     (["--protocols", "geams,geams"], "protocol 'geams' is listed more than once"),
-    (["--jobs", "0"], "--jobs must be at least 1, got 0"),
-    (["--jobs", "-2"], "--jobs must be at least 1, got -2"),
+    (["--jobs", "0"], "jobs must be at least 1, got 0"),
+    (["--jobs", "-2"], "jobs must be at least 1, got -2"),
     (["--seeds", "1-"], "--seeds: '1-' is neither a seed nor a range like 1-20"),
     (["--seeds", "1,,2"], "--seeds: '' is neither a seed nor a range like 1-20"),
     (["--seeds", "x"], "--seeds: 'x' is neither a seed nor a range like 1-20"),

@@ -15,14 +15,28 @@ price, each hop's price per bit among them, and every residual, so every
 comparison of joules decides as before: the per-packet log is unchanged and
 every residual doubles.
 
-Both relations run over the differential test's draws (conftest).  Neither
-holds if a hop is priced or timed with a constant other than the run's.
+Three limits change nothing on a run they never bound: a larger
+queue_capacity on a run with no buffer_overflow, a TTL of 10**6 on a run
+with no ttl_expired, and a later horizon on a run that accounted for every
+packet before its own (such a run ends there, and no beacon round past it
+ran).  Each limit is one comparison that decided "not reached" every time,
+and a looser limit decides the same.  "Unchanged" is the per-packet log, the
+time of the last event, and every node's residual and alive flag.
+
+Every relation runs over the differential test's draws (conftest); the
+limit relations assert that enough draws qualify.  Time x2 and energy x2 do
+not hold if a hop is priced or timed with a constant other than the run's.
 """
 from hypothesis import given, settings, strategies as st
 
 from conftest import _DYING_STREAM, _SMALL
 from geams_sim.engine import Simulation
 from geams_sim.scenario import ScenarioConfig
+
+# the limit relations qualify on about 4 draws in 5 (queue, horizon) or on
+# every draw (TTL); asking half of them keeps a real skew visible
+QUALIFY = 75
+_DRAWS = st.one_of(_SMALL, _DYING_STREAM)
 
 
 def _run(cfg: ScenarioConfig):
@@ -31,8 +45,33 @@ def _run(cfg: ScenarioConfig):
     return sim, sim.run().per_packet_log
 
 
+def _state(sim, log):
+    """What a limit that never bound leaves unchanged."""
+    return log, sim.now, [(i, n.battery.residual, n.alive) for i, n in sorted(sim.nodes.items())]
+
+
+def _unchanged_where_not_bound(bound, loosen, looser):
+    """Over 150 draws, every run where `bound(sim, log)` is false equals the
+    run of `loosen(cfg, x)`, x drawn from `looser`; at least QUALIFY of the
+    draws qualify."""
+    qualified = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(fields=_DRAWS, x=looser)
+    def relation(fields, x):
+        cfg = ScenarioConfig(**fields)
+        sim, log = _run(cfg)
+        if bound(sim, log):
+            return
+        qualified.append(cfg)
+        assert _state(*_run(loosen(cfg, x))) == _state(sim, log)
+
+    relation()
+    assert len(qualified) >= QUALIFY
+
+
 @settings(max_examples=200, deadline=None)
-@given(fields=st.one_of(_SMALL, _DYING_STREAM))
+@given(fields=_DRAWS)
 def test_doubling_every_time_doubles_every_delay(fields):
     cfg = ScenarioConfig(**fields)
     sim, log = _run(cfg)
@@ -51,7 +90,7 @@ def test_doubling_every_time_doubles_every_delay(fields):
 
 
 @settings(max_examples=200, deadline=None)
-@given(fields=st.one_of(_SMALL, _DYING_STREAM))
+@given(fields=_DRAWS)
 def test_doubling_every_price_and_battery_doubles_every_residual(fields):
     cfg = ScenarioConfig(**fields)
     sim, log = _run(cfg)
@@ -63,3 +102,24 @@ def test_doubling_every_price_and_battery_doubles_every_residual(fields):
     assert rich_log == log
     assert [(i, n.battery.residual, n.alive) for i, n in sorted(rich.nodes.items())] == \
         [(i, 2 * n.battery.residual, n.alive) for i, n in sorted(sim.nodes.items())]
+
+
+def test_a_queue_limit_that_never_bound_changes_nothing():
+    _unchanged_where_not_bound(
+        lambda sim, log: any(p.outcome == "buffer_overflow" for p in log),
+        lambda cfg, more: cfg.replace(queue_capacity=cfg.queue_capacity + more),
+        st.integers(1, 10**6))
+
+
+def test_a_ttl_that_never_bound_changes_nothing():
+    _unchanged_where_not_bound(
+        lambda sim, log: any(p.outcome == "ttl_expired" for p in log),
+        lambda cfg, _: cfg.replace(ttl=10**6),
+        st.none())
+
+
+def test_a_horizon_past_the_end_changes_nothing():
+    _unchanged_where_not_bound(
+        lambda sim, log: not (sim.emissions_done and len(log) == sim.emitted),
+        lambda cfg, later: cfg.replace(horizon_s=cfg.horizon_s + later),
+        st.floats(0.0, 1e6, exclude_min=True))
