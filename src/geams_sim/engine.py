@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 
 from . import geams, gpsr
-from .energy import Battery, rx_energy, tx_energy
+from .energy import Battery, BinadeSteps, rx_energy, tx_energy
 from .metrics import LOSS_REASONS, MetricsReport, PacketOutcome, delay_and_loss, \
     dead_node_count, energy_stats, float_sum, regional_energy
 from .neighbors import BeaconState, NeighborTable, live
@@ -145,6 +145,8 @@ class Simulation:
         # for m receptions, as the exact path sums it
         most = max((len(n.table.range_ids) for n in self.nodes.values()), default=0)
         self._rx_totals = list(accumulate(repeat(self._beacon_price[1], most), initial=0.0))
+        # what m beacon receptions take from a residual, by its binade
+        self._rx_steps = BinadeSteps(self._beacon_price[1])
         self.expiry_s = cfg.neighbor_expiry_s
         # a GEAMS forward's constants: the bits a score prices, their
         # receive price, and the relay price per bit of a frame (_route_geams)
@@ -286,11 +288,15 @@ class Simulation:
         round and funds its beacon.  A round in which every live node is
         safe is batched whole: every node goes on air, and no battery is
         touched but by its owner or read before the round ends, so each node
-        settles its round at its turn.  It subtracts its debits in order in
-        a local float (never multiplied: r - c - c is not r - 2c in floating
-        point) and books its receivers' receptions as one prefix sum.
+        settles its round at its turn.  It takes its debits in order from a
+        local float and books its receivers' receptions as one prefix sum.
         Receptions all cost the same, so only their number before and after
-        a node's own beacon matters, and the floats equal the exact path's.
+        a node's own beacon matters.  m receptions that keep the residual in
+        its binade take m q, q being the price rounded to the binade's grid
+        (energy.BinadeSteps), which is exactly what m subtractions take;
+        where they may leave it, or the price is a tie on the grid, the node
+        subtracts them one by one, as r - c - c is not r - 2c in floating
+        point.  Either way the floats equal the exact path's.
         Any other round runs whole on the exact path (_broadcast), node by
         node, which debits each receiver in turn."""
         cfg = self.cfg
@@ -300,18 +306,27 @@ class Simulation:
         if all(n.battery.residual > margin * (tx + (n.live_below + n.live_above) * rx)
                for n in live):
             rx_totals = self._rx_totals
+            rx_steps = self._rx_steps
+            frexp = math.frexp
             ledger_add = self.ledger.add
             on_air = self._on_air
             for node in live:
                 battery = node.battery
                 r = battery.residual
                 below, above = node.live_below, node.live_above
-                for _ in range(below):
-                    r -= rx
+                lo, q = rx_steps[frexp(r)[1]]
+                if (r - lo) - (below - 1) * q >= rx:
+                    r -= below * q
+                else:
+                    for _ in range(below):
+                        r -= rx
                 on_air(node, r, time)
                 r -= tx
-                for _ in range(above):
-                    r -= rx
+                if (r - lo) - (above - 1) * q >= rx:
+                    r -= above * q
+                else:
+                    for _ in range(above):
+                        r -= rx
                 battery.residual = r
                 ledger_add("beacon_tx", tx)
                 ledger_add("beacon_rx", rx_totals[below + above])

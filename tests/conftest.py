@@ -223,9 +223,11 @@ def equivalence_cells():
     """The cells that the kept-choice checkers and the differential test
     share: the low-energy cells, among them one without beacon energy and
     the gateway cells, the sparse n = 30 cells where GEAMS walks back, the
-    default cell of each protocol cut to 5 images, and low-energy n = 100
+    default cell of each protocol cut to 5 images, low-energy n = 100
     cells, one at 10 small images a second, where a kept set outlives the
-    expiry of a sensor that died before its last two beacons."""
+    expiry of a sensor that died before its last two beacons, and two cells
+    with a short TTL, in which both protocols lose packets to it and
+    deliver others."""
     cells, gateways = low_energy_cells()
     low = dict(initial_energy_j=0.5, image_count=10, horizon_s=20.0)
     stream = dict(initial_energy_j=0.1, packet_bits=200, image_bits=2000,
@@ -235,7 +237,8 @@ def equivalence_cells():
         for protocol in PROTOCOLS
         for kw in ([dict(n_sensors=30, seed=seed) for seed in (1, 2, 3, 4, 5)]
                    + [dict(image_count=5), dict(seed=1, **low), dict(seed=2, **low),
-                      dict(seed=1, **stream)])]
+                      dict(seed=1, **stream), dict(n_sensors=30, seed=5, ttl=10),
+                      dict(image_count=5, ttl=12)])]
 
 
 # Random scenario draws, shared by the differential test and the

@@ -25,7 +25,7 @@ from conftest import _DYING_STREAM, _SMALL, assert_energy_balanced, equivalence_
 from geams_sim.engine import Simulation
 from geams_sim.metrics import MetricsReport, PacketOutcome, dead_node_count, \
     delay_and_loss, energy_stats, regional_energy
-from geams_sim.scenario import ScenarioConfig
+from geams_sim.scenario import PROTOCOLS, ScenarioConfig
 from geams_sim.topology import SOURCE_ID
 
 REFSIM = Path(__file__).resolve().parent.parent / "perfbench" / "refsim"
@@ -82,8 +82,9 @@ def test_fixed_cells_equal_refsim():
     on expiry shows only in their n = 100 low-energy cells.  Of them, only
     the two cells whose gateways start at 0.05 J run the source dry; the
     other gateway cells stop a gateway's beacons while the source stays
-    funded, and are compared."""
-    dry = []
+    funded, and are compared.  Of the compared cells, some of each protocol
+    lose packets to their TTL."""
+    dry, ttl_lost = [], set()
     for cfg in equivalence_cells():
         sim = Simulation(cfg)
         report = sim.run()
@@ -91,7 +92,10 @@ def test_fixed_cells_equal_refsim():
             dry.append(cfg.gateway_energy_j)
         else:
             assert_equals_refsim(cfg, sim, report)
+            if report.lost["ttl_expired"]:
+                ttl_lost.add(cfg.protocol)
     assert dry == [0.05, 0.05]
+    assert ttl_lost == set(PROTOCOLS)
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,7 +9,7 @@ from geams_sim.geams import build_best_neighbor_set, walking_back_candidate
 from geams_sim.gpsr import greedy_next_hop, planar_neighbors
 from geams_sim.metrics import regional_rows, summary_row
 from geams_sim.neighbors import BeaconState, NeighborTable, live
-from geams_sim.scenario import ScenarioConfig
+from geams_sim.scenario import PROTOCOLS, ScenarioConfig
 from geams_sim.topology import Position, Topology, distance, generate_topology
 
 ME, SINK = Position(100, 90), Position(490, 90)
@@ -453,3 +453,28 @@ def test_each_beacon_round_takes_one_path_and_both_are_taken():
     assert rx_deaths > 0 and never_heard > 0
     assert made < named
     assert unfunded == len(gateways)
+
+
+class ExactRounds(Simulation):
+    """Runs every beacon round on the exact path: no residual is ever safe."""
+
+    SAFE_MARGIN = math.inf
+
+
+def node_bits(sim) -> list[tuple]:
+    """Every node's (id, residual as hex, alive), by id."""
+    return [(i, node.battery.residual.hex(), node.alive) for i, node in sorted(sim.nodes.items())]
+
+
+def test_batched_rounds_equal_exact_rounds_across_a_binade():
+    """Sensors start just above 2 J and cross into the binade below it in
+    the first rounds, so batched rounds settle receptions both in closed
+    form and one by one; every run equals its exact-path twin bit for bit."""
+    for n_sensors in (100, 300):
+        for protocol in PROTOCOLS:
+            cfg = ScenarioConfig(protocol=protocol, n_sensors=n_sensors,
+                                 initial_energy_j=2.01, image_count=5)
+            batched, exact = PathCounter(cfg), ExactRounds(cfg)
+            assert batched.run().per_packet_log == exact.run().per_packet_log, cfg
+            assert node_bits(batched) == node_bits(exact), cfg
+            assert batched.exact_beacons == 0 < batched.batched_beacons
