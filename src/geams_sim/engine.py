@@ -7,8 +7,8 @@ lost), or at the horizon as a safety stop.
 
 Timing model: a hop takes exactly the serialization time of the frame at the
 link's rate, which shrinks with the square root of the link's length:
-base_rate_bps / sqrt(length), worked out with the link's transmit price per
-bit when a neighbour record is made (neighbors.NeighborTable.handle_beacon).
+base_rate_bps / sqrt(length), worked out as the record of a hop routing
+takes is made (neighbors.NeighborTable.handle_beacon) beside its price.
 Links are at least 1 m long: the scenario's min_separation is, and every
 deployment is checked against it at load time.  Propagation is zero, so a
 frame arrives at the instant its transmission completes.  A node serializes
@@ -122,7 +122,7 @@ class Simulation:
                 live_below=below,
                 live_above=len(vs) - below,
             )
-            senders[node_id] = (pos, node.beacon_state, node.table.my_sink_distance)
+            senders[node_id] = (node_id, pos, node.beacon_state, node.table.my_sink_distance)
 
         self.ttl0 = cfg.effective_ttl(len(topology))
         self.now = 0.0
@@ -222,8 +222,9 @@ class Simulation:
         """Whether GEAMS would forward from `node` now rather than walk back:
         it has a live sink-ward neighbour whose void flag does not stand,
         exactly when geams.build_best_neighbor_set's set is not empty."""
-        return any(not r.state.void_flagged
-                   for r, _ in live(node.table.sinkward_records(), self.now, self.expiry_s))
+        links = node.table.sinkward_links()
+        return any(not s.void_flagged and live(s, r, self.now, self.expiry_s) is not None
+                   for s, r in zip(links.states, links.records))
 
     def _on_air(self, node: NodeRuntime, reported: float, time: float,
                 void: bool = False) -> None:
@@ -501,8 +502,9 @@ class Simulation:
         # of the frame, 2 * e_elec * bits (its receive plus its transmit,
         # amplifier term unknown); the neighbor's next beacon supersedes it
         # with ground truth.  A sender that then cannot afford the frame
-        # dies, and a dead node's table is never read again.
-        r = node.table.records[next_hop]
+        # dies, and a dead node's table is never read again.  A record made
+        # is read straight from the table, as this runs on every forward.
+        r = node.table.records.get(next_hop) or node.table.record(next_hop)
         energy = r.add_load(self._relay_j_per_bit * (pk.payload_bits + cfg.header_bits))
         if sinkward:
             geams.rescore(best, r, energy, self._data_bits, self._data_rx)

@@ -56,15 +56,15 @@ def build_best_neighbor_set(
 
     A neighbor's score is its fitness in joules: its remaining energy minus
     the cost of pushing one k-bit packet through it: our transmit to it, at
-    its record's price per bit, then its receive, which costs `rx` joules.
+    its link's price per bit, then its receive, which costs `rx` joules.
     """
+    links = t.sinkward_links()
     candidates = []
     oldest = math.inf
-    for r, energy in live(t.sinkward_records(), now, expiry_s):
-        s = r.state
-        if s.void_flagged:
+    for v, p, s, r in zip(links.ids, links.prices, links.states, links.records):
+        if s.void_flagged or (energy := live(s, r, now, expiry_s)) is None:
             continue
-        candidates.append((r.id, (energy - k_bits * r.j_per_bit) - rx))
+        candidates.append((v, (energy - k_bits * p) - rx))
         if s.last_beacon_time < oldest:
             oldest = s.last_beacon_time
     # the input is in ascending id order and the sort is stable, so equal

@@ -63,13 +63,13 @@ def next_hop(t: NeighborTable, pk: DataPacket, kept: KeptRoute, now: float,
     node on its path, pk.path[-1], whose table is `t` and whose forwarding
     memory is `kept`, which it rebuilds where it has expired.  Every route
     takes the greedy choice; only a route in perimeter mode takes the
-    Gabriel set, and before it reads any record but the greedy choice, as
-    its read of every live record makes the records a sink-ward read does
-    not (NeighborTable).  The hop the packet came from, pk.path[-2], reached
+    Gabriel set, and before it reads any record but the greedy choice's, as
+    its read of every live record makes the records of the hops not taken
+    (NeighborTable).  The hop the packet came from, pk.path[-2], reached
     that node, so it is in range and then has a record."""
     if now - kept.heard > expiry_s:
         hop = kept.greedy = greedy_next_hop(t, now, expiry_s)
-        kept.heard = math.inf if hop is None else t.records[hop].state.last_beacon_time
+        kept.heard = math.inf if hop is None else t.record(hop).state.last_beacon_time
     state = pk.perimeter
     if state is not None and t.my_sink_distance < state.entry_distance:
         pk.perimeter = state = None  # past the void: resume greedy
@@ -92,12 +92,13 @@ def next_hop(t: NeighborTable, pk: DataPacket, kept: KeptRoute, now: float,
 def greedy_next_hop(t: NeighborTable, now: float, expiry_s: float) -> int | None:
     """Live neighbor nearest the sink, if strictly closer than we are;
     None signals a local minimum (perimeter trigger).  Ties by ascending id."""
-    best: NeighborRecord | None = None
-    # ascending id order: on equal distances the first record seen wins
-    for r, _ in live(t.sinkward_records(), now, expiry_s):
-        if best is None or r.distance_to_sink < best.distance_to_sink:
-            best = r
-    return None if best is None else best.id
+    links = t.sinkward_links()
+    best, nearest = None, math.inf
+    # ascending id order: on equal distances the first link seen wins
+    for v, d, s, r in zip(links.ids, links.dists, links.states, links.records):
+        if d < nearest and live(s, r, now, expiry_s) is not None:
+            best, nearest = v, d
+    return best
 
 
 def planar_neighbors(

@@ -7,7 +7,7 @@ states, which the test suite exploits as an independent cross-check.
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, attrgetter
@@ -161,14 +161,14 @@ def regional_rows(report: MetricsReport, protocol: str, seed: int, n: int) -> li
     ]
 
 
-def packet_rows(report: MetricsReport, protocol: str, seed: int, n: int) -> list[list[str]]:
-    return [
-        [_fmt(v) for v in (protocol, seed, n, p.seq, p.outcome, p.delay, p.hops)]
-        for p in report.per_packet_log
-    ]
+def packet_rows(report: MetricsReport, protocol: str, seed: int, n: int) -> list[tuple]:
+    """The packet rows, unformatted: csv.writer writes None as "" and any
+    other value with str(), which for a float is repr(), as _fmt does."""
+    return [(protocol, seed, n, p.seq, p.outcome, p.delay, p.hops)
+            for p in report.per_packet_log]
 
 
-def write_csv(path, header: list[str], rows: Iterable[list[str]]) -> None:
+def write_csv(path, header: list[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -141,8 +141,8 @@ def record(node_id, pos, me, sink, energy=1.0, void=False, beacon_time=0.0,
     `energy`, made by a table of its own; `pending` puts a pending-load
     overlay on it, taken before that beacon when `stale`."""
     state = BeaconState(energy, beacon_time, void_flagged=void)
-    t = NeighborTable(me, sink, [node_id], {node_id: (pos, state, distance(pos, sink))},
-                      DEFAULT)
+    t = NeighborTable(me, sink, [node_id],
+                      {node_id: (node_id, pos, state, distance(pos, sink))}, DEFAULT)
     t.live_records(0.0, 0.0)  # the first read of every record makes them all
     r = t.records[node_id]
     if pending is not None:
@@ -153,7 +153,7 @@ def record(node_id, pos, me, sink, energy=1.0, void=False, beacon_time=0.0,
 def filling_table(me: Position, sink: Position, records) -> NeighborTable:
     """A table at `me` that fills itself, as a run's do, from the senders of
     `records`, sharing their states; no read has made a record yet."""
-    senders = {r.id: (r.position, r.state, distance(r.position, sink)) for r in records}
+    senders = {r.id: (r.id, r.position, r.state, distance(r.position, sink)) for r in records}
     return NeighborTable(me, sink, sorted(senders), senders, DEFAULT)
 
 

@@ -216,18 +216,17 @@ def test_a_kept_local_minimum_stands_until_a_broadcast_goes_on_air(topo_builder,
 def test_next_hop_takes_the_gabriel_set_only_in_perimeter_mode_and_first():
     """A greedy hop never takes the Gabriel set.  A perimeter hop takes it
     before it reads the record of the hop the packet came from, which a
-    table holding only its sink-ward records lacks: here node 2, farther
-    out than node 4, gets its record only as the set is taken, as the
-    table makes the rest of its records then."""
+    table holding only the records of the hops it took lacks: here node 2,
+    farther out than node 4, gets its record only as the set is taken, as
+    the table makes the rest of its records then."""
     whole = table(ME, SINK, [BELOW, GREEDY, RIGHT])
     half = filling_table(ME, SINK, [BELOW, GREEDY, RIGHT])
-    half.sinkward_records()  # the sink-ward part alone
-    assert list(half.records) == [5, 6]
+    assert half.sinkward_links().ids == (5, 6) and half.records == {}
     kept = KeptRoute()
     assert next_hop(half, packet([1, 2, 4]), kept, 0.0, 2.5) == (5, None)
     pk = packet([1, 2, 4], PerimeterState(entry_distance=120.5, first_edge=(9, 8)))
     assert next_hop(half, pk, kept, 0.0, 2.5) == (5, None)  # past the void: greedy
-    assert kept == KeptRoute(5, 0.0) and list(half.records) == [5, 6]  # no set taken
+    assert kept == KeptRoute(5, 0.0) and list(half.records) == [5]  # no set taken
     pk = packet([1, 2, 4], PerimeterState(entry_distance=100.0, first_edge=(9, 8)))
     assert next_hop(half, pk, kept, 0.0, 2.5) == (6, None)
     assert [r.id for r in kept.gabriel] == [2, 5, 6] and kept.oldest == 0.0
@@ -408,7 +407,8 @@ def test_planar_neighbors_agree_with_global_gabriel(n):
         topo = generate_topology(ScenarioConfig(seed=seed, n_sensors=n))
         positions = dict(topo.nodes)
         sink = positions[SINK_ID]
-        senders = {v: (p, BeaconState(1.0, 0.0), distance(p, sink)) for v, p in positions.items()}
+        senders = {v: (v, p, BeaconState(1.0, 0.0), distance(p, sink))
+                   for v, p in positions.items()}
         gabriel = gabriel_planarize(topo)
         for u, neighbours in range_neighbor_lists(topo, RADIO_RANGE).items():
             t = NeighborTable(positions[u], sink, neighbours, senders, DEFAULT)

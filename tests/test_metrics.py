@@ -11,6 +11,7 @@ from geams_sim.metrics import (
     PacketOutcome,
     REGIONAL_COLUMNS,
     SUMMARY_COLUMNS,
+    _fmt,
     dead_node_count,
     delay_and_loss,
     energy_stats,
@@ -159,6 +160,17 @@ def test_regional_and_packet_rows_shapes():
     rows = packet_rows(report, "geams", 2, 30)
     assert len(rows) == len(report.per_packet_log) == 300
     assert all(len(r) == len(PACKET_COLUMNS) for r in rows)
+
+
+def test_a_raw_packet_row_writes_the_bytes_of_its_formatted_form(tmp_path):
+    """packet_rows hands csv.writer raw values: None and every float are
+    written as _fmt writes them, so packets.csv is unchanged byte for byte."""
+    delays = [None, -0.0, 1e-300, math.inf, 0.1 + 0.2, 0.5, 1.0]
+    raw = [("geams", 3, 30, seq, "delivered", delay, 7) for seq, delay in enumerate(delays)]
+    formatted = [[_fmt(v) for v in row] for row in raw]
+    write_csv(tmp_path / "raw.csv", PACKET_COLUMNS, raw)
+    write_csv(tmp_path / "fmt.csv", PACKET_COLUMNS, formatted)
+    assert (tmp_path / "raw.csv").read_bytes() == (tmp_path / "fmt.csv").read_bytes()
 
 
 def test_write_csv_roundtrip(tmp_path):

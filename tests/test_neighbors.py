@@ -27,7 +27,11 @@ def test_topology_listed_in_descending_id_order_changes_nothing():
         a, b = [sim.run() for sim in sims]
         assert list(sims[1].nodes) == sorted(sims[1].nodes)
         tables = [n.table for n in sims[1].nodes.values()]
-        assert all(list(t.records) == sorted(t.records) for t in tables)
+        assert all(list(t.sinkward_links().ids) == sorted(t.sinkward_links().ids)
+                   for t in tables)
+        # a table holding every record holds them in ascending id order
+        assert all(t.senders is not None or list(t.records) == sorted(t.records)
+                   for t in tables)
         assert any(t.records for t in tables)
         assert a.per_packet_log == b.per_packet_log
         key = (protocol, cfg.seed, cfg.n_sensors)
@@ -89,11 +93,15 @@ def test_live_and_add_load_follow_the_rule(specs, loads):
     records = [_record(i, *spec) for i, spec in enumerate(specs)]
     seen = [overlay[0] if overlay is not None and overlay[1] else beacon
             for beacon, _, overlay in specs]
-    want = [(r, e) for r, e, (_, age, _) in zip(records, seen, specs)
-            if age is not None and age <= EXPIRY and e > 0]
-    assert live(records, NOW, EXPIRY) == want
+    want = [e if age is not None and age <= EXPIRY and e > 0 else None
+            for e, (_, age, _) in zip(seen, specs)]
+    assert [live(r.state, r, NOW, EXPIRY) for r in records] == want
+    # a neighbour with no record has no overlay: the beacon's residual counts
+    assert [live(r.state, None, NOW, EXPIRY) for r in records] == \
+        [beacon if age is not None and age <= EXPIRY and beacon > 0 else None
+         for beacon, age, _ in specs]
     assert [r.id for r in table(ME, SINK, records).live_records(NOW, EXPIRY)] == \
-        [r.id for r, _ in want]
+        [r.id for r, e in zip(records, want) if e is not None]
     a, b, c = loads
     for r, e in zip(records, seen):
         r.add_load(a)
@@ -105,7 +113,7 @@ def test_live_and_add_load_follow_the_rule(specs, loads):
         assert r.residual_energy == 0.625
         r.add_load(c)
         assert r.residual_energy == 0.625 - c
-    assert live(records, NOW + 1.0, EXPIRY) == [(r, 0.625 - c) for r in records]
+    assert [live(r.state, r, NOW + 1.0, EXPIRY) for r in records] == [0.625 - c] * len(records)
 
 
 def _line(topo_builder):
@@ -118,11 +126,12 @@ def _line(topo_builder):
 def test_one_state_per_sender_shared_by_every_receiver(topo_builder):
     sim = Simulation(ScenarioConfig(n_sensors=2), _line(topo_builder))
     sim._do_beacons(0.0)
-    for node in sim.nodes.values():
-        node.table.sinkward_records()
     state = sim.nodes[3].beacon_state
-    # the first fill: only the source has node 3 sink-ward
-    assert [i for i, n in sim.nodes.items() if 3 in n.table.records] == [1]
+    # only the source has node 3 sink-ward, and a link makes no record
+    links = {i: n.table.sinkward_links() for i, n in sim.nodes.items()}
+    assert [i for i, l in links.items() if 3 in l.ids] == [1]
+    assert links[1].states[links[1].ids.index(3)] is state
+    assert not any(n.table.records for n in sim.nodes.values())
     for node in sim.nodes.values():
         node.table.live_records(0.0, sim.expiry_s)
     holders = [i for i, n in sim.nodes.items() if 3 in n.table.records]
@@ -144,7 +153,7 @@ def test_a_sender_never_heard_has_a_record_that_is_never_live(topo_builder):
     assert not poor.alive
     t = source.table
     t.live_records(0.0, cfg.neighbor_expiry_s)
-    assert list(t.records) == [3] and [r.id for r in t.sinkward_records()] == [3]
+    assert list(t.records) == [3] and t.sinkward_links().ids == (3,)
     assert t.records[3].state is poor.beacon_state
     assert poor.beacon_state.last_beacon_time == -math.inf
     expiry, bits = cfg.neighbor_expiry_s, cfg.data_packet_bits
@@ -158,57 +167,113 @@ def test_a_sender_never_heard_has_a_record_that_is_never_live(topo_builder):
 
 
 def test_a_table_is_filled_sink_ward_first_and_completed_in_place(topo_builder):
-    """The first read of the sink-ward records makes only those.  The first
-    read of every live record keeps those very records, overlays and all,
-    and puts every range neighbour's record in ascending id order."""
+    """The first read of the sink-ward links makes no record; a hop taken
+    gets its record.  The first read of every live record keeps that very
+    record, overlay and all, and puts every range neighbour's record in
+    ascending id order."""
     sim = Simulation(ScenarioConfig(n_sensors=2), _line(topo_builder))
     sim._do_beacons(0.0)
     relay = sim.nodes[2]  # hears 3 (farther out) and the sink
     t = relay.table
-    assert t.range_ids == [0, 3] and t.records == {}
-    assert t.sinkward_records() == [t.records[0]]
-    assert list(t.records) == [0]
-    sink = t.records[0]
+    assert t.range_ids == [0, 3] and t.sinkward_links().ids == (0,)
+    assert t.records == {}
+    sink = t.record(0)
+    assert list(t.records) == [0] and t.record(0) is sink
     sink.pending, sink.pending_time = 0.5, 0.0
     assert [r.id for r in t.live_records(0.0, sim.expiry_s)] == [0, 3]
     assert list(t.records) == [0, 3]
     assert t.records[0] is sink and sink.residual_energy == 0.5
-    assert t.sinkward_records() == [sink]  # a filled table is left as it is
-    assert list(t.records) == [0, 3] and t.records[0] is sink
+    assert t.sinkward_links().records == [sink]  # a filled table is left as it is
+    assert list(t.records) == [0, 3] and t.record(0) is sink
+
+
+POSITIONS = {2: Position(60, 90), 3: Position(150, 90), 4: Position(90, 90),
+             5: Position(140, 120)}  # 3 and 5 are closer to the sink than ME
+
+
+def _lookup():
+    states = {i: BeaconState(1.0, 0.0) for i in POSITIONS}
+    return {i: (i, p, states[i], distance(p, SINK)) for i, p in POSITIONS.items()}
 
 
 def test_a_table_fills_itself_from_its_range_list_and_the_shared_lookup():
-    """Given a range list and the run's lookup, a table makes only its
-    sink-ward records on the first read of those, completes in ascending id
-    order on the first read of every live record, keeping the sink-ward
-    objects and their overlays, and later reads leave it as it is, whichever
-    read comes first."""
-    positions = {2: Position(60, 90), 3: Position(150, 90), 4: Position(90, 90),
-                 5: Position(140, 120)}  # 3 and 5 are closer to the sink than ME
-    states = {i: BeaconState(1.0, 0.0) for i in positions}
-    senders = {i: (p, states[i], distance(p, SINK)) for i, p in positions.items()}
+    """Given a range list and the run's lookup, a table makes its sink-ward
+    links on the first read of those and a record for each hop taken,
+    completes its records in ascending id order on the first read of every
+    live record, keeping those already made and their overlays, and later
+    reads leave it as it is."""
+    senders = _lookup()
     t = NeighborTable(ME, SINK, [2, 3, 4, 5], senders, DEFAULT)
-    assert t.records == {}
-    sinkward = t.sinkward_records()
-    assert [r.id for r in sinkward] == [3, 5] and list(t.records) == [3, 5]
-    assert t.sinkward_records() is sinkward and list(t.records) == [3, 5]
-    three = t.records[3]
+    links = t.sinkward_links()
+    assert links.ids == (3, 5) and links.records == [None, None] and t.records == {}
+    assert t.sinkward_links() is links
+    three = t.record(3)
+    assert list(t.records) == [3] and links.records == [three, None]
+    assert three.j_per_bit is links.prices[0]
     three.add_load(0.75)
     assert [r.id for r in t.live_records(0.0, 2.5)] == [2, 3, 4, 5]
-    assert list(t.records) == [2, 3, 4, 5]
+    assert list(t.records) == [2, 3, 4, 5] and t.senders is None
     assert t.records[3] is three and three.residual_energy == 0.25
-    assert t.sinkward_records() is sinkward and sinkward == [three, t.records[5]]
-    assert all(r.state is states[i] and r.distance_to_sink == senders[i][2]
+    assert t.sinkward_links() is links and links.records == [three, t.records[5]]
+    assert all(r.state is senders[i][2] and r.distance_to_sink == senders[i][3]
                for i, r in t.records.items())
     made = dict(t.records)
     assert [r.id for r in t.live_records(3.0, 2.5)] == []
-    assert t.sinkward_records() is sinkward
+    assert t.sinkward_links() is links
     assert list(t.records) == list(made) and all(t.records[i] is made[i] for i in made)
-    # the read of every live record first makes the sink-ward ones too
+
+
+def test_sinkward_links_are_the_same_in_either_fill_order():
+    """Sink-ward links read before the first read of every live record and
+    read after it hold the same ids, the same prices bit for bit and the
+    same shared states, and a record made for a hop taken before that full
+    fill is the same object after it, at its link's price."""
+    senders = _lookup()
     first = NeighborTable(ME, SINK, [2, 3, 4, 5], senders, DEFAULT)
-    assert [r.id for r in first.live_records(0.0, 2.5)] == [2, 3, 4, 5]
-    assert [r.id for r in first.sinkward_records()] == [3, 5]
-    assert first.sinkward_records() == [first.records[3], first.records[5]]
+    before = first.sinkward_links()
+    taken = first.record(5)
+    first.live_records(0.0, 2.5)
+    after = NeighborTable(ME, SINK, [2, 3, 4, 5], senders, DEFAULT)
+    after.live_records(0.0, 2.5)
+    links = after.sinkward_links()
+    assert first.sinkward_links() is before and before.ids == links.ids == (3, 5)
+    assert [p.hex() for p in before.prices] == [p.hex() for p in links.prices]
+    assert all(a is b for a, b in zip(before.states, links.states))
+    assert before.dists == links.dists
+    assert first.records[5] is taken and before.records[1] is taken
+    assert [r.j_per_bit.hex() for r in first.records.values()] == \
+        [r.j_per_bit.hex() for r in after.records.values()]
+    # every sink-ward record holds its link's price, worked out once
+    assert all(r.j_per_bit is p for t in (first, after)
+               for r, p in zip(t.sinkward_links().records, t.sinkward_links().prices))
+
+
+class HopTaker(Simulation):
+    """Keeps, by node id, the hops its routes took."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.taken: dict[int, set[int]] = {}
+
+    def _route(self, node, pk):
+        hop, reason = super()._route(node, pk)
+        if hop is not None:
+            self.taken.setdefault(node.id, set()).add(hop)
+        return hop, reason
+
+
+def test_a_table_that_never_completed_holds_records_only_for_hops_taken():
+    """On a dense cell, every table that never read every live record (no
+    walk-back, no perimeter mode) holds a record for each hop its node took
+    and for no other neighbour, though its node scanned many more links."""
+    for protocol in PROTOCOLS:
+        sim = HopTaker(ScenarioConfig(protocol=protocol, n_sensors=200, image_count=2))
+        sim.run()
+        partial = [(i, n.table) for i, n in sim.nodes.items() if n.table.senders is not None]
+        assert all(set(t.records) == sim.taken.get(i, set()) for i, t in partial), protocol
+        made = sum(len(t.records) for _, t in partial)
+        linked = sum(len(t._links.ids) for _, t in partial if t._links is not None)
+        assert 0 < 5 * made < linked, protocol
 
 
 def test_void_flag_survives_until_sender_has_sinkward(topo_builder):
@@ -277,9 +342,8 @@ def test_pending_load_estimate_is_overwritten_by_next_beacon(topo_builder):
     sim = Simulation(ScenarioConfig(protocol="geams", n_sensors=1, beacon_energy=False), topo)
     sim._do_beacons(0.0)
     source, relay = sim.nodes[1], sim.nodes[2]
-    source.table.sinkward_records()
     reported = relay.battery.residual
-    assert source.table.records[2].residual_energy == reported
+    assert source.table.record(2).residual_energy == reported
     pk = DataPacket(seq=0, payload_bits=1000, created_at=0.0, path=[1])
     source.queue.append(pk)
     sim._try_start(source, 0.0)
@@ -322,7 +386,7 @@ class VoidCheckCounter(Simulation):
 
 class CheckEveryNode(Simulation):
     """Runs the void check for every beacon on air, which makes the sender's
-    sink-ward records as a route would, and clears the sender's flag when it
+    sink-ward links as a route would, and clears the sender's flag when it
     finds a sink-ward neighbour: the reference that checking only nodes
     whose void flag stands must agree with.  A check result changes only a
     standing flag."""
