@@ -149,10 +149,13 @@ class Simulation:
         self._rx_steps = BinadeSteps(self._beacon_price[1])
         self.expiry_s = cfg.neighbor_expiry_s
         # a GEAMS forward's constants: the bits a score prices, their
-        # receive price, and the relay price per bit of a frame (_route_geams)
+        # receive price, and the relay price per bit of a frame (_route_geams);
+        # then every hop's routing, header bits, receive price per bit and queue limit
         self._data_bits = cfg.data_packet_bits
         self._data_rx = rx_energy(cfg.data_packet_bits, e_elec)
         self._relay_j_per_bit = 2.0 * e_elec
+        self._geams, self._header_bits = cfg.protocol == "geams", cfg.header_bits
+        self._e_elec, self._queue_capacity = e_elec, cfg.queue_capacity
         # each node's forwarding memory, by node id, from its first route
         # since the last broadcast: a GEAMS node's best-neighbour set, or a
         # GPSR node's gpsr.KeptRoute.  _on_air drops them all.
@@ -372,7 +375,6 @@ class Simulation:
         cannot be routed, until one goes on the link.  Callers skip a node
         that is transmitting or has an empty queue; a node with a queued
         frame is alive, as _kill empties the queue."""
-        cfg = self.cfg
         queue = node.queue
         while queue:
             pk = queue.pop(0)
@@ -382,26 +384,27 @@ class Simulation:
                 continue
             # every route picks a neighbor whose record prices and times the hop
             r = node.table.records[next_hop]
-            bits = pk.payload_bits + cfg.header_bits
+            bits = pk.payload_bits + self._header_bits
             cost = bits * r.j_per_bit
             if not node.death_exempt and node.battery.residual < cost:
                 self._drop_and_die(node, pk)
                 return
             node.transmitting = True
-            self._schedule(time + bits / r.rate_bps,
-                           self._do_tx_complete, node.id, next_hop, pk, cost, bits)
+            receiver = self.nodes[next_hop]
+            heapq.heappush(self._heap, (time + bits / r.rate_bps, self._seq,  # _schedule, inlined
+                                        self._do_tx_complete, (node, receiver, pk, cost, bits)))
+            self._seq += 1
             return
 
-    def _do_tx_complete(self, time: float, sender_id: int, receiver_id: int,
+    def _do_tx_complete(self, time: float, sender: NodeRuntime, receiver: NodeRuntime,
                         pk: DataPacket, cost: float, bits: int) -> None:
-        """`cost` is the transmit energy `_try_start` priced the frame at.
-        A frame the sender funds arrives at once (_do_arrival).  When no
-        other event is due at this instant, the arrival runs here, after the
-        sender has moved on to its next frame: as an event it would be the
-        next one run, as whatever _try_start schedules comes after it.
-        Otherwise it is scheduled behind the events due now, which were
-        scheduled first."""
-        sender = self.nodes[sender_id]
+        """`sender` has sent `pk` to `receiver`; `cost` is the transmit
+        energy `_try_start` priced the frame at.  A frame the sender funds
+        arrives at once (_do_arrival).  When no other event is due at this
+        instant, the arrival runs here, after the sender has moved on to its
+        next frame: as an event it would be the next one run, as whatever
+        _try_start schedules comes after it.  Otherwise it is scheduled
+        behind the events due now, which were scheduled first."""
         sender.transmitting = False
         if not sender.alive:
             self._record(pk, "sender_died")
@@ -419,35 +422,35 @@ class Simulation:
         heap = self._heap
         in_place = not heap or heap[0][0] > time
         if not in_place:
-            self._schedule(time, self._do_arrival, receiver_id, pk, bits)
+            self._schedule(time, self._do_arrival, receiver, pk, bits)
         if died:
             self._kill(sender)
         elif sender.queue:
             self._try_start(sender, time)
         if in_place:
-            self._do_arrival(time, receiver_id, pk, bits)
+            self._do_arrival(time, receiver, pk, bits)
 
-    def _do_arrival(self, time: float, receiver_id: int, pk: DataPacket,
+    def _do_arrival(self, time: float, receiver: NodeRuntime, pk: DataPacket,
                     bits: int) -> None:
-        receiver = self.nodes[receiver_id]
+        """`pk`, `bits` long on air, reaches `receiver`."""
         if not receiver.alive:
             self._record(pk, "next_hop_died")
             return
         # energy.rx_energy, inlined
-        drained, died = receiver.battery.debit(bits * self.cfg.e_elec_j_per_bit)
+        drained, died = receiver.battery.debit(bits * self._e_elec)
         self.ledger.add("data_rx", drained)
-        pk.path.append(receiver_id)
+        pk.path.append(receiver.id)
         if died:
             self._kill(receiver)
             self._record(pk, "next_hop_died")
             return
-        if receiver_id == SINK_ID:
+        if receiver.id == SINK_ID:
             self._record(pk, "delivered", time - pk.created_at)
             return
         if len(pk.path) > self.ttl0:
             self._record(pk, "ttl_expired")
             return
-        if len(receiver.queue) >= self.cfg.queue_capacity:
+        if len(receiver.queue) >= self._queue_capacity:
             self._record(pk, "buffer_overflow")
             return
         receiver.queue.append(pk)
@@ -459,7 +462,7 @@ class Simulation:
     def _route(self, node: NodeRuntime, pk: DataPacket) -> tuple[int | None, str | None]:
         """(next hop, None) or (None, loss reason) for `pk` at `node`, whose
         table makes its records as routing reads them (NeighborTable)."""
-        if self.cfg.protocol == "geams":
+        if self._geams:
             return self._route_geams(node, pk)
         kept = self._kept.get(node.id)
         if kept is None:
@@ -474,7 +477,6 @@ class Simulation:
         is kept: built on the first route after a broadcast or once its
         oldest entry has expired, and after each forward only the chosen hop
         is rescored."""
-        cfg = self.cfg
         best = self._kept.get(node.id)
         if best is None or self.now - best.oldest > self.expiry_s:
             best = self._kept[node.id] = geams.build_best_neighbor_set(
@@ -505,7 +507,7 @@ class Simulation:
         # dies, and a dead node's table is never read again.  A record made
         # is read straight from the table, as this runs on every forward.
         r = node.table.records.get(next_hop) or node.table.record(next_hop)
-        energy = r.add_load(self._relay_j_per_bit * (pk.payload_bits + cfg.header_bits))
+        energy = r.add_load(self._relay_j_per_bit * (pk.payload_bits + self._header_bits))
         if sinkward:
             geams.rescore(best, r, energy, self._data_bits, self._data_rx)
         return next_hop, None

@@ -9,16 +9,20 @@ least far from the sink.
 
 A best-neighbor set is flat (ids and scores in two parallel lists), so the
 engine can keep one per node between broadcasts and, after each forward,
-rescore only the hop it chose (rescore).
+rescore only the hop it chose (rescore).  A source state re-reads the order
+of a set only when it is new or rescore changed it (select_next_hop).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import count
 from operator import itemgetter
 
 from .metrics import float_sum
 from .neighbors import NeighborRecord, NeighborTable, live
+
+_stamps = count()  # order stamps, unique across every set of the process
 
 
 @dataclass(slots=True)
@@ -26,11 +30,14 @@ class BestNeighborSet:
     """Sink-ward neighbours by descending score, ties by ascending id, held
     flat: `ids[i]` scores `scores[i]`.  `oldest` is the earliest last-beacon
     time among the entries when the set was built (inf when it was empty):
-    no entry has expired while `now - oldest` is within the expiry."""
+    no entry has expired while `now - oldest` is within the expiry.  `stamp`
+    is fresh when the set is built and whenever rescore moves or drops an
+    entry, so two reads under one stamp see one order."""
 
     ids: list[int]
     scores: list[float]
     oldest: float
+    stamp: int = field(default_factory=_stamps.__next__, compare=False)
 
 
 @dataclass(slots=True)
@@ -41,11 +48,13 @@ class SourceState:
     balance_index: 1-based rank in the best-neighbor set whose score is
         nearest the set average, recomputed when the set's order changes.
     neighbor_ids: the set ordering balance_index was computed against.
+    stamp: the stamp of the set last refreshed against (-1: none), not the set.
     """
 
     ref_hop_count: int
     balance_index: int
     neighbor_ids: tuple[int, ...] = ()
+    stamp: int = field(default=-1, compare=False)
 
 
 def build_best_neighbor_set(
@@ -80,8 +89,9 @@ def rescore(s: BestNeighborSet, r: NeighborRecord, energy: float, k_bits: float,
     build_best_neighbor_set would score it: overwrite its score where it
     stays in place, move it down to its place, or drop it when its energy is
     not positive.  An overlay only lowers a residual, so the entry only
-    moves down.  `oldest` is left as it was: at worst it is earlier than the
-    entries left, which rebuilds the set sooner."""
+    moves down.  A move or a drop renews the stamp.  `oldest` is left as it
+    was: at worst it is earlier than the entries left, which rebuilds the
+    set sooner."""
     ids, scores = s.ids, s.scores
     node_id = r.id
     i = ids.index(node_id)
@@ -98,6 +108,7 @@ def rescore(s: BestNeighborSet, r: NeighborRecord, energy: float, k_bits: float,
         scores.insert(j - 1, v)
     else:
         del ids[i], scores[i]
+    s.stamp = next(_stamps)
 
 
 def average_score_index(s: BestNeighborSet) -> int:
@@ -116,13 +127,14 @@ def average_score_index(s: BestNeighborSet) -> int:
 
 def refresh_state(state: SourceState, s: BestNeighborSet) -> SourceState:
     """Recompute the balance rank in place if the set membership or order
-    changed since it was last computed, and return the state.  Only the
-    order counts: a rescore that keeps every entry in place leaves the rank
-    as it was."""
+    changed since it was last computed, take the set's stamp, and return
+    the state.  Only the order counts: a rescore that keeps every entry in
+    place leaves the rank as it was."""
     ids = tuple(s.ids)
     if state.neighbor_ids != ids:
         state.balance_index = average_score_index(s)
         state.neighbor_ids = ids
+    state.stamp = s.stamp
     return state
 
 
@@ -131,18 +143,20 @@ def select_next_hop(
 ) -> tuple[int, SourceState]:
     """Smart greedy choice among the sorted sink-ward neighbors.
 
-    The state is first refreshed against the set (refresh_state).  The
-    first packet from a source goes to the top-ranked neighbor and seeds a
-    new state, which has no ids, so its balance rank is computed.  Later
-    packets pick rank (balance_index + ref_hop_count - hop_count), clamping
-    out-of-range picks to the best or worst rank while shifting the
-    reference hop count so the balance point tracks the traffic.  A given
-    state is updated in place and returned.
+    The state is first refreshed against the set (refresh_state), unless
+    it holds the set's stamp, the set's order being then the one it last
+    refreshed against.  The first packet from a source goes to the
+    top-ranked neighbor and seeds a new state, which has no ids, so its
+    balance rank is computed.  Later packets pick rank (balance_index +
+    ref_hop_count - hop_count), clamping out-of-range picks to the best or
+    worst rank while shifting the reference hop count so the balance point
+    tracks the traffic.  A given state is updated in place and returned.
     """
     ids = s.ids
     if state is None:
         return ids[0], refresh_state(SourceState(hop_count, 0), s)
-    refresh_state(state, s)
+    if state.stamp != s.stamp:
+        refresh_state(state, s)
     m = len(ids)
     index = state.balance_index + (state.ref_hop_count - hop_count)
     if index <= 0:

@@ -79,8 +79,10 @@ class NeighborRecord:
     def add_load(self, joules: float) -> float:
         """Take `joules` off the residual routing sees, until the sender's
         next beacon, and return the residual it leaves."""
-        e = self.pending = self.residual_energy - joules
-        self.pending_time = self.state.last_beacon_time
+        s = self.state
+        t = s.last_beacon_time  # residual_energy, inlined
+        e = self.pending = (self.pending if self.pending_time == t else s.residual_energy) - joules
+        self.pending_time = t
         return e
 
 

@@ -176,9 +176,9 @@ class HopLog(Simulation):
         super().__init__(*args, **kwargs)
         self.hops: list[tuple[float, int]] = []
 
-    def _do_tx_complete(self, time, sender_id, receiver_id, pk, cost, bits):
+    def _do_tx_complete(self, time, sender, receiver, pk, cost, bits):
         self.hops.append((time, bits))
-        super()._do_tx_complete(time, sender_id, receiver_id, pk, cost, bits)
+        super()._do_tx_complete(time, sender, receiver, pk, cost, bits)
 
 
 def first_hop(length_m: float, **overrides) -> tuple[float, int]:

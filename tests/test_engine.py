@@ -7,6 +7,7 @@ import pytest
 
 from conftest import PathSimulation, assert_energy_balanced, chain_positions, \
     equivalence_cells, first_hop, low_energy_cells, radio_neighbors
+from test_geams import reference_select
 from geams_sim import geams, gpsr
 from geams_sim.energy import rx_energy, tx_energy
 from geams_sim.engine import EnergyLedger, Simulation, run_scenario
@@ -519,6 +520,48 @@ class KeptSetChecker(Simulation):
         return result
 
 
+class SelectionChecker(Simulation):
+    """Replays, after every GEAMS route that selected among sink-ward
+    neighbours, the node's choice through reference_select, which compares
+    the set's ids on every call, and checks that the choice and the node's
+    balance rank, reference hop count and ids equal the reference's.  The
+    set the route selected from is the node's kept set as it was before the
+    route, or a fresh build when the route rebuilt it.  It counts the
+    routes whose source state held the set's stamp, and so re-read no
+    order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.refs: dict[int, list] = {}
+        self.checks = self.skipped = 0
+
+    def _route_geams(self, node, pk):
+        cfg = self.cfg
+        bits = cfg.data_packet_bits
+        before = self._kept.get(node.id)
+        held = None if before is None else geams.BestNeighborSet(
+            list(before.ids), list(before.scores), before.oldest)
+        fresh = geams.build_best_neighbor_set(
+            node.table, self.now, cfg.neighbor_expiry_s, bits, bits * cfg.e_elec_j_per_bit)
+        stamped = (before is not None and node.stream is not None
+                   and node.stream.stamp == before.stamp)
+        hops = len(pk.path) - 1
+        result = super()._route_geams(node, pk)
+        kept = self._kept.get(node.id)
+        used = held if kept is before else fresh
+        if kept is None or not used.ids:  # walked back: nothing was selected
+            return result
+        choice, ref = reference_select(self.refs.get(node.id), used, hops)
+        self.refs[node.id] = ref
+        state = node.stream
+        assert choice == result[0], (self.now, node.id)
+        assert [state.ref_hop_count, state.balance_index, state.neighbor_ids] == ref, \
+            (self.now, node.id)
+        self.checks += 1
+        self.skipped += stamped and kept is before
+        return result
+
+
 class KeptGreedyChecker(Simulation):
     """Checks, at every GPSR route, that the node's kept greedy choice
     equals a fresh greedy_next_hop and carries its record's last beacon
@@ -604,6 +647,21 @@ def test_every_kept_set_equals_a_fresh_build():
             checks += sim.checks
             reused += sim.reused
     assert 0 < reused < checks
+
+
+def test_a_selection_that_skips_its_refresh_equals_the_reference():
+    """A source state that holds its set's stamp re-reads no order; every
+    choice, balance rank, reference hop count and ids still equal
+    reference_select's, which compares ids on every call
+    (SelectionChecker), and both skipped and refreshed selections run."""
+    checks = skipped = 0
+    for cfg in equivalence_cells():
+        if cfg.protocol == "geams":
+            sim = SelectionChecker(cfg)
+            sim.run()
+            checks += sim.checks
+            skipped += sim.skipped
+    assert 0 < skipped < checks
 
 
 def test_every_kept_greedy_choice_equals_a_fresh_one():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import best_set, entries, record, score, table
+from geams_sim import geams
 from geams_sim.engine import Simulation
 from geams_sim.geams import (
     SourceState,
@@ -363,6 +364,41 @@ def test_rescore_keeps_an_entry_that_stays_in_place():
     rescore(kept, r, r.add_load(1.0), K_BITS, K_BITS * E_ELEC)
     assert kept.ids == [3, 4]
     assert kept == build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)
+
+
+def test_a_rescore_that_moves_an_entry_refreshes_each_state_once(monkeypatch):
+    """Two sources steer by one kept set, and each state refreshes against
+    it on its first selection only.  A rescore that keeps every entry in
+    place leaves the set's stamp, so no state refreshes; one that moves an
+    entry renews it, so each state refreshes exactly once more."""
+    me, sink = Position(100, 90), Position(490, 90)
+    t = table(me, sink, [record(i, Position(160, 90), me, sink, 1.0) for i in (2, 3, 4)])
+    t.records[2].state.residual_energy = 1.5
+    kept = build_best_neighbor_set(t, 0.0, 2.5, K_BITS, K_BITS * E_ELEC)
+    calls = []
+
+    def counted(state, s):
+        calls.append(state)
+        return refresh_state(state, s)
+
+    monkeypatch.setattr(geams, "refresh_state", counted)
+    _, a = select_next_hop(None, kept, 0)
+    _, b = select_next_hop(None, kept, 0)
+    for state in (a, b, a, b):
+        select_next_hop(state, kept, 0)
+    assert len(calls) == 2 and calls[0] is a and calls[1] is b
+    r = t.records[2]
+    rescore(kept, r, r.add_load(0.5), K_BITS, K_BITS * E_ELEC)  # ties 3, stays
+    assert kept.ids == [2, 3, 4]
+    for state in (a, b, a, b):
+        select_next_hop(state, kept, 0)
+    assert len(calls) == 2
+    rescore(kept, r, r.add_load(0.25), K_BITS, K_BITS * E_ELEC)  # falls last
+    assert kept.ids == [3, 4, 2]
+    for state in (a, b, a, b):
+        select_next_hop(state, kept, 0)
+    assert len(calls) == 4 and calls[2] is a and calls[3] is b
+    assert a.neighbor_ids == b.neighbor_ids == (3, 4, 2)
 
 
 @given(steps=st.lists(st.tuples(
